@@ -68,9 +68,9 @@ static int run_bench(int argc, char** argv) {
   // Safe under ScopedTechnology: the runner hashes technology() on the
   // worker thread, so each variant's cells key on its own perturbed config.
   runner.result_store = store.get();
-  // --batch[=N]: each variant's run_schemes() call below then decodes every
-  // trace once and replays it into all three scheme lanes (the inner sweep
-  // stays on the variant's worker, so its ScopedTechnology still applies).
+  // Each variant's run_schemes() call below runs every trace's L1 front end
+  // once for all three schemes, on the variant's worker, so its
+  // ScopedTechnology prices that pass. --batch[=N] is only recorded.
   runner.sweep_batch = batch;
   bench.set_sweep_batch(batch, runner.batchable());
 

@@ -3,11 +3,11 @@
 /// energy and execution time of (user+kernel) segment sizings against the
 /// shared 2 MB baseline. Shows the knee the paper's chosen config sits on.
 ///
-/// The baseline plus the seven sizings run as one run_designs() grid:
-/// `--jobs=N` / MOBCACHE_JOBS pick the worker count, and `--batch[=N]` /
-/// MOBCACHE_SWEEP_BATCH switch the grid onto the single-pass batch engine
-/// (one trace decode drives all sizings — docs/SWEEP_ENGINE.md). Neither
-/// knob changes any emitted number.
+/// The baseline plus the seven sizings run as one run_designs() grid, which
+/// runs each trace's L1 front end once for all sizings (docs/SWEEP_ENGINE.md).
+/// `--jobs=N` / MOBCACHE_JOBS pick the worker count; `--batch[=N]` /
+/// MOBCACHE_SWEEP_BATCH are accepted but select no engine — the BENCH report
+/// only records them. Neither knob changes any emitted number.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"

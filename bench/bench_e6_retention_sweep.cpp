@@ -4,12 +4,12 @@
 /// advisor's (MID, LO) pick as the energy/performance sweet spot.
 ///
 /// Sweep points (the baseline plus the nine pairings) run as one
-/// run_designs() grid: pass `--jobs=N` (or MOBCACHE_JOBS) to spread them
-/// over worker threads, and `--batch[=N]` (or MOBCACHE_SWEEP_BATCH) to
-/// drive all pairings from one trace decode per workload
-/// (docs/SWEEP_ENGINE.md). Results are keyed by point index, so the emitted
-/// table, CSV and JSON are byte-identical for every job count and batch
-/// setting.
+/// run_designs() grid, which drives all pairings from one L1 pass per
+/// workload (docs/SWEEP_ENGINE.md): pass `--jobs=N` (or MOBCACHE_JOBS) to
+/// spread them over worker threads. `--batch[=N]` (or MOBCACHE_SWEEP_BATCH)
+/// selects no engine; the BENCH report only records it. Results are keyed
+/// by point index, so the emitted table, CSV and JSON are byte-identical for
+/// every job count and batch setting.
 ///
 /// Fault supervision (docs/RELIABILITY.md): --keep-going turns a failing
 /// pairing into a manifest entry (the table/CSV/JSON simply omit that row)

@@ -48,11 +48,12 @@ std::vector<std::size_t> bench_fail_points(int argc, char** argv);
 void chaos_maybe_fail(const std::vector<std::size_t>& fail_points,
                       std::size_t index);
 
-/// Single-pass sweep batching opt-in (docs/SWEEP_ENGINE.md), wired to
-/// ExperimentRunner::sweep_batch by the sweep benches:
-///   --batch=N              drive up to N design lanes per trace decode
-///                          (0 or 1 = per-point, exactly as before)
-///   --batch                shorthand for --batch=16 (the default lane cap)
+/// Requested sweep lane cap, wired to ExperimentRunner::sweep_batch by the
+/// sweep benches. It selects no engine — every runner grid shares one L1
+/// pass per trace (docs/SWEEP_ENGINE.md) — and is only recorded in the
+/// BENCH report:
+///   --batch=N              lane cap N (0 or 1 = 1)
+///   --batch                shorthand for --batch=16
 ///   MOBCACHE_SWEEP_BATCH=N same as --batch=N; the flag wins when both are
 ///                          given. Parsed with env_u64 — garbage is an
 ///                          EnvError (flag garbage a ConfigError), never a
@@ -120,10 +121,10 @@ class BenchReport {
   /// entries served from poison records.
   void add_point_failure(const PointFailure& f, std::string point);
 
-  /// Records the resolved sweep-batch configuration, written as
+  /// Records the resolved sweep-batch setting, written as
   /// sweep.batch_size / sweep.batched. Like jobs these are *run* facts, not
-  /// sweep results — BENCH trajectory comparisons across PRs need to know
-  /// whether a run was batched to stay apples-to-apples. Defaults to
+  /// sweep results. They no longer select an engine (every grid shares one
+  /// L1 pass per trace); they only report what was asked for. Defaults to
   /// batch_size = 1, batched = false when never called.
   void set_sweep_batch(unsigned batch_size, bool batched) {
     sweep_batch_ = batch_size;

@@ -24,15 +24,6 @@ std::uint64_t scheme_design_hash(SchemeKind kind, const SchemeParams& p) {
       .digest();
 }
 
-/// simulate() + the numeric invariant gate — the only simulate entry the
-/// runner uses, so every aggregated cell has been validated.
-SimResult checked_simulate(const Trace& trace, std::unique_ptr<L2Interface> l2,
-                           const SimOptions& opts) {
-  SimResult r = simulate(trace, std::move(l2), opts);
-  validate_sim_result_finite(r);
-  return r;
-}
-
 }  // namespace
 
 void validate_sim_result_finite(const SimResult& r) {
@@ -86,6 +77,56 @@ struct SuiteCell {
   std::shared_ptr<Telemetry> tel;
 };
 
+/// The shared L1 passes of one grid call: at most one L1MissIndex per
+/// trace, built by the first cell that computes on the trace — under that
+/// cell's supervision, so its deadline covers the build — and freed when
+/// the trace's last cell finishes, at the latest when the call returns. A
+/// build that throws leaves the slot empty and the next cell of the trace
+/// retries under its own supervision.
+class L1IndexSlots {
+  struct Slot {
+    std::mutex mu;
+    std::unique_ptr<const L1MissIndex> index;  ///< guarded by mu
+    std::size_t pending = 0;                   ///< cells yet to finish
+  };
+
+ public:
+  /// `cells[w]` cells will replay from trace w's index.
+  explicit L1IndexSlots(const std::vector<std::size_t>& cells)
+      : slots_(cells.size()) {
+    for (std::size_t w = 0; w < cells.size(); ++w) slots_[w].pending = cells[w];
+  }
+
+  /// One cell's use of its trace's index, from before the build to the end
+  /// of its replay; the last use of a trace frees the index.
+  class Use {
+   public:
+    Use(L1IndexSlots& slots, std::size_t w) : slot_(slots.slots_[w]) {}
+    ~Use() {
+      std::lock_guard<std::mutex> lock(slot_.mu);
+      if (--slot_.pending == 0) slot_.index.reset();
+    }
+    Use(const Use&) = delete;
+    Use& operator=(const Use&) = delete;
+
+    const L1MissIndex& get(const Trace& trace, const SimOptions& opts,
+                           const PointSupervisor& sup) {
+      std::lock_guard<std::mutex> lock(slot_.mu);
+      if (!slot_.index) {
+        slot_.index = std::make_unique<const L1MissIndex>(
+            build_l1_miss_index(trace, opts, sup));
+      }
+      return *slot_.index;
+    }
+
+   private:
+    Slot& slot_;
+  };
+
+ private:
+  std::vector<Slot> slots_;
+};
+
 }  // namespace
 
 const std::vector<std::uint64_t>& ExperimentRunner::trace_hashes() const {
@@ -125,67 +166,25 @@ DesignSpec scheme_design(SchemeKind kind, const SchemeParams& params) {
 
 SchemeSuiteResult ExperimentRunner::run_scheme(SchemeKind kind,
                                                const SchemeParams& params) const {
-  SchemeSuiteResult r =
-      run_custom(scheme_name(kind), [&] { return build_scheme(kind, params); },
-                 scheme_design_hash(kind, params));
-  r.kind = kind;
-  return r;
+  std::vector<SchemeSuiteResult> r = run_designs({scheme_design(kind, params)});
+  return std::move(r.front());
 }
 
 SchemeSuiteResult ExperimentRunner::run_custom(
     const std::string& name,
     const std::function<std::unique_ptr<L2Interface>()>& builder,
     std::optional<std::uint64_t> design_hash) const {
-  return run_custom_impl(name, builder, design_hash, jobs);
+  std::vector<SchemeSuiteResult> r =
+      run_designs({DesignSpec{name, builder, design_hash, std::nullopt}});
+  return std::move(r.front());
 }
 
-SchemeSuiteResult ExperimentRunner::run_custom_impl(
-    const std::string& name,
-    const std::function<std::unique_ptr<L2Interface>()>& builder,
-    std::optional<std::uint64_t> design_hash, unsigned exec_jobs) const {
-  SchemeSuiteResult out;
-  out.name = name;
-
-  SweepExecutor ex(exec_jobs);
-  if (design_hash && memoizable()) {
-    std::vector<SimResult> results = memoized_map(
-        ex, result_store, cell_keys(*design_hash), [&](std::size_t i) {
-          return checked_simulate(*traces_[i], builder(), sim_options);
-        });
-    out.per_workload.reserve(results.size());
-    double miss_sum = 0.0;
-    for (SimResult& r : results) {
-      miss_sum += r.l2_miss_rate();
-      out.per_workload.push_back(std::move(r));
-    }
-    if (!traces_.empty())
-      out.avg_miss_rate = miss_sum / static_cast<double>(traces_.size());
-    return out;
-  }
-
-  std::vector<SuiteCell> cells = ex.map(traces_.size(), [&](std::size_t i) {
-    SimOptions opts = sim_options;
-    SuiteCell cell;
-    if (collect_telemetry) {
-      cell.tel = std::make_shared<Telemetry>();
-      cell.tel->set_sample_interval(telemetry_sample_interval);
-      opts.telemetry = cell.tel.get();
-    }
-    cell.res = checked_simulate(*traces_[i], builder(), opts);
-    return cell;
-  });
-
-  out.per_workload.reserve(cells.size());
-  double miss_sum = 0.0;
-  for (SuiteCell& cell : cells) {
-    miss_sum += cell.res.l2_miss_rate();
-    out.per_workload.push_back(std::move(cell.res));
-    if (collect_telemetry)
-      out.per_workload_telemetry.push_back(std::move(cell.tel));
-  }
-  if (!traces_.empty())
-    out.avg_miss_rate = miss_sum / static_cast<double>(traces_.size());
-  return out;
+std::vector<SchemeSuiteResult> ExperimentRunner::run_schemes(
+    const std::vector<SchemeKind>& kinds, const SchemeParams& params) const {
+  std::vector<DesignSpec> specs;
+  specs.reserve(kinds.size());
+  for (SchemeKind kind : kinds) specs.push_back(scheme_design(kind, params));
+  return run_designs(specs);
 }
 
 bool ExperimentRunner::batchable() const {
@@ -208,39 +207,12 @@ ExperimentRunner::run_designs_outcomes(
     const std::vector<DesignSpec>& specs, bool keep_going,
     const std::function<void(std::size_t)>& point_hook) const {
   const std::size_t n = specs.size();
-  if (batchable()) return run_designs_batched(specs, keep_going, point_hook);
-
-  // Per-point fallback: specs across `jobs` workers, each spec a serial
-  // suite evaluation — exactly the outer-executor / inner-serial structure
-  // the sweep benches ran before batching existed, so results AND
-  // result-store traffic are unchanged.
-  SweepExecutor ex(jobs);
-  auto point = [&](std::size_t s) {
-    if (point_hook) point_hook(s);
-    SchemeSuiteResult r = run_custom_impl(specs[s].name, specs[s].build,
-                                          specs[s].design_hash,
-                                          /*exec_jobs=*/1);
-    if (specs[s].kind) r.kind = *specs[s].kind;
-    return r;
-  };
-  if (keep_going) return ex.map_outcomes(n, point);
-  std::vector<SchemeSuiteResult> values = ex.map(n, point);
-  std::vector<PointOutcome<SchemeSuiteResult>> out(n);
-  for (std::size_t s = 0; s < n; ++s) out[s].value = std::move(values[s]);
-  return out;
-}
-
-std::vector<PointOutcome<SchemeSuiteResult>>
-ExperimentRunner::run_designs_batched(
-    const std::vector<DesignSpec>& specs, bool keep_going,
-    const std::function<void(std::size_t)>& point_hook) const {
-  const std::size_t n = specs.size();
   const std::size_t w_count = traces_.size();
   std::vector<PointOutcome<SchemeSuiteResult>> out(n);
 
   // Point hooks (chaos injection) run up front in ascending spec order:
   // fail-fast therefore throws the lowest-indexed hook failure
-  // deterministically, matching the serial per-point sweep.
+  // deterministically, before any cell has run.
   std::vector<char> live(n, 1);
   if (point_hook) {
     for (std::size_t s = 0; s < n; ++s) {
@@ -254,117 +226,87 @@ ExperimentRunner::run_designs_batched(
     }
   }
 
-  // Warm cells come straight from the store under the *same* content keys
-  // the per-point path uses — a store written per-point resumes batched and
-  // vice versa. Keep-going deliberately does not consult poison records
-  // here: the per-point grid path (fail-fast memoized_map inside each
-  // point) never does either, and equivalence wins over quarantine reuse.
+  // Cell c = s * W + w. Warm cells come straight from the store under their
+  // per-point content keys (poison records are not consulted: a grid
+  // re-runs a quarantined point). Cold cells are queued workload-major, so
+  // the executor's contiguous shards start the workers on different traces
+  // and no worker waits on another's L1 pass.
   const bool memo = memoizable();
   std::vector<std::vector<std::uint64_t>> keys(n);
-  std::vector<std::optional<SimResult>> cells(n * w_count);
-  std::vector<std::vector<std::size_t>> unit_missing(w_count);
   for (std::size_t s = 0; s < n; ++s) {
-    if (!live[s]) continue;
-    const bool spec_memo = memo && specs[s].design_hash.has_value();
-    if (spec_memo) keys[s] = cell_keys(*specs[s].design_hash);
-    for (std::size_t w = 0; w < w_count; ++w) {
-      if (spec_memo) {
-        if (auto hit = result_store->lookup(keys[s][w])) {
-          cells[s * w_count + w] = std::move(*hit);
+    if (live[s] && memo && specs[s].design_hash)
+      keys[s] = cell_keys(*specs[s].design_hash);
+  }
+  std::vector<std::optional<SuiteCell>> cells(n * w_count);
+  std::vector<std::size_t> cold;
+  std::vector<std::size_t> cold_on_trace(w_count, 0);
+  for (std::size_t w = 0; w < w_count; ++w) {
+    for (std::size_t s = 0; s < n; ++s) {
+      if (!live[s]) continue;
+      if (!keys[s].empty()) {
+        if (std::optional<SimResult> hit = result_store->lookup(keys[s][w])) {
+          cells[s * w_count + w].emplace().res = std::move(*hit);
           continue;
         }
       }
-      unit_missing[w].push_back(s);
+      cold.push_back(s * w_count + w);
+      ++cold_on_trace[w];
     }
   }
 
-  // A spec's failure is attributed to its lowest failing workload — the
-  // per-point path's serial inner sweep surfaces exactly that one. Units
-  // run concurrently, so the (workload, error) pair is kept under a lock.
-  std::mutex mu;
-  std::vector<std::optional<std::pair<std::size_t, std::exception_ptr>>>
-      spec_fail(n);
-  auto note_failure = [&](std::size_t s, std::size_t w,
-                          const std::exception_ptr& e) {
-    std::lock_guard<std::mutex> lock(mu);
-    auto& f = spec_fail[s];
-    if (!f || w < f->first) f = std::make_pair(w, e);
+  // Two or more cold cells on a trace replay from its L1MissIndex; a lone
+  // cell has nothing to share and simulates.
+  const bool indexable = batch_eligible(sim_options) && !collect_telemetry;
+  std::vector<std::size_t> indexed(w_count, 0);
+  for (std::size_t w = 0; w < w_count; ++w)
+    if (indexable && cold_on_trace[w] >= 2) indexed[w] = cold_on_trace[w];
+  L1IndexSlots indexes(indexed);
+  auto compute = [&](std::size_t j) {
+    const std::size_t s = cold[j] / w_count;
+    const std::size_t w = cold[j] % w_count;
+    const Trace& trace = *traces_[w];
+    SuiteCell cell;
+    if (indexed[w] != 0) {
+      L1IndexSlots::Use use(indexes, w);
+      const PointSupervisor sup(sim_options);
+      const L1MissIndex& index = use.get(trace, sim_options, sup);
+      const std::unique_ptr<L2Interface> l2 = specs[s].build();
+      cell.res = replay_l1_miss_index(trace, index, *l2, sup);
+    } else {
+      SimOptions opts = sim_options;
+      if (collect_telemetry) {
+        cell.tel = std::make_shared<Telemetry>();
+        cell.tel->set_sample_interval(telemetry_sample_interval);
+        opts.telemetry = cell.tel.get();
+      }
+      cell.res = simulate(trace, specs[s].build(), opts);
+    }
+    // Validated before it can reach the store, an artifact or a normalize.
+    validate_sim_result_finite(cell.res);
+    // Persisted as it finishes: a killed sweep resumes from every cell done.
+    if (!keys[s].empty()) result_store->store(keys[s][w], cell.res);
+    cells[cold[j]] = std::move(cell);
   };
 
-  // One unit per workload: decode/L1-simulate the trace once, then replay
-  // its demand stream into the missing specs in chunks of <= sweep_batch
-  // lanes. Units shard across the executor; lanes within a unit are serial.
-  const std::size_t lane_cap = sweep_batch;
   SweepExecutor ex(jobs);
-  ex.for_each(w_count, [&](std::size_t w) {
-    const std::vector<std::size_t>& todo = unit_missing[w];
-    if (todo.empty()) return;
-    try {
-      const DemandStream stream =
-          build_demand_stream(*traces_[w], sim_options);
-      std::size_t pos = 0;
-      while (pos < todo.size()) {
-        const std::size_t chunk_end =
-            std::min(todo.size(), pos + lane_cap);
-        std::vector<std::unique_ptr<L2Interface>> designs;
-        std::vector<L2Interface*> lanes;
-        std::vector<std::size_t> lane_spec;
-        designs.reserve(chunk_end - pos);
-        std::optional<std::pair<std::size_t, std::exception_ptr>> chunk_err;
-        auto chunk_failed = [&](std::size_t s, const std::exception_ptr& e) {
-          note_failure(s, w, e);
-          if (!chunk_err || s < chunk_err->first)
-            chunk_err = std::make_pair(s, e);
-        };
-        for (std::size_t j = pos; j < chunk_end; ++j) {
-          const std::size_t s = todo[j];
-          try {
-            designs.push_back(specs[s].build());
-            lanes.push_back(designs.back().get());
-            lane_spec.push_back(s);
-          } catch (...) {
-            chunk_failed(s, std::current_exception());
-          }
-        }
-        std::vector<BatchLaneOutcome> lane_out =
-            simulate_batch_lanes(stream, lanes, sim_options);
-        for (std::size_t l = 0; l < lane_out.size(); ++l) {
-          const std::size_t s = lane_spec[l];
-          if (lane_out[l].ok()) {
-            try {
-              SimResult r = std::move(*lane_out[l].result);
-              validate_sim_result_finite(r);
-              if (memo && !keys[s].empty()) result_store->store(keys[s][w], r);
-              cells[s * w_count + w] = std::move(r);
-              continue;
-            } catch (...) {
-              lane_out[l].error = std::current_exception();
-            }
-          }
-          chunk_failed(s, lane_out[l].error);
-        }
-        // Fail-fast aborts after the chunk's completed lanes have been
-        // persisted: a killed sweep still resumes from every finished cell.
-        if (!keep_going && chunk_err)
-          std::rethrow_exception(chunk_err->second);
-        pos = chunk_end;
-      }
-    } catch (...) {
-      const std::exception_ptr e = std::current_exception();
-      if (!keep_going || is_cancellation(e)) throw;
-      // Unit-level failure (stream build, batch-wide error): every spec of
-      // this unit that has no cell yet fails at this workload.
-      for (std::size_t s : todo) {
-        if (!cells[s * w_count + w]) note_failure(s, w, e);
-      }
-    }
-  });
+  // A spec's failure is the error of its lowest failing workload.
+  std::vector<std::optional<std::pair<std::size_t, PointFailure>>> spec_fail(n);
+  if (keep_going) {
+    ex.for_each_outcomes(cold.size(), compute, [&](PointFailure&& f) {
+      const std::size_t s = cold[f.index] / w_count;
+      const std::size_t w = cold[f.index] % w_count;
+      if (spec_fail[s] && spec_fail[s]->first < w) return;
+      f.index = s;
+      spec_fail[s] = std::make_pair(w, std::move(f));
+    });
+  } else {
+    ex.for_each(cold.size(), compute);
+  }
 
   for (std::size_t s = 0; s < n; ++s) {
     if (!live[s]) continue;
     if (spec_fail[s]) {
-      if (!keep_going) std::rethrow_exception(spec_fail[s]->second);
-      out[s].failure = point_failure_from(s, spec_fail[s]->second);
+      out[s].failure = std::move(spec_fail[s]->second);
       continue;
     }
     SchemeSuiteResult r;
@@ -373,80 +315,14 @@ ExperimentRunner::run_designs_batched(
     r.per_workload.reserve(w_count);
     double miss_sum = 0.0;
     for (std::size_t w = 0; w < w_count; ++w) {
-      SimResult& res = *cells[s * w_count + w];
-      miss_sum += res.l2_miss_rate();
-      r.per_workload.push_back(std::move(res));
-    }
-    if (w_count > 0)
-      r.avg_miss_rate = miss_sum / static_cast<double>(w_count);
-    out[s].value = std::move(r);
-  }
-  return out;
-}
-
-std::vector<SchemeSuiteResult> ExperimentRunner::run_schemes(
-    const std::vector<SchemeKind>& kinds, const SchemeParams& params) const {
-  if (batchable()) {
-    std::vector<DesignSpec> specs;
-    specs.reserve(kinds.size());
-    for (SchemeKind kind : kinds) specs.push_back(scheme_design(kind, params));
-    return run_designs(specs);
-  }
-
-  const std::size_t w_count = traces_.size();
-
-  // One flat (scheme × workload) sweep: cell c = (kinds[c / W], c % W).
-  SweepExecutor ex(jobs);
-  std::vector<SuiteCell> cells;
-  if (memoizable()) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(kinds.size() * w_count);
-    for (SchemeKind kind : kinds) {
-      for (std::uint64_t k : cell_keys(scheme_design_hash(kind, params)))
-        keys.push_back(k);
-    }
-    std::vector<SimResult> results =
-        memoized_map(ex, result_store, keys, [&](std::size_t c) {
-          return checked_simulate(*traces_[c % w_count],
-                                  build_scheme(kinds[c / w_count], params),
-                                  sim_options);
-        });
-    cells.resize(results.size());
-    for (std::size_t c = 0; c < results.size(); ++c)
-      cells[c].res = std::move(results[c]);
-  } else {
-    cells = ex.map(kinds.size() * w_count, [&](std::size_t c) {
-      const SchemeKind kind = kinds[c / w_count];
-      const std::size_t w = c % w_count;
-      SimOptions opts = sim_options;
-      SuiteCell cell;
-      if (collect_telemetry) {
-        cell.tel = std::make_shared<Telemetry>();
-        cell.tel->set_sample_interval(telemetry_sample_interval);
-        opts.telemetry = cell.tel.get();
-      }
-      cell.res = checked_simulate(*traces_[w], build_scheme(kind, params), opts);
-      return cell;
-    });
-  }
-
-  std::vector<SchemeSuiteResult> out;
-  out.reserve(kinds.size());
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    SchemeSuiteResult r;
-    r.kind = kinds[k];
-    r.name = scheme_name(kinds[k]);
-    r.per_workload.reserve(w_count);
-    double miss_sum = 0.0;
-    for (std::size_t w = 0; w < w_count; ++w) {
-      SuiteCell& cell = cells[k * w_count + w];
+      SuiteCell& cell = *cells[s * w_count + w];
       miss_sum += cell.res.l2_miss_rate();
       r.per_workload.push_back(std::move(cell.res));
       if (collect_telemetry)
         r.per_workload_telemetry.push_back(std::move(cell.tel));
     }
     if (w_count > 0) r.avg_miss_rate = miss_sum / static_cast<double>(w_count);
-    out.push_back(std::move(r));
+    out[s].value = std::move(r);
   }
   return out;
 }
@@ -485,9 +361,7 @@ std::vector<FaultSweepPoint> run_fault_sweep(const ExperimentRunner& runner,
                                              const std::vector<double>& rates,
                                              const SchemeParams& tmpl) {
   // Per-rate parameter sets, rate-0 reference first: the sweep reports
-  // degradation caused by faults, not by the scheme itself. Each is a pure
-  // function of its index, so the flat (rate × workload) sweep below is
-  // execution-order independent.
+  // degradation caused by faults, not by the scheme itself.
   std::vector<SchemeParams> per_rate;
   per_rate.reserve(rates.size() + 1);
   SchemeParams clean = tmpl;
@@ -501,32 +375,12 @@ std::vector<FaultSweepPoint> run_fault_sweep(const ExperimentRunner& runner,
     per_rate.push_back(p);
   }
 
-  const auto& traces = runner.traces();
-  const std::size_t w_count = traces.size();
-  SweepExecutor ex(runner.jobs);
-  auto cell_fn = [&](std::size_t c) {
-    const SchemeParams& p = per_rate[c / w_count];
-    SimResult r = simulate(*traces[c % w_count], build_scheme(kind, p),
-                           runner.sim_options);
-    validate_sim_result_finite(r);
-    return r;
-  };
-  std::vector<SimResult> cells;
-  if (runner.result_store != nullptr &&
-      !runner.sim_options.l2_eviction_observer) {
-    const std::uint64_t opts = hash_sim_options(runner.sim_options);
-    const std::uint64_t tech = hash_technology(technology());
-    std::vector<std::uint64_t> keys;
-    keys.reserve(per_rate.size() * w_count);
-    for (const SchemeParams& p : per_rate) {
-      const std::uint64_t dh = scheme_design_hash(kind, p);
-      for (std::uint64_t th : runner.trace_hashes())
-        keys.push_back(result_point_key(dh, th, opts, tech));
-    }
-    cells = memoized_map(ex, runner.result_store, keys, cell_fn);
-  } else {
-    cells = ex.map(per_rate.size() * w_count, cell_fn);
-  }
+  std::vector<DesignSpec> specs;
+  specs.reserve(per_rate.size());
+  for (const SchemeParams& p : per_rate)
+    specs.push_back(scheme_design(kind, p));
+  const std::vector<SchemeSuiteResult> grid = runner.run_designs(specs);
+  const std::size_t w_count = runner.traces().size();
 
   std::vector<FaultSweepPoint> out;
   out.reserve(rates.size());
@@ -536,8 +390,8 @@ std::vector<FaultSweepPoint> run_fault_sweep(const ExperimentRunner& runner,
     std::vector<double> e_ratios, t_ratios;
     double miss_sum = 0.0;
     for (std::size_t w = 0; w < w_count; ++w) {
-      const SimResult& s = cells[(ri + 1) * w_count + w];
-      const SimResult& b = cells[w];  // rate-0 reference row
+      const SimResult& s = grid[ri + 1].per_workload[w];
+      const SimResult& b = grid[0].per_workload[w];  // rate-0 reference row
       if (b.l2_energy.cache_nj() > 0)
         e_ratios.push_back(s.l2_energy.cache_nj() / b.l2_energy.cache_nj());
       if (b.cycles > 0) {

@@ -3,12 +3,19 @@
 /// Workload-suite × scheme experiment driver with baseline normalization —
 /// the engine behind every bench binary.
 ///
-/// All suite/sweep execution flows through SweepExecutor (exp/parallel.hpp):
-/// set `jobs` > 1 (or 0 = auto) and the (scheme × workload) cells of a run
-/// are sharded across worker threads. Results are assembled in cell-index
-/// order and every cell is a pure function of its index, so a parallel run
-/// is bit-identical to `jobs = 1`. Traces come from the process-wide
-/// TraceCache via cached_suite(): generated once, shared read-only.
+/// Every run_* entry point is one (design × workload) grid executed by
+/// run_designs_outcomes() on a SweepExecutor (exp/parallel.hpp): set `jobs`
+/// > 1 (or 0 = auto) and the cells are sharded across worker threads.
+/// Results are assembled in cell-index order and every cell is a pure
+/// function of its index, so a parallel run is bit-identical to `jobs = 1`.
+/// Traces come from the process-wide TraceCache via cached_suite():
+/// generated once, shared read-only.
+///
+/// When a grid computes two or more designs over one trace, the L1 front
+/// end of that trace is simulated once per call: the first cell to compute
+/// on the trace builds its L1MissIndex (sim/batch.hpp) and every design cell
+/// of the trace replays from it, byte-identical to simulate()
+/// (docs/SWEEP_ENGINE.md).
 ///
 /// Attach a ResultStore (exp/result_store.hpp) via `result_store` and every
 /// deterministic (scheme × workload) cell is memoized across process
@@ -111,41 +118,38 @@ class ExperimentRunner {
       std::optional<std::uint64_t> design_hash = std::nullopt) const;
 
   /// Runs several schemes as one flat (scheme × workload) sweep — the
-  /// maximum-parallelism path. No normalization is applied. When the runner
-  /// is batchable() this delegates to run_designs(), which drives up to
-  /// `sweep_batch` schemes per trace decode; results are byte-identical
-  /// either way.
+  /// maximum-parallelism path. No normalization is applied.
   std::vector<SchemeSuiteResult> run_schemes(
       const std::vector<SchemeKind>& kinds,
       const SchemeParams& params = {}) const;
 
   /// Runs a sweep grid of designs (one suite evaluation per spec), in spec
-  /// order. With `sweep_batch` >= 2 and a batch-eligible configuration the
-  /// grid executes on the single-pass engine (sim/batch.hpp): one demand
-  /// stream per workload drives up to `sweep_batch` design lanes at once.
-  /// Otherwise each spec runs exactly like
-  /// `run_custom(spec.name, spec.build, spec.design_hash)` on a serial inner
-  /// executor, with the specs sharded across `jobs` workers — the structure
-  /// every sweep bench used before batching existed. Both paths produce
-  /// byte-identical SchemeSuiteResults and result-store artifacts
-  /// (docs/SWEEP_ENGINE.md). Fail-fast: the first failing point aborts the
-  /// sweep.
+  /// order, as flat (spec × workload) cells on `jobs` workers. Fail-fast:
+  /// the first failing point aborts the sweep.
   std::vector<SchemeSuiteResult> run_designs(
       const std::vector<DesignSpec>& specs) const;
 
   /// Keep-going flavour of run_designs(): a failing spec becomes a
-  /// PointFailure in its outcome slot (index = spec index) instead of
-  /// aborting; cancellation still propagates. `point_hook`, when set, runs
-  /// at the start of every spec's work (chaos injection seam — a throwing
-  /// hook fails that spec). With keep_going == false this *is*
-  /// run_designs(), returned in outcome form.
+  /// PointFailure in its outcome slot (index = spec index, the error of its
+  /// lowest failing workload) instead of aborting; cancellation still
+  /// propagates. `point_hook`, when set, runs once per spec in ascending
+  /// spec order before any cell (chaos injection seam — a throwing hook
+  /// fails that spec). With keep_going == false this *is* run_designs(),
+  /// returned in outcome form.
+  ///
+  /// This is the one grid implementation behind every run_* entry point.
+  /// Cells run workload-major, so workers start on different traces; a
+  /// batch-eligible call without telemetry that computes two or more cells
+  /// on a trace replays them from that trace's L1MissIndex, built at most
+  /// once by the first of them and freed after the last of them, at the
+  /// latest when the call returns. Other cells call simulate().
   std::vector<PointOutcome<SchemeSuiteResult>> run_designs_outcomes(
       const std::vector<DesignSpec>& specs, bool keep_going,
       const std::function<void(std::size_t)>& point_hook = {}) const;
 
-  /// True when run_designs()/run_schemes() will take the batched single-pass
-  /// path: `sweep_batch` >= 2, no telemetry collection, and a
-  /// batch-eligible SimOptions (batch_eligible() in sim/batch.hpp).
+  /// `sweep_batch` >= 2, no telemetry collection, and a batch-eligible
+  /// SimOptions (batch_eligible() in sim/batch.hpp). Selects no engine:
+  /// benches only record it (BENCH sweep.batched).
   bool batchable() const;
 
   /// Runs all headline schemes and normalizes against the first (baseline).
@@ -192,23 +196,14 @@ class ExperimentRunner {
   /// replay their side channels.
   ResultStore* result_store = nullptr;
 
-  /// Design lanes driven per demand-stream replay in run_designs()/
-  /// run_schemes(). 0/1 = per-point (the default — every spec simulates its
-  /// own L1 pass), N >= 2 = decode each trace once and replay it into up to
-  /// N design lanes. Benches wire this to --batch / MOBCACHE_SWEEP_BATCH
-  /// (bench_sweep_batch). Results are byte-identical for every value; only
-  /// wall-clock changes.
+  /// Requested design lanes per trace decode, as set by --batch /
+  /// MOBCACHE_SWEEP_BATCH (bench_sweep_batch). It no longer selects an
+  /// engine — every grid shares one L1 pass per trace whatever its value —
+  /// and is only recorded (BENCH sweep.batch_size, batchable()).
   unsigned sweep_batch = 1;
 
  private:
   bool memoizable() const;
-  SchemeSuiteResult run_custom_impl(
-      const std::string& name,
-      const std::function<std::unique_ptr<L2Interface>()>& builder,
-      std::optional<std::uint64_t> design_hash, unsigned exec_jobs) const;
-  std::vector<PointOutcome<SchemeSuiteResult>> run_designs_batched(
-      const std::vector<DesignSpec>& specs, bool keep_going,
-      const std::function<void(std::size_t)>& point_hook) const;
   /// Per-cell content keys for a (design × workload) grid slice.
   std::vector<std::uint64_t> cell_keys(std::uint64_t design_hash) const;
 
@@ -239,7 +234,8 @@ struct FaultSweepPoint {
 /// quarantine threshold, seed); each point swaps in
 /// FaultConfig::from_rate(rate, ...) derived from it. rates containing 0.0
 /// produce an exactly-1.0 normalized point — the bit-identity anchor.
-/// Executes as one flat (rate × workload) sweep on `runner.jobs` workers.
+/// Executes as one runner.run_designs() grid of (rate × workload) cells, so
+/// it shares the runner's workers, memoization and L1 passes.
 std::vector<FaultSweepPoint> run_fault_sweep(const ExperimentRunner& runner,
                                              SchemeKind kind,
                                              const std::vector<double>& rates,

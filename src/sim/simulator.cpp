@@ -94,28 +94,7 @@ SimResult simulate_chunked(const std::string& workload, NextChunk&& next_chunk,
   // the clock. With the default-off deadline that is one relaxed atomic
   // load per ~65k records — the BENCH_micro gate sees no inner-loop change
   // at all.
-  const CancelToken& cancel =
-      opts.cancel != nullptr ? *opts.cancel : global_cancel_token();
-  using SimClock = std::chrono::steady_clock;
-  const bool has_deadline = opts.point_deadline_ms != 0;
-  const SimClock::time_point deadline =
-      SimClock::now() + std::chrono::milliseconds(opts.point_deadline_ms);
-  auto poll_supervision = [&]() {
-    if (cancel.cancel_requested()) {
-      try {
-        cancel.check();
-      } catch (SimError& e) {
-        e.with_workload(res.workload).with_scheme(res.scheme);
-        throw;
-      }
-    }
-    if (has_deadline && SimClock::now() >= deadline) {
-      DeadlineExceeded err("point exceeded deadline of " +
-                           std::to_string(opts.point_deadline_ms) + " ms");
-      err.with_workload(res.workload).with_scheme(res.scheme);
-      throw err;
-    }
-  };
+  const PointSupervisor sup(opts);
 
   // Demand loop, split once up front: the plain loop carries no sampler
   // call and no disabled-telemetry branch per record; the instrumented loop
@@ -129,7 +108,7 @@ SimResult simulate_chunked(const std::string& workload, NextChunk&& next_chunk,
     for (;;) {
       const std::span<const Access> chunk = next_chunk();
       if (chunk.empty()) break;
-      if (!first) poll_supervision();
+      if (!first) sup.poll(res.workload, res.scheme);
       first = false;
       for (const Access& a : chunk) {
         now = cpu.retire(hier.access(a, now));
@@ -140,7 +119,7 @@ SimResult simulate_chunked(const std::string& workload, NextChunk&& next_chunk,
     for (;;) {
       const std::span<const Access> chunk = next_chunk();
       if (chunk.empty()) break;
-      if (!first) poll_supervision();
+      if (!first) sup.poll(res.workload, res.scheme);
       first = false;
       for (const Access& a : chunk) {
         now = cpu.retire(hier.access(a, now));
@@ -167,6 +146,30 @@ SimResult simulate_chunked(const std::string& workload, NextChunk&& next_chunk,
 }
 
 }  // namespace
+
+PointSupervisor::PointSupervisor(const SimOptions& opts)
+    : cancel_(opts.cancel != nullptr ? *opts.cancel : global_cancel_token()),
+      deadline_ms_(opts.point_deadline_ms),
+      deadline_(Clock::now() +
+                std::chrono::milliseconds(opts.point_deadline_ms)) {}
+
+void PointSupervisor::poll(const std::string& workload,
+                           const std::string& scheme) const {
+  if (cancel_.cancel_requested()) {
+    try {
+      cancel_.check();
+    } catch (SimError& e) {
+      e.with_workload(workload).with_scheme(scheme);
+      throw;
+    }
+  }
+  if (deadline_ms_ != 0 && Clock::now() >= deadline_) {
+    DeadlineExceeded err("point exceeded deadline of " +
+                         std::to_string(deadline_ms_) + " ms");
+    err.with_workload(workload).with_scheme(scheme);
+    throw err;
+  }
+}
 
 SimResult simulate(const Trace& trace, L2Interface& l2,
                    const SimOptions& opts) {

@@ -3,6 +3,7 @@
 /// Drives one trace through one hierarchy and collects everything the
 /// evaluation needs.
 
+#include <chrono>
 #include <memory>
 #include <string>
 
@@ -73,6 +74,26 @@ struct SimOptions {
   /// EpochSample is pushed every that-many trace records. All instrumentation
   /// is read-only: SimResult is bit-identical with or without a session.
   Telemetry* telemetry = nullptr;
+};
+
+/// Cooperative supervision of one simulation point: the cancellation token
+/// (`opts.cancel`, else the global token) and the per-point wall-clock
+/// deadline, whose clock starts at construction. Simulation loops call
+/// poll() between kCancelPollStride-record chunks, never per access.
+class PointSupervisor {
+ public:
+  explicit PointSupervisor(const SimOptions& opts);
+
+  /// Throws CancelledError when cancellation was requested, or
+  /// DeadlineExceeded once the deadline has passed; either carries
+  /// `workload` and `scheme` (empty = not reported) as error context.
+  void poll(const std::string& workload, const std::string& scheme) const;
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  const CancelToken& cancel_;
+  std::uint64_t deadline_ms_;
+  Clock::time_point deadline_;
 };
 
 /// Runs `trace` against the given L2 design (non-owning: the caller keeps

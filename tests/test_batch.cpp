@@ -1,10 +1,10 @@
 /// \file test_batch.cpp
-/// Single-pass batch sweep engine (sim/batch.hpp, cache/config_batch.hpp,
-/// ExperimentRunner::run_designs): the batched path's whole contract is
-/// byte-identity with the per-point path, so nearly every test here pins
+/// Single-pass replay (sim/batch.hpp, cache/config_batch.hpp,
+/// ExperimentRunner::run_designs): every replay's whole contract is
+/// byte-identity with per-point simulate(), so nearly every test here pins
 /// the two against each other — SimResults via the exact result-store
-/// record serialization, result-store keys across paths, and the keep-going
-/// failure manifests. The ShadowConfigBatch estimator is checked against a
+/// record serialization, result-store keys, and the keep-going failure
+/// manifests. The ShadowConfigBatch estimator is checked against a
 /// brute-force LRU-stack reference.
 
 #include "sim/batch.hpp"
@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
@@ -19,6 +21,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -139,6 +142,113 @@ TEST(BatchStream, CountsMatchTheSharedL1Pass) {
   }
 }
 
+// ---- L1 miss index ---------------------------------------------------------
+
+L1MissIndex index_of(const Trace& trace, const SimOptions& opts) {
+  return build_l1_miss_index(trace, opts, PointSupervisor(opts));
+}
+
+std::uint64_t popcount_all(const std::vector<std::uint64_t>& bits) {
+  std::uint64_t n = 0;
+  for (const std::uint64_t w : bits) n += std::popcount(w);
+  return n;
+}
+
+TEST(L1Index, AgreesWithTheDemandStream) {
+  const Trace trace =
+      generate_app_trace(AppId::Browser, kCancelPollStride + 30'000, 3);
+  const SimOptions opts;
+  const DemandStream s = build_demand_stream(trace, opts);
+  const L1MissIndex x = index_of(trace, opts);
+
+  EXPECT_EQ(x.workload, s.workload);
+  EXPECT_EQ(x.total_records, s.total_records);
+  EXPECT_EQ(x.l1i.total_misses(), s.l1i.total_misses());
+  EXPECT_EQ(x.l1d.total_misses(), s.l1d.total_misses());
+  EXPECT_EQ(x.l1_dynamic_nj, s.l1_dynamic_nj);
+
+  // One miss bit per demand record, at that record's trace index.
+  EXPECT_EQ(popcount_all(x.miss), s.size());
+  std::vector<Addr> wb_seq;
+  for (std::size_t e = 0; e < s.size(); ++e) {
+    const std::uint64_t i = s.record[e];
+    EXPECT_NE((x.miss[i >> 6] >> (i & 63)) & 1u, 0u) << "record " << i;
+    const std::uint8_t f = s.flags[e];
+    if ((f & DemandStream::kWriteback) != 0) {
+      wb_seq.push_back(s.wb_line[e] |
+                       ((f & DemandStream::kWbKernel) != 0 ? 1u : 0u));
+    }
+  }
+  // One wb bit per writeback; victims carry the same lines and owners.
+  EXPECT_EQ(popcount_all(x.wb), wb_seq.size());
+  ASSERT_EQ(x.victim_count(), wb_seq.size());
+  for (std::size_t k = 0; k < wb_seq.size(); ++k)
+    EXPECT_EQ(x.victim(k), wb_seq[k]) << "victim " << k;
+}
+
+TEST(L1Index, StaysUnderTwoBytesPerRecord) {
+  const Trace trace = generate_app_trace(AppId::Browser, 400'000, 5);
+  const L1MissIndex x = index_of(trace, SimOptions{});
+  EXPECT_LT(static_cast<double>(x.bytes()) /
+                static_cast<double>(trace.size()),
+            2.0);
+}
+
+TEST(L1Index, ReplayMatchesSimulateForEveryScheme) {
+  const Trace trace =
+      generate_app_trace(AppId::Email, kCancelPollStride + 20'000, 13);
+  const SimOptions opts;
+  const L1MissIndex x = index_of(trace, opts);
+  for (int k = 0; k < kSchemeCount; ++k) {
+    const auto kind = static_cast<SchemeKind>(k);
+    const std::unique_ptr<L2Interface> l2 = build_scheme(kind);
+    const SimResult got =
+        replay_l1_miss_index(trace, x, *l2, PointSupervisor(opts));
+    EXPECT_EQ(result_to_record_json(got),
+              result_to_record_json(simulate(trace, build_scheme(kind), opts)))
+        << "scheme " << scheme_name(kind);
+  }
+
+  // An index only replays the trace it was built from.
+  const Trace other = generate_app_trace(AppId::Email, 1'000, 13);
+  const std::unique_ptr<L2Interface> l2 = build_scheme(SchemeKind::BaselineSram);
+  EXPECT_THROW(replay_l1_miss_index(other, x, *l2, PointSupervisor(opts)),
+               std::invalid_argument);
+}
+
+TEST(L1Index, PreCancelledTokenAbortsTheBuild) {
+  const Trace trace =
+      generate_app_trace(AppId::Launcher, kCancelPollStride + 5'000, 7);
+  CancelToken token;
+  token.request_cancel();
+  SimOptions opts;
+  opts.cancel = &token;
+  try {
+    (void)index_of(trace, opts);
+    FAIL() << "the build ignored a cancelled token";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.workload(), trace.name());
+  }
+}
+
+TEST(L1Index, ReplayDeadlineCarriesWorkloadAndScheme) {
+  const Trace trace =
+      generate_app_trace(AppId::Maps, kCancelPollStride + 5'000, 9);
+  const L1MissIndex x = index_of(trace, SimOptions{});
+  SimOptions opts;
+  opts.point_deadline_ms = 1;
+  const PointSupervisor sup(opts);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const std::unique_ptr<L2Interface> l2 = build_scheme(SchemeKind::DynamicStt);
+  try {
+    (void)replay_l1_miss_index(trace, x, *l2, sup);
+    FAIL() << "the replay ignored an expired deadline";
+  } catch (const DeadlineExceeded& e) {
+    EXPECT_EQ(e.workload(), trace.name());
+    EXPECT_EQ(e.scheme(), l2->describe());
+  }
+}
+
 // ---- batch replay vs simulate() ------------------------------------------
 
 TEST(BatchSim, MixedSchemeBatchMatchesSimulateForEveryScheme) {
@@ -204,7 +314,7 @@ TEST(BatchSim, PreCancelledTokenAbortsTheSharedPass) {
   EXPECT_THROW(simulate_batch(trace, lanes, opts), CancelledError);
 }
 
-// ---- ExperimentRunner batched path ---------------------------------------
+// ---- ExperimentRunner grids ----------------------------------------------
 
 std::vector<DesignSpec> mixed_grid() {
   std::vector<DesignSpec> specs;
@@ -220,6 +330,26 @@ std::vector<DesignSpec> mixed_grid() {
   specs.push_back(scheme_design(SchemeKind::DynamicStt));
   specs.push_back(scheme_design(SchemeKind::StaticPartMrstt));
   return specs;
+}
+
+/// The per-point reference for a grid: one direct simulate() call per
+/// (spec × workload) cell over the runner's traces and options.
+std::vector<SchemeSuiteResult> simulate_grid(
+    const ExperimentRunner& r, const std::vector<DesignSpec>& specs) {
+  std::vector<SchemeSuiteResult> out;
+  for (const DesignSpec& d : specs) {
+    SchemeSuiteResult suite;
+    suite.name = d.name;
+    if (d.kind) suite.kind = *d.kind;
+    double miss_sum = 0.0;
+    for (const auto& t : r.traces()) {
+      suite.per_workload.push_back(simulate(*t, d.build(), r.sim_options));
+      miss_sum += suite.per_workload.back().l2_miss_rate();
+    }
+    suite.avg_miss_rate = miss_sum / static_cast<double>(r.traces().size());
+    out.push_back(std::move(suite));
+  }
+  return out;
 }
 
 void expect_suite_equal(const SchemeSuiteResult& a,
@@ -238,10 +368,11 @@ TEST(RunnerBatch, RunDesignsByteIdenticalAcrossBatchAndJobs) {
   const std::vector<DesignSpec> specs = mixed_grid();
 
   ExperimentRunner per_point({AppId::Launcher, AppId::Email}, 30'000, 42);
-  const std::vector<SchemeSuiteResult> expect = per_point.run_designs(specs);
+  const std::vector<SchemeSuiteResult> expect =
+      simulate_grid(per_point, specs);
 
-  // Full-grid batch, chunked batch (lane cap smaller than the grid), and a
-  // parallel batched run must all reproduce the per-point bytes.
+  // Every recorded batch size and job count must reproduce the per-point
+  // bytes: sweep_batch selects no engine.
   for (const auto& [batch, jobs] :
        std::vector<std::pair<unsigned, unsigned>>{{8, 1}, {2, 1}, {8, 2}}) {
     ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
@@ -263,7 +394,9 @@ TEST(RunnerBatch, RunSchemesDelegatesToTheBatchedPath) {
   ExperimentRunner batched({AppId::Maps}, 30'000, 9);
   batched.sweep_batch = 8;
   ASSERT_TRUE(batched.batchable());
-  const auto expect = per_point.run_schemes(kinds);
+  std::vector<DesignSpec> specs;
+  for (SchemeKind k : kinds) specs.push_back(scheme_design(k));
+  const auto expect = simulate_grid(per_point, specs);
   const auto got = batched.run_schemes(kinds);
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t i = 0; i < got.size(); ++i)
@@ -277,9 +410,14 @@ TEST(RunnerBatch, IneligibleConfigurationFallsBackPerPoint) {
   r.sim_options.hierarchy.inclusive_l2 = true;
   EXPECT_FALSE(r.batchable());
   // The fallback still runs the grid correctly under the ineligible config.
-  const auto got = r.run_designs({scheme_design(SchemeKind::BaselineSram)});
-  ASSERT_EQ(got.size(), 1u);
+  const std::vector<DesignSpec> specs{scheme_design(SchemeKind::BaselineSram),
+                                      scheme_design(SchemeKind::DynamicStt)};
+  const auto got = r.run_designs(specs);
+  ASSERT_EQ(got.size(), 2u);
   EXPECT_GT(got[0].per_workload[0].records, 0u);
+  const auto expect = simulate_grid(r, specs);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    expect_suite_equal(got[i], expect[i]);
 
   ExperimentRunner t({AppId::Launcher}, 20'000, 1);
   t.sweep_batch = 8;
@@ -297,9 +435,18 @@ TEST(RunnerBatch, KeepGoingManifestMatchesPerPoint) {
     }
   };
 
+  // The per-point reference: each spec's hook, then its direct cells.
   ExperimentRunner per_point({AppId::Launcher, AppId::Email}, 30'000, 42);
-  const auto expect =
-      per_point.run_designs_outcomes(specs, /*keep_going=*/true, hook);
+  const std::vector<SchemeSuiteResult> cells = simulate_grid(per_point, specs);
+  std::vector<PointOutcome<SchemeSuiteResult>> expect(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    try {
+      hook(i);
+      expect[i].value = cells[i];
+    } catch (...) {
+      expect[i].failure = point_failure_from(i, std::current_exception());
+    }
+  }
 
   ExperimentRunner batched({AppId::Launcher, AppId::Email}, 30'000, 42);
   batched.sweep_batch = 8;
@@ -367,11 +514,11 @@ TEST_F(BatchStoreTest, BatchedWarmRunServesPerPointColdRecords) {
   const auto got = r.run_designs(specs);
 
   ExperimentRunner ref({AppId::Launcher, AppId::Email}, 30'000, 42);
-  const auto expect = ref.run_designs(specs);
+  const auto expect = simulate_grid(ref, specs);
   for (std::size_t i = 0; i < got.size(); ++i)
     expect_suite_equal(got[i], expect[i]);
-  // Every (design × workload) cell was served from the per-point records —
-  // the two paths key identically.
+  // Every (design × workload) cell was served from the records of the
+  // other setting — keys do not depend on it.
   EXPECT_EQ(warm.stats().hits, specs.size() * 2);
   EXPECT_EQ(warm.stats().misses, 0u);
 }
@@ -389,15 +536,44 @@ TEST_F(BatchStoreTest, PerPointWarmRunServesBatchedColdRecords) {
   ResultStore warm(dir());
   ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
   r.result_store = &warm;
-  (void)r.run_designs(specs);
+  const auto got = r.run_designs(specs);
   EXPECT_EQ(warm.stats().hits, specs.size() * 2);
   EXPECT_EQ(warm.stats().misses, 0u);
+  const auto expect = simulate_grid(r, specs);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    expect_suite_equal(got[i], expect[i]);
+}
+
+TEST_F(BatchStoreTest, WarmGridComputesNothing) {
+  // A grid whose cells all come from the store must not build an L1 index
+  // or simulate: under a cancelled token either would throw at its first
+  // poll stride.
+  const std::uint64_t len = kCancelPollStride + 10'000;
+  const std::vector<DesignSpec> specs = mixed_grid();
+  {
+    ResultStore cold(dir());
+    ExperimentRunner r({AppId::Launcher, AppId::Email}, len, 42);
+    r.result_store = &cold;
+    (void)r.run_designs(specs);
+  }
+  CancelToken token;
+  token.request_cancel();
+  ResultStore warm(dir());
+  ExperimentRunner r({AppId::Launcher, AppId::Email}, len, 42);
+  r.result_store = &warm;
+  r.jobs = 2;
+  r.sim_options.cancel = &token;
+  const auto got = r.run_designs(specs);
+  EXPECT_EQ(warm.stats().hits, specs.size() * 2);
+  EXPECT_EQ(warm.stats().misses, 0u);
+  ASSERT_EQ(got.size(), specs.size());
 }
 
 TEST_F(BatchStoreTest, CancellationMidSweepResumesFromTheStore) {
-  // A lane flips the token during workload 0's replay; the cancellation is
-  // observed at workload 1's first poll stride, after workload 0's completed
-  // cells reached the store. The rerun then resumes from those records.
+  // The saboteur flips the token during its workload-0 cell, the last of
+  // that workload; the cancellation is observed at that cell's first poll
+  // stride, after workload 0's other cells reached the store. The rerun
+  // then resumes from those records.
   const std::uint64_t len = kCancelPollStride + 10'000;
   CancelToken token;
   std::vector<DesignSpec> specs;
@@ -435,7 +611,7 @@ TEST_F(BatchStoreTest, CancellationMidSweepResumesFromTheStore) {
   EXPECT_GE(store.stats().hits, 2u);
 
   ExperimentRunner ref({AppId::Launcher, AppId::Email}, len, 42);
-  const auto expect = ref.run_designs(specs);
+  const auto expect = simulate_grid(ref, specs);
   for (std::size_t i = 0; i < got.size(); ++i)
     expect_suite_equal(got[i], expect[i]);
 }

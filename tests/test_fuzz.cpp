@@ -4,9 +4,11 @@
 /// random data — not just on the friendly traces the generator emits.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "cache/bank_model.hpp"
 #include "common/rng.hpp"
@@ -16,6 +18,14 @@
 
 namespace mobcache {
 namespace {
+
+/// Per-process dir: under `ctest -j` every test case is a separate process,
+/// and a shared fixed path would let one case's cleanup remove_all another
+/// process's files mid-test.
+std::filesystem::path process_dir(const std::string& stem) {
+  return std::filesystem::temp_directory_path() /
+         (stem + std::to_string(::getpid()));
+}
 
 Trace random_trace(std::uint64_t seed, std::size_t n) {
   Rng rng(seed);
@@ -36,7 +46,7 @@ Trace random_trace(std::uint64_t seed, std::size_t n) {
 class FuzzRoundtrip : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "mobcache_fuzz";
+    dir_ = process_dir("mobcache_fuzz_");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -69,7 +79,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzRoundtrip,
                          ::testing::Values(1, 7, 1234, 99999, 31337));
 
 TEST(FuzzCorruption, CompressedReaderNeverCrashesOnBitFlips) {
-  const auto dir = std::filesystem::temp_directory_path() / "mobcache_flip";
+  const auto dir = process_dir("mobcache_flip_");
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "t.mctz").string();
   const Trace t = random_trace(5, 2'000);

@@ -1,10 +1,12 @@
 #include "common/table.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace mobcache {
 namespace {
@@ -48,7 +50,9 @@ TEST(Table, CsvEscaping) {
 }
 
 TEST(Table, WriteCsvRoundtrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "mobcache_test";
+  // Per-process dir: a fixed path races other `ctest -j` processes.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("mobcache_table_" + std::to_string(::getpid()));
   const std::string path = (dir / "t.csv").string();
   std::filesystem::remove_all(dir);
 
