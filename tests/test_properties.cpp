@@ -15,11 +15,19 @@
 namespace mobcache {
 namespace {
 
+// gtest lists each case with a raw byte dump of its parameter, so the
+// struct carries no implicit padding: the three bytes after `repl` are an
+// explicit zeroed field, which keeps the listed names identical run to run.
 struct CacheProp {
+  CacheProp(ReplKind r, std::uint32_t a, Cycle ret)
+      : repl(r), assoc(a), retention(ret) {}
+
   ReplKind repl;
+  std::uint8_t pad[3]{};
   std::uint32_t assoc;
   Cycle retention;  // 0 = infinite
 };
+static_assert(sizeof(CacheProp) == 16);
 
 class CacheInvariants : public ::testing::TestWithParam<CacheProp> {};
 
