@@ -46,10 +46,10 @@ int main() {
 
     // What would the advisor choose at this temperature?
     LifetimeRecorder rec;
-    SimOptions opts;
-    opts.l2_eviction_observer = rec.observer();
-    simulate(runner.trace(0), build_scheme(SchemeKind::StaticPartSram),
-             opts);
+    const std::unique_ptr<L2Interface> l2 =
+        build_scheme(SchemeKind::StaticPartSram);
+    l2->add_eviction_observer(rec.observer());
+    simulate(runner.trace(0), *l2);
     const RetentionClass user_rec =
         RetentionAdvisor::recommend(rec.liveness(Mode::User));
     const RetentionClass kernel_rec =

@@ -35,39 +35,6 @@ using namespace mobcache;
 
 namespace {
 
-std::uint64_t flag_u64(int argc, char** argv, const char* name,
-                       std::uint64_t fallback) {
-  const std::size_t len = std::strlen(name);
-  std::uint64_t v = fallback;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) != 0 || argv[i][len] != '=') continue;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(argv[i] + len + 1, &end, 10);
-    if (end == argv[i] + len + 1 || *end != '\0') {
-      throw ConfigError(std::string("bad ") + name + " value: " +
-                        (argv[i] + len + 1));
-    }
-    v = parsed;
-  }
-  return v;
-}
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  const std::size_t len = std::strlen(name);
-  double v = fallback;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) != 0 || argv[i][len] != '=') continue;
-    char* end = nullptr;
-    const double parsed = std::strtod(argv[i] + len + 1, &end);
-    if (end == argv[i] + len + 1 || *end != '\0') {
-      throw ConfigError(std::string("bad ") + name + " value: " +
-                        (argv[i] + len + 1));
-    }
-    v = parsed;
-  }
-  return v;
-}
-
 SchemeKind flag_scheme(int argc, char** argv, SchemeKind fallback) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--scheme=", 9) != 0) continue;
@@ -109,13 +76,18 @@ static int run_bench(int argc, char** argv) {
   print_banner("E22", "Fleet population sweep (streaming sessions)");
 
   FleetConfig cfg;
-  cfg.sessions = flag_u64(argc, argv, "--sessions", 10'000);
-  cfg.seed = flag_u64(argc, argv, "--seed", 1);
+  cfg.sessions = bench_flag_u64(argc, argv, "--sessions", 10'000);
+  cfg.seed = bench_flag_u64(argc, argv, "--seed", 1);
   cfg.scheme = flag_scheme(argc, argv, SchemeKind::DynamicStt);
   cfg.jobs = jobs;
   const std::uint64_t mean =
-      flag_u64(argc, argv, "--mean-accesses", bench_trace_len(60'000));
+      bench_flag_u64(argc, argv, "--mean-accesses", bench_trace_len(60'000));
   cfg.mix = PopulationModel::default_mix(mean);
+  // Gate floors, parsed before the run so a bad value fails fast.
+  const double min_rate =
+      bench_flag_double(argc, argv, "--min-sessions-per-s", 0.0);
+  const double max_rss_mb =
+      bench_flag_double(argc, argv, "--max-peak-rss-mb", 0.0);
 
   reset_stream_counters();
   reset_fleet_counters();
@@ -159,8 +131,6 @@ static int run_bench(int argc, char** argv) {
   bench.write();
 
   // In-binary CI gates (CI passes the floors; local runs skip them).
-  const double min_rate =
-      flag_double(argc, argv, "--min-sessions-per-s", 0.0);
   if (min_rate > 0.0 && sessions_per_s < min_rate) {
     std::fprintf(stderr,
                  "bench_e22_fleet: FAIL: %.1f sessions/s below the %.1f "
@@ -168,7 +138,6 @@ static int run_bench(int argc, char** argv) {
                  sessions_per_s, min_rate);
     return 1;
   }
-  const double max_rss_mb = flag_double(argc, argv, "--max-peak-rss-mb", 0.0);
   const double rss_mb =
       static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
   if (max_rss_mb > 0.0 && rss_mb > max_rss_mb) {

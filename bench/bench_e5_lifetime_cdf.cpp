@@ -31,11 +31,12 @@ int main() {
   // Aggregate lifetimes across the interactive suite on the chosen static
   // partition (SRAM tech so lifetimes are unaffected by expiry).
   LifetimeRecorder rec;
-  SimOptions opts;
-  opts.l2_eviction_observer = rec.observer();
   for (AppId id : interactive_apps()) {
     const Trace trace = generate_app_trace(id, len, 42);
-    simulate(trace, build_scheme(SchemeKind::StaticPartSram), opts);
+    const std::unique_ptr<L2Interface> l2 =
+        build_scheme(SchemeKind::StaticPartSram);
+    l2->add_eviction_observer(rec.observer());
+    simulate(trace, *l2);
   }
 
   TablePrinter t({"metric", "mode", "p25", "p50", "p75", "p90", "p99"});

@@ -537,18 +537,12 @@ KernelTiming time_kernel(MakeCache make_cache,
 /// BENCH_micro.json. With --min-speedup=X, exits nonzero when the
 /// fast-kernel speedup on hit_heavy or mixed falls below X.
 int run_kernel_report(int argc, char** argv) {
-  double min_speedup = 0.0;
-  std::size_t accesses = 4u << 20;
-  int reps = 3;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--min-speedup=", 14) == 0)
-      min_speedup = std::strtod(argv[i] + 14, nullptr);
-    else if (std::strncmp(argv[i], "--accesses=", 11) == 0)
-      accesses = static_cast<std::size_t>(std::strtoull(argv[i] + 11,
-                                                        nullptr, 10));
-    else if (std::strncmp(argv[i], "--reps=", 7) == 0)
-      reps = static_cast<int>(std::strtol(argv[i] + 7, nullptr, 10));
-  }
+  const double min_speedup =
+      bench_flag_double(argc, argv, "--min-speedup", 0.0);
+  const std::size_t accesses = static_cast<std::size_t>(
+      bench_flag_u64(argc, argv, "--accesses", 4u << 20));
+  const int reps =
+      static_cast<int>(bench_flag_u64(argc, argv, "--reps", 3, 1, 1000));
 
   BenchReport report("micro", bench_jobs(argc, argv));
   std::uint64_t total = 0;
@@ -690,17 +684,12 @@ std::unique_ptr<L2Interface> make_sweep_lane(const SweepLane& l) {
 /// batched path's points/s advantage falls below X — CI's sweep-gate runs
 /// this at X = 5 (see .github/workflows/ci.yml for the escape hatch).
 int run_sweep_report(int argc, char** argv) {
-  double min_speedup = 0.0;
-  std::uint64_t accesses = 400'000;
-  int reps = 3;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--min-sweep-speedup=", 20) == 0)
-      min_speedup = std::strtod(argv[i] + 20, nullptr);
-    else if (std::strncmp(argv[i], "--accesses=", 11) == 0)
-      accesses = std::strtoull(argv[i] + 11, nullptr, 10);
-    else if (std::strncmp(argv[i], "--reps=", 7) == 0)
-      reps = static_cast<int>(std::strtol(argv[i] + 7, nullptr, 10));
-  }
+  const double min_speedup =
+      bench_flag_double(argc, argv, "--min-sweep-speedup", 0.0);
+  const std::uint64_t accesses =
+      bench_flag_u64(argc, argv, "--accesses", 400'000);
+  const int reps =
+      static_cast<int>(bench_flag_u64(argc, argv, "--reps", 3, 1, 1000));
 
   BenchReport report("micro", bench_jobs(argc, argv));
   const Trace trace = make_sweep_trace(accesses);
@@ -859,8 +848,15 @@ int main(int argc, char** argv) {
                  "mutually exclusive\n");
     return 1;
   }
-  if (kernel_report) return mobcache::run_kernel_report(argc, argv);
-  if (sweep_report) return mobcache::run_sweep_report(argc, argv);
+  // The report modes parse checked numeric flags: garbage exits 2.
+  if (kernel_report) {
+    return mobcache::guarded_main("bench_micro", /*install_signals=*/false,
+                                  argc, argv, mobcache::run_kernel_report);
+  }
+  if (sweep_report) {
+    return mobcache::guarded_main("bench_micro", /*install_signals=*/false,
+                                  argc, argv, mobcache::run_sweep_report);
+  }
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();

@@ -21,14 +21,12 @@
 /// value (the fleet determinism contract, src/exp/fleet.hpp).
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "common/atomic_file.hpp"
-#include "common/error.hpp"
 #include "exp/bench_harness.hpp"
 #include "exp/fleet.hpp"
 #include "exp/report.hpp"
@@ -37,44 +35,6 @@
 
 using namespace mobcache;
 
-namespace {
-
-std::uint64_t flag_u64(int argc, char** argv, const char* name,
-                       std::uint64_t fallback) {
-  const std::size_t len = std::strlen(name);
-  std::uint64_t v = fallback;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) != 0 || argv[i][len] != '=') continue;
-    char* end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(argv[i] + len + 1, &end, 10);
-    if (end == argv[i] + len + 1 || *end != '\0') {
-      throw ConfigError(std::string("bad ") + name + " value: " +
-                        (argv[i] + len + 1));
-    }
-    v = parsed;
-  }
-  return v;
-}
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  const std::size_t len = std::strlen(name);
-  double v = fallback;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) != 0 || argv[i][len] != '=') continue;
-    char* end = nullptr;
-    const double parsed = std::strtod(argv[i] + len + 1, &end);
-    if (end == argv[i] + len + 1 || *end != '\0') {
-      throw ConfigError(std::string("bad ") + name + " value: " +
-                        (argv[i] + len + 1));
-    }
-    v = parsed;
-  }
-  return v;
-}
-
-}  // namespace
-
 static int run_bench(int argc, char** argv) {
   namespace fs = std::filesystem;
   const unsigned jobs = bench_jobs(argc, argv);
@@ -82,12 +42,17 @@ static int run_bench(int argc, char** argv) {
   print_banner("SVC", "mobcached streamed-session throughput");
 
   const std::uint64_t total_sessions =
-      flag_u64(argc, argv, "--sessions", 100'000);
-  const std::uint64_t requests = flag_u64(argc, argv, "--requests", 8);
+      bench_flag_u64(argc, argv, "--sessions", 100'000);
+  const std::uint64_t requests =
+      bench_flag_u64(argc, argv, "--requests", 8, /*min=*/1);
   const std::uint64_t mean =
-      flag_u64(argc, argv, "--mean-accesses", bench_trace_len(2'000));
-  const std::uint64_t seed = flag_u64(argc, argv, "--seed", 1);
-  if (requests == 0) throw ConfigError("--requests must be >= 1");
+      bench_flag_u64(argc, argv, "--mean-accesses", bench_trace_len(2'000));
+  const std::uint64_t seed = bench_flag_u64(argc, argv, "--seed", 1);
+  // Gate floors, parsed before the run so a bad value fails fast.
+  const double min_rate =
+      bench_flag_double(argc, argv, "--min-sessions-per-s", 0.0);
+  const double max_rss_mb =
+      bench_flag_double(argc, argv, "--max-peak-rss-mb", 0.0);
 
   const std::string dir = results_path("bench_service_dir");
   std::error_code ec;
@@ -163,7 +128,6 @@ static int run_bench(int argc, char** argv) {
   }
 
   // In-binary CI gates (CI passes the floors; local runs skip them).
-  const double min_rate = flag_double(argc, argv, "--min-sessions-per-s", 0.0);
   if (min_rate > 0.0 && sessions_per_s < min_rate) {
     std::fprintf(stderr,
                  "bench_service: FAIL: %.1f sessions/s below the %.1f "
@@ -171,7 +135,6 @@ static int run_bench(int argc, char** argv) {
                  sessions_per_s, min_rate);
     return 1;
   }
-  const double max_rss_mb = flag_double(argc, argv, "--max-peak-rss-mb", 0.0);
   const double rss_mb =
       static_cast<double>(peak_rss_bytes()) / (1024.0 * 1024.0);
   if (max_rss_mb > 0.0 && rss_mb > max_rss_mb) {

@@ -35,10 +35,10 @@ int main(int argc, char** argv) {
 
   // 2. The baseline and its interference problem, with lifetimes recorded.
   LifetimeRecorder rec;
-  SimOptions opts;
-  opts.l2_eviction_observer = rec.observer();
-  const SimResult base =
-      simulate(trace, build_scheme(SchemeKind::BaselineSram), opts);
+  const std::unique_ptr<L2Interface> base_l2 =
+      build_scheme(SchemeKind::BaselineSram);
+  base_l2->add_eviction_observer(rec.observer());
+  const SimResult base = simulate(trace, *base_l2);
 
   std::printf("shared 2 MB SRAM L2: miss %.1f%%, kernel share of L2 "
               "accesses %.1f%%, cross-mode evictions %s (%.0f%% of all "

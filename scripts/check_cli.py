@@ -4,8 +4,11 @@
 Every `--name=value` flag given with an empty value must be a hard usage
 error: exit code 2 plus a `--name needs <what>` diagnostic on stderr. A
 silently ignored `--metrics=` (a truncated shell variable, usually) is how
-results end up in the wrong place without anyone noticing. Also smokes the
-daemon's usage error paths and a `--once` run on an empty service dir.
+results end up in the wrong place without anyone noticing. Likewise every
+numeric simrun flag and positional given garbage must exit 2 with a
+`<name>: expected ...` diagnostic instead of running with a misread value.
+Also smokes the daemon's usage error paths and a `--once` run on an empty
+service dir.
 
 Usage:
   check_cli.py --simrun PATH --daemon PATH --workdir DIR
@@ -33,6 +36,20 @@ SIMRUN_EQ_FLAGS = [
     "--jobs",
     "--store-dir",
     "--point-deadline-ms",
+]
+
+# Garbage for every numeric simrun flag and positional, with the name the
+# diagnostic must carry. Each is rejected before any trace is generated.
+SIMRUN_NUMERIC_GARBAGE = [
+    (["--sample=abc"], "--sample"),
+    (["--fault-rate=abc"], "--fault-rate"),
+    (["--fault-seed=abc"], "--fault-seed"),
+    (["--way-disable-threshold=abc"], "--way-disable-threshold"),
+    (["--fault-sweep=0,abc"], "--fault-sweep"),
+    (["--jobs=abc"], "--jobs"),
+    (["--point-deadline-ms=abc"], "--point-deadline-ms"),
+    (["browser", "dpstt", "12abc"], "records"),
+    (["browser", "dpstt", "20000", "7x"], "seed"),
 ]
 
 DAEMON_EQ_FLAGS = [
@@ -84,8 +101,11 @@ def main():
     shutil.rmtree(args.workdir, ignore_errors=True)
     args.workdir.mkdir(parents=True)
 
-    # simrun: empty =-values, missing positionals, unknown flags.
+    # simrun: empty =-values, numeric garbage, missing positionals, unknown
+    # flags.
     check_empty_value_flags("simrun", args.simrun, SIMRUN_EQ_FLAGS)
+    for argv, name in SIMRUN_NUMERIC_GARBAGE:
+        expect_usage_error("simrun", [args.simrun, *argv], f"{name}: expected")
     p = run([args.simrun])
     check(
         "simrun usage without args",

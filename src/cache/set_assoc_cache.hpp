@@ -283,14 +283,9 @@ class SetAssocCache {
   }
 
   /// Observers invoked whenever a valid block leaves the cache
-  /// (replacement, way flush or expiry). set_ replaces all observers
-  /// (nullptr clears); add_ appends (multicast — e.g. a lifetime recorder
-  /// plus the hierarchy's inclusion back-invalidation).
-  void set_eviction_observer(std::function<void(const EvictionEvent&)> obs) {
-    observers_.clear();
-    if (obs) observers_.push_back(std::move(obs));
-    select_kernel();
-  }
+  /// (replacement, way flush or expiry). Each call appends one (multicast —
+  /// e.g. a lifetime recorder plus the hierarchy's inclusion
+  /// back-invalidation); a null observer is ignored.
   void add_eviction_observer(std::function<void(const EvictionEvent&)> obs) {
     if (obs) observers_.push_back(std::move(obs));
     select_kernel();

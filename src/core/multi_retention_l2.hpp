@@ -24,7 +24,7 @@ namespace mobcache {
 /// Collects per-mode block-lifetime statistics from eviction events.
 class LifetimeRecorder {
  public:
-  /// Wire into any L2 via set_eviction_observer (the returned lambda keeps a
+  /// Wire into any L2 via add_eviction_observer (the returned lambda keeps a
   /// reference to *this; the recorder must outlive the cache).
   std::function<void(const EvictionEvent&)> observer();
 

@@ -37,10 +37,6 @@ class VictimCacheL2 final : public L2Interface {
            static_cast<std::uint64_t>(cfg_.victim_entries) * kLineSize;
   }
   std::string describe() const override;
-  void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override {
-    cache_.set_eviction_observer(std::move(obs));
-  }
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> obs) override {
     cache_.add_eviction_observer(std::move(obs));

@@ -17,34 +17,19 @@
 
 namespace mobcache {
 
-unsigned bench_jobs(int argc, char** argv) {
-  unsigned requested = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      const unsigned long v = std::strtoul(argv[i] + 7, nullptr, 10);
-      if (v > 0) requested = static_cast<unsigned>(v);
-    }
-  }
-  return effective_jobs(requested);
-}
-
-std::unique_ptr<ResultStore> bench_result_store(int argc, char** argv) {
-  std::string dir;
-  bool resume = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--store-dir=", 12) == 0) {
-      dir = argv[i] + 12;
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    }
-  }
-  if (!dir.empty()) return std::make_unique<ResultStore>(dir);
-  if (auto store = ResultStore::from_env()) return store;
-  if (resume) return std::make_unique<ResultStore>(results_path("result_store"));
-  return nullptr;
-}
-
 namespace {
+
+/// The value of the last `--name=VALUE` in argv; nullopt when absent.
+std::optional<std::string> flag_value(int argc, char** argv,
+                                      const char* name) {
+  const std::size_t len = std::strlen(name);
+  std::optional<std::string> v;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
+      v = argv[i] + len + 1;
+  }
+  return v;
+}
 
 bool has_flag(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i)
@@ -53,6 +38,34 @@ bool has_flag(int argc, char** argv, const char* flag) {
 }
 
 }  // namespace
+
+std::uint64_t bench_flag_u64(int argc, char** argv, const char* name,
+                             std::uint64_t fallback, std::uint64_t min,
+                             std::uint64_t max) {
+  const std::optional<std::string> v = flag_value(argc, argv, name);
+  return v ? parse_u64(name, *v, min, max) : fallback;
+}
+
+double bench_flag_double(int argc, char** argv, const char* name,
+                         double fallback) {
+  const std::optional<std::string> v = flag_value(argc, argv, name);
+  return v ? parse_double(name, *v) : fallback;
+}
+
+unsigned bench_jobs(int argc, char** argv) {
+  // The range MOBCACHE_JOBS accepts; 0 keeps its meaning of "auto".
+  return effective_jobs(static_cast<unsigned>(
+      bench_flag_u64(argc, argv, "--jobs", 0, 0, 65536)));
+}
+
+std::unique_ptr<ResultStore> bench_result_store(int argc, char** argv) {
+  const std::optional<std::string> dir = flag_value(argc, argv, "--store-dir");
+  if (dir && !dir->empty()) return std::make_unique<ResultStore>(*dir);
+  if (auto store = ResultStore::from_env()) return store;
+  if (has_flag(argc, argv, "--resume"))
+    return std::make_unique<ResultStore>(results_path("result_store"));
+  return nullptr;
+}
 
 bool bench_keep_going(int argc, char** argv) {
   return has_flag(argc, argv, "--keep-going");
@@ -63,12 +76,7 @@ bool bench_retry_failed(int argc, char** argv) {
 }
 
 std::uint64_t bench_point_deadline_ms(int argc, char** argv) {
-  std::uint64_t ms = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--point-deadline-ms=", 20) == 0)
-      ms = std::strtoull(argv[i] + 20, nullptr, 10);
-  }
-  return ms;
+  return bench_flag_u64(argc, argv, "--point-deadline-ms", 0);
 }
 
 std::vector<std::size_t> bench_fail_points(int argc, char** argv) {

@@ -13,13 +13,25 @@
 #include <vector>
 
 #include "common/json_writer.hpp"
+#include "exp/parallel.hpp"
 #include "exp/result_store.hpp"
 
 namespace mobcache {
 
-/// Worker count for a bench binary: --jobs=N from argv when present, else
-/// effective_jobs(0) (MOBCACHE_JOBS, then hardware concurrency). Other
-/// arguments are left alone so benches stay forgiving about extra flags.
+/// Checked numeric flags: the value of the last `--name=VALUE` in argv,
+/// parsed by parse_u64 / parse_double (common/env.hpp), or `fallback` when
+/// the flag is absent. Garbage, an empty value or an out-of-range value
+/// throws EnvError naming the flag (exit 2 under guarded_main).
+std::uint64_t bench_flag_u64(int argc, char** argv, const char* name,
+                             std::uint64_t fallback, std::uint64_t min = 0,
+                             std::uint64_t max = UINT64_MAX);
+double bench_flag_double(int argc, char** argv, const char* name,
+                         double fallback);
+
+/// Worker count for a bench binary: --jobs=N from argv when present (0 =
+/// auto), else effective_jobs(0) (MOBCACHE_JOBS, then hardware
+/// concurrency). Other arguments are left alone so benches stay forgiving
+/// about extra flags.
 unsigned bench_jobs(int argc, char** argv);
 
 /// Resumable-sweep opt-in shared by the bench binaries (and simrun):
@@ -44,7 +56,9 @@ std::uint64_t bench_point_deadline_ms(int argc, char** argv);
 std::vector<std::size_t> bench_fail_points(int argc, char** argv);
 
 /// The --fail-points hook: throws NumericError("injected chaos fault") when
-/// `index` is in `fail_points`. Call first thing in a sweep-point lambda.
+/// `index` is in `fail_points`. Pass it as run_designs_outcomes'
+/// `point_hook`: it runs before any cell of the point, so an injected
+/// failure is reported but never persisted as a poison record.
 void chaos_maybe_fail(const std::vector<std::size_t>& fail_points,
                       std::size_t index);
 

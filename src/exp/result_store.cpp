@@ -10,7 +10,6 @@
 
 #include "common/atomic_file.hpp"
 #include "common/env.hpp"
-#include "common/error.hpp"
 #include "common/flat_json.hpp"
 #include "common/json_writer.hpp"
 #include "energy/technology.hpp"
@@ -516,101 +515,6 @@ std::optional<StoredFailure> ResultStore::lookup_failure(std::uint64_t key) {
 ResultStoreStats ResultStore::stats() const {
   std::lock_guard<std::mutex> lock(m_);
   return stats_;
-}
-
-// ---------------------------------------------------------------------------
-// Resumable sweep execution
-// ---------------------------------------------------------------------------
-
-std::vector<SimResult> memoized_map(
-    const SweepExecutor& ex, ResultStore* store,
-    const std::vector<std::uint64_t>& keys,
-    const std::function<SimResult(std::size_t)>& fn) {
-  const std::size_t n = keys.size();
-  if (store == nullptr) return ex.map(n, fn);
-
-  std::vector<std::optional<SimResult>> slots(n);
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (auto hit = store->lookup(keys[i]))
-      slots[i] = std::move(*hit);
-    else
-      missing.push_back(i);
-  }
-
-  // Only the missing points run — through the executor, so sharding,
-  // index-ordered assembly and lowest-observed-index exception semantics
-  // are inherited unchanged (the `missing` list is index-sorted, and cached
-  // points cannot throw). Each fresh point is persisted by the worker that
-  // computed it, before the sweep returns: a kill after this line costs at
-  // most the points still in flight.
-  std::vector<SimResult> fresh = ex.map(missing.size(), [&](std::size_t j) {
-    SimResult r = fn(missing[j]);
-    store->store(keys[missing[j]], r);
-    return r;
-  });
-
-  for (std::size_t j = 0; j < missing.size(); ++j)
-    slots[missing[j]] = std::move(fresh[j]);
-
-  std::vector<SimResult> out;
-  out.reserve(n);
-  for (auto& s : slots) out.push_back(std::move(*s));
-  return out;
-}
-
-std::vector<PointOutcome<SimResult>> memoized_map_outcomes(
-    const SweepExecutor& ex, ResultStore* store,
-    const std::vector<std::uint64_t>& keys,
-    const std::function<SimResult(std::size_t)>& fn) {
-  const std::size_t n = keys.size();
-  if (store == nullptr) return ex.map_outcomes(n, fn);
-
-  std::vector<PointOutcome<SimResult>> slots(n);
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (auto hit = store->lookup(keys[i])) {
-      slots[i].value = std::move(*hit);
-    } else if (auto poisoned = store->lookup_failure(keys[i])) {
-      PointFailure f;
-      f.index = i;
-      f.error_type = std::move(poisoned->error_type);
-      f.message = std::move(poisoned->message);
-      f.quarantined = true;
-      slots[i].failure = std::move(f);
-    } else {
-      missing.push_back(i);
-    }
-  }
-
-  // Only the missing points run. The computing worker persists the outcome
-  // — value or poison — at the moment it is known, so a drain or crash
-  // later in the sweep loses nothing already decided. Cancellation is not
-  // poisoned (the point did not fail; the run stopped) and propagates.
-  std::vector<PointOutcome<SimResult>> fresh =
-      ex.map_outcomes(missing.size(), [&](std::size_t j) -> SimResult {
-        try {
-          SimResult r = fn(missing[j]);
-          store->store(keys[missing[j]], r);
-          return r;
-        } catch (...) {
-          const std::exception_ptr e = std::current_exception();
-          if (!is_cancellation(e)) {
-            store->store_failure(
-                keys[missing[j]],
-                StoredFailure{error_type_of(e), error_message_of(e)});
-          }
-          throw;
-        }
-      });
-
-  for (std::size_t j = 0; j < missing.size(); ++j) {
-    PointOutcome<SimResult>& o = fresh[j];
-    // Re-key the failure from sub-sweep index space into the caller's.
-    if (o.failure) o.failure->index = missing[j];
-    slots[missing[j]] = std::move(o);
-  }
-  return slots;
 }
 
 }  // namespace mobcache

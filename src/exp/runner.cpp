@@ -138,10 +138,9 @@ const std::vector<std::uint64_t>& ExperimentRunner::trace_hashes() const {
 }
 
 bool ExperimentRunner::memoizable() const {
-  // Telemetry sessions and eviction observers are side channels a cached
-  // SimResult cannot replay — those runs always simulate.
-  return result_store != nullptr && !collect_telemetry &&
-         !sim_options.l2_eviction_observer;
+  // Telemetry sessions are a side channel a cached SimResult cannot
+  // replay — those runs always simulate.
+  return result_store != nullptr && !collect_telemetry;
 }
 
 std::vector<std::uint64_t> ExperimentRunner::cell_keys(
@@ -226,17 +225,25 @@ ExperimentRunner::run_designs_outcomes(
     }
   }
 
-  // Cell c = s * W + w. Warm cells come straight from the store under their
-  // per-point content keys (poison records are not consulted: a grid
-  // re-runs a quarantined point). Cold cells are queued workload-major, so
-  // the executor's contiguous shards start the workers on different traces
-  // and no worker waits on another's L1 pass.
+  // Cell c = s * W + w, resolved under its per-point content key: a stored
+  // value, then (keep-going only, unless retry_failed) a poison record,
+  // which fails the spec without running the cell, then a fresh
+  // computation. Cold cells are queued workload-major, so the executor's
+  // contiguous shards start the workers on different traces and no worker
+  // waits on another's L1 pass.
   const bool memo = memoizable();
   std::vector<std::vector<std::uint64_t>> keys(n);
   for (std::size_t s = 0; s < n; ++s) {
     if (live[s] && memo && specs[s].design_hash)
       keys[s] = cell_keys(*specs[s].design_hash);
   }
+  // A spec's failure is the error of its lowest failing workload.
+  std::vector<std::optional<std::pair<std::size_t, PointFailure>>> spec_fail(n);
+  auto fail_cell = [&](std::size_t s, std::size_t w, PointFailure&& f) {
+    if (spec_fail[s] && spec_fail[s]->first < w) return;
+    f.index = s;
+    spec_fail[s] = std::make_pair(w, std::move(f));
+  };
   std::vector<std::optional<SuiteCell>> cells(n * w_count);
   std::vector<std::size_t> cold;
   std::vector<std::size_t> cold_on_trace(w_count, 0);
@@ -247,6 +254,15 @@ ExperimentRunner::run_designs_outcomes(
         if (std::optional<SimResult> hit = result_store->lookup(keys[s][w])) {
           cells[s * w_count + w].emplace().res = std::move(*hit);
           continue;
+        }
+        if (keep_going) {
+          if (std::optional<StoredFailure> poisoned =
+                  result_store->lookup_failure(keys[s][w])) {
+            fail_cell(s, w,
+                      PointFailure{s, std::move(poisoned->error_type),
+                                   std::move(poisoned->message), true});
+            continue;
+          }
         }
       }
       cold.push_back(s * w_count + w);
@@ -261,9 +277,7 @@ ExperimentRunner::run_designs_outcomes(
   for (std::size_t w = 0; w < w_count; ++w)
     if (indexable && cold_on_trace[w] >= 2) indexed[w] = cold_on_trace[w];
   L1IndexSlots indexes(indexed);
-  auto compute = [&](std::size_t j) {
-    const std::size_t s = cold[j] / w_count;
-    const std::size_t w = cold[j] % w_count;
+  auto run_cell = [&](std::size_t s, std::size_t w) {
     const Trace& trace = *traces_[w];
     SuiteCell cell;
     if (indexed[w] != 0) {
@@ -283,21 +297,35 @@ ExperimentRunner::run_designs_outcomes(
     }
     // Validated before it can reach the store, an artifact or a normalize.
     validate_sim_result_finite(cell.res);
-    // Persisted as it finishes: a killed sweep resumes from every cell done.
-    if (!keys[s].empty()) result_store->store(keys[s][w], cell.res);
+    return cell;
+  };
+  auto compute = [&](std::size_t j) {
+    const std::size_t s = cold[j] / w_count;
+    const std::size_t w = cold[j] % w_count;
+    const bool keyed = !keys[s].empty();
+    // Persisted as it finishes, value or poison: a killed sweep resumes
+    // from every cell decided. Cancellation is never poisoned — the cell
+    // did not fail, the run stopped.
+    SuiteCell cell;
+    try {
+      cell = run_cell(s, w);
+    } catch (...) {
+      const std::exception_ptr e = std::current_exception();
+      if (keep_going && keyed && !is_cancellation(e)) {
+        result_store->store_failure(
+            keys[s][w], StoredFailure{error_type_of(e), error_message_of(e)});
+      }
+      throw;
+    }
+    if (keyed) result_store->store(keys[s][w], cell.res);
     cells[cold[j]] = std::move(cell);
   };
 
   SweepExecutor ex(jobs);
-  // A spec's failure is the error of its lowest failing workload.
-  std::vector<std::optional<std::pair<std::size_t, PointFailure>>> spec_fail(n);
   if (keep_going) {
     ex.for_each_outcomes(cold.size(), compute, [&](PointFailure&& f) {
-      const std::size_t s = cold[f.index] / w_count;
-      const std::size_t w = cold[f.index] % w_count;
-      if (spec_fail[s] && spec_fail[s]->first < w) return;
-      f.index = s;
-      spec_fail[s] = std::make_pair(w, std::move(f));
+      const std::size_t c = cold[f.index];
+      fail_cell(c / w_count, c % w_count, std::move(f));
     });
   } else {
     ex.for_each(cold.size(), compute);

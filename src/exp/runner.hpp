@@ -21,7 +21,10 @@
 /// deterministic (scheme × workload) cell is memoized across process
 /// lifetimes: cells whose content key is already stored are served without
 /// re-simulation, freshly computed cells are persisted as they finish, and a
-/// killed sweep resumes from its last completed point.
+/// killed sweep resumes from its last completed point. Keep-going calls also
+/// quarantine: a failing cell persists a poison record, and later
+/// keep-going calls fail it from that record instead of re-running it
+/// (docs/RESULT_STORE.md).
 
 #include <functional>
 #include <memory>
@@ -44,8 +47,9 @@ class ResultStore;
 /// named L2 factory plus its memoization identity. The factory is invoked
 /// once per workload, possibly from worker threads — building fresh objects
 /// from captured read-only state is the contract (same as run_custom's
-/// builder). `design_hash` opts the point into result-store memoization;
-/// `kind` is carried onto SchemeSuiteResult::kind when set.
+/// builder). `design_hash` opts the point into result-store memoization
+/// and poison-record quarantine; `kind` is carried onto
+/// SchemeSuiteResult::kind when set.
 struct DesignSpec {
   std::string name;
   std::function<std::unique_ptr<L2Interface>()> build;
@@ -134,8 +138,16 @@ class ExperimentRunner {
   /// lowest failing workload) instead of aborting; cancellation still
   /// propagates. `point_hook`, when set, runs once per spec in ascending
   /// spec order before any cell (chaos injection seam — a throwing hook
-  /// fails that spec). With keep_going == false this *is* run_designs(),
-  /// returned in outcome form.
+  /// fails that spec, and nothing is persisted for it). With keep_going ==
+  /// false this *is* run_designs(), returned in outcome form.
+  ///
+  /// With a store, each cell of a keyed spec resolves to a stored value,
+  /// then — keep-going only — to a poison record (skipped when
+  /// retry_failed() is set), which fails the spec with `quarantined` set
+  /// and the cell is not run, then to a fresh computation. A keep-going
+  /// cell that throws anything but cancellation persists a poison record
+  /// before its failure is reported. Fail-fast calls neither read nor
+  /// write poison.
   ///
   /// This is the one grid implementation behind every run_* entry point.
   /// Cells run workload-major, so workers start on different traces; a
@@ -191,9 +203,8 @@ class ExperimentRunner {
   std::uint64_t telemetry_sample_interval = 0;
 
   /// Persistent memoization of completed cells (null = off). Only plain
-  /// result cells are memoized: runs collecting telemetry or carrying an
-  /// eviction observer always simulate, because a cached SimResult cannot
-  /// replay their side channels.
+  /// result cells are memoized: runs collecting telemetry always simulate,
+  /// because a cached SimResult cannot replay their event streams.
   ResultStore* result_store = nullptr;
 
   /// Requested design lanes per trace decode, as set by --batch /

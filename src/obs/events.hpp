@@ -2,9 +2,10 @@
 /// \file events.hpp
 /// Structured simulation events and the ObserverHub that fans them out.
 ///
-/// The hub generalizes the original one-off SimOptions::l2_eviction_observer
-/// hook: any number of subscribers per event type, with O(1) "anyone
-/// listening?" checks so un-observed emit sites cost one branch. Event
+/// The hub generalizes the per-array eviction callback
+/// (L2Interface::add_eviction_observer): any number of subscribers per event
+/// type, with O(1) "anyone listening?" checks so un-observed emit sites cost
+/// one branch. Event
 /// structs are plain data stamped with the simulated cycle; sinks
 /// (obs/trace_export) translate them to JSONL or Chrome trace_event form.
 

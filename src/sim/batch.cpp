@@ -40,8 +40,6 @@ class RecorderL2 final : public L2Interface {
   CacheStats aggregate_stats() const override { return {}; }
   std::uint64_t capacity_bytes() const override { return 0; }
   std::string describe() const override { return "l1-demand-recorder"; }
-  void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> /*obs*/) override {}
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> /*obs*/) override {}
 
@@ -233,9 +231,9 @@ class LaneReplay {
 bool batch_eligible(const SimOptions& opts) {
   // The L1 front end is lane-invariant only when nothing flows back from the
   // L2 (no inclusion back-invalidation) and no per-lane side channel
-  // (prefetcher training, telemetry, eviction observers) is attached.
+  // (prefetcher training, telemetry) is attached.
   return !opts.hierarchy.inclusive_l2 && !opts.hierarchy.prefetch.enabled &&
-         opts.telemetry == nullptr && !opts.l2_eviction_observer;
+         opts.telemetry == nullptr;
 }
 
 void L1MissIndex::push_victim(Addr v) {

@@ -115,9 +115,9 @@ struct L1MissIndex : L1Pass {
 };
 
 /// True when `opts` is in the regime where the L1 front end is provably
-/// lane-invariant: non-inclusive L2, prefetcher off, no telemetry session
-/// and no eviction observer. Everything else must take the per-point path
-/// (the ExperimentRunner falls back automatically).
+/// lane-invariant: non-inclusive L2, prefetcher off and no telemetry
+/// session. Everything else must take the per-point path (the
+/// ExperimentRunner falls back automatically).
 bool batch_eligible(const SimOptions& opts);
 
 /// Runs the shared L1 pass for `trace` under `opts.hierarchy`/`opts.timing`

@@ -71,12 +71,9 @@ SimResult simulate_chunked(const std::string& workload, NextChunk&& next_chunk,
   res.scheme = l2.describe();
   res.l2_capacity_bytes = l2.capacity_bytes();
 
-  // Observer order matters: the legacy shim replaces (set_), the telemetry
-  // bridge appends (add_), and the hierarchy's inclusion observer appends in
-  // its constructor below.
-  if (opts.l2_eviction_observer) {
-    l2.set_eviction_observer(opts.l2_eviction_observer);
-  }
+  // Observer order: any the caller added to the design come first, then the
+  // telemetry bridge, then the hierarchy's inclusion observer (appended in
+  // its constructor below).
   if (opts.telemetry != nullptr) {
     opts.telemetry->set_context(workload, res.scheme);
     l2.attach_telemetry(opts.telemetry);

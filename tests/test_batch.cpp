@@ -73,10 +73,6 @@ class HookedL2 final : public L2Interface {
     return inner_->quarantined_ways();
   }
   std::string describe() const override { return inner_->describe(); }
-  void set_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override {
-    inner_->set_eviction_observer(std::move(obs));
-  }
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> obs) override {
     inner_->add_eviction_observer(std::move(obs));
@@ -107,10 +103,6 @@ TEST(BatchEligible, AnyL2ToL1ChannelDisqualifies) {
   Telemetry session;
   telemetry.telemetry = &session;
   EXPECT_FALSE(batch_eligible(telemetry));
-
-  SimOptions observer;
-  observer.l2_eviction_observer = [](const EvictionEvent&) {};
-  EXPECT_FALSE(batch_eligible(observer));
 }
 
 // ---- demand stream -------------------------------------------------------

@@ -117,7 +117,7 @@ TEST(Retention, EvictionObserverSeesExpiry) {
   SetAssocCache c(cfg());
   c.set_retention_period(100);
   int events = 0;
-  c.set_eviction_observer([&](const EvictionEvent&) { ++events; });
+  c.add_eviction_observer([&](const EvictionEvent&) { ++events; });
   c.access(0, AccessType::Read, Mode::User, 0);
   c.expire_sweep(1000);
   EXPECT_EQ(events, 1);

@@ -1,12 +1,12 @@
 /// \file test_differential.cpp
 /// Differential property suite: random L2 configurations over short random
 /// app traces must produce byte-equal SimResults (result_to_record_json) on
-/// every execution path — per-point simulate(), the L1-miss-index replay,
-/// the demand-stream lane replay, the runner at jobs=1 and jobs=4, and a
-/// warm result-store re-run. The fixed scheme lists elsewhere pin these
-/// contracts on the paper's nine designs; this suite pins them on draws of
-/// sizes, associativity, retention classes, replacement policy, DP epoch
-/// length and fault rate.
+/// every execution path — per-point simulate(), simulate() on the reference
+/// kernel, the L1-miss-index replay, the demand-stream lane replay, the
+/// runner at jobs=1 and jobs=4, and a warm result-store re-run. The fixed
+/// scheme lists elsewhere pin these contracts on the paper's nine designs;
+/// this suite pins them on draws of sizes, associativity, retention classes,
+/// replacement policy, DP epoch length and fault rate.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/set_assoc_cache.hpp"
 #include "common/cancel.hpp"
 #include "common/rng.hpp"
 #include "exp/parallel.hpp"
@@ -29,6 +30,12 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::size_t kDraws = 40;
+
+/// Restores the process-wide default kernel mode when the scope ends.
+struct DefaultModeGuard {
+  KernelMode saved = SetAssocCache::default_kernel_mode();
+  ~DefaultModeGuard() { SetAssocCache::set_default_kernel_mode(saved); }
+};
 
 /// One random draw: a design and the trace it runs on.
 struct Draw {
@@ -112,6 +119,17 @@ TEST_P(Differential, EveryPathGivesTheSameBytes) {
 
   const std::string want = result_to_record_json(
       simulate(trace, build_scheme(d.kind, d.params), opts));
+
+  {
+    // Arrays read the process default when built, so the design is built
+    // inside the scope; the guard restores the default even on failure.
+    const DefaultModeGuard guard;
+    SetAssocCache::set_default_kernel_mode(KernelMode::Reference);
+    EXPECT_EQ(result_to_record_json(
+                  simulate(trace, build_scheme(d.kind, d.params), opts)),
+              want)
+        << "reference kernel";
+  }
 
   const L1MissIndex index =
       build_l1_miss_index(trace, opts, PointSupervisor(opts));

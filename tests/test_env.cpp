@@ -129,6 +129,49 @@ TEST(EnvU64Or, FallbackOnlyWhenUnset) {
   }
 }
 
+TEST(ParseU64, AcceptsPlainDigitsInRange) {
+  EXPECT_EQ(parse_u64("--jobs", "0"), 0u);
+  EXPECT_EQ(parse_u64("--jobs", "65536", 0, 65536), 65536u);
+  EXPECT_EQ(parse_u64("records", "18446744073709551615"), UINT64_MAX);
+}
+
+TEST(ParseU64, RejectsWhatStrtoullWouldMisread) {
+  for (const char* bad : {"", "abc", "12abc", " 12", "-1", "+1", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(parse_u64("--jobs", bad), EnvError) << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_u64("--jobs", "65537", 0, 65536), EnvError);
+}
+
+TEST(ParseU64, ErrorNamesTheFlagAndTheText) {
+  try {
+    parse_u64("--point-deadline-ms", "abc");
+    FAIL() << "expected EnvError";
+  } catch (const EnvError& err) {
+    const std::string msg = err.what();
+    EXPECT_NE(msg.find("--point-deadline-ms"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'abc'"), std::string::npos) << msg;
+  }
+}
+
+TEST(ParseDouble, AcceptsDecimalAndExponentForms) {
+  EXPECT_EQ(parse_double("--fault-rate", "0.002", 0.0, 1.0), 0.002);
+  EXPECT_EQ(parse_double("--fault-rate", "1e-4", 0.0, 1.0), 1e-4);
+  EXPECT_EQ(parse_double("--fault-rate", "1", 0.0, 1.0), 1.0);
+  EXPECT_EQ(parse_double("--min-speedup", "5"), 5.0);
+}
+
+TEST(ParseDouble, RejectsGarbageNonFiniteAndRange) {
+  for (const char* bad : {"", "abc", "0.5x", " 1", "inf", "nan", "0x1p3",
+                          "1e999", "--1"}) {
+    EXPECT_THROW(parse_double("--min-speedup", bad), EnvError)
+        << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_double("--fault-rate", "1.5", 0.0, 1.0), EnvError);
+  EXPECT_THROW(parse_double("--fault-rate", "-0.1", 0.0, 1.0), EnvError);
+  EXPECT_THROW(parse_double("--min-speedup", "-1"), EnvError);
+}
+
 TEST(EnvString, UnsetAndEmptyAreNullopt) {
   {
     ScopedEnv e(kVar, nullptr);

@@ -102,7 +102,7 @@ TEST(MultiRetention, EndToEndKernelBlocksDieYoungerThanUser) {
   c.kernel = sram_segment(64ull << 10, 8);
   StaticPartitionedL2 l2(c);
   LifetimeRecorder rec;
-  l2.set_eviction_observer(rec.observer());
+  l2.add_eviction_observer(rec.observer());
 
   Cycle now = 0;
   for (std::uint64_t round = 0; round < 50; ++round) {

@@ -330,11 +330,11 @@ TEST(ObsEndToEnd, LegacyObserverAndHubSeeIdenticalEvictionStreams) {
 
   std::vector<EvictionEvent> via_legacy;
   {
-    SimOptions opts;
-    opts.l2_eviction_observer = [&](const EvictionEvent& e) {
-      via_legacy.push_back(e);
-    };
-    simulate(t, build_scheme(SchemeKind::ShrunkSram), opts);
+    const std::unique_ptr<L2Interface> l2 =
+        build_scheme(SchemeKind::ShrunkSram);
+    l2->add_eviction_observer(
+        [&](const EvictionEvent& e) { via_legacy.push_back(e); });
+    simulate(t, *l2);
   }
 
   std::vector<EvictionEvent> via_hub;
@@ -359,16 +359,17 @@ TEST(ObsEndToEnd, LegacyObserverAndHubSeeIdenticalEvictionStreams) {
 }
 
 TEST(ObsEndToEnd, BothPathsTogetherMulticast) {
-  // The deprecated shim and the hub must coexist: both receive every event.
+  // A per-array observer and the hub must coexist: both receive every event.
   const Trace t = generate_app_trace(AppId::Browser, 120'000, 3);
   std::uint64_t legacy_count = 0;
   std::vector<EvictionEvent> via_hub;
   Telemetry tel;
   tel.hub().on_eviction([&](const EvictionEvent& e) { via_hub.push_back(e); });
+  const std::unique_ptr<L2Interface> l2 = build_scheme(SchemeKind::ShrunkSram);
+  l2->add_eviction_observer([&](const EvictionEvent&) { ++legacy_count; });
   SimOptions opts;
-  opts.l2_eviction_observer = [&](const EvictionEvent&) { ++legacy_count; };
   opts.telemetry = &tel;
-  simulate(t, build_scheme(SchemeKind::ShrunkSram), opts);
+  simulate(t, *l2, opts);
 
   EXPECT_GT(legacy_count, 0u);
   EXPECT_EQ(legacy_count, via_hub.size());

@@ -84,10 +84,11 @@ TEST_F(Bands, E9HeadlineSavingsAndOrdering) {
 
 TEST(BandsStandalone, E5LifetimeAsymmetry) {
   LifetimeRecorder rec;
-  SimOptions opts;
-  opts.l2_eviction_observer = rec.observer();
   const Trace t = generate_app_trace(AppId::Email, kLen, 42);
-  simulate(t, build_scheme(SchemeKind::StaticPartSram), opts);
+  const std::unique_ptr<L2Interface> l2 =
+      build_scheme(SchemeKind::StaticPartSram);
+  l2->add_eviction_observer(rec.observer());
+  simulate(t, *l2);
   ASSERT_GT(rec.events(Mode::Kernel), 100u);
   ASSERT_GT(rec.events(Mode::User), 20u);
   EXPECT_GT(rec.liveness(Mode::User).quantile_upper_bound(0.5),

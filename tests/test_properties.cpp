@@ -44,7 +44,7 @@ TEST_P(CacheInvariants, RandomStreamPreservesInvariants) {
   Rng rng(p.assoc * 1000 + static_cast<int>(p.repl));
   Cycle now = 0;
   std::uint64_t evictions_seen = 0;
-  c.set_eviction_observer([&](const EvictionEvent& e) {
+  c.add_eviction_observer([&](const EvictionEvent& e) {
     ++evictions_seen;
     // Lifetime ordering must always hold.
     EXPECT_LE(e.fill_cycle, e.last_access);

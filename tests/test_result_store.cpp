@@ -11,8 +11,8 @@
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
+#include "core/scheme.hpp"
 #include "energy/technology.hpp"
-#include "exp/parallel.hpp"
 #include "exp/runner.hpp"
 #include "workload/suite.hpp"
 
@@ -90,6 +90,41 @@ void expect_equal(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.stall_l2_hit_cycles, b.stall_l2_hit_cycles);
   EXPECT_EQ(a.stall_l2_miss_cycles, b.stall_l2_miss_cycles);
   EXPECT_EQ(a.prefetches_issued, b.prefetches_issued);
+}
+
+/// A keyed grid point whose builder counts its calls — one per computed
+/// cell — and throws NumericError("injected") while `*fail` is set.
+DesignSpec counted_design(std::uint64_t design_hash, SchemeKind kind,
+                          int* calls, const bool* fail = nullptr) {
+  DesignSpec d;
+  d.name = scheme_name(kind);
+  d.design_hash = design_hash;
+  d.build = [kind, calls, fail]() -> std::unique_ptr<L2Interface> {
+    ++*calls;
+    if (fail != nullptr && *fail) throw NumericError("injected");
+    return build_scheme(kind);
+  };
+  return d;
+}
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// Asserts every record under `want` exists byte-identical under `got`;
+/// returns how many were compared.
+std::size_t expect_same_records(const fs::path& want, const fs::path& got) {
+  std::size_t compared = 0;
+  for (const auto& e : fs::directory_iterator(want)) {
+    const fs::path other = got / e.path().filename();
+    EXPECT_TRUE(fs::exists(other)) << other;
+    EXPECT_EQ(slurp(e.path()), slurp(other)) << e.path().filename();
+    ++compared;
+  }
+  return compared;
 }
 
 TEST(ContentHasherTest, StableAndOrderSensitive) {
@@ -266,29 +301,37 @@ TEST_F(ResultStoreTest, TruncatedRecordIsCorrupt) {
 }
 
 TEST_F(ResultStoreTest, MemoizedMapServesHitsAndPersistsMisses) {
-  const std::vector<std::uint64_t> keys = {101, 102, 103, 104};
+  // A keyed grid computes and persists every cold cell; a warm run through
+  // a reopened store computes nothing and serves identical results.
+  ExperimentRunner runner({AppId::Launcher}, 2000, 7);
   int computed = 0;
-  const auto fn = [&](std::size_t i) {
-    ++computed;
-    SimResult r = sample_result();
-    r.cycles = 1000 + i;
-    return r;
-  };
+  const std::vector<SchemeKind> kinds = {
+      SchemeKind::BaselineSram, SchemeKind::ShrunkSram,
+      SchemeKind::StaticPartMrstt, SchemeKind::DynamicStt};
+  std::vector<DesignSpec> specs;
+  for (std::size_t i = 0; i < kinds.size(); ++i)
+    specs.push_back(counted_design(101 + i, kinds[i], &computed));
 
-  SweepExecutor ex(1);
   ResultStore store(dir());
-  const std::vector<SimResult> cold = memoized_map(ex, &store, keys, fn);
+  runner.result_store = &store;
+  const auto cold = runner.run_designs_outcomes(specs, /*keep_going=*/false);
   ASSERT_EQ(cold.size(), 4u);
   EXPECT_EQ(computed, 4);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(cold[i].cycles, 1000 + i);
+  EXPECT_EQ(store.stats().stores, 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cold[i].ok());
+    EXPECT_EQ(cold[i].value->per_workload[0].scheme,
+              build_scheme(kinds[i])->describe());
+  }
 
-  // Warm pass through a reopened store: nothing recomputes, results match.
   computed = 0;
   ResultStore warm_store(dir());
-  const std::vector<SimResult> warm = memoized_map(ex, &warm_store, keys, fn);
+  runner.result_store = &warm_store;
+  const auto warm = runner.run_designs_outcomes(specs, /*keep_going=*/false);
   EXPECT_EQ(computed, 0);
   for (std::size_t i = 0; i < 4; ++i)
-    expect_equal(cold[i], warm[i]);
+    expect_equal(cold[i].value->per_workload[0],
+                 warm[i].value->per_workload[0]);
   EXPECT_EQ(warm_store.stats().hits, 4u);
 }
 
@@ -339,20 +382,7 @@ TEST_F(ResultStoreTest, KilledSweepResumesByteIdentical) {
   runner.result_store = nullptr;
 
   // Every record file must now match the cold run byte for byte.
-  auto slurp = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-  };
-  std::size_t compared = 0;
-  for (const auto& e : fs::directory_iterator(cold_dir)) {
-    const fs::path resumed = resumed_dir / e.path().filename();
-    ASSERT_TRUE(fs::exists(resumed)) << resumed;
-    EXPECT_EQ(slurp(e.path()), slurp(resumed)) << e.path().filename();
-    ++compared;
-  }
-  EXPECT_EQ(compared, records.size());
+  EXPECT_EQ(expect_same_records(cold_dir, resumed_dir), records.size());
 }
 
 TEST_F(ResultStoreTest, PoisonRecordRoundTripsAcrossReopen) {
@@ -391,20 +421,18 @@ TEST_F(ResultStoreTest, ValueStoreRehabilitatesAPoisonedKey) {
 }
 
 TEST_F(ResultStoreTest, MemoizedMapOutcomesQuarantinesKnownBadPoints) {
-  const std::vector<std::uint64_t> keys = {11, 12, 13};
+  ExperimentRunner runner({AppId::Launcher}, 2000, 7);
   int computed = 0;
-  const auto fn = [&](std::size_t i) -> SimResult {
-    ++computed;
-    if (i == 1) throw NumericError("injected");
-    SimResult r = sample_result();
-    r.cycles = 2000 + i;
-    return r;
-  };
+  const bool fail = true;
+  const std::vector<DesignSpec> specs = {
+      counted_design(11, SchemeKind::BaselineSram, &computed),
+      counted_design(12, SchemeKind::ShrunkSram, &computed, &fail),
+      counted_design(13, SchemeKind::DynamicStt, &computed)};
 
-  SweepExecutor ex(1);
   {
     ResultStore store(dir());
-    const auto cold = memoized_map_outcomes(ex, &store, keys, fn);
+    runner.result_store = &store;
+    const auto cold = runner.run_designs_outcomes(specs, /*keep_going=*/true);
     ASSERT_EQ(cold.size(), 3u);
     EXPECT_EQ(computed, 3);
     EXPECT_TRUE(cold[0].ok());
@@ -412,13 +440,15 @@ TEST_F(ResultStoreTest, MemoizedMapOutcomesQuarantinesKnownBadPoints) {
     EXPECT_EQ(cold[1].failure->error_type, "numeric");
     EXPECT_FALSE(cold[1].failure->quarantined);  // fresh failure, not cached
     EXPECT_TRUE(cold[2].ok());
+    EXPECT_EQ(store.stats().poison_stores, 1u);
   }
 
   // Resume against the same directory: values hit, the bad point is served
-  // from its poison record — fn must not run at all.
+  // from its poison record — no builder may run at all.
   computed = 0;
   ResultStore warm(dir());
-  const auto resumed = memoized_map_outcomes(ex, &warm, keys, fn);
+  runner.result_store = &warm;
+  const auto resumed = runner.run_designs_outcomes(specs, /*keep_going=*/true);
   EXPECT_EQ(computed, 0);
   EXPECT_TRUE(resumed[0].ok());
   ASSERT_FALSE(resumed[1].ok());
@@ -426,24 +456,22 @@ TEST_F(ResultStoreTest, MemoizedMapOutcomesQuarantinesKnownBadPoints) {
   EXPECT_EQ(resumed[1].failure->index, 1u);
   EXPECT_EQ(resumed[1].failure->error_type, "numeric");
   EXPECT_EQ(resumed[1].failure->message, "injected");
+  EXPECT_TRUE(resumed[2].ok());
   EXPECT_EQ(warm.stats().hits, 2u);
   EXPECT_EQ(warm.stats().poison_hits, 1u);
 }
 
 TEST_F(ResultStoreTest, RetryFailedReRunsQuarantinedPoints) {
-  const std::vector<std::uint64_t> keys = {21};
+  ExperimentRunner runner({AppId::Launcher}, 2000, 7);
   bool fail = true;
   int computed = 0;
-  const auto fn = [&](std::size_t) -> SimResult {
-    ++computed;
-    if (fail) throw NumericError("transient");
-    return sample_result();
-  };
+  const std::vector<DesignSpec> specs = {
+      counted_design(21, SchemeKind::BaselineSram, &computed, &fail)};
 
-  SweepExecutor ex(1);
   {
     ResultStore store(dir());
-    (void)memoized_map_outcomes(ex, &store, keys, fn);
+    runner.result_store = &store;
+    (void)runner.run_designs_outcomes(specs, /*keep_going=*/true);
     EXPECT_EQ(store.stats().poison_stores, 1u);
   }
 
@@ -454,13 +482,15 @@ TEST_F(ResultStoreTest, RetryFailedReRunsQuarantinedPoints) {
   {
     ResultStore store(dir());
     store.set_retry_failed(true);
-    const auto out = memoized_map_outcomes(ex, &store, keys, fn);
+    runner.result_store = &store;
+    const auto out = runner.run_designs_outcomes(specs, /*keep_going=*/true);
     EXPECT_EQ(computed, 1);
     EXPECT_TRUE(out[0].ok());
   }
   computed = 0;
   ResultStore healed(dir());
-  const auto warm = memoized_map_outcomes(ex, &healed, keys, fn);
+  runner.result_store = &healed;
+  const auto warm = runner.run_designs_outcomes(specs, /*keep_going=*/true);
   EXPECT_EQ(computed, 0);
   EXPECT_TRUE(warm[0].ok());
   EXPECT_FALSE(warm[0].failure.has_value());
@@ -471,57 +501,100 @@ TEST_F(ResultStoreTest, CancelledSweepNeverPoisonsAndResumesByteIdentical) {
   // The SIGTERM-drain contract: cancellation mid-sweep persists the
   // completed prefix, poisons nothing, and a resumed run fills in the rest
   // so the store ends byte-identical to an uninterrupted one.
-  const std::vector<std::uint64_t> keys = {31, 32, 33, 34, 35};
-  const auto fn = [&](std::size_t i) {
-    SimResult r = sample_result();
-    r.cycles = 3000 + i;
-    return r;
-  };
-  const auto cancel_after_two = [&](std::size_t i) {
-    // Requested *during* point 1: the point still completes and persists;
-    // the serial executor's pre-point check then stops 2..4 from running.
-    if (i == 1) global_cancel_token().request_cancel();
-    return fn(i);
+  ExperimentRunner runner({AppId::Launcher}, 2000, 7);
+  int computed = 0;
+  bool cancel = false;
+  std::vector<DesignSpec> specs;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    specs.push_back(counted_design(31 + i, headline_schemes()[i], &computed));
+  }
+  // Point 1's builder sees the signal land and its own supervision stops
+  // it: the cell throws CancelledError, which must not poison it, and the
+  // serial executor's pre-point check keeps 2..4 from running.
+  const auto build_1 = specs[1].build;
+  specs[1].build = [build_1, &cancel] {
+    if (cancel) {
+      global_cancel_token().request_cancel();
+      global_cancel_token().check();
+    }
+    return build_1();
   };
 
   const fs::path cold_dir = fs::path(dir()) / "cold";
   const fs::path resumed_dir = fs::path(dir()) / "resumed";
-  SweepExecutor ex(1);
   {
     ResultStore store(cold_dir.string());
-    (void)memoized_map_outcomes(ex, &store, keys, fn);
+    runner.result_store = &store;
+    (void)runner.run_designs_outcomes(specs, /*keep_going=*/true);
   }
+  cancel = true;
   {
     ResultStore store(resumed_dir.string());
-    EXPECT_THROW(memoized_map_outcomes(ex, &store, keys, cancel_after_two),
+    runner.result_store = &store;
+    EXPECT_THROW(runner.run_designs_outcomes(specs, /*keep_going=*/true),
                  CancelledError);
     global_cancel_token().reset();
-    // The serial path checks the token before each point: points 0 and 1
-    // completed and were persisted, 2..4 never ran and were not poisoned.
-    EXPECT_EQ(store.stats().stores, 2u);
+    // Point 0 completed and was persisted; 1 was cancelled, 2..4 never ran,
+    // and none of them was poisoned.
+    EXPECT_EQ(store.stats().stores, 1u);
     EXPECT_EQ(store.stats().poison_stores, 0u);
   }
+  cancel = false;
+  computed = 0;
   {
     ResultStore store(resumed_dir.string());
     EXPECT_EQ(store.stats().poisoned_loaded, 0u);
-    const auto out = memoized_map_outcomes(ex, &store, keys, fn);
-    EXPECT_EQ(store.stats().hits, 2u);
+    runner.result_store = &store;
+    const auto out = runner.run_designs_outcomes(specs, /*keep_going=*/true);
+    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(computed, 4);
     for (const auto& o : out) EXPECT_TRUE(o.ok());
   }
-  auto slurp = [](const fs::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+  runner.result_store = nullptr;
+  EXPECT_EQ(expect_same_records(cold_dir, resumed_dir), specs.size());
+}
+
+TEST_F(ResultStoreTest, HookFailuresAndFailFastCallsNeverTouchPoison) {
+  ExperimentRunner runner({AppId::Launcher}, 2000, 7);
+  int computed = 0;
+  bool fail = true;
+  const std::vector<DesignSpec> specs = {
+      counted_design(41, SchemeKind::BaselineSram, &computed),
+      counted_design(42, SchemeKind::ShrunkSram, &computed, &fail)};
+  const auto hook = [](std::size_t s) {
+    if (s == 0) throw NumericError("hooked");
   };
-  std::size_t compared = 0;
-  for (const auto& e : fs::directory_iterator(cold_dir)) {
-    const fs::path resumed = resumed_dir / e.path().filename();
-    ASSERT_TRUE(fs::exists(resumed)) << resumed;
-    EXPECT_EQ(slurp(e.path()), slurp(resumed)) << e.path().filename();
-    ++compared;
-  }
-  EXPECT_EQ(compared, keys.size());
+
+  ResultStore store(dir());
+  runner.result_store = &store;
+  // Spec 0 fails at its point hook, so no cell of it runs and nothing is
+  // persisted for it; spec 1 fails in its cell and is poisoned.
+  const auto out = runner.run_designs_outcomes(specs, /*keep_going=*/true, hook);
+  ASSERT_FALSE(out[0].ok());
+  EXPECT_EQ(out[0].failure->message, "hooked");
+  EXPECT_FALSE(out[0].failure->quarantined);
+  ASSERT_FALSE(out[1].ok());
+  EXPECT_EQ(computed, 1);
+  EXPECT_EQ(store.stats().stores, 0u);
+  EXPECT_EQ(store.stats().poison_stores, 1u);
+
+  // Fail-fast ignores spec 1's poison record: the cell re-runs, and its
+  // failure propagates without writing another.
+  computed = 0;
+  EXPECT_THROW(runner.run_designs_outcomes(specs, /*keep_going=*/false),
+               NumericError);
+  EXPECT_EQ(computed, 2);
+  EXPECT_EQ(store.stats().poison_hits, 0u);
+  EXPECT_EQ(store.stats().poison_stores, 1u);
+
+  // Once it succeeds, the value replaces the poison record on disk.
+  fail = false;
+  (void)runner.run_designs_outcomes(specs, /*keep_going=*/false);
+  EXPECT_EQ(store.stats().poison_hits, 0u);
+  runner.result_store = nullptr;
+  ResultStore reopened(dir());
+  EXPECT_EQ(reopened.stats().loaded, 2u);
+  EXPECT_EQ(reopened.stats().poisoned_loaded, 0u);
 }
 
 TEST_F(ResultStoreTest, RunnerMemoizationMatchesDirectRun) {

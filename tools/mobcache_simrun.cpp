@@ -96,6 +96,7 @@
 #include <string>
 #include <vector>
 
+#include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -202,6 +203,15 @@ std::string require_flag_value(const std::string& a, const char* flag,
   return v;
 }
 
+/// Checked numeric `--name=value` flag: an empty value is the usage error
+/// above; garbage or an out-of-range value throws EnvError naming the flag
+/// (exit 2 under guarded_main).
+std::uint64_t u64_flag(const std::string& a, const char* flag,
+                       const char* what, std::uint64_t max = UINT64_MAX) {
+  return parse_u64(std::string(flag, std::strlen(flag) - 1),
+                   require_flag_value(a, flag, what), 0, max);
+}
+
 /// Consumes --flags from (argc, argv); returns remaining positional args.
 std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
   std::vector<std::string> positional;
@@ -234,18 +244,13 @@ std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
       f.want_metrics = true;
       f.metrics_out = require_flag_value(a, "--metrics=", "a path");
     } else if (a.rfind("--sample=", 0) == 0) {
-      f.sample_interval = std::strtoull(
-          require_flag_value(a, "--sample=", "an interval").c_str(), nullptr,
-          10);
+      f.sample_interval = u64_flag(a, "--sample=", "an interval");
     } else if (a == "--trace-evictions") {
       f.trace_evictions = true;
     } else if (a.rfind("--fault-rate=", 0) == 0) {
-      f.fault_rate = std::strtod(
-          require_flag_value(a, "--fault-rate=", "a rate").c_str(), nullptr);
-      if (f.fault_rate < 0.0 || f.fault_rate > 1.0) {
-        std::fprintf(stderr, "--fault-rate must be in [0, 1]\n");
-        std::exit(2);
-      }
+      f.fault_rate = parse_double(
+          "--fault-rate", require_flag_value(a, "--fault-rate=", "a rate"),
+          0.0, 1.0);
     } else if (a.rfind("--ecc=", 0) == 0) {
       const std::string kind = require_flag_value(a, "--ecc=", "a kind");
       if (auto k = parse_ecc_kind(kind)) {
@@ -257,25 +262,18 @@ std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
         std::exit(2);
       }
     } else if (a.rfind("--fault-seed=", 0) == 0) {
-      f.fault_seed = std::strtoull(
-          require_flag_value(a, "--fault-seed=", "a seed").c_str(), nullptr,
-          10);
+      f.fault_seed = u64_flag(a, "--fault-seed=", "a seed");
     } else if (a.rfind("--way-disable-threshold=", 0) == 0) {
-      f.way_disable_threshold = static_cast<std::uint32_t>(std::strtoul(
-          require_flag_value(a, "--way-disable-threshold=", "a count").c_str(),
-          nullptr, 10));
+      f.way_disable_threshold = static_cast<std::uint32_t>(
+          u64_flag(a, "--way-disable-threshold=", "a count", UINT32_MAX));
     } else if (a.rfind("--fault-sweep=", 0) == 0) {
       for (const std::string& r : split_commas(
                require_flag_value(a, "--fault-sweep=", "at least one rate"))) {
-        f.sweep_rates.push_back(std::strtod(r.c_str(), nullptr));
-      }
-      if (f.sweep_rates.empty()) {
-        std::fprintf(stderr, "--fault-sweep needs at least one rate\n");
-        std::exit(2);
+        f.sweep_rates.push_back(parse_double("--fault-sweep", r, 0.0, 1.0));
       }
     } else if (a.rfind("--jobs=", 0) == 0) {
-      f.jobs = static_cast<unsigned>(std::strtoul(
-          require_flag_value(a, "--jobs=", "a count").c_str(), nullptr, 10));
+      // The range MOBCACHE_JOBS accepts; 0 keeps its meaning of "auto".
+      f.jobs = static_cast<unsigned>(u64_flag(a, "--jobs=", "a count", 65536));
     } else if (a.rfind("--store-dir=", 0) == 0) {
       require_flag_value(a, "--store-dir=", "a path");
       f.want_store = true;
@@ -286,9 +284,7 @@ std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
     } else if (a == "--retry-failed") {
       f.retry_failed = true;
     } else if (a.rfind("--point-deadline-ms=", 0) == 0) {
-      f.point_deadline_ms = std::strtoull(
-          require_flag_value(a, "--point-deadline-ms=", "a deadline").c_str(),
-          nullptr, 10);
+      f.point_deadline_ms = u64_flag(a, "--point-deadline-ms=", "a deadline");
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
       std::exit(2);
@@ -392,9 +388,8 @@ static int tool_main(int argc, char** argv) {
     return 2;
   }
   const std::uint64_t records =
-      pos.size() > 2 ? std::strtoull(pos[2].c_str(), nullptr, 10) : 1'000'000;
-  const std::uint64_t seed =
-      pos.size() > 3 ? std::strtoull(pos[3].c_str(), nullptr, 10) : 1;
+      pos.size() > 2 ? parse_u64("records", pos[2]) : 1'000'000;
+  const std::uint64_t seed = pos.size() > 3 ? parse_u64("seed", pos[3]) : 1;
 
   std::vector<Trace> traces;
   for (const std::string& spec : split_commas(pos[0]))
@@ -428,6 +423,9 @@ static int tool_main(int argc, char** argv) {
   // cached SimResult cannot replay the per-access events --trace-out and
   // --sample exist to capture. (--metrics is fine — hits simply skip the
   // run, so the merged registry covers executed runs plus store counters.)
+  // This loop is not a runner grid because the runner never memoizes a run
+  // that carries a telemetry session; it applies the runner's lookup and
+  // poison rules (docs/RESULT_STORE.md) point by point instead.
   const bool memoize = store != nullptr && flags.trace_out.empty() &&
                        flags.sample_interval == 0;
   const std::uint64_t tech_hash = memoize ? hash_technology(technology()) : 0;
@@ -467,17 +465,12 @@ static int tool_main(int argc, char** argv) {
       bool cached_hit = false;
       std::uint64_t key = 0;
       if (memoize) {
-        // Same key recipe as ExperimentRunner::run_scheme. The key ignores
-        // opts.telemetry and the supervision knobs (hash_sim_options covers
-        // semantic fields only), so it can be computed before a session is
-        // attached.
-        const std::uint64_t dh = ContentHasher()
-                                     .mix(std::string("scheme"))
-                                     .mix(static_cast<std::uint64_t>(k))
-                                     .mix(hash_scheme_params(params))
-                                     .digest();
-        key = result_point_key(dh, trace_hash, hash_sim_options(opts),
-                               tech_hash);
+        // The runner's key for the same point: scheme_design() supplies the
+        // design hash. The key ignores opts.telemetry and the supervision
+        // knobs (hash_sim_options covers semantic fields only), so it can
+        // be computed before a session is attached.
+        key = result_point_key(*scheme_design(k, params).design_hash,
+                               trace_hash, hash_sim_options(opts), tech_hash);
         if (std::optional<SimResult> cached = store->lookup(key)) {
           r = std::move(*cached);
           cached_hit = true;
@@ -512,14 +505,11 @@ static int tool_main(int argc, char** argv) {
             const std::exception_ptr e = std::current_exception();
             // Cancellation is a run-level event, never a point failure.
             if (is_cancellation(e)) std::rethrow_exception(e);
+            const StoredFailure f{error_type_of(e), error_message_of(e)};
+            if (memoize) store->store_failure(key, f);
             std::fprintf(stderr, "simrun: point failed: %s/%s: [%s] %s\n",
                          trace.name().c_str(), scheme_name(k),
-                         error_type_of(e).c_str(),
-                         error_message_of(e).c_str());
-            if (memoize) {
-              store->store_failure(
-                  key, StoredFailure{error_type_of(e), error_message_of(e)});
-            }
+                         f.error_type.c_str(), f.message.c_str());
             ++sweep_failed;
             continue;
           }
