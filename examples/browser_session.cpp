@@ -5,19 +5,21 @@
 
 #include <cstdio>
 
+#include "common/env.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/multi_retention_l2.hpp"
 #include "core/scheme.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/runner.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
 using namespace mobcache;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const std::uint64_t records =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2'000'000;
+      argc > 1 ? parse_u64("records", argv[1], 1) : 2'000'000;
 
   std::printf("=== browser session study (%s records) ===\n\n",
               format_count(records).c_str());
@@ -83,4 +85,10 @@ int main(int argc, char** argv) {
               "of the stock design's\nwhile page loads stay within a few "
               "percent of their original time.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  // A malformed numeric argument exits 2 naming it (common/env.hpp).
+  return guarded_main("browser_session", /*install_signals=*/false, argc,
+                      argv, example_main);
 }

@@ -6,19 +6,20 @@
 /// Usage: multicore_demo [records-per-core]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/env.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/scheme.hpp"
+#include "exp/bench_harness.hpp"
 #include "sim/multicore.hpp"
 #include "workload/suite.hpp"
 
 using namespace mobcache;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const std::uint64_t records =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 800'000;
+      argc > 1 ? parse_u64("records-per-core", argv[1], 1) : 800'000;
 
   std::printf("=== multicore demo: browser on core 0, audio on core 1 ===\n\n");
   std::vector<Trace> traces;
@@ -73,4 +74,10 @@ int main(int argc, char** argv) {
   }
   pc.print();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  // A malformed numeric argument exits 2 naming it (common/env.hpp).
+  return guarded_main("multicore_demo", /*install_signals=*/false, argc,
+                      argv, example_main);
 }

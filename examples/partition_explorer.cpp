@@ -16,10 +16,12 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/env.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/partition_autosizer.hpp"
 #include "core/scheme.hpp"
+#include "exp/bench_harness.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
@@ -46,7 +48,7 @@ RetentionClass parse_ret(const char* s) {
 int run_autosizer(int argc, char** argv) {
   AutosizerConfig cfg;
   cfg.tech = TechKind::SttRam;
-  if (argc > 2) cfg.max_slowdown = std::strtod(argv[2], nullptr);
+  if (argc > 2) cfg.max_slowdown = parse_double("max_slowdown", argv[2]);
   std::printf("autosizing a multi-retention STT partition for the primary "
               "suite (time budget %.2fx)...\n\n",
               cfg.max_slowdown);
@@ -68,17 +70,21 @@ int run_autosizer(int argc, char** argv) {
   return 0;
 }
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "auto") == 0) {
     return run_autosizer(argc, argv);
   }
+  // Segment sizes in KiB (shifted to bytes below, hence the upper bound).
+  constexpr std::uint64_t kMaxKb = UINT64_MAX >> 10;
   const AppId app = argc > 1 ? parse_app(argv[1]) : AppId::Browser;
-  const std::uint64_t user_kb = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1024;
-  const std::uint32_t user_assoc =
-      argc > 3 ? static_cast<std::uint32_t>(std::strtoul(argv[3], nullptr, 10)) : 8;
-  const std::uint64_t kernel_kb = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 256;
-  const std::uint32_t kernel_assoc =
-      argc > 5 ? static_cast<std::uint32_t>(std::strtoul(argv[5], nullptr, 10)) : 8;
+  const std::uint64_t user_kb =
+      argc > 2 ? parse_u64("user_kb", argv[2], 1, kMaxKb) : 1024;
+  const auto user_assoc = static_cast<std::uint32_t>(
+      argc > 3 ? parse_u64("user_assoc", argv[3], 1, UINT32_MAX) : 8);
+  const std::uint64_t kernel_kb =
+      argc > 4 ? parse_u64("kernel_kb", argv[4], 1, kMaxKb) : 256;
+  const auto kernel_assoc = static_cast<std::uint32_t>(
+      argc > 5 ? parse_u64("kernel_assoc", argv[5], 1, UINT32_MAX) : 8);
   const bool stt = argc > 6 && std::strcmp(argv[6], "stt") == 0;
   const RetentionClass user_ret = argc > 7 ? parse_ret(argv[7]) : RetentionClass::Mid;
   const RetentionClass kernel_ret = argc > 8 ? parse_ret(argv[8]) : RetentionClass::Lo;
@@ -145,4 +151,10 @@ int main(int argc, char** argv) {
                            static_cast<double>(base.cycles), 3) + " time"});
   t.print();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  // A malformed numeric argument exits 2 naming it (common/env.hpp).
+  return guarded_main("partition_explorer", /*install_signals=*/false, argc,
+                      argv, example_main);
 }

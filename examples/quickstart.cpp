@@ -6,20 +6,21 @@
 ///
 /// Usage: quickstart [records-per-app]   (default 1,000,000)
 
-#include <cstdlib>
 #include <iostream>
 
+#include "common/env.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/scheme.hpp"
+#include "exp/bench_harness.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
 using namespace mobcache;
 
-int main(int argc, char** argv) {
+static int example_main(int argc, char** argv) {
   const std::uint64_t records =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1'000'000;
+      argc > 1 ? parse_u64("records-per-app", argv[1], 1) : 1'000'000;
 
   std::cout << "mobcache quickstart: every app through the stock shared "
                "2 MB SRAM L2 and the paper's DP-STT design\n\n";
@@ -52,4 +53,10 @@ int main(int argc, char** argv) {
                "(the paper's motivating observation) and a large cache-"
                "energy reduction under DP-STT.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  // A malformed numeric argument exits 2 naming it (common/env.hpp).
+  return guarded_main("quickstart", /*install_signals=*/false, argc,
+                      argv, example_main);
 }

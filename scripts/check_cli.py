@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""CLI flag-contract checks for mobcache_simrun and mobcache_daemon.
+"""CLI flag-contract checks for mobcache_simrun, the generator tools and
+mobcache_daemon.
 
 Every `--name=value` flag given with an empty value must be a hard usage
 error: exit code 2 plus a `--name needs <what>` diagnostic on stderr. A
 silently ignored `--metrics=` (a truncated shell variable, usually) is how
 results end up in the wrong place without anyone noticing. Likewise every
 numeric simrun flag and positional given garbage must exit 2 with a
-`<name>: expected ...` diagnostic instead of running with a misread value.
-Also smokes the daemon's usage error paths and a `--once` run on an empty
-service dir.
+`<name>: expected ...` diagnostic instead of running with a misread value;
+the same holds for the numeric positionals of mobcache_tracegen and
+mobcache_appcheck (`tracegen browser 1e6 out.mct` used to write a 3-record
+trace and exit 0). Also smokes the daemon's usage error paths and a `--once`
+run on an empty service dir.
 
 Usage:
-  check_cli.py --simrun PATH --daemon PATH --workdir DIR
+  check_cli.py --simrun PATH --tracegen PATH --appcheck PATH --daemon PATH
+               --workdir DIR
 """
 
 import argparse
@@ -50,6 +54,21 @@ SIMRUN_NUMERIC_GARBAGE = [
     (["--point-deadline-ms=abc"], "--point-deadline-ms"),
     (["browser", "dpstt", "12abc"], "records"),
     (["browser", "dpstt", "20000", "7x"], "seed"),
+]
+
+# Garbage for the generator tools' numeric positionals ({out} is a trace
+# path under the work dir, which must not be written).
+TRACEGEN_NUMERIC_GARBAGE = [
+    (["browser", "1e6", "{out}", "7"], "records"),
+    (["browser", "60k", "{out}"], "records"),
+    (["browser", "0", "{out}"], "records"),
+    (["browser", "1000", "{out}", "7x"], "seed"),
+    (["browser", "1000", "{out}", "-1"], "seed"),
+]
+APPCHECK_NUMERIC_GARBAGE = [
+    (["launcher", "60k"], "records"),
+    (["launcher", "1e5"], "records"),
+    (["launcher", "1000", "4z"], "seed"),
 ]
 
 DAEMON_EQ_FLAGS = [
@@ -94,6 +113,8 @@ def check_empty_value_flags(tool_name, binary, flags):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--simrun", required=True, type=pathlib.Path)
+    ap.add_argument("--tracegen", required=True, type=pathlib.Path)
+    ap.add_argument("--appcheck", required=True, type=pathlib.Path)
     ap.add_argument("--daemon", required=True, type=pathlib.Path)
     ap.add_argument("--workdir", required=True, type=pathlib.Path)
     args = ap.parse_args()
@@ -118,6 +139,19 @@ def main():
         p.returncode == 2 and "unknown flag" in p.stderr,
         f"rc={p.returncode} stderr={p.stderr.strip()!r}",
     )
+
+    # Generator tools: numeric garbage is a usage error, and no trace is
+    # written for it.
+    out = args.workdir / "garbage.mct"
+    for argv, name in TRACEGEN_NUMERIC_GARBAGE:
+        argv = [a.replace("{out}", str(out)) for a in argv]
+        expect_usage_error("tracegen", [args.tracegen, *argv],
+                           f"{name}: expected")
+    check("tracegen writes no trace for garbage", not out.exists(),
+          f"{out} exists")
+    for argv, name in APPCHECK_NUMERIC_GARBAGE:
+        expect_usage_error("appcheck", [args.appcheck, *argv],
+                           f"{name}: expected")
 
     # daemon: same empty-value contract, then a --once smoke.
     check_empty_value_flags("daemon", args.daemon, DAEMON_EQ_FLAGS)

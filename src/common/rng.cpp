@@ -1,7 +1,11 @@
 #include "common/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace mobcache {
 namespace {
@@ -16,6 +20,36 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
+}
+
+/// The Zipf(alpha) CDF over n >= 1 items.
+std::vector<double> zipf_cdf(std::size_t n, double alpha) {
+  std::vector<double> cdf(n);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+    cdf[i] = sum;
+  }
+  for (double& c : cdf) c /= sum;
+  return cdf;
+}
+
+/// The process-wide zipf_cdf(n, alpha), keyed by n and the bit pattern of
+/// alpha so that only an identical alpha shares a table. A table is built
+/// under the mutex and never modified or freed afterwards (the registry is
+/// deliberately leaked, so no exit-time destructor can race a late
+/// sampler); a map node's vector never moves, so callers keep a view and
+/// read it without locking. The registry is bounded by the distinct
+/// (n, alpha) pairs of the app and kernel models.
+std::span<const double> shared_zipf_cdf(std::size_t n, double alpha) {
+  using Key = std::pair<std::size_t, std::uint64_t>;
+  static std::mutex mu;
+  static auto* tables = new std::map<Key, std::vector<double>>();
+  const Key key{n, std::bit_cast<std::uint64_t>(alpha)};
+  const std::lock_guard<std::mutex> lock(mu);
+  auto it = tables->find(key);
+  if (it == tables->end()) it = tables->emplace(key, zipf_cdf(n, alpha)).first;
+  return it->second;
 }
 
 }  // namespace
@@ -94,15 +128,8 @@ std::size_t Rng::weighted(const std::vector<double>& weights) {
   return weights.empty() ? 0 : weights.size() - 1;
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double alpha) {
-  cdf_.resize(n == 0 ? 1 : n);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < cdf_.size(); ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
-    cdf_[i] = sum;
-  }
-  for (double& c : cdf_) c /= sum;
-}
+ZipfSampler::ZipfSampler(std::size_t n, double alpha)
+    : cdf_(shared_zipf_cdf(n == 0 ? 1 : n, alpha)) {}
 
 std::size_t ZipfSampler::sample(Rng& rng) const {
   const double u = rng.uniform();

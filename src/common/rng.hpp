@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mobcache {
@@ -51,18 +52,28 @@ class Rng {
 
 /// Zipf(alpha) sampler over {0, ..., n-1}, item 0 most popular.
 ///
-/// Precomputes the CDF once; sampling is a binary search. Used to model
-/// skewed reuse inside working sets (hot lines vs. cold lines), the property
-/// that makes user-phase streams L1-friendly and kernel streams L1-hostile.
+/// Sampling is a binary search over the CDF. Used to model skewed reuse
+/// inside working sets (hot lines vs. cold lines), the property that makes
+/// user-phase streams L1-friendly and kernel streams L1-hostile.
+///
+/// The CDF is shared: every sampler with the same n and the same bit
+/// pattern of alpha views one immutable table, built on first use under a
+/// process-wide mutex and kept for the life of the process. The kernel
+/// model's 65 536-entry slab table costs one std::pow per entry, and every
+/// streamed fleet session builds several generators, so per-sampler tables
+/// would take about half of a session's CPU. A sampler is a plain value:
+/// copying it copies a view, and sample() reads the table without locking.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double alpha);
 
   std::size_t sample(Rng& rng) const;
   std::size_t size() const { return cdf_.size(); }
+  /// The shared table: cdf()[i] = P(sample() <= i).
+  std::span<const double> cdf() const { return cdf_; }
 
  private:
-  std::vector<double> cdf_;
+  std::span<const double> cdf_;
 };
 
 }  // namespace mobcache

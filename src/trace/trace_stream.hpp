@@ -30,6 +30,9 @@ namespace mobcache {
 /// generators' natural emission granularity). Matches the supervision poll
 /// stride: one chunk ≈ one kCancelPollStride block of the materialized
 /// demand loop, so the streaming and batch paths poll at the same cadence.
+/// AppTraceStream, which feeds only materialize() and a scenario's internal
+/// per-app sources, never simulate(), emits smaller chunks
+/// (workload/generator.cpp says why).
 inline constexpr std::size_t kStreamChunkRecords = std::size_t{1} << 16;
 
 /// Process-wide streaming counters, surfaced by `simrun --metrics` as the

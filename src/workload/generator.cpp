@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,11 +18,29 @@ constexpr Addr kUserDataBase = 0x0000'7000'0000'0000ull;
 constexpr std::uint64_t kPhaseTextSlice = 1ull << 20;
 constexpr std::uint64_t kPhaseDataSlice = 1ull << 32;
 
+/// Records per chunk. A scenario reads its per-app sources a slice at a
+/// time and stops part-way through each (a fleet session consumes about
+/// total/napps of a source's records), so small chunks mean a session
+/// generates only what it reads; a 64 Ki-record chunk would generate a
+/// ~60 k-record session's whole source target at once and hold up to a
+/// 1 MiB buffer per app. generate_trace() appends the same records in more,
+/// smaller pieces at no measurable cost. A chunk ends only between two
+/// iterations of the phase loop, so the record sequence does not depend on
+/// this size.
+constexpr std::size_t kChunkRecords = 4096;
+
 /// Runtime cursor state for one phase.
 struct PhaseState {
-  std::unique_ptr<ZipfSampler> code;
-  std::unique_ptr<ZipfSampler> data_zipf;
-  std::uint64_t ws_lines = 0;
+  explicit PhaseState(const PhaseSpec& p)
+      : code(p.hot_code_lines, p.code_zipf_alpha),
+        ws_lines(std::max<std::uint64_t>(1, p.ws_bytes / kLineSize)) {
+    if (p.pattern == AccessPattern::ZipfReuse)
+      data_zipf.emplace(ws_lines, p.data_zipf_alpha);
+  }
+
+  ZipfSampler code;
+  std::optional<ZipfSampler> data_zipf;  ///< ZipfReuse phases only
+  std::uint64_t ws_lines;
   std::uint64_t stream_cursor = 0;
   std::uint64_t stride_cursor = 0;
   std::uint64_t chase_cursor = 1;
@@ -44,7 +63,7 @@ struct AppTraceStream::Impl {
   AppSpec spec;
   GeneratorConfig cfg;
   Rng rng{0};
-  KernelModel kernel{0};
+  KernelModel kernel;
   std::vector<PhaseState> states;
   std::size_t phase_idx = 0;
   std::uint64_t phase_remaining = 0;
@@ -62,19 +81,9 @@ struct AppTraceStream::Impl {
   void restart() {
     rng = Rng(cfg.seed * 0x9e37'79b9'7f4a'7c15ull +
               static_cast<int>(spec.id));
-    kernel = KernelModel(cfg.seed);
+    kernel = KernelModel();
     states.clear();
-    states.resize(spec.phases.size());
-    for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-      const PhaseSpec& p = spec.phases[i];
-      states[i].ws_lines = std::max<std::uint64_t>(1, p.ws_bytes / kLineSize);
-      states[i].code = std::make_unique<ZipfSampler>(p.hot_code_lines,
-                                                     p.code_zipf_alpha);
-      if (p.pattern == AccessPattern::ZipfReuse) {
-        states[i].data_zipf = std::make_unique<ZipfSampler>(
-            states[i].ws_lines, p.data_zipf_alpha);
-      }
-    }
+    for (const PhaseSpec& p : spec.phases) states.emplace_back(p);
     phase_idx = 0;
     phase_remaining = 0;
     user_accesses = 0;
@@ -112,7 +121,7 @@ struct AppTraceStream::Impl {
     return base + line * kLineSize;
   }
 
-  /// Fills `out` with at least kStreamChunkRecords records (or everything
+  /// Fills `out` with at least kChunkRecords records (or everything
   /// remaining). The loop body is the batch generator's, with the running
   /// buffer size replaced by emitted + out.size().
   void fill(std::vector<Access>& out) {
@@ -127,8 +136,7 @@ struct AppTraceStream::Impl {
       ++user_accesses;
     };
 
-    while (total() < cfg.target_accesses &&
-           out.size() < kStreamChunkRecords) {
+    while (total() < cfg.target_accesses && out.size() < kChunkRecords) {
       if (phase_remaining == 0) {
         // Enter next phase.
         if (!spec.transitions.empty()) {
@@ -151,7 +159,7 @@ struct AppTraceStream::Impl {
         ifetch_debt += p.ifetch_per_data;
         while (ifetch_debt >= 1.0) {
           emit_user(phase_text_base(phase_idx) +
-                        st.code->sample(rng) * kLineSize,
+                        st.code.sample(rng) * kLineSize,
                     AccessType::InstFetch);
           ifetch_debt -= 1.0;
         }

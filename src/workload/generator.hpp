@@ -18,11 +18,13 @@ struct GeneratorConfig {
 };
 
 /// Streaming app-trace generator: the phase machine of generate_trace() as a
-/// resumable state machine emitting ~kStreamChunkRecords records per chunk,
-/// so an app trace never has to exist fully in memory. Deterministic in
-/// (spec, cfg.seed); generate_trace() is exactly materialize() over this
-/// stream, so the chunked and batch record sequences are identical by
-/// construction (tests/test_trace_stream.cpp pins it).
+/// resumable state machine emitting small chunks of about 4 Ki records
+/// (generator.cpp says why), so an app trace never has to exist fully in
+/// memory and a scenario's per-app sources generate only the records the
+/// session reads. Deterministic in (spec, cfg.seed); generate_trace() is
+/// exactly materialize() over this stream, so the chunked and batch record
+/// sequences are identical by construction (tests/test_trace_stream.cpp
+/// pins it).
 class AppTraceStream final : public TraceStream {
  public:
   AppTraceStream(const AppSpec& spec, const GeneratorConfig& cfg);

@@ -33,11 +33,9 @@ constexpr std::uint64_t kHotTextLines = 256;  ///< shared entry/exit code
 
 }  // namespace
 
-KernelModel::KernelModel(std::uint64_t seed)
+KernelModel::KernelModel()
     : hot_text_(kHotTextLines, 0.9),
-      slab_sampler_(layout_.slab_bytes / kLineSize, 0.8) {
-  (void)seed;  // model state is deterministic; callers pass their own Rng
-}
+      slab_sampler_(layout_.slab_bytes / kLineSize, 0.8) {}
 
 void KernelModel::data(Addr addr, bool write, std::uint16_t thread,
                        std::vector<Access>& out) const {

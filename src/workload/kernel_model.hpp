@@ -80,9 +80,11 @@ struct KernelLayout {
 };
 
 /// Stateful kernel activity generator shared by all apps in a scenario.
+/// Construction is cheap: the two Zipf samplers view process-wide shared
+/// tables (common/rng.hpp), and all randomness comes from the caller's Rng.
 class KernelModel {
  public:
-  explicit KernelModel(std::uint64_t seed);
+  KernelModel();
 
   /// Appends one full episode of `service` to `out` (mode=Kernel). The
   /// vector overload is the primary API — generators accumulate records in

@@ -54,7 +54,7 @@ struct ScenarioStream::Impl {
   std::string name;
   std::vector<AppSource> sources;
   Rng rng{0};
-  KernelModel switcher{0};
+  KernelModel switcher;
   std::size_t foreground = 0;
   std::uint64_t slice_remaining = 0;
   bool in_slice = false;
@@ -68,7 +68,7 @@ struct ScenarioStream::Impl {
 
   void restart() {
     rng = Rng(cfg.seed ^ 0xabcdef12345ull);
-    switcher = KernelModel(cfg.seed);
+    switcher = KernelModel();
     foreground = 0;
     slice_remaining = 0;
     in_slice = false;
@@ -78,7 +78,8 @@ struct ScenarioStream::Impl {
     if (finished) return;
     // Per-app source streams. Each app gets enough records that a restart
     // (which replays its sequence verbatim) is rare but harmless: phase
-    // machines repeat anyway.
+    // machines repeat anyway. Sources generate on demand, so the target
+    // bounds the wrap-around, not the work.
     const std::uint64_t per_app =
         cfg.total_accesses / cfg.apps.size() + cfg.slice_mean + 4096;
     sources.reserve(cfg.apps.size());

@@ -44,8 +44,9 @@ struct ScenarioConfig {
 Trace generate_scenario(const ScenarioConfig& cfg);
 
 /// Streaming producer of the exact generate_scenario() record sequence.
-/// Per-app source traces are themselves AppTraceStreams pulled lazily and
-/// restarted on exhaustion — a restart replays the identical per-app
+/// Per-app source traces are themselves AppTraceStreams pulled lazily, in
+/// small chunks so that only the records the session reads get generated,
+/// and restarted on exhaustion — a restart replays the identical per-app
 /// sequence, which is precisely what the materialized path's cursor
 /// wrap-around (`cursor % src.size()`) does, so neither the sources nor the
 /// interleaved session ever exist fully in memory.

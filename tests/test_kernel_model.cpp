@@ -15,7 +15,7 @@ std::vector<KernelService> all_services() {
 }
 
 TEST(KernelModel, EpisodesAreKernelModeAndKernelAddressed) {
-  KernelModel km(1);
+  KernelModel km;
   Rng rng(2);
   Trace t;
   for (KernelService s : all_services()) km.emit_episode(s, 0, t, rng);
@@ -28,7 +28,7 @@ TEST(KernelModel, EpisodesAreKernelModeAndKernelAddressed) {
 }
 
 TEST(KernelModel, EpisodeLengthNearDocumentedMean) {
-  KernelModel km(1);
+  KernelModel km;
   Rng rng(3);
   for (KernelService s : all_services()) {
     Trace t;
@@ -42,7 +42,7 @@ TEST(KernelModel, EpisodeLengthNearDocumentedMean) {
 }
 
 TEST(KernelModel, FileReadTouchesPageCache) {
-  KernelModel km(1);
+  KernelModel km;
   Rng rng(5);
   Trace t;
   km.emit_episode(KernelService::FileRead, 0, t, rng);
@@ -59,7 +59,7 @@ TEST(KernelModel, FileReadTouchesPageCache) {
 }
 
 TEST(KernelModel, PageFaultZeroesWholePage) {
-  KernelModel km(1);
+  KernelModel km;
   Rng rng(7);
   Trace t;
   km.emit_episode(KernelService::PageFault, 0, t, rng);
@@ -89,7 +89,7 @@ TEST(KernelModel, SchedTickIsShortestService) {
 TEST(KernelModel, TextWalkSpansManyDistinctLines) {
   // The L1I-hostility premise: one episode touches far more distinct text
   // lines than a hot loop would.
-  KernelModel km(1);
+  KernelModel km;
   Rng rng(11);
   Trace t;
   km.emit_episode(KernelService::BinderIpc, 0, t, rng);
@@ -103,7 +103,7 @@ TEST(KernelModel, TextWalkSpansManyDistinctLines) {
 TEST(KernelModel, StreamingServicesAdvanceCursor) {
   // Two FileRead episodes must touch mostly different page-cache lines
   // (streaming), unlike the slab structures which repeat.
-  KernelModel km(1);
+  KernelModel km;
   Rng rng(13);
   Trace t1;
   km.emit_episode(KernelService::FileRead, 0, t1, rng);
@@ -128,7 +128,7 @@ TEST(KernelModel, StreamingServicesAdvanceCursor) {
 }
 
 TEST(KernelModel, ThreadIdPropagated) {
-  KernelModel km(1);
+  KernelModel km;
   Rng rng(17);
   Trace t;
   km.emit_episode(KernelService::NetRx, 7, t, rng);
@@ -136,8 +136,8 @@ TEST(KernelModel, ThreadIdPropagated) {
 }
 
 TEST(KernelModel, DeterministicGivenSameRngSeed) {
-  KernelModel km1(1);
-  KernelModel km2(1);
+  KernelModel km1;
+  KernelModel km2;
   Rng r1(42);
   Rng r2(42);
   Trace t1;

@@ -4,7 +4,14 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <latch>
+#include <thread>
+#include <utility>
+#include <vector>
 
 namespace mobcache {
 namespace {
@@ -152,6 +159,92 @@ TEST(Zipf, ZeroSizeDegradesToSingleton) {
   Rng rng(47);
   EXPECT_EQ(z.size(), 1u);
   EXPECT_EQ(z.sample(rng), 0u);
+}
+
+/// The per-instance CDF every ZipfSampler computed before tables were
+/// shared, kept verbatim as the reference the shared tables must match.
+std::vector<double> reference_cdf(std::size_t n, double alpha) {
+  std::vector<double> cdf(n == 0 ? 1 : n);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < cdf.size(); ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+    cdf[i] = sum;
+  }
+  for (double& c : cdf) c /= sum;
+  return cdf;
+}
+
+/// ZipfSampler::sample over a reference table.
+std::size_t reference_sample(const std::vector<double>& cdf, Rng& rng) {
+  const double u = rng.uniform();
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return it == cdf.end() ? cdf.size() - 1
+                         : static_cast<std::size_t>(it - cdf.begin());
+}
+
+TEST(Zipf, SharedTableMatchesPerInstanceFormulaBitForBit) {
+  const std::pair<std::size_t, double> shapes[] = {
+      {0, 1.0}, {1, 1.0}, {256, 0.9}, {32'768, 0.6}, {65'536, 0.8}};
+  for (const auto& [n, alpha] : shapes) {
+    const std::vector<double> want = reference_cdf(n, alpha);
+    const ZipfSampler z(n, alpha);
+    ASSERT_EQ(z.size(), want.size()) << n;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(z.cdf()[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "n=" << n << " alpha=" << alpha << " i=" << i;
+    }
+  }
+}
+
+TEST(Zipf, SamplersShareOneTablePerSizeAndAlphaBits) {
+  const ZipfSampler a(1'000, 0.7);
+  const ZipfSampler b(1'000, 0.7);
+  EXPECT_EQ(a.cdf().data(), b.cdf().data());
+  // The key is the bit pattern: the next representable alpha, or another
+  // size, gets its own table.
+  EXPECT_NE(ZipfSampler(1'000, std::nextafter(0.7, 1.0)).cdf().data(),
+            a.cdf().data());
+  EXPECT_NE(ZipfSampler(1'001, 0.7).cdf().data(), a.cdf().data());
+}
+
+TEST(Zipf, ConcurrentConstructionReproducesSerialSequences) {
+  // Shapes no other test uses, so the threads race to build the tables.
+  const std::pair<std::size_t, double> shapes[] = {
+      {4'096, 0.55}, {20'000, 0.65}, {50'000, 0.75}, {777, 1.05}};
+  constexpr int kThreads = 8;
+  constexpr int kDraws = 2'000;
+  // Thread t's draw d uses shape (t + d) % 4: every shape is built by two
+  // threads at once and sampled by all eight.
+  auto shape = [&](int t, int d) {
+    return static_cast<std::size_t>(t + d) % std::size(shapes);
+  };
+
+  // The serial reference never touches the shared tables.
+  std::vector<std::vector<double>> ref;
+  for (const auto& [n, alpha] : shapes) ref.push_back(reference_cdf(n, alpha));
+  std::vector<std::vector<std::size_t>> want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    Rng rng(1'000 + t);
+    for (int d = 0; d < kDraws; ++d)
+      want[t].push_back(reference_sample(ref[shape(t, d)], rng));
+  }
+
+  std::vector<std::vector<std::size_t>> got(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      Rng rng(1'000 + t);
+      for (int d = 0; d < kDraws; ++d) {
+        const auto& [n, alpha] = shapes[shape(t, d)];
+        got[t].push_back(ZipfSampler(n, alpha).sample(rng));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], want[t]) << t;
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <unordered_set>
+
+#include "exp/parallel.hpp"
+#include "exp/result_store.hpp"
 
 namespace mobcache {
 namespace {
@@ -22,6 +26,39 @@ TEST(Scenario, HitsTargetLengthAndName) {
   EXPECT_GE(t.size(), 300'000u);
   EXPECT_LT(t.size(), 302'000u);
   EXPECT_EQ(t.name(), "mix-launcher-audio-email");
+}
+
+/// hash_trace of the streamed session `i` of a fleet with base seed
+/// `base` — exactly what run_fleet feeds the simulator.
+std::uint64_t session_hash(const PopulationModel& mix, std::uint64_t base,
+                           std::uint64_t i) {
+  ScenarioStream stream(sample_session(mix, sweep_point_seed(base, i)));
+  return hash_trace(materialize(stream));
+}
+
+/// Golden streamed sessions of the mcbench fleet's shape (default mix,
+/// ~60 k records each). ScenarioStream is compared with materialize() of
+/// itself elsewhere, so these pins are what notices a changed record
+/// sequence in the streaming path: app-source chunking, source restarts,
+/// switch episodes and the per-app generators all feed the hash.
+TEST(Scenario, GoldenFleetSessionHashes) {
+  const PopulationModel mix = PopulationModel::default_mix(60'000);
+  constexpr std::uint64_t kPins[] = {
+      0x6a44e341d01397c2ull, 0x2fced89f84e339cfull, 0xd7e72714b613bd52ull,
+      0xe35376236b4ae31full, 0xd1789d8a1e983326ull, 0xc1e4dc94c76852a8ull,
+      0xf8cd64e60b5dd5f5ull, 0xdebf17d0ae13acdcull,
+  };
+  for (std::uint64_t i = 0; i < std::size(kPins); ++i) {
+    EXPECT_EQ(session_hash(mix, 1, i), kPins[i]) << "session " << i;
+  }
+}
+
+/// The CI fleet gate's shape: short default_mix(8 000) sessions, where one
+/// source chunk covers about an app's whole share of the session.
+TEST(Scenario, GoldenFleetGateSessionHashes) {
+  const PopulationModel mix = PopulationModel::default_mix(8'000);
+  EXPECT_EQ(session_hash(mix, 1, 0), 0xf0d0ad35203224d6ull);
+  EXPECT_EQ(session_hash(mix, 1, 1), 0x0df4ddd5f1598ab8ull);
 }
 
 TEST(Scenario, Deterministic) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/env.hpp"
 #include "core/scheme.hpp"
+#include "exp/result_store.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
 #include "workload/suite.hpp"
@@ -33,6 +36,36 @@ TEST(Workload, SeedsProduceDifferentTraces) {
   const std::size_t n = std::min(a.size(), b.size());
   for (std::size_t i = 0; i < n; ++i) diff += a[i].addr != b[i].addr;
   EXPECT_GT(diff, n / 4);
+}
+
+/// Golden record sequences: every app's trace at 100 000 records, seed 7,
+/// fingerprinted field by field with the result store's hash_trace. A
+/// generator change that moves one record or one Rng draw — in the phase
+/// machine, the kernel model, the Zipf tables or the chunking — fails here.
+TEST(Workload, GoldenTraceHashes) {
+  struct Pin {
+    AppId app;
+    std::uint64_t hash;
+  };
+  constexpr Pin kPins[] = {
+      {AppId::Launcher, 0x6d558dd59965bc2full},
+      {AppId::Browser, 0x19f0ac2bd5cb30efull},
+      {AppId::Game, 0xffca2f0208cdcab4ull},
+      {AppId::VideoPlayer, 0x68fd9c65cfef27d2ull},
+      {AppId::AudioPlayer, 0xbbb5de9a5827f625ull},
+      {AppId::Email, 0xf5a518d6b8085d13ull},
+      {AppId::Maps, 0xfffada35a78de114ull},
+      {AppId::Social, 0x6fc41135b11393cbull},
+      {AppId::ComputeFft, 0xe9e5adaac48281cbull},
+      {AppId::ComputeMatmul, 0x411a605862bdb915ull},
+      {AppId::Camera, 0x8c321f800d3a6f34ull},
+      {AppId::Messenger, 0x11e3554f9da80990ull},
+  };
+  static_assert(std::size(kPins) == kAppCount);
+  for (const Pin& p : kPins) {
+    EXPECT_EQ(hash_trace(generate_app_trace(p.app, 100'000, 7)), p.hash)
+        << app_name(p.app);
+  }
 }
 
 TEST(Workload, ModesConsistentWithAddressSpace) {

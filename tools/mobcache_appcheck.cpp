@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/env.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/scheme.hpp"
@@ -56,9 +57,8 @@ bool check_app(AppId id, std::uint64_t records, std::uint64_t seed,
 
 static int tool_main(int argc, char** argv) {
   const std::uint64_t records =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 400'000;
-  const std::uint64_t seed =
-      argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
+      argc > 2 ? parse_u64("records", argv[2], 1) : 400'000;
+  const std::uint64_t seed = argc > 3 ? parse_u64("seed", argv[3]) : 42;
 
   std::vector<AppId> apps;
   if (argc > 1) {

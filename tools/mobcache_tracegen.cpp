@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/env.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "exp/bench_harness.hpp"
@@ -28,13 +29,8 @@ static int tool_main(int argc, char** argv) {
     std::fprintf(stderr, "\n");
     return 2;
   }
-  const std::uint64_t records = std::strtoull(argv[2], nullptr, 10);
-  const std::uint64_t seed =
-      argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
-  if (records == 0) {
-    std::fprintf(stderr, "records must be > 0\n");
-    return 2;
-  }
+  const std::uint64_t records = parse_u64("records", argv[2], 1);
+  const std::uint64_t seed = argc > 4 ? parse_u64("seed", argv[4]) : 1;
 
   Trace trace;
   if (std::strcmp(argv[1], "mix") == 0) {
