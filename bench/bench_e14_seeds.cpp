@@ -3,9 +3,10 @@
 /// five workload seeds. Reported as mean ± stddev [min, max]; the paper's
 /// orderings must hold outside the seed-noise band, not just at one seed.
 ///
-/// run_multi_seed shards its (seed × scheme) grid through a SweepExecutor
-/// (`--jobs=N` / MOBCACHE_JOBS); stats accumulate in seed order after the
-/// sweep, so the reported numbers are identical for every job count.
+/// run_multi_seed runs each seed as one (scheme × workload) runner grid on
+/// `--jobs=N` workers (or MOBCACHE_JOBS), sharing one L1 pass per trace;
+/// stats accumulate in seed order, so the reported numbers are identical
+/// for every job count. `--store-dir` memoizes the cells.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"

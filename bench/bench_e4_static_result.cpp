@@ -14,10 +14,9 @@ int main() {
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
-  std::vector<SchemeSuiteResult> v;
-  v.push_back(runner.run_scheme(SchemeKind::BaselineSram));
-  v.push_back(runner.run_scheme(SchemeKind::StaticPartSram));
-  v.push_back(runner.run_scheme(SchemeKind::StaticPartMrstt));
+  std::vector<SchemeSuiteResult> v = runner.run_schemes(
+      {SchemeKind::BaselineSram, SchemeKind::StaticPartSram,
+       SchemeKind::StaticPartMrstt});
   ExperimentRunner::normalize(v);
 
   const SchemeParams defaults;

@@ -28,10 +28,12 @@
 using namespace mobcache;
 
 static int run_bench(int argc, char** argv) {
+  const std::size_t n_points = 1 + 3 * 3;  // the baseline + 9 pairings
   const unsigned jobs = bench_jobs(argc, argv);
   const unsigned batch = bench_sweep_batch(argc, argv);
   const bool keep_going = bench_keep_going(argc, argv);
-  const std::vector<std::size_t> fail_points = bench_fail_points(argc, argv);
+  const std::vector<std::size_t> fail_points =
+      bench_fail_points(argc, argv, n_points);
   const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
   if (store) store->set_retry_failed(bench_retry_failed(argc, argv));
   BenchReport bench("e6_retention_sweep", jobs);
@@ -53,7 +55,6 @@ static int run_bench(int argc, char** argv) {
 
   // Spec 0 is the SRAM baseline; specs 1..9 the (user, kernel) pairings
   // in row-major class order. Each cell depends only on its index.
-  const std::size_t n_points = 1 + 3 * 3;
   std::vector<DesignSpec> specs;
   specs.reserve(n_points);
   specs.push_back(scheme_design(SchemeKind::BaselineSram));

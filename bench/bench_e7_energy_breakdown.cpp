@@ -21,8 +21,7 @@ int main() {
     EnergyBreakdown e;
   };
   std::vector<Row> rows;
-  for (SchemeKind k : headline_schemes()) {
-    auto r = runner.run_scheme(k);
+  for (const SchemeSuiteResult& r : runner.run_schemes(headline_schemes())) {
     EnergyBreakdown sum;
     for (const SimResult& s : r.per_workload) sum += s.l2_energy;
     rows.push_back({r.name, sum});

@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""CLI flag-contract checks for mobcache_simrun, the generator tools and
-mobcache_daemon.
+"""CLI flag-contract checks for mobcache_simrun and the generator tools.
 
 Every `--name=value` flag given with an empty value must be a hard usage
 error: exit code 2 plus a `--name needs <what>` diagnostic on stderr. A
@@ -10,12 +9,10 @@ numeric simrun flag and positional given garbage must exit 2 with a
 `<name>: expected ...` diagnostic instead of running with a misread value;
 the same holds for the numeric positionals of mobcache_tracegen and
 mobcache_appcheck (`tracegen browser 1e6 out.mct` used to write a 3-record
-trace and exit 0). Also smokes the daemon's usage error paths and a `--once`
-run on an empty service dir.
+trace and exit 0).
 
 Usage:
-  check_cli.py --simrun PATH --tracegen PATH --appcheck PATH --daemon PATH
-               --workdir DIR
+  check_cli.py --simrun PATH --tracegen PATH --appcheck PATH --workdir DIR
 """
 
 import argparse
@@ -71,14 +68,6 @@ APPCHECK_NUMERIC_GARBAGE = [
     (["launcher", "1000", "4z"], "seed"),
 ]
 
-DAEMON_EQ_FLAGS = [
-    "--store-dir",
-    "--jobs",
-    "--poll-ms",
-    "--epoch-ms",
-    "--idle-exit-ms",
-]
-
 
 def run(cmd):
     return subprocess.run(
@@ -115,7 +104,6 @@ def main():
     ap.add_argument("--simrun", required=True, type=pathlib.Path)
     ap.add_argument("--tracegen", required=True, type=pathlib.Path)
     ap.add_argument("--appcheck", required=True, type=pathlib.Path)
-    ap.add_argument("--daemon", required=True, type=pathlib.Path)
     ap.add_argument("--workdir", required=True, type=pathlib.Path)
     args = ap.parse_args()
 
@@ -152,43 +140,6 @@ def main():
     for argv, name in APPCHECK_NUMERIC_GARBAGE:
         expect_usage_error("appcheck", [args.appcheck, *argv],
                            f"{name}: expected")
-
-    # daemon: same empty-value contract, then a --once smoke.
-    check_empty_value_flags("daemon", args.daemon, DAEMON_EQ_FLAGS)
-    p = run([args.daemon])
-    check(
-        "daemon usage without args",
-        p.returncode == 2 and "usage:" in p.stderr,
-        f"rc={p.returncode} stderr={p.stderr.strip()!r}",
-    )
-    p = run([args.daemon, args.workdir / "svc", "--frobnicate"])
-    check(
-        "daemon unknown flag",
-        p.returncode == 2 and "unknown flag" in p.stderr,
-        f"rc={p.returncode} stderr={p.stderr.strip()!r}",
-    )
-
-    svc = args.workdir / "svc"
-    p = run([args.daemon, svc, "--once"])
-    check(
-        "daemon --once on empty dir",
-        p.returncode == 0,
-        f"rc={p.returncode} stderr={p.stderr.strip()!r}",
-    )
-    check(
-        "daemon creates service layout",
-        all(
-            (svc / d).is_dir() for d in ("inbox", "outbox", "quarantine")
-        )
-        and (svc / "metrics.json").is_file(),
-        f"contents={sorted(q.name for q in svc.iterdir())}",
-    )
-    metrics = (svc / "metrics.json").read_text()
-    check(
-        "metrics.json carries service counters",
-        '"service.served":0' in metrics,
-        f"metrics={metrics.strip()!r}",
-    )
 
     if FAILURES:
         print(f"{len(FAILURES)} CLI contract check(s) failed", file=sys.stderr)

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Tree-hygiene gate: no tracked file may be gitignored or oversized, and no
-test may share a fixed temporary directory.
+"""Tree-hygiene gate: no tracked file may be gitignored or oversized, no
+test may share a fixed temporary directory, and no CLI front end may parse
+numbers by hand.
 
 PR 4 accidentally committed a 642-file generated build tree (`build2/`)
 because the ignore patterns were narrower than the directories people
@@ -17,6 +18,11 @@ actually create. This script makes that class of mistake a CI failure:
      temp_directory_path(). ctest runs every test case in its own process,
      in parallel, so a fixed directory lets one case's cleanup delete
      another's files mid-test; name the directory per process or per test.
+  4. No tracked source under tools/, bench/ or examples/ may call
+     strtoull/strtoul/strtod/atoi/atof/std::sto* (or their siblings). They
+     silently misread garbage ("12abc" -> 12, "-1" -> huge); front ends
+     parse numbers through common/env's parse_u64/parse_double, which exit
+     2 naming the flag. The parsers themselves live under src/.
 
 Run from anywhere inside the repo:  python3 scripts/check_tree.py
 Exits 0 when clean, 1 with a per-file report otherwise.
@@ -32,11 +38,35 @@ import sys
 FIXED_TEMP_DIR = re.compile(
     r'temp_directory_path\(\)\s*/\s*(?:std::string\(\s*)?"')
 
+# A call of a C or C++ library number parser, with or without `std::`.
+RAW_NUMBER_PARSE = re.compile(
+    r'\b(?:strto(?:ull|ul|ll|l|d|f|ld)|ato(?:i|l|ll|f)'
+    r'|std::sto(?:i|l|ll|ul|ull|f|d|ld))\s*\(')
+FRONT_END_DIRS = ["tools", "bench", "examples"]
+SOURCE_SUFFIXES = (".c", ".cc", ".cpp", ".h", ".hpp")
+
 
 def git_lines(args, repo):
     out = subprocess.run(["git", "-C", repo] + args, check=True,
                          capture_output=True).stdout
     return [p for p in out.decode("utf-8").split("\0") if p]
+
+
+def grep_tracked(repo, pathspecs, pattern, suffixes=("",)):
+    """Yields (path, line, matched text) for each match of `pattern` in the
+    tracked files under `pathspecs` whose names end in one of `suffixes`."""
+    for path in git_lines(["ls-files", "-z", "--cached", "--"] + pathspecs,
+                          repo):
+        if not path.endswith(suffixes):
+            continue
+        try:
+            with open(os.path.join(repo, path), encoding="utf-8",
+                      errors="replace") as fh:
+                text = fh.read()
+        except OSError:
+            continue
+        for m in pattern.finditer(text):
+            yield path, text.count("\n", 0, m.start()) + 1, m.group(0)
 
 
 def main():
@@ -65,26 +95,26 @@ def main():
             failures.append(
                 f"tracked file exceeds {args.max_bytes} bytes: {path} ({size})")
 
-    for path in git_lines(["ls-files", "-z", "--cached", "--", "tests"], repo):
-        try:
-            with open(os.path.join(repo, path), encoding="utf-8",
-                      errors="replace") as fh:
-                text = fh.read()
-        except OSError:
-            continue
-        for m in FIXED_TEMP_DIR.finditer(text):
-            line = text.count("\n", 0, m.start()) + 1
-            failures.append(
-                f"fixed temp directory shared across test processes: "
-                f"{path}:{line} (name it per process or per test)")
+    for path, line, _ in grep_tracked(repo, ["tests"], FIXED_TEMP_DIR):
+        failures.append(
+            f"fixed temp directory shared across test processes: "
+            f"{path}:{line} (name it per process or per test)")
+
+    for path, line, call in grep_tracked(repo, FRONT_END_DIRS,
+                                         RAW_NUMBER_PARSE, SOURCE_SUFFIXES):
+        failures.append(
+            f"hand-rolled number parse in a CLI front end: {path}:{line} "
+            f"({call.rstrip('( ')}; use parse_u64/parse_double from "
+            f"common/env)")
 
     if failures:
         for f in failures:
             print(f"check_tree: FAIL: {f}", file=sys.stderr)
         print(f"check_tree: {len(failures)} problem(s)", file=sys.stderr)
         return 1
-    print("check_tree: OK: no tracked file is gitignored or oversized, and "
-          "no test shares a fixed temp directory")
+    print("check_tree: OK: no tracked file is gitignored or oversized, no "
+          "test shares a fixed temp directory, and no front end parses "
+          "numbers by hand")
     return 0
 
 

@@ -1,12 +1,10 @@
 #pragma once
 /// \file atomic_file.hpp
 /// Crash-safe file publication: stream to a `.tmp-*` sibling, fsync, then
-/// rename() into place. This is the durability idiom the result store has
-/// always used; it lives here so every artifact with the same contract —
-/// store records, daemon responses, metrics snapshots — publishes through
-/// one audited path. Readers of a published name never observe a
-/// half-written file; a crash leaves at most a `.tmp-*` orphan, which
-/// owners sweep on startup.
+/// rename() into place. This is the durability idiom of the result store's
+/// records, kept in one audited place. Readers of a published name never
+/// observe a half-written file; a crash leaves at most a `.tmp-*` orphan,
+/// which owners sweep on startup.
 
 #include <string>
 

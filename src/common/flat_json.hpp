@@ -2,12 +2,11 @@
 /// \file flat_json.hpp
 /// Minimal parser for the *flat* JSON objects this codebase writes itself:
 /// string or bare-number values only, one nesting level, no arrays. It
-/// exists so on-disk artifacts (result-store records, daemon requests) can
-/// be read back without growing a real JSON dependency — every document it
-/// must accept was produced by JsonWriter or by an operator writing a
-/// one-line request, and anything outside that grammar is *supposed* to be
-/// rejected. Returns false on anything unexpected: a reject is a corrupt
-/// record (or a malformed request), never a crash.
+/// exists so on-disk artifacts (result-store records) can be read back
+/// without growing a real JSON dependency — every document it must accept
+/// was produced by JsonWriter, and anything outside that grammar is
+/// *supposed* to be rejected. Returns false on anything unexpected: a
+/// reject is a corrupt record, never a crash.
 ///
 /// Escape handling mirrors json_escape(): \" \\ \n \t \r \b \f plus \u00xx
 /// for control bytes. Numbers are kept as text; get_u64/get_dbl parse on

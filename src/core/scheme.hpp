@@ -87,7 +87,7 @@ std::unique_ptr<L2Interface> build_scheme(SchemeKind kind,
 /// The scheme list of the headline comparison (E9), baseline first.
 std::vector<SchemeKind> headline_schemes();
 
-/// The CLI scheme vocabulary, shared by simrun and the service protocol:
+/// The CLI scheme vocabulary of mobcache_simrun:
 /// base shrunk sharedstt drowsy victim sp spmrstt dp dpstt. Returns nullopt
 /// for anything else (including "all", which is a selection, not a kind).
 std::optional<SchemeKind> parse_scheme_kind(std::string_view s);

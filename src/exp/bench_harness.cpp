@@ -79,27 +79,22 @@ std::uint64_t bench_point_deadline_ms(int argc, char** argv) {
   return bench_flag_u64(argc, argv, "--point-deadline-ms", 0);
 }
 
-std::vector<std::size_t> bench_fail_points(int argc, char** argv) {
-  std::vector<std::size_t> points;
+std::vector<std::size_t> bench_fail_points(int argc, char** argv,
+                                           std::size_t points) {
+  std::vector<std::size_t> out;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--fail-points=", 14) != 0) continue;
-    const char* p = argv[i] + 14;
-    while (*p != '\0') {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(p, &end, 10);
-      if (end == p) {
-        throw ConfigError(std::string("bad --fail-points list: ") +
-                          (argv[i] + 14));
-      }
-      points.push_back(static_cast<std::size_t>(v));
-      p = (*end == ',') ? end + 1 : end;
-      if (end == p && *end != '\0') {
-        throw ConfigError(std::string("bad --fail-points list: ") +
-                          (argv[i] + 14));
-      }
+    const std::string list = argv[i] + 14;
+    for (std::size_t start = 0;;) {
+      const std::size_t comma = list.find(',', start);
+      out.push_back(static_cast<std::size_t>(
+          parse_u64("--fail-points", list.substr(start, comma - start), 0,
+                    points - 1)));
+      if (comma == std::string::npos) break;
+      start = comma + 1;
     }
   }
-  return points;
+  return out;
 }
 
 unsigned bench_sweep_batch(int argc, char** argv) {

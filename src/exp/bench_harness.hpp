@@ -50,10 +50,15 @@ std::unique_ptr<ResultStore> bench_result_store(int argc, char** argv);
 ///   --point-deadline-ms=N  per-point wall-clock budget (0 = off)
 ///   --fail-points=i,j,...  chaos injection: those point indices throw
 ///                          NumericError before simulating (testing/CI only)
+/// bench_fail_points checks every index against the sweep's `points` (>= 1):
+/// an element that is not a plain decimal in [0, points - 1] — empty, signed,
+/// padded, overflowing or past the last point — throws EnvError naming
+/// --fail-points (exit 2 under guarded_main).
 bool bench_keep_going(int argc, char** argv);
 bool bench_retry_failed(int argc, char** argv);
 std::uint64_t bench_point_deadline_ms(int argc, char** argv);
-std::vector<std::size_t> bench_fail_points(int argc, char** argv);
+std::vector<std::size_t> bench_fail_points(int argc, char** argv,
+                                           std::size_t points);
 
 /// The --fail-points hook: throws NumericError("injected chaos fault") when
 /// `index` is in `fail_points`. Pass it as run_designs_outcomes'

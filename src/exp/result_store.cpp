@@ -220,9 +220,8 @@ void put_cache_stats(std::string& out, const char* prefix,
   put_u64(out, key("silent_faults").c_str(), s.silent_faults);
 }
 
-// Record payloads parse with the shared FlatParser (common/flat_json.hpp) —
-// the same grammar the daemon's request protocol reads, because both sides
-// only ever consume JSON this codebase wrote itself.
+// Record payloads parse with FlatParser (common/flat_json.hpp): the store
+// only ever consumes JSON this codebase wrote itself.
 
 bool read_cache_stats(const FlatParser& f, const char* prefix, CacheStats& s) {
   auto key = [&](const char* field) { return std::string(prefix) + field; };

@@ -71,7 +71,7 @@ ExperimentRunner::ExperimentRunner(std::vector<Trace> traces) {
 
 namespace {
 
-/// One (scheme/design, workload) execution — the unit SweepExecutor shards.
+/// One (scheme/design, workload) execution — the unit the executor shards.
 struct SuiteCell {
   SimResult res;
   std::shared_ptr<Telemetry> tel;
@@ -457,28 +457,18 @@ std::vector<MultiSeedResult> run_multi_seed(
     unsigned jobs, ResultStore* store) {
   const std::size_t s_count = schemes.size();
 
-  // Flat (seed × scheme) sweep. Each cell derives everything from its index
-  // — suite seed seeds[c / S], scheme schemes[c % S] — and the TraceCache
-  // makes concurrent cells of one seed share a single generated suite. The
-  // per-seed runner inherits `store`, so the inner per-workload cells are
-  // memoized (their keys fold in the seed via the trace fingerprints).
-  SweepExecutor ex(jobs);
-  std::vector<SchemeSuiteResult> cells =
-      ex.map(seeds.size() * s_count, [&](std::size_t c) {
-        ExperimentRunner runner(apps, accesses, seeds[c / s_count]);
-        runner.result_store = store;
-        return runner.run_scheme(schemes[c % s_count], params);
-      });
-
-  // Normalize per seed, then accumulate in seed order — deterministic
-  // regardless of which worker finished first.
+  // One runner call per seed: its (scheme × workload) grid shares the
+  // runner's executor, memoization and one L1 pass per trace. Each seed is
+  // normalized on its own, then accumulated in seed order.
   std::vector<RunningStat> energy(s_count);
   std::vector<RunningStat> time(s_count);
   std::vector<RunningStat> miss(s_count);
-  for (std::size_t si = 0; si < seeds.size(); ++si) {
-    std::vector<SchemeSuiteResult> per_seed(
-        std::make_move_iterator(cells.begin() + si * s_count),
-        std::make_move_iterator(cells.begin() + (si + 1) * s_count));
+  for (std::uint64_t seed : seeds) {
+    ExperimentRunner runner(apps, accesses, seed);
+    runner.jobs = jobs;
+    runner.result_store = store;
+    std::vector<SchemeSuiteResult> per_seed =
+        runner.run_schemes(schemes, params);
     ExperimentRunner::normalize(per_seed);
     for (std::size_t i = 0; i < s_count; ++i) {
       energy[i].add(per_seed[i].norm_cache_energy);

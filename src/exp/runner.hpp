@@ -3,9 +3,10 @@
 /// Workload-suite × scheme experiment driver with baseline normalization —
 /// the engine behind every bench binary.
 ///
-/// Every run_* entry point is one (design × workload) grid executed by
-/// run_designs_outcomes() on a SweepExecutor (exp/parallel.hpp): set `jobs`
-/// > 1 (or 0 = auto) and the cells are sharded across worker threads.
+/// Every run_* entry point is one (design × workload) grid (run_multi_seed:
+/// one per seed) executed by run_designs_outcomes() on a SweepExecutor
+/// (exp/parallel.hpp): set `jobs` > 1 (or 0 = auto) and the cells are
+/// sharded across worker threads.
 /// Results are assembled in cell-index order and every cell is a pure
 /// function of its index, so a parallel run is bit-identical to `jobs = 1`.
 /// Traces come from the process-wide TraceCache via cached_suite():
@@ -274,13 +275,12 @@ struct MultiSeedResult {
 /// the statistical-rigor pass: a conclusion that does not survive the seed
 /// noise band is not a conclusion (bench E14).
 ///
-/// Every (seed, scheme) cell is a pure function of its index — the suite
-/// seed is seeds[cell / schemes.size()], never a running counter — and the
-/// cross-seed statistics are accumulated in seed order after all cells
-/// finish, so `jobs` does not change a single output bit. Use
-/// derived_seeds(base, n) (exp/parallel.hpp) to build the seed list from
-/// one base seed. `store` memoizes the inner (scheme × workload) cells of
-/// every per-seed runner.
+/// Each seed is one run_schemes() call on a runner with `jobs` workers and
+/// `store` attached, so the seed's (scheme × workload) cells share the
+/// runner's executor, memoization and one L1 pass per trace. Seeds run in
+/// order and the cross-seed statistics accumulate in seed order, so `jobs`
+/// does not change a single output bit. Use derived_seeds(base, n)
+/// (exp/parallel.hpp) to build the seed list from one base seed.
 std::vector<MultiSeedResult> run_multi_seed(
     const std::vector<AppId>& apps, std::uint64_t accesses,
     const std::vector<std::uint64_t>& seeds,

@@ -80,8 +80,7 @@ class TraceSink {
 void write_metrics_json(JsonWriter& w, const MetricRegistry& reg);
 
 /// write_metrics_json() into a fresh writer — the one-liner for callers
-/// that want the document bytes (simrun --metrics=FILE, the daemon's
-/// metrics.json snapshots).
+/// that want the document bytes (simrun --metrics=FILE).
 std::string metrics_json_string(const MetricRegistry& reg);
 
 /// Serializes the retained epoch window as a JSON array of sample objects

@@ -5,6 +5,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
+
+#include "exp/bench_harness.hpp"
 
 namespace mobcache {
 namespace {
@@ -151,6 +154,32 @@ TEST(ParseU64, ErrorNamesTheFlagAndTheText) {
     const std::string msg = err.what();
     EXPECT_NE(msg.find("--point-deadline-ms"), std::string::npos) << msg;
     EXPECT_NE(msg.find("'abc'"), std::string::npos) << msg;
+  }
+}
+
+/// bench_fail_points over argv = {prog, "--fail-points=<list>"}.
+std::vector<std::size_t> fail_points(const std::string& list,
+                                     std::size_t points) {
+  std::string prog = "bench";
+  std::string arg = "--fail-points=" + list;
+  char* argv[] = {prog.data(), arg.data()};
+  return bench_fail_points(2, argv, points);
+}
+
+TEST(ParseU64, FailPointsAreIndicesBelowThePointCount) {
+  EXPECT_EQ(fail_points("3,7", 10), (std::vector<std::size_t>{3, 7}));
+  EXPECT_EQ(fail_points("5", 10), (std::vector<std::size_t>{5}));
+  EXPECT_EQ(fail_points("0,9", 10), (std::vector<std::size_t>{0, 9}));
+  for (const char* bad : {"-1", "99999999999999999999999", "10", " 3", "3,",
+                          ",3", "3,,7", "", "0x3"}) {
+    try {
+      fail_points(bad, 10);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const EnvError& err) {
+      EXPECT_NE(std::string(err.what()).find("--fail-points: expected"),
+                std::string::npos)
+          << err.what();
+    }
   }
 }
 

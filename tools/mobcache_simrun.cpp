@@ -12,8 +12,7 @@
 ///                   [--jobs=N] [--store-dir=PATH] [--resume]
 ///                   [--keep-going] [--retry-failed] [--point-deadline-ms=N]
 /// Schemes: base shrunk sharedstt drowsy victim sp spmrstt dp dpstt all
-/// (default: all) — the shared parse_scheme_kind() vocabulary, so simrun
-/// and the mobcached request protocol accept exactly the same names.
+/// (default: all) — the parse_scheme_kind() vocabulary (core/scheme.hpp).
 ///
 /// Parallelism (docs/PARALLELISM.md):
 ///   --jobs=N                   worker threads for --fault-sweep mode
