@@ -34,21 +34,41 @@ std::vector<double> zipf_cdf(std::size_t n, double alpha) {
   return cdf;
 }
 
-/// The process-wide zipf_cdf(n, alpha), keyed by n and the bit pattern of
+/// A Zipf CDF and its guide: guide[b] is the first i with
+/// cdf[i] >= b / n (n - 1 if none), where ZipfSampler::index starts a draw
+/// that falls in bucket b = floor(u * n).
+struct ZipfTable {
+  std::vector<double> cdf;
+  std::vector<std::uint32_t> guide;
+};
+
+ZipfTable zipf_table(std::size_t n, double alpha) {
+  ZipfTable t{zipf_cdf(n, alpha), std::vector<std::uint32_t>(n)};
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < n; ++b) {
+    const double edge = static_cast<double>(b) / static_cast<double>(n);
+    while (i + 1 < n && t.cdf[i] < edge) ++i;
+    t.guide[b] = static_cast<std::uint32_t>(i);
+  }
+  return t;
+}
+
+/// The process-wide zipf_table(n, alpha), keyed by n and the bit pattern of
 /// alpha so that only an identical alpha shares a table. A table is built
 /// under the mutex and never modified or freed afterwards (the registry is
 /// deliberately leaked, so no exit-time destructor can race a late
-/// sampler); a map node's vector never moves, so callers keep a view and
-/// read it without locking. The registry is bounded by the distinct
+/// sampler); a map node's vectors never move, so callers keep views and
+/// read them without locking. The registry is bounded by the distinct
 /// (n, alpha) pairs of the app and kernel models.
-std::span<const double> shared_zipf_cdf(std::size_t n, double alpha) {
+const ZipfTable& shared_zipf_table(std::size_t n, double alpha) {
   using Key = std::pair<std::size_t, std::uint64_t>;
   static std::mutex mu;
-  static auto* tables = new std::map<Key, std::vector<double>>();
+  static auto* tables = new std::map<Key, ZipfTable>();
   const Key key{n, std::bit_cast<std::uint64_t>(alpha)};
   const std::lock_guard<std::mutex> lock(mu);
   auto it = tables->find(key);
-  if (it == tables->end()) it = tables->emplace(key, zipf_cdf(n, alpha)).first;
+  if (it == tables->end())
+    it = tables->emplace(key, zipf_table(n, alpha)).first;
   return it->second;
 }
 
@@ -128,14 +148,21 @@ std::size_t Rng::weighted(const std::vector<double>& weights) {
   return weights.empty() ? 0 : weights.size() - 1;
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double alpha)
-    : cdf_(shared_zipf_cdf(n == 0 ? 1 : n, alpha)) {}
+ZipfSampler::ZipfSampler(std::size_t n, double alpha) {
+  const ZipfTable& t = shared_zipf_table(n == 0 ? 1 : n, alpha);
+  cdf_ = t.cdf;
+  guide_ = t.guide;
+}
 
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return it == cdf_.end() ? cdf_.size() - 1
-                          : static_cast<std::size_t>(it - cdf_.begin());
+std::size_t ZipfSampler::sample(Rng& rng) const { return index(rng.uniform()); }
+
+std::size_t ZipfSampler::index(double u) const {
+  const std::size_t n = cdf_.size();
+  const auto bucket = static_cast<std::size_t>(u * static_cast<double>(n));
+  std::size_t i = guide_[std::min(bucket, n - 1)];
+  while (i > 0 && cdf_[i - 1] >= u) --i;
+  while (i + 1 < n && cdf_[i] < u) ++i;
+  return i;
 }
 
 }  // namespace mobcache

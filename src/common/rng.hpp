@@ -52,9 +52,10 @@ class Rng {
 
 /// Zipf(alpha) sampler over {0, ..., n-1}, item 0 most popular.
 ///
-/// Sampling is a binary search over the CDF. Used to model skewed reuse
-/// inside working sets (hot lines vs. cold lines), the property that makes
-/// user-phase streams L1-friendly and kernel streams L1-hostile.
+/// Sampling inverts the CDF at one uniform() draw (index() says how). Used
+/// to model skewed reuse inside working sets (hot lines vs. cold lines), the
+/// property that makes user-phase streams L1-friendly and kernel streams
+/// L1-hostile.
 ///
 /// The CDF is shared: every sampler with the same n and the same bit
 /// pattern of alpha views one immutable table, built on first use under a
@@ -67,13 +68,26 @@ class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double alpha);
 
+  /// index(rng.uniform()): one Rng draw per sample.
   std::size_t sample(Rng& rng) const;
+  /// The item a draw u >= 0 maps to: the first i with cdf()[i] >= u, or the
+  /// last item if there is none — exactly std::lower_bound's index over
+  /// cdf(), clamped to size() - 1. Instead of a binary search, the lookup
+  /// starts at the guide entry stored with the shared table for u's bucket
+  /// floor(u * n), then walks back while cdf[i-1] >= u and forward while
+  /// cdf[i] < u. The CDF is non-decreasing, so the walk can stop only where
+  /// cdf[i-1] < u <= cdf[i] (or at an end), which is lower_bound's index
+  /// wherever it started. The guide entry (lower_bound's index of the
+  /// bucket's left edge, b / n) only keeps the walk short, under one step
+  /// on average, and cannot move a sample.
+  std::size_t index(double u) const;
   std::size_t size() const { return cdf_.size(); }
   /// The shared table: cdf()[i] = P(sample() <= i).
   std::span<const double> cdf() const { return cdf_; }
 
  private:
   std::span<const double> cdf_;
+  std::span<const std::uint32_t> guide_;  ///< one start index per bucket
 };
 
 }  // namespace mobcache

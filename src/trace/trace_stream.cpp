@@ -61,8 +61,10 @@ std::span<const Access> MaterializedTraceStream::next_chunk() {
   return chunk;
 }
 
-Trace materialize(TraceStream& stream) {
+Trace materialize(TraceStream& stream, std::size_t expected_records) {
   Trace out(stream.name());
+  // 4 Ki records of headroom cover a generator's overshoot past its target.
+  if (expected_records != 0) out.reserve(expected_records + 4096);
   for (std::span<const Access> c = stream.next_chunk(); !c.empty();
        c = stream.next_chunk()) {
     out.append(c);

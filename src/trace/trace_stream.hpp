@@ -101,6 +101,11 @@ class MaterializedTraceStream final : public TraceStream {
 
 /// Drains `stream` into an in-memory Trace (the classic batch
 /// representation). The generators' batch entry points are exactly this.
-Trace materialize(TraceStream& stream);
+/// A nonzero `expected_records` (a generator's target) reserves that many
+/// records plus 4 Ki up front: a generator stops within one emission unit
+/// (a user burst or a kernel episode) past its target, so its trace is
+/// allocated once instead of regrown by doubling. A longer stream still
+/// drains whole, at the cost of one regrowth.
+Trace materialize(TraceStream& stream, std::size_t expected_records = 0);
 
 }  // namespace mobcache

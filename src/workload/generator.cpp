@@ -215,7 +215,7 @@ void AppTraceStream::reset() { impl_->restart(); }
 
 Trace generate_trace(const AppSpec& spec, const GeneratorConfig& cfg) {
   AppTraceStream stream(spec, cfg);
-  return materialize(stream);
+  return materialize(stream, cfg.target_accesses);
 }
 
 }  // namespace mobcache

@@ -160,7 +160,7 @@ void ScenarioStream::reset() { impl_->restart(); }
 
 Trace generate_scenario(const ScenarioConfig& cfg) {
   ScenarioStream stream(cfg);
-  return materialize(stream);
+  return materialize(stream, cfg.apps.empty() ? 0 : cfg.total_accesses);
 }
 
 PopulationModel PopulationModel::default_mix(

@@ -13,6 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/types.hpp"
+#include "workload/app_model.hpp"
+
 namespace mobcache {
 namespace {
 
@@ -174,12 +177,16 @@ std::vector<double> reference_cdf(std::size_t n, double alpha) {
   return cdf;
 }
 
-/// ZipfSampler::sample over a reference table.
-std::size_t reference_sample(const std::vector<double>& cdf, Rng& rng) {
-  const double u = rng.uniform();
+/// The binary search ZipfSampler::index replaced, over a reference table.
+std::size_t reference_index(const std::vector<double>& cdf, double u) {
   const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
   return it == cdf.end() ? cdf.size() - 1
                          : static_cast<std::size_t>(it - cdf.begin());
+}
+
+/// ZipfSampler::sample over a reference table.
+std::size_t reference_sample(const std::vector<double>& cdf, Rng& rng) {
+  return reference_index(cdf, rng.uniform());
 }
 
 TEST(Zipf, SharedTableMatchesPerInstanceFormulaBitForBit) {
@@ -208,8 +215,47 @@ TEST(Zipf, SamplersShareOneTablePerSizeAndAlphaBits) {
   EXPECT_NE(ZipfSampler(1'001, 0.7).cdf().data(), a.cdf().data());
 }
 
+TEST(Zipf, IndexMatchesLowerBoundAtEveryBoundary) {
+  // Every table the models build: each app phase's code table and, for
+  // zipf-reuse phases, its data table (as the generator sizes them), plus
+  // the kernel model's hot-text and slab tables.
+  std::vector<std::pair<std::size_t, double>> shapes = {{256, 0.9},
+                                                        {65'536, 0.8}};
+  for (AppId id : all_apps()) {
+    for (const PhaseSpec& p : make_app(id).phases) {
+      shapes.emplace_back(p.hot_code_lines, p.code_zipf_alpha);
+      if (p.pattern == AccessPattern::ZipfReuse)
+        shapes.emplace_back(std::max<std::uint64_t>(1, p.ws_bytes / kLineSize),
+                            p.data_zipf_alpha);
+    }
+  }
+  // Edge shapes: one item, two items, a flat CDF, and a skew so steep that
+  // the tail terms vanish into the running sum, leaving thousands of equal
+  // neighbours at the top of the CDF.
+  shapes.insert(shapes.end(), {{1, 1.0}, {2, 1.0}, {1'000, 0.0}, {4'096, 8.0}});
+  const std::vector<double> steep = reference_cdf(4'096, 8.0);
+  ASSERT_EQ(steep[4'094], steep[4'095]);
+
+  for (const auto& [n, alpha] : shapes) {
+    const std::vector<double> cdf = reference_cdf(n, alpha);
+    const ZipfSampler z(n, alpha);
+    std::vector<double> probes = {0.0, 1.0 - 0x1.0p-53};
+    for (double c : cdf) {
+      probes.push_back(std::nextafter(c, 0.0));
+      probes.push_back(c);
+      probes.push_back(std::nextafter(c, 2.0));
+    }
+    for (double u : probes) {
+      ASSERT_EQ(z.index(u), reference_index(cdf, u))
+          << "n=" << n << " alpha=" << alpha << " u=" << u;
+    }
+  }
+}
+
 TEST(Zipf, ConcurrentConstructionReproducesSerialSequences) {
-  // Shapes no other test uses, so the threads race to build the tables.
+  // Shapes no other test uses, so the threads race to build the tables and
+  // their guides; every draw then goes through a guide, and a torn one
+  // would show up as a sequence that differs from the binary search's.
   const std::pair<std::size_t, double> shapes[] = {
       {4'096, 0.55}, {20'000, 0.65}, {50'000, 0.75}, {777, 1.05}};
   constexpr int kThreads = 8;

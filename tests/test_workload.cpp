@@ -7,6 +7,7 @@
 #include "exp/result_store.hpp"
 #include "sim/simulator.hpp"
 #include "workload/generator.hpp"
+#include "workload/scenario.hpp"
 #include "workload/suite.hpp"
 
 namespace mobcache {
@@ -66,6 +67,27 @@ TEST(Workload, GoldenTraceHashes) {
     EXPECT_EQ(hash_trace(generate_app_trace(p.app, 100'000, 7)), p.hash)
         << app_name(p.app);
   }
+}
+
+/// generate_trace and generate_scenario reserve their target plus 4 Ki
+/// records, and a generator stops within one emission unit past its
+/// target, so a trace is allocated once rather than regrown by doubling
+/// (which left up to half the buffer unused).
+TEST(Workload, GeneratedTraceIsAllocatedOnce) {
+  for (AppId id : all_apps()) {
+    for (std::uint64_t records : {1'000ull, 120'000ull, 2'000'000ull}) {
+      const Trace t = generate_app_trace(id, records, 7);
+      EXPECT_LE(t.accesses().capacity(), t.size() + 4'096)
+          << app_name(id) << " at " << records;
+    }
+  }
+  ScenarioConfig sc;
+  sc.apps = {AppId::Browser, AppId::Social, AppId::Messenger};
+  sc.total_accesses = 300'000;
+  sc.slice_mean = 20'000;
+  sc.seed = 3;
+  const Trace mix = generate_scenario(sc);
+  EXPECT_LE(mix.accesses().capacity(), mix.size() + 4'096);
 }
 
 TEST(Workload, ModesConsistentWithAddressSpace) {

@@ -2,7 +2,8 @@
 /// CLI: generate a synthetic mobile workload trace and save it as .mct.
 ///
 /// Usage: mobcache_tracegen <app> <records> <out.mct> [seed]
-///   app: launcher|browser|game|video|audio|email|maps|social|fft|matmul
+///   app: launcher|browser|game|video|audio|email|maps|social|fft|matmul|
+///        camera|messenger
 ///        or "mix" (time-sliced multitasking scenario over all interactive
 ///        apps, see workload/scenario.hpp)
 
