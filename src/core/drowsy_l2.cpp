@@ -7,28 +7,30 @@
 namespace mobcache {
 
 DrowsyL2::DrowsyL2(const DrowsyL2Config& cfg)
-    : cfg_(cfg),
-      cache_(cfg.cache),
-      tech_(make_sram(cfg.cache.size_bytes)),
-      awake_(static_cast<std::size_t>(cache_.num_sets()) * cache_.assoc(),
+    : OneSegmentL2(sram_array(cfg.cache)),
+      cfg_(cfg),
+      awake_(static_cast<std::size_t>(cfg.cache.num_sets()) * cfg.cache.assoc,
              false) {}
+
+void DrowsyL2::close_window(Cycle span, Cycle at) {
+  // Effective leakage fraction of the closing window: woken lines are
+  // awake for roughly half the window (they wake uniformly over it),
+  // the rest stay drowsy throughout.
+  const double total = static_cast<double>(awake_.size());
+  const double awake_frac = static_cast<double>(awake_count_) / total;
+  const double eff = awake_frac * (0.5 + 0.5 * cfg_.drowsy_leak_factor) +
+                     (1.0 - awake_frac) * cfg_.drowsy_leak_factor;
+  seg_.accountant().add_leakage(seg_.tech(), span, eff);
+  leak_fraction_integral_ += static_cast<double>(span) * eff;
+  if (telemetry_ && (awake_count_ != 0 || window_wakeups_ != 0)) {
+    telemetry_->record(
+        DrowsyTransitionEvent{at, awake_count_, window_wakeups_});
+  }
+}
 
 void DrowsyL2::roll_windows(Cycle now) {
   while (now >= window_start_ + cfg_.window) {
-    // Effective leakage fraction of the closing window: woken lines are
-    // awake for roughly half the window (they wake uniformly over it),
-    // the rest stay drowsy throughout.
-    const double total = static_cast<double>(awake_.size());
-    const double awake_frac = static_cast<double>(awake_count_) / total;
-    const double eff = awake_frac * (0.5 + 0.5 * cfg_.drowsy_leak_factor) +
-                       (1.0 - awake_frac) * cfg_.drowsy_leak_factor;
-    acct_.add_leakage(tech_, cfg_.window, eff);
-    leak_fraction_integral_ += static_cast<double>(cfg_.window) * eff;
-
-    if (telemetry_ && (awake_count_ != 0 || window_wakeups_ != 0)) {
-      telemetry_->record(DrowsyTransitionEvent{
-          window_start_ + cfg_.window, awake_count_, window_wakeups_});
-    }
+    close_window(cfg_.window, window_start_ + cfg_.window);
     window_wakeups_ = 0;
     std::fill(awake_.begin(), awake_.end(), false);
     awake_count_ = 0;
@@ -38,7 +40,7 @@ void DrowsyL2::roll_windows(Cycle now) {
 
 bool DrowsyL2::wake(std::uint32_t set, std::uint32_t way) {
   const std::size_t idx =
-      static_cast<std::size_t>(set) * cache_.assoc() + way;
+      static_cast<std::size_t>(set) * seg_.array().assoc() + way;
   if (awake_[idx]) return false;
   awake_[idx] = true;
   ++awake_count_;
@@ -49,81 +51,67 @@ bool DrowsyL2::wake(std::uint32_t set, std::uint32_t way) {
 
 L2Result DrowsyL2::access(Addr line, AccessType type, Mode mode, Cycle now) {
   roll_windows(now);
-  const AccessResult r = cache_.access(line, type, mode, now);
+  const AccessResult r = seg_.array().access(line, type, mode, now);
+  EnergyAccountant& acct = seg_.accountant();
+  const TechParams& tech = seg_.tech();
 
   L2Result out;
   out.hit = r.hit;
   Cycle& busy = bank_busy_until_[(line / kLineSize) & 3];
   const Cycle stall = now < busy ? busy - now : 0;
 
-  const bool woke = wake(cache_.set_index(line), r.way);
+  const bool woke = wake(seg_.array().set_index(line), r.way);
   const Cycle wake_pen = woke ? cfg_.wake_latency : 0;
 
   if (r.hit) {
     if (type == AccessType::Write) {
-      acct_.add_write(tech_);
-      busy = std::max(busy, now) + tech_.write_latency;
+      acct.add_write(tech);
+      busy = std::max(busy, now) + tech.write_latency;
     } else {
-      acct_.add_read(tech_);
-      out.latency = stall + wake_pen + tech_.read_latency;
+      acct.add_read(tech);
+      out.latency = stall + wake_pen + tech.read_latency;
     }
     return out;
   }
 
-  acct_.add_read(tech_);
-  acct_.add_dram(1);
-  acct_.add_write(tech_);
-  if (r.victim_dirty) acct_.add_dram(1);
+  acct.add_read(tech);
+  acct.add_dram(1);
+  acct.add_write(tech);
+  if (r.victim_dirty) acct.add_dram(1);
   out.latency = type == AccessType::Write
                     ? 0
-                    : stall + wake_pen + tech_.read_latency +
+                    : stall + wake_pen + tech.read_latency +
                           dram_visible_stall_cycles();
   return out;
 }
 
 void DrowsyL2::writeback(Addr line, Mode owner, Cycle now) {
   roll_windows(now);
-  const AccessResult r = cache_.access(line, AccessType::Write, owner, now);
-  wake(cache_.set_index(line), r.way);
-  acct_.add_write(tech_);
-  if (!r.hit && r.victim_dirty) acct_.add_dram(1);
+  const AccessResult r =
+      seg_.array().access(line, AccessType::Write, owner, now);
+  wake(seg_.array().set_index(line), r.way);
+  seg_.accountant().add_write(seg_.tech());
+  if (!r.hit && r.victim_dirty) seg_.accountant().add_dram(1);
   Cycle& busy = bank_busy_until_[(line / kLineSize) & 3];
-  busy = std::max(busy, now) + tech_.write_latency;
+  busy = std::max(busy, now) + seg_.tech().write_latency;
 }
 
 void DrowsyL2::prefetch(Addr line, Mode mode, Cycle now) {
   roll_windows(now);
-  const AccessResult r = cache_.access(line, AccessType::Read, mode, now,
-                                       full_way_mask(cache_.assoc()),
-                                       /*prefetch=*/true);
-  acct_.add_read(tech_);
-  if (r.filled) {
-    wake(cache_.set_index(line), r.way);
-    acct_.add_dram(1);
-    acct_.add_write(tech_);
-    if (r.victim_dirty) acct_.add_dram(1);
-  }
+  const AccessResult r =
+      seg_.prefetch(line, mode, now, full_way_mask(seg_.array().assoc()),
+                    seg_.tech(), telemetry_);
+  if (r.filled) wake(seg_.array().set_index(line), r.way);
 }
 
 void DrowsyL2::finalize(Cycle end) {
   if (finalized_) return;
   finalized_ = true;
   roll_windows(end);
-  // Partial tail window.
-  if (end > window_start_) {
-    const Cycle span = end - window_start_;
-    const double total = static_cast<double>(awake_.size());
-    const double awake_frac = static_cast<double>(awake_count_) / total;
-    const double eff = awake_frac * (0.5 + 0.5 * cfg_.drowsy_leak_factor) +
-                       (1.0 - awake_frac) * cfg_.drowsy_leak_factor;
-    acct_.add_leakage(tech_, span, eff);
-    leak_fraction_integral_ += static_cast<double>(span) * eff;
-    if (telemetry_ && (awake_count_ != 0 || window_wakeups_ != 0)) {
-      telemetry_->record(
-          DrowsyTransitionEvent{end, awake_count_, window_wakeups_});
-    }
-  }
-  acct_.add_dram(cache_.dirty_occupancy(full_way_mask(cache_.assoc()), end));
+  if (end > window_start_) close_window(end - window_start_, end);  // tail
+  const SetAssocCache& array = seg_.array();
+  seg_.accountant().add_dram(
+      array.dirty_occupancy(full_way_mask(array.assoc()), end));
   final_cycle_ = end;
 }
 
@@ -133,8 +121,8 @@ double DrowsyL2::avg_leak_fraction() const {
 }
 
 std::string DrowsyL2::describe() const {
-  return "drowsy " + std::to_string(cache_.config().size_bytes >> 10) +
-         "KB " + std::to_string(cache_.assoc()) + "-way SRAM (window " +
+  return "drowsy " + std::to_string(seg_.capacity_bytes() >> 10) + "KB " +
+         std::to_string(seg_.array().assoc()) + "-way SRAM (window " +
          std::to_string(cfg_.window) + " cyc)";
 }
 

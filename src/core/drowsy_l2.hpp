@@ -19,8 +19,7 @@
 
 #include <array>
 
-#include "core/l2_interface.hpp"
-#include "energy/technology.hpp"
+#include "core/l2_segment.hpp"
 
 namespace mobcache {
 
@@ -31,7 +30,9 @@ struct DrowsyL2Config {
   double drowsy_leak_factor = 0.25;  ///< leakage of a drowsy line vs awake
 };
 
-class DrowsyL2 final : public L2Interface {
+/// The array is one SRAM segment; leakage is integrated here per window,
+/// and the bank model is the drowsy baseline's own.
+class DrowsyL2 final : public OneSegmentL2 {
  public:
   explicit DrowsyL2(const DrowsyL2Config& cfg);
 
@@ -39,19 +40,10 @@ class DrowsyL2 final : public L2Interface {
   void writeback(Addr line, Mode owner, Cycle now) override;
   void prefetch(Addr line, Mode mode, Cycle now) override;
   void finalize(Cycle end) override;
-  const EnergyBreakdown& energy() const override { return acct_.breakdown(); }
-  CacheStats aggregate_stats() const override { return cache_.stats(); }
-  std::uint64_t capacity_bytes() const override {
-    return cache_.config().size_bytes;
-  }
   std::string describe() const override;
   void fill_sample(EpochSample& s) const override {
-    s.enabled_bytes = static_cast<double>(cache_.config().size_bytes);
+    s.enabled_bytes = static_cast<double>(seg_.capacity_bytes());
     s.drowsy_awake_lines = awake_count_;
-  }
-  void add_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override {
-    cache_.add_eviction_observer(std::move(obs));
   }
 
   /// Lines woken during the current window (tests/reports).
@@ -64,13 +56,13 @@ class DrowsyL2 final : public L2Interface {
   /// Closes any windows fully elapsed before `now`, integrating their
   /// leakage, and resets the awake set at each boundary.
   void roll_windows(Cycle now);
+  /// Charges `span` cycles of the current window, ending at `at`, at its
+  /// effective leakage fraction and reports the window's transitions.
+  void close_window(Cycle span, Cycle at);
   /// True (and records the wake) when the line's way was drowsy.
   bool wake(std::uint32_t set, std::uint32_t way);
 
   DrowsyL2Config cfg_;
-  SetAssocCache cache_;
-  TechParams tech_;
-  EnergyAccountant acct_;
   std::vector<bool> awake_;
   std::uint64_t awake_count_ = 0;
   std::uint64_t wakeups_ = 0;

@@ -14,13 +14,9 @@
 #include <memory>
 #include <vector>
 
-#include "cache/bank_model.hpp"
 #include "cache/shadow_monitor.hpp"
 #include "core/dynamic_controller.hpp"
-#include "core/l2_interface.hpp"
-#include "energy/refresh.hpp"
-#include "energy/technology.hpp"
-#include "fault/fault_injector.hpp"
+#include "core/l2_segment.hpp"
 
 namespace mobcache {
 
@@ -47,43 +43,38 @@ struct AllocationSample {
   std::uint32_t kernel_ways = 0;
 };
 
-class DynamicPartitionedL2 final : public L2Interface {
+class DynamicPartitionedL2 final : public OneSegmentL2 {
  public:
   explicit DynamicPartitionedL2(const DynamicL2Config& cfg);
 
-  L2Result access(Addr line, AccessType type, Mode mode, Cycle now) override;
-  void writeback(Addr line, Mode owner, Cycle now) override;
+  L2Result access(Addr line, AccessType type, Mode mode, Cycle now) override {
+    return do_access(line, type, mode, now, /*demand=*/true);
+  }
+  /// Castouts take the demand path without touching the epoch counters.
+  void writeback(Addr line, Mode owner, Cycle now) override {
+    do_access(line, AccessType::Write, owner, now, /*demand=*/false);
+  }
   void prefetch(Addr line, Mode mode, Cycle now) override;
   void finalize(Cycle end) override;
-  const EnergyBreakdown& energy() const override { return acct_.breakdown(); }
-  CacheStats aggregate_stats() const override { return cache_.stats(); }
-  std::uint64_t capacity_bytes() const override {
-    return cache_.config().size_bytes;
-  }
-  double avg_enabled_bytes() const override;
   std::string describe() const override;
   void fill_sample(EpochSample& s) const override {
     s.user_ways = alloc_.user_ways;
     s.kernel_ways = alloc_.kernel_ways;
-    s.enabled_bytes =
-        enabled_fraction() * static_cast<double>(cache_.config().size_bytes);
-  }
-  void add_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override {
-    cache_.add_eviction_observer(std::move(obs));
+    s.enabled_bytes = seg_.powered_fraction() *
+                      static_cast<double>(seg_.capacity_bytes());
   }
 
-  WayAllocation allocation() const { return controller_.current(); }
+  /// The split currently powered (the controller's last decision, clamped
+  /// to the healthy ways under fault quarantine).
+  WayAllocation allocation() const { return alloc_; }
   const std::vector<AllocationSample>& allocation_history() const {
     return history_;
   }
   std::uint64_t reconfigurations() const { return history_.size(); }
-  std::uint64_t reconfig_writebacks() const { return reconfig_writebacks_; }
-  const SetAssocCache& array() const { return cache_; }
-  /// Fault subsystem (null when DynamicL2Config::fault is disabled).
-  const FaultInjector* fault_injector() const { return fault_.get(); }
-  std::uint32_t quarantined_ways() const override {
-    return fault_ == nullptr ? 0 : fault_->repair().quarantined_ways();
+  /// Dirty blocks written back because their way powered off, by a
+  /// reallocation or a fault quarantine.
+  std::uint64_t reconfig_writebacks() const {
+    return seg_.flush_writebacks();
   }
 
  private:
@@ -92,46 +83,40 @@ class DynamicPartitionedL2 final : public L2Interface {
   /// ways the same counts are carved out of the healthy mask instead (the
   /// remap: allocations skip dead ways rather than shrinking around them).
   std::array<WayMask, kModeCount> masks_for(const WayAllocation& a) const {
-    if (fault_ == nullptr) {
+    if (seg_.fault_injector() == nullptr) {
+      const std::uint32_t assoc = seg_.array().assoc();
       return {way_range_mask(0, a.user_ways),
-              way_range_mask(cache_.assoc() - a.kernel_ways, a.kernel_ways)};
+              way_range_mask(assoc - a.kernel_ways, a.kernel_ways)};
     }
-    const WayMask healthy = fault_->repair().healthy_mask();
+    const WayMask healthy = seg_.active_mask();
     return {lowest_ways(healthy, a.user_ways),
             highest_ways(healthy, a.kernel_ways)};
   }
-  WayMask mask_of(Mode m) const {
-    return masks_for(alloc_)[static_cast<int>(m)];
-  }
-  double enabled_fraction() const;
-  /// Shrinks an allocation so it fits the healthy-way budget (no-op when
-  /// fault injection is off). The kernel segment keeps its last way longest:
-  /// kernel misses are the costlier ones in the paper's workloads.
+  /// Shrinks an allocation so it fits the healthy-way budget (a no-op
+  /// without fault injection: the controller keeps to the full array). The
+  /// kernel segment keeps its last way longest: kernel misses are the
+  /// costlier ones in the paper's workloads.
   WayAllocation clamp_to_healthy(WayAllocation a) const;
-  /// Advances transient injection and drains pending way quarantines.
-  void service_faults(Cycle now);
-
-  /// Accumulates leakage for [last_change_, now) at the current allocation.
-  void settle_leakage(Cycle now);
+  /// Drains pending way quarantines, re-clamping the split to the ways
+  /// left, then runs the refresh tick at the larger segment's energies.
+  void prologue(Cycle now, bool at_end = false);
+  /// Makes `a` the powered split from `now` on: the per-mode masks and
+  /// energies and the segment's powered ways follow it.
+  void adopt(WayAllocation a, Cycle now);
   void maybe_epoch(Cycle now);
   void apply_allocation(WayAllocation next, Cycle now);
-  void rescale_active_tech();
   const TechParams& refresh_tech() const;
   L2Result do_access(Addr line, AccessType type, Mode mode, Cycle now,
-                     bool demand, bool prefetch = false);
+                     bool demand);
 
-  DynamicL2Config cfg_;
-  SetAssocCache cache_;
-  std::unique_ptr<FaultInjector> fault_;
-  TechParams tech_;  ///< full-array parameters (leakage reference)
+  std::uint64_t epoch_length_;
   /// Per-mode dynamic energies scaled to that segment's enabled capacity —
   /// an access only probes its own segment's ways, so its cost matches a
   /// standalone array of that size (same law as the static design).
   std::array<TechParams, kModeCount> seg_tech_{};
-  RefreshController refresher_;
-  EnergyAccountant acct_;
   DynamicPartitionController controller_;
   WayAllocation alloc_;
+  std::array<WayMask, kModeCount> masks_{};  ///< masks_for(alloc_)
   ShadowTagMonitor user_monitor_;
   ShadowTagMonitor kernel_monitor_;
 
@@ -143,13 +128,7 @@ class DynamicPartitionedL2 final : public L2Interface {
   std::uint64_t epoch_index_ = 0;
   EnergyBreakdown last_epoch_energy_;  ///< telemetry interval attribution
 
-  Cycle last_change_ = 0;
-  double enabled_byte_cycles_ = 0.0;
-  Cycle final_cycle_ = 0;
-  BankModel banks_;
-  std::uint64_t reconfig_writebacks_ = 0;
   std::vector<AllocationSample> history_;
-  bool finalized_ = false;
 };
 
 }  // namespace mobcache

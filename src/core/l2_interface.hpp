@@ -79,11 +79,10 @@ class L2Interface {
       std::function<void(const EvictionEvent&)> obs) = 0;
 
   /// Attaches a telemetry session (obs/telemetry.hpp) the design reports
-  /// structured events and epoch samples into; nullptr detaches. The base
-  /// implementation just stores the pointer — designs with nothing to
-  /// report need no override, and instrumented designs guard every report
-  /// with one null-check so a detached run stays on the fast path.
-  virtual void attach_telemetry(Telemetry* t) { telemetry_ = t; }
+  /// structured events and epoch samples into; nullptr detaches. Designs
+  /// guard every report with one null-check, so a detached run stays on the
+  /// fast path.
+  void attach_telemetry(Telemetry* t) { telemetry_ = t; }
   Telemetry* telemetry() const { return telemetry_; }
 
   /// Fills the design-specific fields of an interval sample taken by the

@@ -1,28 +1,11 @@
 #include "core/multicore_l2.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace mobcache {
 
-namespace {
-
-Cycle clamp_interval(Cycle requested, Cycle retention) {
-  if (retention == 0) return requested;
-  return std::min(requested, retention / 2);
-}
-
-}  // namespace
-
 MulticoreDynamicL2::MulticoreDynamicL2(const MulticoreL2Config& cfg)
-    : cfg_(cfg),
-      cache_(cfg.cache),
-      tech_(cfg.tech == TechKind::Sram
-                ? make_sram(cfg.cache.size_bytes)
-                : make_sttram(cfg.cache.size_bytes, cfg.retention)),
-      refresher_(cfg.refresh, clamp_interval(cfg.refresh_check_interval,
-                                             tech_.retention_cycles)) {
-  cache_.set_retention_period(tech_.retention_cycles);
+    : cfg_(cfg), seg_(segment_config(cfg), /*banked=*/false) {
   const std::uint32_t groups = cfg_.cores + 1;
   // Even initial split across groups.
   ways_.assign(groups, std::max(cfg_.min_ways_per_group,
@@ -39,6 +22,7 @@ MulticoreDynamicL2::MulticoreDynamicL2(const MulticoreL2Config& cfg)
       way_owner_[next_way++] = static_cast<int>(g);
   }
   rebuild_masks();
+  seg_.set_powered(0, enabled_ways());
   epoch_accesses_.assign(groups, 0);
   monitors_.reserve(groups);
   for (std::uint32_t g = 0; g < groups; ++g) {
@@ -61,17 +45,6 @@ std::uint32_t MulticoreDynamicL2::enabled_ways() const {
   return total;
 }
 
-void MulticoreDynamicL2::settle_leakage(Cycle now) {
-  if (now <= last_change_) return;
-  const double frac = static_cast<double>(enabled_ways()) /
-                      static_cast<double>(cache_.assoc());
-  const Cycle span = now - last_change_;
-  enabled_byte_cycles_ += static_cast<double>(span) * frac *
-                          static_cast<double>(cache_.config().size_bytes);
-  acct_.add_leakage(tech_, span, frac);
-  last_change_ = now;
-}
-
 void MulticoreDynamicL2::decide_and_apply(Cycle now) {
   const std::uint32_t groups = static_cast<std::uint32_t>(ways_.size());
 
@@ -80,7 +53,7 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
   std::vector<std::uint32_t> target(groups);
   for (std::uint32_t g = 0; g < groups; ++g) {
     const ShadowTagMonitor& mon = monitors_[g];
-    const std::uint64_t full_hits = mon.hits_with_ways(cache_.assoc());
+    const std::uint64_t full_hits = mon.hits_with_ways(cfg_.cache.assoc);
     const std::uint64_t accesses =
         std::max(mon.observed_accesses(), full_hits);
     if (accesses == 0) {
@@ -91,8 +64,8 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
         static_cast<double>(accesses) - static_cast<double>(full_hits);
     const double required =
         static_cast<double>(full_hits) - cfg_.miss_slack * full_misses;
-    std::uint32_t w = cache_.assoc();
-    for (std::uint32_t c = cfg_.min_ways_per_group; c <= cache_.assoc();
+    std::uint32_t w = cfg_.cache.assoc;
+    for (std::uint32_t c = cfg_.min_ways_per_group; c <= cfg_.cache.assoc;
          ++c) {
       if (static_cast<double>(mon.hits_with_ways(c)) >= required) {
         w = c;
@@ -120,7 +93,7 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
   };
   std::uint32_t total = 0;
   for (std::uint32_t w : next) total += w;
-  while (total > cache_.assoc()) {
+  while (total > cfg_.cache.assoc) {
     std::uint32_t weakest = 0;
     double weakest_marginal = 1e18;
     for (std::uint32_t g = 0; g < groups; ++g) {
@@ -136,7 +109,6 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
   }
 
   if (next == ways_) return;
-  settle_leakage(now);
 
   // Move ownership with stable assignment: shrinking groups release their
   // highest-index ways into a free pool; growing groups claim from the pool
@@ -168,15 +140,13 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
   }
   ways_ = next;
   rebuild_masks();
+  seg_.set_powered(now, enabled_ways());
   // Whatever is left in the pool is powered off: flush it.
   WayMask off = 0;
   for (std::uint32_t w = 0; w < cfg_.cache.assoc; ++w) {
     if (way_owner_[w] == -1) off |= 1ull << w;
   }
-  if (off != 0) {
-    const std::uint64_t dirty = cache_.invalidate_ways(off);
-    acct_.add_dram(dirty);
-  }
+  if (off != 0) seg_.flush_ways(off);
   ++reconfigs_;
 }
 
@@ -190,83 +160,35 @@ void MulticoreDynamicL2::maybe_epoch(Cycle now) {
 
 L2Result MulticoreDynamicL2::access(Addr line, AccessType type, Mode mode,
                                     std::uint32_t core, Cycle now) {
-  if (tech_.retention_cycles != 0 && refresher_.due(now)) {
-    refresher_.tick(cache_, now, tech_, acct_);
-  }
+  seg_.refresh(now, seg_.tech(), nullptr);
 
   const std::uint32_t g = group_of(mode, core);
-  monitors_[g].access(line, cache_.set_index(line));
+  monitors_[g].access(line, seg_.array().set_index(line));
   ++epoch_accesses_[g];
   ++epoch_total_;
 
-  const AccessResult r = cache_.access(line, type, mode, now, mask_of(g));
-  const double seg_frac = static_cast<double>(ways_[g]) /
-                          static_cast<double>(cache_.assoc());
-  TechParams seg = tech_;
-  const double scale = std::sqrt(std::max(seg_frac, 1e-9));
-  seg.read_energy_nj *= scale;
-  seg.write_energy_nj *= scale;
-
-  L2Result out;
-  out.hit = r.hit;
-  if (r.hit) {
-    if (type == AccessType::Write) {
-      acct_.add_write(seg);
-    } else {
-      acct_.add_read(seg);
-      out.latency = tech_.read_latency;
-    }
-  } else {
-    acct_.add_read(seg);
-    acct_.add_dram(1);
-    acct_.add_write(seg);
-    if (r.victim_dirty) acct_.add_dram(1);
-    if (r.expired_was_dirty) acct_.add_dram(1);
-    out.latency = type == AccessType::Write
-                      ? 0
-                      : tech_.read_latency +
-                            dram_visible_stall_cycles();
-  }
-
+  const L2Result out = seg_.access(
+      line, type, mode, now, group_mask_[g],
+      scaled_to_ways(seg_.tech(), ways_[g], cfg_.cache.assoc), nullptr);
   maybe_epoch(now);
   return out;
 }
 
-void MulticoreDynamicL2::writeback(Addr line, Mode owner, std::uint32_t core,
-                                   Cycle now) {
-  const std::uint32_t g = group_of(owner, core);
-  const AccessResult r =
-      cache_.access(line, AccessType::Write, owner, now, mask_of(g));
-  acct_.add_write(tech_);
-  if (!r.hit) {
-    if (r.victim_dirty) acct_.add_dram(1);
-    if (r.expired_was_dirty) acct_.add_dram(1);
-  }
-}
-
 void MulticoreDynamicL2::finalize(Cycle end) {
-  if (finalized_) return;
-  finalized_ = true;
-  if (tech_.retention_cycles != 0) refresher_.tick(cache_, end, tech_, acct_);
-  acct_.add_dram(cache_.dirty_occupancy(full_way_mask(cache_.assoc()), end));
-  settle_leakage(end);
-  final_cycle_ = end;
-}
-
-double MulticoreDynamicL2::avg_enabled_bytes() const {
-  if (final_cycle_ == 0) return static_cast<double>(capacity_bytes());
-  return enabled_byte_cycles_ / static_cast<double>(final_cycle_);
+  if (seg_.finalized()) return;
+  seg_.refresh(end, seg_.tech(), nullptr, /*forced=*/true);
+  seg_.finish(end);
 }
 
 std::string MulticoreDynamicL2::describe() const {
   std::string d = "multicore-dynamic ";
-  d += std::to_string(cache_.config().size_bytes >> 10);
+  d += std::to_string(seg_.capacity_bytes() >> 10);
   d += "KB ";
   d += std::to_string(cfg_.cores);
   d += "-core (";
   d += std::to_string(groups());
   d += " groups) ";
-  d += to_string(tech_.kind);
+  d += to_string(seg_.tech().kind);
   return d;
 }
 

@@ -22,9 +22,7 @@
 #include <vector>
 
 #include "cache/shadow_monitor.hpp"
-#include "core/l2_interface.hpp"
-#include "energy/refresh.hpp"
-#include "energy/technology.hpp"
+#include "core/l2_segment.hpp"
 
 namespace mobcache {
 
@@ -97,15 +95,24 @@ class MulticoreDynamicL2 final : public MulticoreL2Interface {
 
   L2Result access(Addr line, AccessType type, Mode mode, std::uint32_t core,
                   Cycle now) override;
+  /// Castouts are priced at the full array's energies, with no refresh
+  /// tick and no epoch accounting.
   void writeback(Addr line, Mode owner, std::uint32_t core,
-                 Cycle now) override;
-  void finalize(Cycle end) override;
-  const EnergyBreakdown& energy() const override { return acct_.breakdown(); }
-  CacheStats aggregate_stats() const override { return cache_.stats(); }
-  std::uint64_t capacity_bytes() const override {
-    return cache_.config().size_bytes;
+                 Cycle now) override {
+    seg_.writeback(line, owner, now, group_mask_[group_of(owner, core)],
+                   seg_.tech(), nullptr);
   }
-  double avg_enabled_bytes() const override;
+  void finalize(Cycle end) override;
+  const EnergyBreakdown& energy() const override { return seg_.energy(); }
+  CacheStats aggregate_stats() const override {
+    return seg_.aggregate_stats();
+  }
+  std::uint64_t capacity_bytes() const override {
+    return seg_.capacity_bytes();
+  }
+  double avg_enabled_bytes() const override {
+    return seg_.avg_enabled_bytes();
+  }
   std::string describe() const override;
 
   std::uint32_t groups() const {
@@ -114,24 +121,19 @@ class MulticoreDynamicL2 final : public MulticoreL2Interface {
   /// Current way count of a group (0 = kernel, 1+core = that core's user).
   std::uint32_t group_ways(std::uint32_t g) const { return ways_[g]; }
   std::uint64_t reconfigurations() const { return reconfigs_; }
-  const SetAssocCache& array() const { return cache_; }
+  const SetAssocCache& array() const { return seg_.array(); }
 
  private:
   std::uint32_t group_of(Mode mode, std::uint32_t core) const {
     return mode == Mode::Kernel ? 0 : 1 + core;
   }
-  WayMask mask_of(std::uint32_t group) const { return group_mask_[group]; }
   void rebuild_masks();
   std::uint32_t enabled_ways() const;
-  void settle_leakage(Cycle now);
   void maybe_epoch(Cycle now);
   void decide_and_apply(Cycle now);
 
   MulticoreL2Config cfg_;
-  SetAssocCache cache_;
-  TechParams tech_;
-  RefreshController refresher_;
-  EnergyAccountant acct_;
+  L2Segment seg_;  ///< unbanked: this model has no write-queue stalls
 
   std::vector<std::uint32_t> ways_;      ///< way count per group
   std::vector<int> way_owner_;           ///< way → group index, -1 = off
@@ -139,12 +141,7 @@ class MulticoreDynamicL2 final : public MulticoreL2Interface {
   std::vector<ShadowTagMonitor> monitors_;
   std::vector<std::uint64_t> epoch_accesses_;
   std::uint64_t epoch_total_ = 0;
-
-  Cycle last_change_ = 0;
-  double enabled_byte_cycles_ = 0.0;
-  Cycle final_cycle_ = 0;
   std::uint64_t reconfigs_ = 0;
-  bool finalized_ = false;
 };
 
 }  // namespace mobcache

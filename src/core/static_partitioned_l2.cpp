@@ -4,8 +4,8 @@ namespace mobcache {
 
 namespace {
 
-SharedL2Config to_shared_config(const SegmentSpec& s, const char* name) {
-  SharedL2Config c;
+L2SegmentConfig to_shared_config(const SegmentSpec& s, const char* name) {
+  L2SegmentConfig c;
   c.cache.name = name;
   c.cache.size_bytes = s.size_bytes;
   c.cache.assoc = s.assoc;
@@ -22,40 +22,20 @@ SharedL2Config to_shared_config(const SegmentSpec& s, const char* name) {
 
 }  // namespace
 
-StaticPartitionedL2::StaticPartitionedL2(const StaticPartitionConfig& cfg) {
-  segments_[static_cast<int>(Mode::User)] =
-      std::make_unique<SharedL2>(to_shared_config(cfg.user, "L2.user"));
-  segments_[static_cast<int>(Mode::Kernel)] =
-      std::make_unique<SharedL2>(to_shared_config(cfg.kernel, "L2.kernel"));
-}
-
-L2Result StaticPartitionedL2::access(Addr line, AccessType type, Mode mode,
-                                     Cycle now) {
-  return seg(mode).access(line, type, mode, now);
-}
-
-void StaticPartitionedL2::writeback(Addr line, Mode owner, Cycle now) {
-  seg(owner).writeback(line, owner, now);
-}
-
-void StaticPartitionedL2::prefetch(Addr line, Mode mode, Cycle now) {
-  seg(mode).prefetch(line, mode, now);
-}
-
-void StaticPartitionedL2::finalize(Cycle end) {
-  for (auto& s : segments_) s->finalize(end);
-}
+StaticPartitionedL2::StaticPartitionedL2(const StaticPartitionConfig& cfg)
+    : segments_{{L2Segment(to_shared_config(cfg.user, "L2.user")),
+                 L2Segment(to_shared_config(cfg.kernel, "L2.kernel"))}} {}
 
 const EnergyBreakdown& StaticPartitionedL2::energy() const {
   merged_ = EnergyBreakdown{};
-  for (const auto& s : segments_) merged_ += s->energy();
+  for (const L2Segment& s : segments_) merged_ += s.energy();
   return merged_;
 }
 
 CacheStats StaticPartitionedL2::aggregate_stats() const {
   CacheStats out;
-  for (const auto& s : segments_) {
-    const CacheStats& c = s->aggregate_stats();
+  for (const L2Segment& s : segments_) {
+    const CacheStats& c = s.array().stats();
     for (int m = 0; m < kModeCount; ++m) {
       out.accesses[m] += c.accesses[m];
       out.hits[m] += c.hits[m];
@@ -81,32 +61,16 @@ CacheStats StaticPartitionedL2::aggregate_stats() const {
   return out;
 }
 
-std::uint64_t StaticPartitionedL2::capacity_bytes() const {
-  return segments_[0]->capacity_bytes() + segments_[1]->capacity_bytes();
-}
-
 std::string StaticPartitionedL2::describe() const {
-  return "static-partitioned [user: " + segments_[0]->describe() +
-         "] [kernel: " + segments_[1]->describe() + "]";
+  return "static-partitioned [user: " + segments_[0].describe("shared") +
+         "] [kernel: " + segments_[1].describe("shared") + "]";
 }
 
 void StaticPartitionedL2::add_eviction_observer(
     std::function<void(const EvictionEvent&)> obs) {
   // Both segments share the observer; events carry the owner mode.
-  segments_[0]->add_eviction_observer(obs);
-  segments_[1]->add_eviction_observer(std::move(obs));
-}
-
-void StaticPartitionedL2::attach_telemetry(Telemetry* t) {
-  L2Interface::attach_telemetry(t);
-  // Segments emit their own fault/refresh/quarantine events (tagged by
-  // array name), so the session must reach them too.
-  segments_[0]->attach_telemetry(t);
-  segments_[1]->attach_telemetry(t);
-}
-
-double StaticPartitionedL2::avg_enabled_bytes() const {
-  return segments_[0]->avg_enabled_bytes() + segments_[1]->avg_enabled_bytes();
+  segments_[0].array().add_eviction_observer(obs);
+  segments_[1].array().add_eviction_observer(std::move(obs));
 }
 
 SegmentSpec sram_segment(std::uint64_t size_bytes, std::uint32_t assoc) {

@@ -10,7 +10,7 @@
 
 #include <array>
 
-#include "core/shared_l2.hpp"
+#include "core/l2_segment.hpp"
 
 namespace mobcache {
 
@@ -37,32 +37,43 @@ class StaticPartitionedL2 final : public L2Interface {
  public:
   explicit StaticPartitionedL2(const StaticPartitionConfig& cfg);
 
-  L2Result access(Addr line, AccessType type, Mode mode, Cycle now) override;
-  void writeback(Addr line, Mode owner, Cycle now) override;
-  void prefetch(Addr line, Mode mode, Cycle now) override;
-  void finalize(Cycle end) override;
+  L2Result access(Addr line, AccessType type, Mode mode, Cycle now) override {
+    return seg(mode).access(line, type, mode, now, telemetry_);
+  }
+  void writeback(Addr line, Mode owner, Cycle now) override {
+    seg(owner).writeback(line, owner, now, telemetry_);
+  }
+  void prefetch(Addr line, Mode mode, Cycle now) override {
+    seg(mode).prefetch(line, mode, now, telemetry_);
+  }
+  void finalize(Cycle end) override {
+    for (L2Segment& s : segments_) s.finalize(end, telemetry_);
+  }
   const EnergyBreakdown& energy() const override;
   CacheStats aggregate_stats() const override;
-  std::uint64_t capacity_bytes() const override;
+  std::uint64_t capacity_bytes() const override {
+    return segments_[0].capacity_bytes() + segments_[1].capacity_bytes();
+  }
   std::string describe() const override;
   void add_eviction_observer(
       std::function<void(const EvictionEvent&)> obs) override;
-  void attach_telemetry(Telemetry* t) override;
-  double avg_enabled_bytes() const override;
+  double avg_enabled_bytes() const override {
+    return segments_[0].avg_enabled_bytes() +
+           segments_[1].avg_enabled_bytes();
+  }
   std::uint32_t quarantined_ways() const override {
-    return segments_[0]->quarantined_ways() +
-           segments_[1]->quarantined_ways();
+    return segments_[0].quarantined_ways() + segments_[1].quarantined_ways();
   }
 
   /// Per-segment introspection for the evaluation (E2, E5, E6).
-  const SharedL2& segment(Mode m) const {
-    return *segments_[static_cast<int>(m)];
+  const L2Segment& segment(Mode m) const {
+    return segments_[static_cast<int>(m)];
   }
 
  private:
-  SharedL2& seg(Mode m) { return *segments_[static_cast<int>(m)]; }
+  L2Segment& seg(Mode m) { return segments_[static_cast<int>(m)]; }
 
-  std::array<std::unique_ptr<SharedL2>, kModeCount> segments_;
+  std::array<L2Segment, kModeCount> segments_;
   mutable EnergyBreakdown merged_;
 };
 

@@ -12,8 +12,7 @@
 
 #include <deque>
 
-#include "core/l2_interface.hpp"
-#include "energy/technology.hpp"
+#include "core/l2_segment.hpp"
 
 namespace mobcache {
 
@@ -22,25 +21,27 @@ struct VictimCacheL2Config {
   std::uint32_t victim_entries = 64;  ///< fully-associative victim lines
 };
 
-class VictimCacheL2 final : public L2Interface {
+/// The main array is one SRAM segment; the victim buffer charges its
+/// energy into the segment's accountant.
+class VictimCacheL2 final : public OneSegmentL2 {
  public:
   explicit VictimCacheL2(const VictimCacheL2Config& cfg);
 
   L2Result access(Addr line, AccessType type, Mode mode, Cycle now) override;
   void writeback(Addr line, Mode owner, Cycle now) override;
-  void prefetch(Addr line, Mode mode, Cycle now) override;
+  void prefetch(Addr line, Mode mode, Cycle now) override {
+    seg_.prefetch(line, mode, now, full_way_mask(seg_.array().assoc()),
+                  seg_.tech(), telemetry_);
+  }
   void finalize(Cycle end) override;
-  const EnergyBreakdown& energy() const override { return acct_.breakdown(); }
-  CacheStats aggregate_stats() const override { return cache_.stats(); }
   std::uint64_t capacity_bytes() const override {
-    return cache_.config().size_bytes +
+    return seg_.capacity_bytes() +
            static_cast<std::uint64_t>(cfg_.victim_entries) * kLineSize;
   }
-  std::string describe() const override;
-  void add_eviction_observer(
-      std::function<void(const EvictionEvent&)> obs) override {
-    cache_.add_eviction_observer(std::move(obs));
+  double avg_enabled_bytes() const override {
+    return static_cast<double>(capacity_bytes());
   }
+  std::string describe() const override;
 
   /// Hits served out of the victim buffer (the interference it recovered).
   std::uint64_t victim_hits() const { return victim_hits_; }
@@ -57,17 +58,14 @@ class VictimCacheL2 final : public L2Interface {
 
   /// Removes and returns the entry for `line` if buffered.
   bool pop_victim(Addr line, VictimEntry& out);
-  void push_victim(const VictimEntry& e);
+  /// Buffers the block `r` displaced for `requester`'s fill.
+  void push_victim(const AccessResult& r, Mode requester);
 
   VictimCacheL2Config cfg_;
-  SetAssocCache cache_;
-  TechParams tech_;
   TechParams victim_tech_;
-  EnergyAccountant acct_;
   std::deque<VictimEntry> victims_;  ///< front = LRU, back = MRU
   std::uint64_t victim_hits_ = 0;
   std::uint64_t cross_mode_rescues_ = 0;
-  bool finalized_ = false;
 };
 
 }  // namespace mobcache

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/scheme.hpp"
+#include "sim/simulator.hpp"
+#include "workload/suite.hpp"
 
 namespace mobcache {
 namespace {
@@ -185,6 +188,23 @@ TEST(DynamicL2, WritebacksAreNotDemandAccesses) {
     l2.writeback(static_cast<Addr>(i) * kLineSize, Mode::User, i);
   EXPECT_EQ(l2.reconfigurations(), 0u);
   EXPECT_EQ(l2.aggregate_stats().total_accesses(), 100u);
+}
+
+TEST(DynamicL2, AllocationIsThePoweredSplitUnderQuarantine) {
+  // Quarantine shrinks the way budget below the controller's last decision;
+  // allocation() must report the split that is actually powered.
+  SchemeParams p;
+  p.fault = FaultConfig::from_rate(5e-3, EccKind::Secded, 1, 7);
+  auto built = build_scheme(SchemeKind::DynamicStt, p);
+  auto& l2 = dynamic_cast<DynamicPartitionedL2&>(*built);
+  simulate(generate_app_trace(AppId::Browser, 20'000, 7), l2);
+  ASSERT_GT(l2.quarantined_ways(), 8u);
+  EpochSample s;
+  l2.fill_sample(s);
+  const WayAllocation a = l2.allocation();
+  EXPECT_EQ(a.user_ways, s.user_ways);
+  EXPECT_EQ(a.kernel_ways, s.kernel_ways);
+  EXPECT_LE(a.total(), 16u - l2.quarantined_ways());
 }
 
 }  // namespace

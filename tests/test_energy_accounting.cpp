@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/scheme.hpp"
 #include "core/shared_l2.hpp"
+#include "fault/fault_model.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
@@ -136,6 +139,25 @@ TEST(EnergyReconcile, DynamicLeakageNeverExceedsFullArray) {
   // And it must equal full leakage × (avg enabled fraction).
   const double frac = r.l2_avg_enabled_bytes / static_cast<double>(2ull << 20);
   EXPECT_NEAR(r.l2_energy.leakage_nj, full * frac, full * 0.02);
+}
+
+TEST(EnergyReconcile, EccEnergyMatchesCorrectionsUnderPrefetch) {
+  // Every ECC correction the arrays count, prefetch probes included, is
+  // charged exactly once.
+  SchemeParams p;
+  p.fault = FaultConfig::from_rate(5e-3, EccKind::Secded, 4, 11);
+  SimOptions opts;
+  opts.hierarchy.prefetch.enabled = true;
+  const double per_correction = EccModel(EccKind::Secded).correction_energy_nj();
+  for (AppId app : {AppId::Browser, AppId::Launcher}) {
+    const Trace t = generate_app_trace(app, 120'000, 7);
+    for (SchemeKind k : headline_schemes()) {
+      const SimResult r = simulate(t, build_scheme(k, p), opts);
+      EXPECT_EQ(std::llround(r.l2_energy.ecc_nj / per_correction),
+                static_cast<long long>(r.l2.ecc_corrections))
+          << scheme_name(k) << " on " << t.name();
+    }
+  }
 }
 
 }  // namespace
