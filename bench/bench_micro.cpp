@@ -502,47 +502,50 @@ BENCHMARK(BM_ScenarioGeneration)->Unit(benchmark::kMillisecond);
 
 // ---- --kernel-report: self-timed fast-vs-reference comparison ------------
 
-/// Best-of-`reps` wall time for replaying `ops`, plus the stat checksum
-/// (identical across reps by construction — the cache is rebuilt per rep).
-struct KernelTiming {
-  double best_ms = 0.0;
+/// One timed replay of `ops` into a freshly built cache, after a warmup
+/// pass that populates the array, plus the stat checksum (identical across
+/// repetitions by construction).
+struct KernelRep {
+  double ms = 0.0;
   std::uint64_t checksum = 0;
   std::uint64_t hits = 0;
   std::uint64_t fills = 0;
 };
 
 template <typename MakeCache>
-KernelTiming time_kernel(MakeCache make_cache,
-                         const std::vector<KernelOp>& ops, int reps) {
-  KernelTiming t;
-  for (int r = 0; r < reps; ++r) {
-    auto cache = make_cache();
-    replay_kernel_ops(cache, ops);  // warmup pass populates the array
-    cache.reset_stats();
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t sum = replay_kernel_ops(cache, ops);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (r == 0 || ms < t.best_ms) t.best_ms = ms;
-    t.checksum = sum;
-    t.hits = cache.stats().total_hits();
-    t.fills = cache.stats().fills;
-  }
-  return t;
+KernelRep time_kernel_once(MakeCache make_cache,
+                           const std::vector<KernelOp>& ops) {
+  auto cache = make_cache();
+  replay_kernel_ops(cache, ops);  // warmup pass populates the array
+  cache.reset_stats();
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t sum = replay_kernel_ops(cache, ops);
+  const auto t1 = std::chrono::steady_clock::now();
+  return {std::chrono::duration<double, std::milli>(t1 - t0).count(), sum,
+          cache.stats().total_hits(), cache.stats().fills};
 }
 
-/// Runs the four kernel cases under both dispatch modes, verifies the stat
-/// checksums agree (a cheap in-binary equivalence gate), and writes
-/// BENCH_micro.json. With --min-speedup=X, exits nonzero when the
-/// fast-kernel speedup on hit_heavy or mixed falls below X.
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Runs the four kernel cases under both dispatch modes and the AoS
+/// replica, verifies the stat checksums agree (a cheap in-binary
+/// equivalence gate), and writes BENCH_micro.json. Each repetition times
+/// the fast, reference and AoS kernels back to back, so a burst of host
+/// noise lands on one repetition's three timings rather than on all of one
+/// kernel's, and the speedups are the medians of the per-repetition ratios.
+/// With --min-speedup=X, exits nonzero when the fast-kernel speedup on
+/// hit_heavy or mixed falls below X.
 int run_kernel_report(int argc, char** argv) {
   const double min_speedup =
       bench_flag_double(argc, argv, "--min-speedup", 0.0);
   const std::size_t accesses = static_cast<std::size_t>(
       bench_flag_u64(argc, argv, "--accesses", 4u << 20));
   const int reps =
-      static_cast<int>(bench_flag_u64(argc, argv, "--reps", 3, 1, 1000));
+      static_cast<int>(bench_flag_u64(argc, argv, "--reps", 5, 1, 1000));
 
   BenchReport report("micro", bench_jobs(argc, argv));
   std::uint64_t total = 0;
@@ -551,27 +554,34 @@ int run_kernel_report(int argc, char** argv) {
                        KernelCase::Mixed, KernelCase::RetentionOn}) {
     const std::string name = kernel_case_name(c);
     const std::vector<KernelOp> ops = make_kernel_ops(c, accesses);
-    const KernelTiming fast = time_kernel(
-        [&] { return make_kernel_cache(c, KernelMode::Fast); }, ops, reps);
-    const KernelTiming ref = time_kernel(
-        [&] { return make_kernel_cache(c, KernelMode::Reference); }, ops,
-        reps);
-    const KernelTiming aos =
-        time_kernel([&] { return make_legacy_cache(c); }, ops, reps);
-    total += 3 * ops.size();
-
-    if (fast.checksum != ref.checksum || fast.checksum != aos.checksum ||
-        fast.hits != ref.hits || fast.hits != aos.hits ||
-        fast.fills != ref.fills || fast.fills != aos.fills) {
-      std::fprintf(stderr,
-                   "[bench] FAIL %s: kernels diverge (checksum fast %llu, "
-                   "reference %llu, aos %llu)\n",
-                   name.c_str(),
-                   static_cast<unsigned long long>(fast.checksum),
-                   static_cast<unsigned long long>(ref.checksum),
-                   static_cast<unsigned long long>(aos.checksum));
-      return 1;
+    std::vector<double> fast_ms, ref_ms, aos_ms, vs_aos, vs_ref;
+    KernelRep fast;
+    for (int r = 0; r < reps; ++r) {
+      fast = time_kernel_once(
+          [&] { return make_kernel_cache(c, KernelMode::Fast); }, ops);
+      const KernelRep ref = time_kernel_once(
+          [&] { return make_kernel_cache(c, KernelMode::Reference); }, ops);
+      const KernelRep aos =
+          time_kernel_once([&] { return make_legacy_cache(c); }, ops);
+      if (fast.checksum != ref.checksum || fast.checksum != aos.checksum ||
+          fast.hits != ref.hits || fast.hits != aos.hits ||
+          fast.fills != ref.fills || fast.fills != aos.fills) {
+        std::fprintf(stderr,
+                     "[bench] FAIL %s: kernels diverge (checksum fast %llu, "
+                     "reference %llu, aos %llu)\n",
+                     name.c_str(),
+                     static_cast<unsigned long long>(fast.checksum),
+                     static_cast<unsigned long long>(ref.checksum),
+                     static_cast<unsigned long long>(aos.checksum));
+        return 1;
+      }
+      fast_ms.push_back(fast.ms);
+      ref_ms.push_back(ref.ms);
+      aos_ms.push_back(aos.ms);
+      vs_aos.push_back(aos.ms / fast.ms);
+      vs_ref.push_back(ref.ms / fast.ms);
     }
+    total += 3 * ops.size();
 
     // Deterministic half: pure functions of the op stream.
     report.add_result(name + "/hits", static_cast<double>(fast.hits));
@@ -583,21 +593,22 @@ int run_kernel_report(int argc, char** argv) {
     // pre-overhaul AoS baseline (the gated ratio); "speedup_vs_ref" is fast
     // vs. the in-tree reference kernel, which shares the SoA layout and so
     // isolates the devirtualization/feature-elision part of the win.
+    // Throughputs come from each kernel's median repetition.
     const double n = static_cast<double>(ops.size());
-    const double fast_mps = n / 1e3 / fast.best_ms;
-    const double ref_mps = n / 1e3 / ref.best_ms;
-    const double aos_mps = n / 1e3 / aos.best_ms;
-    const double speedup = aos.best_ms / fast.best_ms;
+    const double fast_mps = n / 1e3 / median_of(fast_ms);
+    const double ref_mps = n / 1e3 / median_of(ref_ms);
+    const double aos_mps = n / 1e3 / median_of(aos_ms);
+    const double speedup = median_of(vs_aos);
+    const double speedup_vs_ref = median_of(vs_ref);
     report.add_result("timing/" + name + "/fast_maccess_per_s", fast_mps);
     report.add_result("timing/" + name + "/ref_maccess_per_s", ref_mps);
     report.add_result("timing/" + name + "/aos_maccess_per_s", aos_mps);
     report.add_result("timing/" + name + "/speedup", speedup);
-    report.add_result("timing/" + name + "/speedup_vs_ref",
-                      ref.best_ms / fast.best_ms);
+    report.add_result("timing/" + name + "/speedup_vs_ref", speedup_vs_ref);
     std::printf("[bench] %-12s fast %7.1f  ref %7.1f  aos %7.1f Macc/s  "
                 "speedup %.2fx (vs ref %.2fx)\n",
                 name.c_str(), fast_mps, ref_mps, aos_mps, speedup,
-                ref.best_ms / fast.best_ms);
+                speedup_vs_ref);
     if (min_speedup > 0.0 &&
         (c == KernelCase::HitHeavy || c == KernelCase::Mixed) &&
         speedup < min_speedup) {

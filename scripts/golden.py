@@ -10,8 +10,11 @@ oracle trace length, compared byte for byte against tests/golden/.
 
 The run sees MOBCACHE_TRACE_LEN=120000 and MOBCACHE_RESULTS_DIR=<temp dir>;
 every other MOBCACHE_* variable is removed from its environment, so a
-developer's shell cannot change the bytes. BENCH_*.json reports are left
-out because they carry wall time.
+developer's shell cannot change the bytes. The one exception is
+MOBCACHE_REFERENCE_KERNEL, which by contract cannot change them: it selects
+the reference access kernel, and the ctest golden.e9.reference sets it to
+hold that kernel to the same files. BENCH_*.json reports are left out
+because they carry wall time.
 
 The files were written at --jobs=1. ctest (bench/CMakeLists.txt, tests
 golden.e1 ... golden.e22) runs the sweep benches at --jobs=4, so each run
@@ -32,6 +35,8 @@ import sys
 import tempfile
 
 ORACLE_TRACE_LEN = "120000"
+# Passed through to the run: switches kernels, never bytes.
+PASSTHROUGH = ("MOBCACHE_REFERENCE_KERNEL",)
 GOLDEN_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests",
     "golden")
@@ -53,7 +58,7 @@ def result_files(directory):
 
 def run_binary(binary, args, results_dir):
     env = {k: v for k, v in os.environ.items()
-           if not k.startswith("MOBCACHE_")}
+           if not k.startswith("MOBCACHE_") or k in PASSTHROUGH}
     env["MOBCACHE_TRACE_LEN"] = ORACLE_TRACE_LEN
     env["MOBCACHE_RESULTS_DIR"] = results_dir
     proc = subprocess.run([os.path.abspath(binary)] + args, cwd=results_dir,

@@ -8,34 +8,6 @@ BankModel::BankModel(std::uint32_t banks, std::uint32_t queue_depth)
     : max_queue_(std::max(1u, queue_depth)),
       banks_(std::max(1u, banks)) {}
 
-Cycle BankModel::read_stall(Addr line, Cycle now,
-                            Cycle write_latency) const {
-  const Bank& b = banks_[bank_of(line)];
-  if (b.next_free <= now || write_latency == 0) return 0;
-  const Cycle pending = b.next_free - now;
-  // The in-flight write's remaining time: pending modulo one write slot
-  // (mapped to (0, write_latency]).
-  return (pending - 1) % write_latency + 1;
-}
-
-Cycle BankModel::write_enqueue(Addr line, Cycle now, Cycle write_latency) {
-  Bank& b = banks_[bank_of(line)];
-  if (b.next_free <= now) {
-    b.next_free = now + write_latency;
-    return 0;
-  }
-  const Cycle pending = b.next_free - now;
-  const Cycle capacity =
-      static_cast<Cycle>(max_queue_) * write_latency;
-  Cycle stall = 0;
-  if (pending >= capacity) {
-    // Queue full: the requester waits until one slot drains.
-    stall = pending - (capacity - write_latency);
-  }
-  b.next_free += write_latency;
-  return stall;
-}
-
 std::uint32_t BankModel::queue_depth(Addr line, Cycle now,
                                      Cycle write_latency) const {
   const Bank& b = banks_[bank_of(line)];

@@ -32,11 +32,33 @@ class BankModel {
 
   /// Stall a read arriving at `now` observes: the remainder of the write
   /// currently occupying the array (at most one `write_latency`).
-  Cycle read_stall(Addr line, Cycle now, Cycle write_latency) const;
+  Cycle read_stall(Addr line, Cycle now, Cycle write_latency) const {
+    const Bank& b = banks_[bank_of(line)];
+    if (b.next_free <= now || write_latency == 0) return 0;
+    const Cycle pending = b.next_free - now;
+    // The in-flight write's remaining time: pending modulo one write slot
+    // (mapped to (0, write_latency]).
+    return (pending - 1) % write_latency + 1;
+  }
 
   /// Enqueues a write. Returns the requester-visible stall: zero while the
   /// queue has room, otherwise the wait until a slot frees.
-  Cycle write_enqueue(Addr line, Cycle now, Cycle write_latency);
+  Cycle write_enqueue(Addr line, Cycle now, Cycle write_latency) {
+    Bank& b = banks_[bank_of(line)];
+    if (b.next_free <= now) {
+      b.next_free = now + write_latency;
+      return 0;
+    }
+    const Cycle pending = b.next_free - now;
+    const Cycle capacity = static_cast<Cycle>(max_queue_) * write_latency;
+    Cycle stall = 0;
+    if (pending >= capacity) {
+      // Queue full: the requester waits until one slot drains.
+      stall = pending - (capacity - write_latency);
+    }
+    b.next_free += write_latency;
+    return stall;
+  }
 
   /// Writes still queued in the bank at `now` (tests/telemetry).
   std::uint32_t queue_depth(Addr line, Cycle now, Cycle write_latency) const;

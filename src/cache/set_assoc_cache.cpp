@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <utility>
 
 namespace mobcache {
 
@@ -13,6 +14,26 @@ namespace {
 /// environment. Atomic because the parallel sweep executor constructs
 /// caches from worker threads.
 std::atomic<std::uint8_t> g_default_kernel_mode{2};
+
+/// The ways w of a set for which pred(w) holds, as a mask. With AssocT != 0
+/// this is a fold over a compile-time index sequence: straight-line code
+/// with one compare per way, so there is no loop left for the optimizer to
+/// keep (at -O2 GCC keeps a plain 16-trip loop rolled). AssocT == 0 loops
+/// over the runtime associativity.
+template <std::uint32_t AssocT, typename Pred>
+WayMask ways_where(std::uint32_t assoc, Pred pred) {
+  if constexpr (AssocT != 0) {
+    return [&]<std::uint32_t... W>(
+               std::integer_sequence<std::uint32_t, W...>) {
+      return ((static_cast<WayMask>(pred(W)) << W) | ...);
+    }(std::make_integer_sequence<std::uint32_t, AssocT>{});
+  } else {
+    WayMask m = 0;
+    for (std::uint32_t w = 0; w < assoc; ++w)
+      m |= static_cast<WayMask>(pred(w)) << w;
+    return m;
+  }
+}
 
 }  // namespace
 
@@ -43,6 +64,7 @@ SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
   const std::size_t n = static_cast<std::size_t>(num_sets_) * cfg_.assoc;
   tags_.assign(n, kNoTag);
   flags_.assign(n, 0);
+  deadline_.assign(n, 0);
   cold_.assign(n, ColdMeta{});
   wear_.assign(n, 0);
   repl_ = make_replacement(cfg_.repl, num_sets_, cfg_.assoc, seed);
@@ -72,7 +94,7 @@ BlockMeta SetAssocCache::block(std::uint32_t set, std::uint32_t way) const {
   b.fill_cycle = cold_[i].fill_cycle;
   b.last_access = cold_[i].last_access;
   b.last_write = cold_[i].last_write;
-  b.retention_deadline = cold_[i].deadline;
+  b.retention_deadline = deadline_[i];
   b.access_count = cold_[i].access_count;
   b.prefetched = (flags_[i] & kPrefetchedBit) != 0;
   b.fault_bits = cold_[i].fault_bits;
@@ -100,8 +122,8 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
                                           WayMask allowed, bool prefetch,
                                           bool no_alloc) {
   AccessResult r;
-  // AssocT != 0 pins the trip count of every way loop below at compile
-  // time (select_kernel only picks such a variant when cfg_.assoc matches).
+  // AssocT != 0 pins every way scan below at compile time (select_kernel
+  // only picks such a variant when cfg_.assoc matches).
   const std::uint32_t assoc = AssocT != 0 ? AssocT : cfg_.assoc;
   const std::uint32_t set = set_index(line);
   const std::size_t base = static_cast<std::size_t>(set) * assoc;
@@ -118,17 +140,18 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
   __builtin_prefetch(&cold_[base], 1);
 
   // Probe: branchless scan of the contiguous tag lane. Invalid blocks hold
-  // kNoTag, so this is a pure tag compare — no flags load — and the
-  // fixed-trip loop with no early exit vectorizes and carries no
-  // data-dependent branch (an early-exit scan mispredicts on nearly every
-  // hit, since the hit way is effectively random). Matches outside
-  // `allowed` are masked off afterwards; countr_zero picks the lowest
-  // allowed matching way, exactly what the old first-match loop returned.
+  // kNoTag, so this is a pure tag compare — no flags load — with no early
+  // exit and no data-dependent branch (an early-exit scan mispredicts on
+  // nearly every hit, since the hit way is effectively random). Matches
+  // outside `allowed` are masked off afterwards; countr_zero picks the
+  // lowest allowed matching way, exactly what the old first-match loop
+  // returned.
   const Addr* const tag_row = tags_.data() + base;
-  WayMask match = 0;
-  for (std::uint32_t way = 0; way < assoc; ++way)
-    match |= static_cast<WayMask>(tag_row[way] == line) << way;
-  match &= allowed;
+  const WayMask match =
+      ways_where<AssocT>(assoc, [&](std::uint32_t w) {
+        return tag_row[w] == line;
+      }) &
+      allowed;
   const std::uint32_t hit_way =
       match != 0 ? static_cast<std::uint32_t>(std::countr_zero(match))
                  : assoc;
@@ -191,7 +214,7 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
         ++wear_[i];
         if (HasFault && fault_hooks_ != nullptr) apply_write_faults(i, set, way);
         if (HasRetention && retention_period_ != 0)
-          cold_[i].deadline = now + effective_period(line);
+          deadline_[i] = now + effective_period(line);
       }
       rp.on_hit(set, way);
       return r;
@@ -202,36 +225,41 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
   // quarantined): the miss is counted and served straight from DRAM.
   if (no_alloc || allowed == 0) return r;
 
-  // Miss: pick a fill way — an invalid/expired allowed way if any, else a
-  // replacement victim among the allowed ways.
-  std::uint32_t fill_way = assoc;  // sentinel
+  // Miss: first expire the allowed blocks past their deadline, then pick
+  // a fill way — the lowest invalid allowed way if any, else a replacement
+  // victim among the allowed ways.
   if constexpr (HasRetention) {
-    for (WayMask m = allowed; m != 0; m &= m - 1) {
+    // Invalid blocks hold deadline 0, so the deadline lane alone finds
+    // the expired blocks: two host lines for 16 ways. They are retired in
+    // ascending way order.
+    const Cycle* const deadline_row = deadline_.data() + base;
+    const WayMask expired =
+        ways_where<AssocT>(assoc, [&](std::uint32_t w) {
+          return past_deadline(deadline_row[w], now);
+        }) &
+        allowed;
+    for (WayMask m = expired; m != 0; m &= m - 1) {
       const auto way = static_cast<std::uint32_t>(std::countr_zero(m));
       const std::size_t i = base + way;
-      if ((flags_[i] & kValidBit) != 0 && expired_at(i, now)) {
-        ++stats_.expired_blocks;
-        if ((flags_[i] & kDirtyBit) != 0) {
-          ++stats_.expired_dirty;
-          r.expired_was_dirty = true;
-        }
-        if constexpr (HasObs) notify_eviction(i, now);
-        invalidate_at(i);
-        rp.on_invalidate(set, way);
+      ++stats_.expired_blocks;
+      if ((flags_[i] & kDirtyBit) != 0) {
+        ++stats_.expired_dirty;
+        r.expired_was_dirty = true;
       }
-      if ((flags_[i] & kValidBit) == 0 && fill_way == assoc)
-        fill_way = way;
+      if constexpr (HasObs) notify_eviction(i, now);
+      invalidate_at(i);
+      rp.on_invalidate(set, way);
     }
-  } else {
-    // No expiry side effects: invalid ⇔ kNoTag in the (already hot) tag
-    // row, so the first-invalid scan is branchless like the probe.
-    WayMask invalid = 0;
-    for (std::uint32_t way = 0; way < assoc; ++way)
-      invalid |= static_cast<WayMask>(tag_row[way] == kNoTag) << way;
-    invalid &= allowed;
-    if (invalid != 0)
-      fill_way = static_cast<std::uint32_t>(std::countr_zero(invalid));
   }
+  // Invalid ⇔ kNoTag in the (already hot) tag row, so the first-invalid
+  // scan is branchless like the probe.
+  const WayMask invalid = ways_where<AssocT>(assoc, [&](std::uint32_t w) {
+                            return tag_row[w] == kNoTag;
+                          }) &
+                          allowed;
+  std::uint32_t fill_way =
+      invalid != 0 ? static_cast<std::uint32_t>(std::countr_zero(invalid))
+                   : assoc;  // sentinel: no free way
 
   if (fill_way == assoc) {
     fill_way = rp.choose_victim(set, allowed);
@@ -257,7 +285,7 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
   cold_[i].fill_cycle = now;
   cold_[i].last_access = now;
   cold_[i].last_write = now;
-  cold_[i].deadline = retention_period_ == 0 ? 0 : now + effective_period(line);
+  deadline_[i] = retention_period_ == 0 ? 0 : now + effective_period(line);
   cold_[i].access_count = 1;
   cold_[i].fault_bits = 0;
   if (HasFault && fault_hooks_ != nullptr) apply_write_faults(i, set, fill_way);
@@ -277,7 +305,7 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
 template <typename Repl>
 SetAssocCache::AccessFn SetAssocCache::kernel_for_flags(bool retention,
                                                         bool fault,
-                                                        bool obs) const {
+                                                        bool obs) {
   if (retention) {
     if (fault)
       return obs ? &SetAssocCache::access_kernel<Repl, true, true, true>
@@ -288,22 +316,49 @@ SetAssocCache::AccessFn SetAssocCache::kernel_for_flags(bool retention,
   if (fault)
     return obs ? &SetAssocCache::access_kernel<Repl, false, true, true>
                : &SetAssocCache::access_kernel<Repl, false, true, false>;
-  if (obs) return &SetAssocCache::access_kernel<Repl, false, false, true>;
-  // The feature-free kernel is the hottest instantiation by far; pin the
-  // associativity at compile time for the two the modeled hierarchies use
-  // so the probe and fill-way scans fully unroll.
-  switch (cfg_.assoc) {
+  return obs ? &SetAssocCache::access_kernel<Repl, false, false, true>
+             : &SetAssocCache::access_kernel<Repl, false, false, false>;
+}
+
+SetAssocCache::AccessFn SetAssocCache::pinned_lru_kernel(std::uint32_t assoc,
+                                                         bool retention,
+                                                         bool fault,
+                                                         bool obs) {
+  // The LRU kernels the modeled hierarchies run, pinned where they run:
+  // 2 and 4 ways are the L1I and L1D; 8 and 16 ways the L2 designs, where
+  // the retention kernel is SP-MRSTT's segments (8) and DP-STT (16). The
+  // ablation-only policies, fault injection and observers keep the runtime
+  // associativity.
+  if (fault || obs) return nullptr;
+  if (retention) {
+    switch (assoc) {
+      case 8:
+        return &SetAssocCache::access_kernel<LruPolicy, true, false, false, 8>;
+      case 16:
+        return &SetAssocCache::access_kernel<LruPolicy, true, false, false,
+                                             16>;
+      default:
+        return nullptr;
+    }
+  }
+  switch (assoc) {
+    case 2:
+      return &SetAssocCache::access_kernel<LruPolicy, false, false, false, 2>;
+    case 4:
+      return &SetAssocCache::access_kernel<LruPolicy, false, false, false, 4>;
     case 8:
-      return &SetAssocCache::access_kernel<Repl, false, false, false, 8>;
+      return &SetAssocCache::access_kernel<LruPolicy, false, false, false, 8>;
     case 16:
-      return &SetAssocCache::access_kernel<Repl, false, false, false, 16>;
+      return &SetAssocCache::access_kernel<LruPolicy, false, false, false,
+                                           16>;
     default:
-      return &SetAssocCache::access_kernel<Repl, false, false, false>;
+      return nullptr;
   }
 }
 
 void SetAssocCache::select_kernel() {
   if (retention_period_ != 0) retention_ever_ = true;
+  pinned_assoc_ = 0;
   if (kernel_mode_ == KernelMode::Reference) {
     // The generic always-checking kernel through the virtual policy
     // interface: the behavioral baseline.
@@ -316,7 +371,12 @@ void SetAssocCache::select_kernel() {
   switch (cfg_.repl) {
     case ReplKind::Lru:
     case ReplKind::Fifo:  // FIFO shares LruPolicy (update_on_hit=false)
-      kernel_ = kernel_for_flags<LruPolicy>(ret, fault, obs);
+      kernel_ = pinned_lru_kernel(cfg_.assoc, ret, fault, obs);
+      if (kernel_ != nullptr) {
+        pinned_assoc_ = cfg_.assoc;
+      } else {
+        kernel_ = kernel_for_flags<LruPolicy>(ret, fault, obs);
+      }
       break;
     case ReplKind::Random:
       kernel_ = kernel_for_flags<RandomPolicy>(ret, fault, obs);
@@ -337,6 +397,7 @@ std::string SetAssocCache::kernel_name() const {
   if (retention_ever_) n += "+retention";
   if (fault_hooks_ != nullptr) n += "+fault";
   if (!observers_.empty()) n += "+obs";
+  if (pinned_assoc_ != 0) n += "@" + std::to_string(pinned_assoc_);
   return n;
 }
 
@@ -367,7 +428,7 @@ bool SetAssocCache::refresh_block(std::uint32_t set, std::uint32_t way,
   ++wear_[i];
   if (fault_hooks_ != nullptr) apply_write_faults(i, set, way);
   if (retention_period_ != 0)
-    cold_[i].deadline = now + effective_period(tags_[i]);
+    deadline_[i] = now + effective_period(tags_[i]);
   ++stats_.refreshes;
   return true;
 }

@@ -14,16 +14,18 @@
 ///
 /// Storage is structure-of-arrays: the hit probe scans a contiguous per-set
 /// tag lane (plus one packed flag byte per block) instead of striding
-/// through ~64-byte AoS records, and the cold per-block state (retention
-/// deadlines, lifetime cycles, fault bits) lives in separate lanes touched
-/// only on the paths that need them. The per-access kernel is additionally
-/// specialized at run start: one member-function-pointer dispatch selects a
-/// kernel templated on the concrete replacement policy (devirtualizing
-/// on_hit/on_fill/choose_victim) and on whether retention, fault hooks and
-/// eviction observers are live, so disabled features cost nothing per
-/// access. The generic virtual-dispatch kernel is retained as the reference
-/// implementation (KernelMode::Reference); the two are bit-identical, which
-/// the golden-equivalence suite (tests/test_kernel_equiv.cpp) pins.
+/// through ~64-byte AoS records, retention deadlines have a lane of their
+/// own, and the cold per-block state (lifetime cycles, fault bits) lives in
+/// a separate lane touched only on the paths that need it. The per-access
+/// kernel is additionally specialized at run start: one
+/// member-function-pointer dispatch selects a kernel templated on the
+/// concrete replacement policy (devirtualizing on_hit/on_fill/choose_victim),
+/// on whether retention, fault hooks and eviction observers are live, and,
+/// for the LRU kernels the modeled hierarchies run, on the associativity, so
+/// disabled features cost nothing per access. The generic virtual-dispatch
+/// kernel is retained as the reference implementation
+/// (KernelMode::Reference); the two are bit-identical, which the
+/// golden-equivalence suite (tests/test_kernel_equiv.cpp) pins.
 /// See docs/PERFORMANCE.md.
 
 #include <cstdint>
@@ -305,7 +307,8 @@ class SetAssocCache {
   }
   KernelMode kernel_mode() const { return kernel_mode_; }
   /// Human-readable name of the currently selected kernel, e.g.
-  /// "fast/LRU+retention" or "reference" (for tests and diagnostics).
+  /// "fast/SRRIP+retention", "fast/LRU+retention@16" (an instantiation
+  /// pinned at 16 ways) or "reference" (for tests and diagnostics).
   std::string kernel_name() const;
 
   /// Process-wide default for newly constructed arrays. Initialized from
@@ -334,15 +337,17 @@ class SetAssocCache {
   /// and on which feature lanes are live. All instantiations run the same
   /// statements over the same state; the template parameters only delete
   /// provably-dead branches. AssocT pins the associativity at compile time
-  /// (0 = read it from cfg_ at runtime) so the probe loop fully unrolls;
-  /// only the hottest feature-free variants are instantiated per-assoc.
+  /// (0 = read it from cfg_ at runtime), which turns every way scan into
+  /// straight-line code; pinned_lru_kernel lists the pinned instantiations.
   template <typename Repl, bool HasRetention, bool HasFault, bool HasObs,
             std::uint32_t AssocT = 0>
   AccessResult access_kernel(Addr line, AccessType type, Mode mode, Cycle now,
                              WayMask allowed, bool prefetch, bool no_alloc);
 
   template <typename Repl>
-  AccessFn kernel_for_flags(bool retention, bool fault, bool obs) const;
+  static AccessFn kernel_for_flags(bool retention, bool fault, bool obs);
+  static AccessFn pinned_lru_kernel(std::uint32_t assoc, bool retention,
+                                    bool fault, bool obs);
   void select_kernel();
 
   std::size_t loc(std::uint32_t set, std::uint32_t way) const {
@@ -351,12 +356,18 @@ class SetAssocCache {
   Mode owner_at(std::size_t i) const {
     return (flags_[i] & kKernelBit) != 0 ? Mode::Kernel : Mode::User;
   }
+  /// True when `deadline` is nonzero and `now` has reached it: 0 (a
+  /// non-volatile or an invalid block) wraps to the largest Cycle.
+  static bool past_deadline(Cycle deadline, Cycle now) {
+    return deadline - 1 < now;
+  }
   bool expired_at(std::size_t i, Cycle now) const {
-    return cold_[i].deadline != 0 && now >= cold_[i].deadline;
+    return past_deadline(deadline_[i], now);
   }
   void invalidate_at(std::size_t i) {
     flags_[i] &= ~kValidBit;
     tags_[i] = kNoTag;  // keeps the tag-only probe honest
+    deadline_[i] = 0;   // ... and the deadline-only expiry scan
   }
 
   void notify_eviction(std::size_t i, Cycle now);
@@ -384,22 +395,25 @@ class SetAssocCache {
   bool retention_ever_ = false;
 
   /// Per-block bookkeeping that is only touched after the probe resolves.
-  /// Packed into one 40-byte record so a hit (last_access / access_count)
+  /// Packed into one 32-byte record so a hit (last_access / access_count)
   /// or a fill (every field) dirties one or two host cache lines instead
-  /// of up to six parallel arrays.
+  /// of up to five parallel arrays.
   struct ColdMeta {
-    Cycle deadline = 0;  ///< retention deadline; 0 = non-volatile
     Cycle fill_cycle = 0;
     Cycle last_access = 0;
     Cycle last_write = 0;
     std::uint32_t access_count = 0;
     std::uint16_t fault_bits = 0;
   };
+  static_assert(sizeof(ColdMeta) == 32);
 
   // Structure-of-arrays block state, all indexed by loc(set, way).
   // Hot probe lanes:
   std::vector<Addr> tags_;            ///< line address (valid bit gates use)
   std::vector<std::uint8_t> flags_;   ///< kValidBit | kDirtyBit | ...
+  /// Retention deadline; 0 = non-volatile or invalid. Its own lane, so the
+  /// retention kernel's expiry scan of a 16-way set reads two host lines.
+  std::vector<Cycle> deadline_;
   // Everything else, one record per block:
   std::vector<ColdMeta> cold_;
 
@@ -410,6 +424,7 @@ class SetAssocCache {
   ArrayFaultHooks* fault_hooks_ = nullptr;  ///< non-owning; null = fault-free
   KernelMode kernel_mode_;
   AccessFn kernel_ = nullptr;
+  std::uint32_t pinned_assoc_ = 0;  ///< AssocT of kernel_; 0 = runtime assoc
 };
 
 }  // namespace mobcache

@@ -80,8 +80,7 @@ L2Result DrowsyL2::access(Addr line, AccessType type, Mode mode, Cycle now) {
   if (r.victim_dirty) acct.add_dram(1);
   out.latency = type == AccessType::Write
                     ? 0
-                    : stall + wake_pen + tech.read_latency +
-                          dram_visible_stall_cycles();
+                    : stall + wake_pen + tech.read_latency + seg_.dram_stall();
   return out;
 }
 

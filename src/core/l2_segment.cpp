@@ -37,6 +37,7 @@ L2Segment::L2Segment(const L2SegmentConfig& cfg, bool banked)
       tech_(cfg.tech == TechKind::Sram
                 ? make_sram(cfg.cache.size_bytes)
                 : make_sttram(cfg.cache.size_bytes, cfg.retention)),
+      dram_stall_(dram_visible_stall_cycles()),
       refresher_(cfg.refresh, clamp_interval(cfg.refresh_check_interval,
                                              tech_.retention_cycles)),
       banked_(banked),

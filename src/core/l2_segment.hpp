@@ -156,6 +156,10 @@ class L2Segment {
   const SetAssocCache& array() const { return cache_; }
   SetAssocCache& array() { return cache_; }
   const TechParams& tech() const { return tech_; }
+  /// Core-visible stall of one DRAM fetch, in cycles at the clock of the
+  /// technology configuration the segment was built under (captured with
+  /// its TechParams).
+  Cycle dram_stall() const { return dram_stall_; }
   const EnergyBreakdown& energy() const { return acct_.breakdown(); }
   /// For designs that also price what the segment does not model (drowsy
   /// leakage windows, the victim buffer).
@@ -229,6 +233,7 @@ class L2Segment {
 
   SetAssocCache cache_;
   TechParams tech_;
+  Cycle dram_stall_;
   RefreshController refresher_;
   EnergyAccountant acct_;
   std::unique_ptr<FaultInjector> fault_;
@@ -283,6 +288,8 @@ class OneSegmentL2 : public L2Interface {
 
 // The per-access path, inline so that each design's access compiles into
 // one function with it (a call per access here measurably slowed DP-STT).
+// GCC 12 at -O2 declines a plain `inline` for access() and emits one call
+// per demand access, so access() insists.
 
 inline AccessResult L2Segment::probe(Addr line, AccessType type, Mode mode,
                                      Cycle now, WayMask mask, Telemetry* tel,
@@ -312,9 +319,9 @@ inline void L2Segment::charge_fill(const AccessResult& r,
   if (r.expired_was_dirty) acct_.add_dram(1);
 }
 
-inline L2Result L2Segment::access(Addr line, AccessType type, Mode mode,
-                                  Cycle now, WayMask mask, const TechParams& t,
-                                  Telemetry* tel) {
+[[gnu::always_inline]] inline L2Result L2Segment::access(
+    Addr line, AccessType type, Mode mode, Cycle now, WayMask mask,
+    const TechParams& t, Telemetry* tel) {
   // Bypass decision must precede the array update: a fill predicted dead is
   // not installed at all.
   const bool bypass_fill = type == AccessType::Read && bypass_.enabled() &&
@@ -347,7 +354,7 @@ inline L2Result L2Segment::access(Addr line, AccessType type, Mode mode,
   // buffer, so it does not occupy the bank for later reads.
   out.latency = type == AccessType::Write
                     ? 0
-                    : stall + tech_.read_latency + dram_visible_stall_cycles();
+                    : stall + tech_.read_latency + dram_stall_;
   acct_.add_read(t);  // tag probe
 
   if (bypass_.enabled()) {

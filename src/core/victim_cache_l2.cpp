@@ -70,8 +70,7 @@ L2Result VictimCacheL2::access(Addr line, AccessType type, Mode mode,
       type == AccessType::Write
           ? 0
           : tech.read_latency +
-                (vhit ? victim_tech_.read_latency
-                      : dram_visible_stall_cycles());
+                (vhit ? victim_tech_.read_latency : seg_.dram_stall());
   return out;
 }
 

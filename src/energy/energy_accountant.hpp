@@ -45,8 +45,15 @@ struct EnergyBreakdown {
 /// breakdown snapshots to attribute energy to intervals.
 EnergyBreakdown operator-(const EnergyBreakdown& a, const EnergyBreakdown& b);
 
+/// Prices events into an EnergyBreakdown. Like TechParams, an accountant
+/// keeps the technology configuration active when it was built: the DRAM
+/// energy per line is read from technology() once, here, so a design built
+/// inside a ScopedTechnology keeps pricing from that config after the scope
+/// closes, and the per-miss path does no thread-local read.
 class EnergyAccountant {
  public:
+  EnergyAccountant() : dram_nj_(technology().dram_access_nj) {}
+
   void add_read(const TechParams& t) { e_.read_nj += t.read_energy_nj; }
   void add_write(const TechParams& t) { e_.write_nj += t.write_energy_nj; }
   void add_refresh(const TechParams& t, std::uint64_t count = 1) {
@@ -54,7 +61,7 @@ class EnergyAccountant {
   }
   /// DRAM line transfers (misses, writebacks, expiry scrub-writebacks).
   void add_dram(std::uint64_t count = 1) {
-    e_.dram_nj += technology().dram_access_nj * static_cast<double>(count);
+    e_.dram_nj += dram_nj_ * static_cast<double>(count);
   }
   /// Static energy for `cycles` of a segment with `enabled` fraction of its
   /// arrays powered (way gating).
@@ -69,6 +76,7 @@ class EnergyAccountant {
 
  private:
   EnergyBreakdown e_;
+  double dram_nj_;  ///< DRAM energy per line transfer
 };
 
 }  // namespace mobcache

@@ -4,14 +4,17 @@
 /// The fast kernels (policy-devirtualized, feature-specialized — see
 /// docs/PERFORMANCE.md) must be bit-identical to the generic reference
 /// kernel: same stats, same energy, same wear, same per-block state, for
-/// every replacement policy, every L2 scheme, with and without retention,
-/// fault hooks and eviction observers. These tests pin that contract; any
-/// divergence is a kernel bug, never an acceptable "optimization".
+/// every replacement policy, every L2 scheme, every associativity-pinned
+/// instantiation, with and without retention, fault hooks and eviction
+/// observers. These tests pin that contract; any divergence is a kernel
+/// bug, never an acceptable "optimization".
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/set_assoc_cache.hpp"
@@ -157,20 +160,41 @@ constexpr ReplKind kAllRepls[] = {ReplKind::Lru, ReplKind::Fifo,
 
 struct ArrayCase {
   ReplKind repl;
+  std::uint32_t assoc;
   Cycle retention;   ///< 0 = infinite
   bool fault_hooks;
   bool observer;
 };
 
+/// The kernel a case must run. LRU and FIFO (one LruPolicy kernel) without
+/// fault hooks or observers run instantiations pinned at the modeled
+/// hierarchies' associativities: feature-free at 2, 4, 8 and 16 ways (the
+/// L1s and the SRAM L2 designs), retention at 8 and 16 (SP-MRSTT's segments
+/// and DP-STT). Every other case runs a runtime-associativity kernel.
+std::string expected_kernel_name(const ArrayCase& c) {
+  std::string n = "fast/" + std::string(to_string(c.repl));
+  if (c.retention != 0) n += "+retention";
+  if (c.fault_hooks) n += "+fault";
+  if (c.observer) n += "+obs";
+  const bool lru = c.repl == ReplKind::Lru || c.repl == ReplKind::Fifo;
+  const bool pinned_assoc =
+      c.assoc == 8 || c.assoc == 16 ||
+      (c.retention == 0 && (c.assoc == 2 || c.assoc == 4));
+  if (lru && !c.fault_hooks && !c.observer && pinned_assoc) {
+    n += "@" + std::to_string(c.assoc);
+  }
+  return n;
+}
+
 /// Drives the same pseudorandom operation stream (mixed demand accesses,
 /// prefetches, bypasses, way-mask restrictions, scrubs, upsets, sweeps and
-/// flushes) through a Fast-mode and a Reference-mode array and demands
-/// bit-identical outcomes at every step and in the final state.
+/// flushes) through a Fast-mode and a Reference-mode array of 128 sets and
+/// demands bit-identical outcomes at every step and in the final state.
 void run_array_case(const ArrayCase& c) {
   CacheConfig cfg;
   cfg.name = "equiv";
-  cfg.size_bytes = 64ull << 10;
-  cfg.assoc = 8;
+  cfg.size_bytes = std::uint64_t{128} * c.assoc * kLineSize;
+  cfg.assoc = c.assoc;
   cfg.repl = c.repl;
 
   SetAssocCache fast(cfg, /*seed=*/99);
@@ -195,20 +219,24 @@ void run_array_case(const ArrayCase& c) {
         [&](const EvictionEvent& e) { ref_ev.push_back(e); });
   }
 
-  // The fast instance must actually be running a specialized kernel.
-  EXPECT_NE(fast.kernel_name(), "reference") << fast.kernel_name();
+  // The fast instance must be running the specialization this case is
+  // meant to cover.
+  EXPECT_EQ(fast.kernel_name(), expected_kernel_name(c));
   EXPECT_EQ(ref.kernel_name(), "reference");
 
   Rng rng(0xC0FFEEull + static_cast<std::uint64_t>(c.repl) * 1000 +
-          c.retention + (c.fault_hooks ? 7 : 0) + (c.observer ? 13 : 0));
+          c.retention + (c.fault_hooks ? 7 : 0) + (c.observer ? 13 : 0) +
+          c.assoc * 7919ull);
   const WayMask full = full_way_mask(cfg.assoc);
+  const std::uint32_t half = std::max(2u, c.assoc / 2);
   Cycle now = 0;
   for (int i = 0; i < 30'000; ++i) {
     now += rng.range(1, 40);
-    // A hot footprint close to capacity plus a long uniform tail, split
-    // user/kernel so owner-mode paths light up.
+    // A hot footprint a little over capacity (150 lines per way, 128 sets)
+    // plus a long uniform tail, split user/kernel so owner-mode paths light
+    // up.
     const bool kernel = rng.chance(0.35);
-    Addr line = rng.chance(0.8) ? rng.below(1200) * kLineSize
+    Addr line = rng.chance(0.8) ? rng.below(150 * c.assoc) * kLineSize
                                 : rng.below(1u << 18) * kLineSize;
     if (kernel) line += kKernelSpaceBase;
     const AccessType type = rng.chance(0.3)    ? AccessType::Write
@@ -219,8 +247,9 @@ void run_array_case(const ArrayCase& c) {
     // dynamic designs do.
     WayMask allowed = full;
     if (rng.chance(0.25))
-      allowed = way_range_mask(static_cast<std::uint32_t>(rng.below(4)),
-                               static_cast<std::uint32_t>(rng.range(2, 4)));
+      allowed = full & way_range_mask(
+                           static_cast<std::uint32_t>(rng.below(half)),
+                           static_cast<std::uint32_t>(rng.range(2, half)));
     const bool prefetch = rng.chance(0.05);
     const bool no_alloc = !prefetch && rng.chance(0.05);
 
@@ -282,26 +311,43 @@ void run_array_case(const ArrayCase& c) {
   }
 }
 
+/// Runs one feature combination of the parameter's policy at every pinned
+/// associativity (2, 4, 8, 16) and at one only the runtime-associativity
+/// kernels serve: 12, or 32 for PLRU, whose tree needs a power of two. The
+/// retention period scales with the ways: a set sees an access about every
+/// 2,600 cycles, so 2,500 cycles per way lets sets fill up (evictions)
+/// while blocks still expire in every way. A period that does not grow with
+/// the ways leaves the upper ways of a 16-way set unused.
+void run_array_cases(ReplKind repl, Cycle retention_per_way, bool fault_hooks,
+                     bool observer) {
+  const std::uint32_t unpinned = repl == ReplKind::Plru ? 32 : 12;
+  for (std::uint32_t assoc : {2u, 4u, 8u, 16u, unpinned}) {
+    SCOPED_TRACE(std::to_string(assoc) + "-way");
+    run_array_case(
+        {repl, assoc, retention_per_way * assoc, fault_hooks, observer});
+  }
+}
+
 class ArrayEquiv : public ::testing::TestWithParam<ReplKind> {};
 
 TEST_P(ArrayEquiv, PlainArray) {
-  run_array_case({GetParam(), 0, false, false});
+  run_array_cases(GetParam(), 0, false, false);
 }
 
 TEST_P(ArrayEquiv, WithRetention) {
-  run_array_case({GetParam(), 5'000, false, false});
+  run_array_cases(GetParam(), 2'500, false, false);
 }
 
 TEST_P(ArrayEquiv, WithFaultHooks) {
-  run_array_case({GetParam(), 0, true, false});
+  run_array_cases(GetParam(), 0, true, false);
 }
 
 TEST_P(ArrayEquiv, WithRetentionAndFaults) {
-  run_array_case({GetParam(), 5'000, true, false});
+  run_array_cases(GetParam(), 2'500, true, false);
 }
 
 TEST_P(ArrayEquiv, WithObservers) {
-  run_array_case({GetParam(), 5'000, true, true});
+  run_array_cases(GetParam(), 2'500, true, true);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRepls, ArrayEquiv,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "core/scheme.hpp"
 #include "energy/energy_accountant.hpp"
 #include "energy/technology.hpp"
@@ -90,6 +93,54 @@ TEST(TechnologyConfig, ConclusionSurvivesPerturbation) {
   const SimResult mrstt =
       simulate(t, build_scheme(SchemeKind::StaticPartMrstt));
   EXPECT_LT(mrstt.l2_energy.cache_nj(), 0.5 * base.l2_energy.cache_nj());
+}
+
+// Build-time pricing: a design and an accountant keep the technology
+// configuration they were built under, the way TechParams always has, so
+// the per-access path reads no thread-local state.
+
+TEST(BuildTimePricing, AccountantKeepsItsBuildConfig) {
+  TechnologyConfig c;
+  c.dram_access_nj = 5.0;
+  std::optional<EnergyAccountant> acct;
+  {
+    ScopedTechnology scope(c);
+    acct.emplace();
+  }
+  ASSERT_DOUBLE_EQ(technology().dram_access_nj, tech_constants::kDramAccessNj);
+  acct->add_dram(4);
+  EXPECT_DOUBLE_EQ(acct->breakdown().dram_nj, 20.0);
+}
+
+TEST(BuildTimePricing, DesignKeepsItsBuildConfig) {
+  const Trace t = generate_app_trace(AppId::Launcher, 60'000, 3);
+  TechnologyConfig c;
+  c.dram_access_nj = 5.0;
+  c.cycle_ns = 2.0;  // 40 cycles of DRAM-visible stall instead of 80
+  // The segment-based designs plus the two that price their own misses.
+  for (SchemeKind kind : {SchemeKind::BaselineSram, SchemeKind::StaticPartMrstt,
+                          SchemeKind::DynamicStt, SchemeKind::DrowsySram,
+                          SchemeKind::VictimSram}) {
+    SCOPED_TRACE(scheme_name(kind));
+    SimResult inside;
+    std::unique_ptr<L2Interface> built;
+    {
+      ScopedTechnology scope(c);
+      inside = simulate(t, build_scheme(kind));
+      built = build_scheme(kind);
+    }
+    // Run after the scope closed: DRAM lines and the DRAM-visible stall are
+    // still priced from the config the design was built under.
+    const SimResult after = simulate(t, *built);
+    EXPECT_EQ(after.l2_energy.dram_nj, inside.l2_energy.dram_nj);
+    EXPECT_EQ(after.stall_l2_miss_cycles, inside.stall_l2_miss_cycles);
+    EXPECT_EQ(after.cycles, inside.cycles);
+    EXPECT_EQ(after.l2.total_misses(), inside.l2.total_misses());
+
+    const SimResult nominal = simulate(t, build_scheme(kind));
+    EXPECT_NE(after.l2_energy.dram_nj, nominal.l2_energy.dram_nj);
+    EXPECT_LT(after.stall_l2_miss_cycles, nominal.stall_l2_miss_cycles);
+  }
 }
 
 }  // namespace
