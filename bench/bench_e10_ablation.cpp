@@ -169,7 +169,6 @@ int main() {
   {
     TablePrinter kk({"user/kernel assoc", "L2 miss", "norm cache energy",
                      "norm exec time"});
-    auto base = runner.run_scheme(SchemeKind::BaselineSram);
     for (std::uint32_t assoc : {4u, 8u, 16u}) {
       auto r = runner.run_custom("aspect", [&] {
         StaticPartitionConfig pc;
@@ -177,7 +176,7 @@ int main() {
         pc.kernel = sram_segment(256ull << 10, assoc);
         return std::make_unique<StaticPartitionedL2>(pc);
       });
-      std::vector<SchemeSuiteResult> v{base, r};
+      std::vector<SchemeSuiteResult> v{ctx.base, r};
       ExperimentRunner::normalize(v);
       kk.add_row({std::to_string(assoc) + "-way",
                   format_percent(r.avg_miss_rate),
@@ -209,13 +208,12 @@ int main() {
   std::printf("\n[i] XOR set-index hashing (baseline):\n");
   {
     TablePrinter ii({"indexing", "baseline miss", "norm exec time"});
-    auto plain = runner.run_scheme(SchemeKind::BaselineSram);
     SchemeParams px;
     px.xor_index = true;
     auto hashed = runner.run_scheme(SchemeKind::BaselineSram, px);
-    std::vector<SchemeSuiteResult> v{plain, hashed};
+    std::vector<SchemeSuiteResult> v{ctx.base, hashed};
     ExperimentRunner::normalize(v);
-    ii.add_row({"modulo (paper)", format_percent(plain.avg_miss_rate),
+    ii.add_row({"modulo (paper)", format_percent(ctx.base.avg_miss_rate),
                 "1.000"});
     ii.add_row({"xor-folded", format_percent(hashed.avg_miss_rate),
                 format_double(v[1].norm_exec_time, 3)});

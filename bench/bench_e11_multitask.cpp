@@ -3,18 +3,22 @@
 /// multi-app scenario. App switches flush-friendly designs would suffer
 /// here; the shared kernel address space concentrates even more reuse in
 /// the kernel segment, strengthening the partitioning premise.
+///
+/// The schemes run as one runner grid over the scenario trace, sharing its
+/// L1 pass. `--jobs=N` / MOBCACHE_JOBS pick the worker count; no emitted
+/// number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/scheme.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
-#include "sim/simulator.hpp"
 #include "workload/scenario.hpp"
 
 using namespace mobcache;
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E11", "Multitasking scenario (time-sliced app mix)");
   const std::uint64_t len = bench_trace_len(4'000'000);
 
@@ -22,9 +26,12 @@ int main() {
   sc.apps = interactive_apps();
   sc.total_accesses = len;
   sc.seed = 42;
-  const Trace mix = generate_scenario(sc);
+  std::vector<Trace> mix;
+  mix.push_back(generate_scenario(sc));
+  ExperimentRunner runner(std::move(mix));
+  runner.jobs = jobs;
 
-  const TraceSummary ts = mix.summarize();
+  const TraceSummary ts = runner.trace(0).summarize();
   std::printf("scenario: %s records over %zu apps, kernel share %s, "
               "user footprint %s, kernel footprint %s\n\n",
               format_count(ts.total).c_str(), sc.apps.size(),
@@ -34,11 +41,13 @@ int main() {
 
   TablePrinter t({"scheme", "L2 miss", "L2 kernel share", "avg enabled",
                   "cache E vs base", "time vs base"});
-  SimResult base;
-  for (SchemeKind k : headline_schemes()) {
-    const SimResult r = simulate(mix, build_scheme(k));
-    if (k == SchemeKind::BaselineSram) base = r;
-    t.add_row({scheme_name(k), format_percent(r.l2_miss_rate()),
+  // headline_schemes() starts with the baseline.
+  const std::vector<SchemeSuiteResult> results =
+      runner.run_schemes(headline_schemes());
+  const SimResult& base = results.front().per_workload[0];
+  for (const SchemeSuiteResult& s : results) {
+    const SimResult& r = s.per_workload[0];
+    t.add_row({s.name, format_percent(r.l2_miss_rate()),
                format_percent(r.l2_kernel_fraction()),
                format_bytes(static_cast<std::uint64_t>(r.l2_avg_enabled_bytes)),
                format_double(r.l2_energy.cache_nj() /
@@ -57,4 +66,9 @@ int main() {
       "the safer choice — a trade-off the single-app evaluation cannot "
       "reveal.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return guarded_main("bench_e11_multitask", /*install_signals=*/true, argc,
+                      argv, run_bench);
 }

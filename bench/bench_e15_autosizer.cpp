@@ -4,46 +4,50 @@
 /// the PartitionAutosizer end-to-end: derive the configuration from the
 /// primary suite, then validate it on the held-out apps (camera,
 /// messenger) it has never seen.
+///
+/// Each step is one runner grid (the baseline and every candidate, then the
+/// baseline and the chosen design), so candidates share each trace's L1
+/// pass. `--jobs=N` / MOBCACHE_JOBS pick the worker count; no emitted
+/// number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/partition_autosizer.hpp"
-#include "core/scheme.hpp"
+#include "exp/bench_harness.hpp"
+#include "exp/partition_autosizer.hpp"
 #include "exp/report.hpp"
-#include "exp/runner.hpp"
 
 using namespace mobcache;
 
 namespace {
 
-std::string cand_name(const PartitionCandidate& c) {
-  return std::to_string(c.user_bytes >> 10) + "K/" +
-         std::to_string(c.user_assoc) + " + " +
-         std::to_string(c.kernel_bytes >> 10) + "K/" +
-         std::to_string(c.kernel_assoc);
+std::vector<Trace> app_traces(const std::vector<AppId>& apps,
+                              std::uint64_t len) {
+  std::vector<Trace> traces;
+  for (AppId id : apps) traces.push_back(generate_app_trace(id, len, 42));
+  return traces;
 }
 
 }  // namespace
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E15", "Automated static-partition provisioning + holdout");
   const std::uint64_t len = bench_trace_len(600'000);
+  const PartitionAutosizer az({.max_slowdown = 1.05, .tech = TechKind::SttRam});
 
-  // 1. Derive the configuration from the primary suite.
-  std::vector<Trace> train;
-  for (AppId id : interactive_apps())
-    train.push_back(generate_app_trace(id, len, 42));
-
-  AutosizerConfig az_cfg;
-  az_cfg.max_slowdown = 1.05;
-  az_cfg.tech = TechKind::SttRam;
-  PartitionAutosizer az(az_cfg);
-
-  const auto scores = az.score_all(train);
+  // 1. Derive the configuration from the primary suite. The block frees
+  // the training traces before the holdout traces exist, so the peak
+  // memory is one suite.
+  std::vector<CandidateScore> scores;
+  {
+    ExperimentRunner train(app_traces(interactive_apps(), len));
+    train.jobs = jobs;
+    scores = az.score_all(train);
+  }
   TablePrinter t({"candidate", "total", "miss", "norm energy", "norm time",
                   "feasible (<=1.05x)"});
   for (const CandidateScore& s : scores) {
-    t.add_row({cand_name(s.candidate), format_bytes(s.candidate.total_bytes()),
+    t.add_row({s.candidate.label(), format_bytes(s.candidate.total_bytes()),
                format_percent(s.avg_miss_rate),
                format_double(s.norm_cache_energy, 3),
                format_double(s.norm_exec_time, 3),
@@ -51,27 +55,22 @@ int main() {
   }
   emit(t, "e15_autosizer_grid.csv");
 
-  const CandidateScore best = az.best(train);
+  const CandidateScore best = PartitionAutosizer::best(scores);
   std::printf("\nchosen configuration: %s (energy %.3f, time %.3f)\n",
-              cand_name(best.candidate).c_str(), best.norm_cache_energy,
+              best.candidate.label().c_str(), best.norm_cache_energy,
               best.norm_exec_time);
 
   // 2. Validate on held-out apps.
+  ExperimentRunner holdout(app_traces(extra_apps(), len));
+  holdout.jobs = jobs;
+  const std::vector<SchemeSuiteResult> grid = holdout.run_designs(
+      {scheme_design(SchemeKind::BaselineSram), az.design(best.candidate)});
   TablePrinter h({"holdout app", "base miss", "chosen-SP miss",
                   "norm cache energy", "norm exec time"});
-  for (AppId id : extra_apps()) {
-    const Trace trace = generate_app_trace(id, len, 42);
-    const SimResult base =
-        simulate(trace, build_scheme(SchemeKind::BaselineSram));
-    StaticPartitionConfig pc;
-    pc.user = sttram_segment(best.candidate.user_bytes,
-                             best.candidate.user_assoc, RetentionClass::Mid);
-    pc.kernel = sttram_segment(best.candidate.kernel_bytes,
-                               best.candidate.kernel_assoc,
-                               RetentionClass::Lo);
-    const SimResult r =
-        simulate(trace, std::make_unique<StaticPartitionedL2>(pc));
-    h.add_row({app_name(id), format_percent(base.l2_miss_rate()),
+  for (std::size_t w = 0; w < extra_apps().size(); ++w) {
+    const SimResult& base = grid[0].per_workload[w];
+    const SimResult& r = grid[1].per_workload[w];
+    h.add_row({app_name(extra_apps()[w]), format_percent(base.l2_miss_rate()),
                format_percent(r.l2_miss_rate()),
                format_double(r.l2_energy.cache_nj() /
                                  base.l2_energy.cache_nj(), 3),
@@ -87,4 +86,9 @@ int main() {
       "interactive apps — the static\nprovisioning step is reproducible, "
       "not an artifact of manual tuning.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return guarded_main("bench_e15_autosizer", /*install_signals=*/true, argc,
+                      argv, run_bench);
 }

@@ -27,6 +27,7 @@ void run_pairing(const char* label, const std::vector<AppId>& apps,
     MulticoreResult r;
   };
   std::vector<Entry> entries;
+  // simulate_multicore, not a runner grid: the runner has no multicore path.
 
   entries.push_back({"shared SRAM 2MB",
                      simulate_multicore(traces,

@@ -44,7 +44,8 @@ int main() {
       refresh_nj += s.l2_energy.refresh_nj;
     }
 
-    // What would the advisor choose at this temperature?
+    // What would the advisor choose at this temperature? A direct
+    // simulate(): the design carries an eviction observer.
     LifetimeRecorder rec;
     const std::unique_ptr<L2Interface> l2 =
         build_scheme(SchemeKind::StaticPartSram);

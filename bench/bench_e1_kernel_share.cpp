@@ -21,6 +21,8 @@ int main() {
   double interactive_sum = 0.0;
   int interactive_n = 0;
 
+  // A direct simulate() loop, not a runner grid: one design per trace, so
+  // only one trace is resident at a time.
   for (AppId id : all_apps()) {
     const Trace trace = generate_app_trace(id, len, 42);
     const TraceSummary ts = trace.summarize();

@@ -52,6 +52,8 @@ int main() {
   TablePrinter t({"design", "array", "total writes", "mean/line", "max/line",
                   "imbalance", "hottest-line lifetime @1e12"});
 
+  // Direct simulate() calls: each row reads the design's wear state after
+  // the run.
   {
     SharedL2Config c;
     c.cache.name = "L2";

@@ -42,6 +42,8 @@ int main() {
                   "shared miss (kern)", "split miss (user)",
                   "split miss (kern)", "miss delta"});
 
+  // A direct simulate() loop, not a runner grid: one trace resident at a
+  // time keeps peak memory at one trace (a grid holds the whole suite).
   for (AppId id : interactive_apps()) {
     const Trace trace = generate_app_trace(id, len, 42);
     const SimResult shared = simulate(trace, shared_2mb());

@@ -31,6 +31,7 @@ int main() {
   // Aggregate lifetimes across the interactive suite on the chosen static
   // partition (SRAM tech so lifetimes are unaffected by expiry).
   LifetimeRecorder rec;
+  // A direct simulate() loop: each design carries an eviction observer.
   for (AppId id : interactive_apps()) {
     const Trace trace = generate_app_trace(id, len, 42);
     const std::unique_ptr<L2Interface> l2 =

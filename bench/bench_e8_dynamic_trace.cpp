@@ -23,6 +23,8 @@ struct RunOut {
   double avg_enabled = 0.0;
 };
 
+/// A direct hierarchy loop, not a runner grid: the rows read the design's
+/// allocation history after the run.
 RunOut run_dp(const Trace& trace) {
   DynamicL2Config c;
   c.cache.name = "L2";

@@ -689,8 +689,7 @@ std::unique_ptr<L2Interface> make_sweep_lane(const SweepLane& l) {
 /// verifies the two paths produce byte-identical SimResults (via the
 /// result-store record serialization, the same bytes the ExperimentRunner
 /// persists). Writes BENCH_micro.json with the grid's deterministic
-/// fingerprint under "results" (sweep/*, including the ShadowConfigBatch
-/// estimation error against the real lanes) and the points/s ratio under
+/// fingerprint under "results" (sweep/*) and the points/s ratio under
 /// "timing/sweep/*". With --min-sweep-speedup=X, exits nonzero when the
 /// batched path's points/s advantage falls below X — CI's sweep-gate runs
 /// this at X = 5 (see .github/workflows/ci.yml for the escape hatch).
@@ -784,26 +783,6 @@ int run_sweep_report(int argc, char** argv) {
                 7 * l2.writebacks;
   }
 
-  // Estimation seam accuracy: the auxiliary-tag ShadowConfigBatch profiles
-  // every grid geometry from the same demand stream; its estimated miss
-  // rates are compared against the simulated lanes they approximate.
-  std::vector<ShadowGeometry> geoms;
-  geoms.reserve(n);
-  for (const SweepLane& l : grid) {
-    geoms.push_back({static_cast<std::uint32_t>(
-                         l.size_bytes / (kLineSize * l.assoc)),
-                     l.assoc});
-  }
-  ShadowConfigBatch shadow(geoms, /*sample_shift=*/2);
-  const std::vector<double> est = estimate_demand_miss_rates(stream, shadow);
-  double max_err = 0.0;
-  double sum_err = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double err = std::abs(est[i] - pp_results[i].l2.miss_rate());
-    max_err = std::max(max_err, err);
-    sum_err += err;
-  }
-
   const double demand_ratio =
       stream.total_records == 0
           ? 0.0
@@ -819,17 +798,13 @@ int run_sweep_report(int argc, char** argv) {
   report.add_result("sweep/lanes", static_cast<double>(n));
   report.add_result("sweep/demand_ratio", demand_ratio);
   report.add_result("sweep/checksum", static_cast<double>(checksum));
-  report.add_result("sweep/shadow_max_abs_err", max_err);
-  report.add_result("sweep/shadow_mean_abs_err",
-                    sum_err / static_cast<double>(n));
   // Timing half: rel-tol keys; "speedup" is the CI-gated ratio.
   report.add_result("timing/sweep/per_point_pps", pp_pps);
   report.add_result("timing/sweep/batched_pps", batch_pps);
   report.add_result("timing/sweep/speedup", speedup);
   std::printf("[bench] sweep %zu lanes  per-point %6.1f  batched %6.1f "
-              "points/s  speedup %.2fx  (demand ratio %.3f, shadow max err "
-              "%.4f)\n",
-              n, pp_pps, batch_pps, speedup, demand_ratio, max_err);
+              "points/s  speedup %.2fx  (demand ratio %.3f)\n",
+              n, pp_pps, batch_pps, speedup, demand_ratio);
 
   bool gate_ok = true;
   if (min_speedup > 0.0 && speedup < min_speedup) {

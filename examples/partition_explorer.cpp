@@ -9,6 +9,7 @@
 ///   app:   launcher|browser|game|video|audio|email|maps|social|fft|matmul
 ///          |camera|messenger
 ///   tech:  sram|stt        ret: lo|mid|hi
+///   An unknown name, like malformed numbers, exits 2 naming it.
 /// Examples:
 ///   partition_explorer browser 768 12 256 8 stt mid lo
 ///   partition_explorer auto 1.03
@@ -17,11 +18,12 @@
 #include <cstring>
 
 #include "common/env.hpp"
+#include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/partition_autosizer.hpp"
 #include "core/scheme.hpp"
 #include "exp/bench_harness.hpp"
+#include "exp/partition_autosizer.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
@@ -29,18 +31,32 @@ using namespace mobcache;
 
 namespace {
 
+[[noreturn]] void unknown(const char* what, const char* s,
+                          const char* choices) {
+  throw ConfigError(std::string("unknown ") + what + " '" + s +
+                    "' (expected " + choices + ")");
+}
+
 AppId parse_app(const char* s) {
+  std::string names;
   for (AppId id : all_apps()) {
     if (std::strcmp(s, app_name(id)) == 0) return id;
+    names += (names.empty() ? "" : "|") + std::string(app_name(id));
   }
-  std::fprintf(stderr, "unknown app '%s', using browser\n", s);
-  return AppId::Browser;
+  unknown("app", s, names.c_str());
+}
+
+TechKind parse_tech(const char* s) {
+  if (std::strcmp(s, "sram") == 0) return TechKind::Sram;
+  if (std::strcmp(s, "stt") == 0) return TechKind::SttRam;
+  unknown("tech", s, "sram|stt");
 }
 
 RetentionClass parse_ret(const char* s) {
   if (std::strcmp(s, "lo") == 0) return RetentionClass::Lo;
   if (std::strcmp(s, "mid") == 0) return RetentionClass::Mid;
-  return RetentionClass::Hi;
+  if (std::strcmp(s, "hi") == 0) return RetentionClass::Hi;
+  unknown("retention", s, "lo|mid|hi");
 }
 
 }  // namespace
@@ -55,7 +71,10 @@ int run_autosizer(int argc, char** argv) {
   std::vector<Trace> traces;
   for (AppId id : interactive_apps())
     traces.push_back(generate_app_trace(id, 400'000, 42));
-  const CandidateScore best = PartitionAutosizer(cfg).best(traces);
+  ExperimentRunner runner(std::move(traces));
+  runner.jobs = 0;  // MOBCACHE_JOBS, else every core
+  const CandidateScore best =
+      PartitionAutosizer::best(PartitionAutosizer(cfg).score_all(runner));
   std::printf("chosen: user %s %u-way + kernel %s %u-way  (total %s)\n"
               "  normalized cache energy %.3f, exec time %.3f, miss %.1f%%, "
               "budget %s\n",
@@ -85,7 +104,7 @@ static int example_main(int argc, char** argv) {
       argc > 4 ? parse_u64("kernel_kb", argv[4], 1, kMaxKb) : 256;
   const auto kernel_assoc = static_cast<std::uint32_t>(
       argc > 5 ? parse_u64("kernel_assoc", argv[5], 1, UINT32_MAX) : 8);
-  const bool stt = argc > 6 && std::strcmp(argv[6], "stt") == 0;
+  const bool stt = argc > 6 && parse_tech(argv[6]) == TechKind::SttRam;
   const RetentionClass user_ret = argc > 7 ? parse_ret(argv[7]) : RetentionClass::Mid;
   const RetentionClass kernel_ret = argc > 8 ? parse_ret(argv[8]) : RetentionClass::Lo;
 

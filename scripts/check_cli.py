@@ -9,10 +9,13 @@ numeric simrun flag and positional given garbage must exit 2 with a
 `<name>: expected ...` diagnostic instead of running with a misread value;
 the same holds for the numeric positionals of mobcache_tracegen and
 mobcache_appcheck (`tracegen browser 1e6 out.mct` used to write a 3-record
-trace and exit 0).
+trace and exit 0). The partition_explorer example rejects an unknown app,
+tech or retention name the same way (`... 256 8 STT mid lo` used to run
+SRAM).
 
 Usage:
-  check_cli.py --simrun PATH --tracegen PATH --appcheck PATH --workdir DIR
+  check_cli.py --simrun PATH --tracegen PATH --appcheck PATH
+               --explorer PATH --workdir DIR
 """
 
 import argparse
@@ -67,6 +70,14 @@ APPCHECK_NUMERIC_GARBAGE = [
     (["launcher", "1e5"], "records"),
     (["launcher", "1000", "4z"], "seed"),
 ]
+# Unknown names in partition_explorer's positionals, with the word the
+# diagnostic must carry. Each is rejected before any trace is generated.
+EXPLORER_NAME_GARBAGE = [
+    (["browsr", "768", "12", "256", "8"], "unknown app"),
+    (["browser", "768", "12", "256", "8", "STT", "mid", "lo"], "unknown tech"),
+    (["browser", "768", "12", "256", "8", "stt", "low", "lo"],
+     "unknown retention"),
+]
 
 
 def run(cmd):
@@ -104,6 +115,7 @@ def main():
     ap.add_argument("--simrun", required=True, type=pathlib.Path)
     ap.add_argument("--tracegen", required=True, type=pathlib.Path)
     ap.add_argument("--appcheck", required=True, type=pathlib.Path)
+    ap.add_argument("--explorer", required=True, type=pathlib.Path)
     ap.add_argument("--workdir", required=True, type=pathlib.Path)
     args = ap.parse_args()
 
@@ -140,6 +152,8 @@ def main():
     for argv, name in APPCHECK_NUMERIC_GARBAGE:
         expect_usage_error("appcheck", [args.appcheck, *argv],
                            f"{name}: expected")
+    for argv, needle in EXPLORER_NAME_GARBAGE:
+        expect_usage_error("explorer", [args.explorer, *argv], needle)
 
     if FAILURES:
         print(f"{len(FAILURES)} CLI contract check(s) failed", file=sys.stderr)

@@ -402,16 +402,4 @@ std::vector<SimResult> simulate_batch(const Trace& trace,
   return results;
 }
 
-std::vector<double> estimate_demand_miss_rates(const DemandStream& stream,
-                                               ShadowConfigBatch& shadow) {
-  for (std::size_t e = 0; e < stream.size(); ++e) {
-    shadow.observe(stream.line[e]);
-  }
-  std::vector<double> rates(shadow.lanes());
-  for (std::size_t g = 0; g < shadow.lanes(); ++g) {
-    rates[g] = shadow.estimated_miss_rate(g);
-  }
-  return rates;
-}
-
 }  // namespace mobcache

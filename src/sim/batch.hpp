@@ -19,8 +19,8 @@
 ///    the replay reads each demand access back from the trace. The
 ///    ExperimentRunner replays its grid cells from it.
 ///  - DemandStream — one self-contained record per L2 demand access, for
-///    replaying lanes without the trace (simulate_batch_lanes, the shadow
-///    estimator, the benchmark's layer split).
+///    replaying lanes without the trace (simulate_batch_lanes, the
+///    benchmark's layer split).
 ///
 /// Both replays share one core that rebuilds the CpiModel clock per design:
 ///
@@ -31,10 +31,6 @@
 /// byte-identical to simulate() — tests/test_batch.cpp pins this for every
 /// scheme and for random configurations, and the ExperimentRunner keys them
 /// into the same result store records (docs/SWEEP_ENGINE.md).
-///
-/// Sizes not worth a full lane can be *estimated* from a demand stream via
-/// the auxiliary-tag ShadowConfigBatch (cache/config_batch.hpp) —
-/// estimate_demand_miss_rates() below is the seam.
 
 #include <cstdint>
 #include <exception>
@@ -42,7 +38,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/config_batch.hpp"
 #include "sim/simulator.hpp"
 
 namespace mobcache {
@@ -176,14 +171,5 @@ std::vector<BatchLaneOutcome> simulate_batch_lanes(
 std::vector<SimResult> simulate_batch(const Trace& trace,
                                       const std::vector<L2Interface*>& lanes,
                                       const SimOptions& opts = {});
-
-/// Auxiliary-tag estimation seam (Mittal-style single-pass profiling): feeds
-/// every demand line of `stream` through `shadow` and returns, per geometry
-/// lane, the estimated L2 miss rate at that lane's full associativity.
-/// Estimates are *approximations* (LRU stacks, sampled sets — accuracy
-/// bounds in docs/SWEEP_ENGINE.md), for triaging which sizes deserve a real
-/// simulation lane.
-std::vector<double> estimate_demand_miss_rates(const DemandStream& stream,
-                                               ShadowConfigBatch& shadow);
 
 }  // namespace mobcache

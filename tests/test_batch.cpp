@@ -1,17 +1,14 @@
 /// \file test_batch.cpp
-/// Single-pass replay (sim/batch.hpp, cache/config_batch.hpp,
-/// ExperimentRunner::run_designs): every replay's whole contract is
-/// byte-identity with per-point simulate(), so nearly every test here pins
-/// the two against each other — SimResults via the exact result-store
-/// record serialization, result-store keys, and the keep-going failure
-/// manifests. The ShadowConfigBatch estimator is checked against a
-/// brute-force LRU-stack reference.
+/// Single-pass replay (sim/batch.hpp, ExperimentRunner::run_designs):
+/// every replay's whole contract is byte-identity with per-point
+/// simulate(), so nearly every test here pins the two against each other —
+/// SimResults via the exact result-store record serialization, result-store
+/// keys, and the keep-going failure manifests.
 
 #include "sim/batch.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdlib>
@@ -25,11 +22,9 @@
 #include <utility>
 #include <vector>
 
-#include "cache/config_batch.hpp"
 #include "common/cancel.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "exp/bench_harness.hpp"
 #include "exp/result_store.hpp"
 #include "exp/runner.hpp"
@@ -606,104 +601,6 @@ TEST_F(BatchStoreTest, CancellationMidSweepResumesFromTheStore) {
   const auto expect = simulate_grid(ref, specs);
   for (std::size_t i = 0; i < got.size(); ++i)
     expect_suite_equal(got[i], expect[i]);
-}
-
-// ---- ShadowConfigBatch ---------------------------------------------------
-
-/// Brute-force per-set LRU stacks — the reference the SoA implementation
-/// must agree with exactly when every set is monitored (sample_shift 0).
-struct ReferenceStacks {
-  explicit ReferenceStacks(const ShadowGeometry& g)
-      : geom(g), sets(g.num_sets), hits_at_depth(g.assoc, 0) {}
-
-  void observe(Addr line) {
-    const Addr block = line / kLineSize;
-    auto& stack = sets[static_cast<std::size_t>(block % geom.num_sets)];
-    ++accesses;
-    for (std::size_t d = 0; d < stack.size(); ++d) {
-      if (stack[d] == block) {
-        ++hits_at_depth[d];
-        stack.erase(stack.begin() + static_cast<std::ptrdiff_t>(d));
-        stack.insert(stack.begin(), block);
-        return;
-      }
-    }
-    stack.insert(stack.begin(), block);
-    if (stack.size() > geom.assoc) stack.pop_back();
-  }
-
-  std::uint64_t hits_with_ways(std::uint32_t ways) const {
-    std::uint64_t h = 0;
-    for (std::uint32_t d = 0; d < std::min(ways, geom.assoc); ++d)
-      h += hits_at_depth[d];
-    return h;
-  }
-
-  ShadowGeometry geom;
-  std::vector<std::vector<Addr>> sets;
-  std::vector<std::uint64_t> hits_at_depth;
-  std::uint64_t accesses = 0;
-};
-
-TEST(ShadowBatch, UnsampledLanesMatchReferenceLruStacks) {
-  const std::vector<ShadowGeometry> geoms{{16, 4}, {64, 8}, {32, 2}};
-  ShadowConfigBatch batch(geoms, /*sample_shift=*/0);
-  std::vector<ReferenceStacks> refs(geoms.begin(), geoms.end());
-
-  Rng rng(99);
-  for (int i = 0; i < 5'000; ++i) {
-    const Addr line = rng.below(2'048) * kLineSize;
-    batch.observe(line);
-    for (ReferenceStacks& r : refs) r.observe(line);
-  }
-  for (std::size_t g = 0; g < geoms.size(); ++g) {
-    EXPECT_EQ(batch.observed_accesses(g), refs[g].accesses);
-    for (std::uint32_t w = 1; w <= geoms[g].assoc; ++w) {
-      EXPECT_EQ(batch.hits_with_ways(g, w), refs[g].hits_with_ways(w))
-          << "lane " << g << " ways " << w;
-    }
-  }
-}
-
-TEST(ShadowBatch, HitsAreMonotonicInWaysAndRatesBounded) {
-  ShadowConfigBatch batch({{128, 8}}, /*sample_shift=*/2);
-  Rng rng(7);
-  for (int i = 0; i < 20'000; ++i)
-    batch.observe(rng.below(8'192) * kLineSize);
-
-  std::uint64_t prev = 0;
-  for (std::uint32_t w = 1; w <= 8; ++w) {
-    const std::uint64_t h = batch.hits_with_ways(0, w);
-    EXPECT_GE(h, prev);
-    prev = h;
-    const double rate = batch.estimated_miss_rate(0, w);
-    EXPECT_GE(rate, 0.0);
-    EXPECT_LE(rate, 1.0);
-  }
-  // Sampled counters are scaled back up by the 1 << shift factor.
-  EXPECT_EQ(batch.observed_accesses(0) % 4, 0u);
-}
-
-TEST(ShadowBatch, EstimationSeamCoversEveryLane) {
-  const Trace trace = generate_app_trace(AppId::Browser, 30'000, 5);
-  const DemandStream stream = build_demand_stream(trace, SimOptions{});
-  ShadowConfigBatch shadow({{2048, 16}, {2048, 8}, {1024, 16}},
-                           /*sample_shift=*/0);
-  const std::vector<double> rates = estimate_demand_miss_rates(stream, shadow);
-  ASSERT_EQ(rates.size(), 3u);
-  for (const double r : rates) {
-    EXPECT_GE(r, 0.0);
-    EXPECT_LE(r, 1.0);
-  }
-  // Same sets, fewer ways: the 8-way estimate cannot out-hit the 16-way.
-  EXPECT_GE(rates[1], rates[0]);
-}
-
-TEST(ShadowBatch, RejectsDegenerateGeometry) {
-  const std::vector<ShadowGeometry> zero_sets{{0, 4}};
-  const std::vector<ShadowGeometry> zero_ways{{16, 0}};
-  EXPECT_THROW(ShadowConfigBatch batch(zero_sets), std::invalid_argument);
-  EXPECT_THROW(ShadowConfigBatch batch(zero_ways), std::invalid_argument);
 }
 
 // ---- bench_sweep_batch CLI/env parsing -----------------------------------

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/partition_autosizer.hpp"
 #include "core/scheme.hpp"
 #include "core/shared_l2.hpp"
 #include "energy/refresh.hpp"
@@ -125,28 +124,6 @@ TEST(RepairController, PendingWaysCountAgainstSurvivorBudget) {
   EXPECT_FALSE(rc.record_fault(1));
   EXPECT_EQ(rc.take_pending(), 0u);
   EXPECT_EQ(rc.healthy_ways(), 1u);
-}
-
-// ---- static-partition renegotiation --------------------------------------
-
-TEST(PartitionAutosizer, RenegotiateAfterFaultsKeepsSetCount) {
-  StaticPartitionConfig c;
-  c.user = sram_segment(1024ull << 10, 8);
-  c.kernel = sram_segment(256ull << 10, 8);
-  const StaticPartitionConfig out =
-      PartitionAutosizer::renegotiate_after_faults(c, 6, 3);
-  EXPECT_EQ(out.user.assoc, 6u);
-  EXPECT_EQ(out.user.size_bytes, (1024ull << 10) / 8 * 6);
-  EXPECT_EQ(out.kernel.assoc, 3u);
-  EXPECT_EQ(out.kernel.size_bytes, (256ull << 10) / 8 * 3);
-  // Set count unchanged: bytes / (assoc * 64) identical before and after.
-  EXPECT_EQ(out.user.size_bytes / out.user.assoc,
-            c.user.size_bytes / c.user.assoc);
-  // Degenerate inputs clamp to at least one way.
-  const StaticPartitionConfig floor =
-      PartitionAutosizer::renegotiate_after_faults(c, 0, 99);
-  EXPECT_EQ(floor.user.assoc, 1u);
-  EXPECT_EQ(floor.kernel.assoc, 8u);
 }
 
 // ---- end-to-end: bit-identity, determinism, degradation ------------------

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/multi_retention_l2.hpp"
-#include "core/partition_autosizer.hpp"
+#include "exp/partition_autosizer.hpp"
 #include "exp/runner.hpp"
 #include "sim/multicore.hpp"
 #include "workload/scenario.hpp"
@@ -138,9 +138,11 @@ TEST(BandsStandalone, E12PrefetchReducesMisses) {
 TEST(BandsStandalone, E15AutosizerFindsSubBaselineConfig) {
   std::vector<Trace> traces;
   traces.push_back(generate_app_trace(AppId::Launcher, 150'000, 42));
+  const ExperimentRunner runner(std::move(traces));
   AutosizerConfig cfg;
   cfg.max_slowdown = 1.08;
-  const CandidateScore best = PartitionAutosizer(cfg).best(traces);
+  const CandidateScore best =
+      PartitionAutosizer::best(PartitionAutosizer(cfg).score_all(runner));
   EXPECT_TRUE(best.feasible);
   EXPECT_LT(best.candidate.total_bytes(), 2ull << 20);
 }
