@@ -3,9 +3,14 @@
 /// epoch length, demand-monitor kind, damping step, miss slack, energy
 /// criterion, refresh policy, and replacement policy. Each section compares
 /// against the same SRAM baseline on a reduced suite.
+///
+/// `--jobs=N` / MOBCACHE_JOBS set every grid's worker count; no emitted
+/// number depends on it. The builders only read their captures, so they
+/// are safe to call from the workers.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
@@ -53,11 +58,13 @@ TablePrinter dp_table() {
 
 }  // namespace
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E10", "Ablation of the dynamic/static design choices");
   const std::uint64_t len = bench_trace_len(600'000);
 
   ExperimentRunner runner(reduced_suite(), len, 42);
+  runner.jobs = jobs;
   Ctx ctx{&runner, runner.run_scheme(SchemeKind::BaselineSram)};
 
   std::printf("[a] DP-STT epoch length (accesses between decisions):\n");
@@ -108,6 +115,7 @@ int main() {
   {
     ExperimentRunner long_runner({AppId::Launcher, AppId::Email},
                                  bench_trace_len(6'000'000), 42);
+    long_runner.jobs = jobs;
     Ctx long_ctx{&long_runner,
                  long_runner.run_scheme(SchemeKind::BaselineSram)};
     TablePrinter f({"variant", "avg enabled", "L2 miss", "norm cache energy",
@@ -127,7 +135,8 @@ int main() {
     TablePrinter hh({"L1 (I+D)", "L2 kernel share", "base miss",
                      "SP-MRSTT norm energy", "SP-MRSTT norm time"});
     for (std::uint64_t l1_kb : {16ull, 32ull, 64ull}) {
-      ExperimentRunner r2(reduced_suite(), len, 42);
+      ExperimentRunner r2(runner.apps(), runner.traces());
+      r2.jobs = jobs;
       r2.sim_options.hierarchy.l1i.size_bytes = l1_kb << 10;
       r2.sim_options.hierarchy.l1d.size_bytes = l1_kb << 10;
       auto b = r2.run_scheme(SchemeKind::BaselineSram);
@@ -191,7 +200,8 @@ int main() {
     TablePrinter jj({"policy", "L2 miss", "norm cache energy",
                      "norm exec time"});
     for (bool inclusive : {false, true}) {
-      ExperimentRunner r2(reduced_suite(), len, 42);
+      ExperimentRunner r2(runner.apps(), runner.traces());
+      r2.jobs = jobs;
       r2.sim_options.hierarchy.inclusive_l2 = inclusive;
       auto b = r2.run_scheme(SchemeKind::BaselineSram);
       auto sp = r2.run_scheme(SchemeKind::StaticPartMrstt);
@@ -229,4 +239,9 @@ int main() {
       "outlive their retention, where scrub-dirty is the cheapest safe "
       "choice.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return guarded_main("bench_e10_ablation", /*install_signals=*/true, argc,
+                      argv, run_bench);
 }

@@ -4,20 +4,27 @@
 /// shared L2; in the partitioned designs the pollution stays inside the
 /// owning segment. This bench quantifies miss/energy/time with the L2
 /// prefetcher off vs on for the three main designs.
+///
+/// Every grid runs over one suite, generated once; `--jobs=N` /
+/// MOBCACHE_JOBS set the grids' worker count, and no emitted number depends
+/// on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/scheme.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
 using namespace mobcache;
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E12", "Prefetcher x partitioning interaction");
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
+  runner.jobs = jobs;
   // Baseline for normalization: no prefetch, shared SRAM.
   const SchemeSuiteResult base = runner.run_scheme(SchemeKind::BaselineSram);
 
@@ -27,7 +34,8 @@ int main() {
   for (SchemeKind k : {SchemeKind::BaselineSram, SchemeKind::StaticPartMrstt,
                        SchemeKind::DynamicStt}) {
     for (bool pf : {false, true}) {
-      ExperimentRunner r2(runner.apps(), len, 42);
+      ExperimentRunner r2(runner.apps(), runner.traces());
+      r2.jobs = jobs;
       r2.sim_options.hierarchy.prefetch.enabled = pf;
       r2.sim_options.hierarchy.prefetch.degree = 2;
       const SchemeSuiteResult r = r2.run_scheme(k);
@@ -59,4 +67,9 @@ int main() {
       "with prefetch on: pollution stays inside the owning\nsegment instead "
       "of evicting the other mode's blocks.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return guarded_main("bench_e12_prefetch", /*install_signals=*/true, argc,
+                      argv, run_bench);
 }

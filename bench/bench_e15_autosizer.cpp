@@ -18,17 +18,6 @@
 
 using namespace mobcache;
 
-namespace {
-
-std::vector<Trace> app_traces(const std::vector<AppId>& apps,
-                              std::uint64_t len) {
-  std::vector<Trace> traces;
-  for (AppId id : apps) traces.push_back(generate_app_trace(id, len, 42));
-  return traces;
-}
-
-}  // namespace
-
 static int run_bench(int argc, char** argv) {
   const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E15", "Automated static-partition provisioning + holdout");
@@ -40,7 +29,7 @@ static int run_bench(int argc, char** argv) {
   // memory is one suite.
   std::vector<CandidateScore> scores;
   {
-    ExperimentRunner train(app_traces(interactive_apps(), len));
+    ExperimentRunner train(interactive_apps(), len, 42);
     train.jobs = jobs;
     scores = az.score_all(train);
   }
@@ -61,7 +50,7 @@ static int run_bench(int argc, char** argv) {
               best.norm_exec_time);
 
   // 2. Validate on held-out apps.
-  ExperimentRunner holdout(app_traces(extra_apps(), len));
+  ExperimentRunner holdout(extra_apps(), len, 42);
   holdout.jobs = jobs;
   const std::vector<SchemeSuiteResult> grid = holdout.run_designs(
       {scheme_design(SchemeKind::BaselineSram), az.design(best.candidate)});

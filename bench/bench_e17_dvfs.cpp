@@ -5,20 +5,27 @@
 /// paper's leakage-free designs comparatively even stronger. Sweeps the
 /// core clock and reports each design's absolute L2 energy per workload
 /// unit plus its saving versus the same-clock baseline.
+///
+/// The suite is generated once and shared by every clock's runner (trace
+/// generation does not read the technology); `--jobs=N` / MOBCACHE_JOBS set
+/// the grids' worker count, and no emitted number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
 using namespace mobcache;
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E17", "Core-clock (DVFS) sweep");
   const std::uint64_t len = bench_trace_len(600'000);
 
-  const std::vector<AppId> suite = {AppId::Launcher, AppId::Browser,
-                                    AppId::AudioPlayer, AppId::Maps};
+  const ExperimentRunner suite({AppId::Launcher, AppId::Browser,
+                                AppId::AudioPlayer, AppId::Maps},
+                               len, 42);
 
   TablePrinter t({"clock", "design", "L2 miss", "cache energy (uJ)",
                   "saving vs same-clock base", "exec time vs 1 GHz base"});
@@ -29,7 +36,8 @@ int main() {
     cfg.cycle_ns = 1.0 / ghz;
     ScopedTechnology scope(cfg);
 
-    ExperimentRunner runner(suite, len, 42);
+    ExperimentRunner runner(suite.apps(), suite.traces());
+    runner.jobs = jobs;
     std::vector<SchemeSuiteResult> r;
     r.push_back(runner.run_scheme(SchemeKind::BaselineSram));
     r.push_back(runner.run_scheme(SchemeKind::StaticPartMrstt));
@@ -71,4 +79,9 @@ int main() {
       "the 0.5 GHz rows are computed against their own-clock baseline;\n"
       "the final column shows wall time relative to the 1 GHz baseline.)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return guarded_main("bench_e17_dvfs", /*install_signals=*/true, argc, argv,
+                      run_bench);
 }

@@ -3,19 +3,25 @@
 /// expensive array install for fills predicted dead-on-arrival (streaming
 /// page-cache/network/frame data). Reports the write-energy cut against the
 /// re-miss cost, per design.
+///
+/// `--jobs=N` / MOBCACHE_JOBS set the grids' worker count; no emitted
+/// number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
 using namespace mobcache;
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E18", "Stream write-bypass for STT-RAM fills");
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
+  runner.jobs = jobs;
   const SchemeSuiteResult base = runner.run_scheme(SchemeKind::BaselineSram);
 
   TablePrinter t({"design", "bypass", "L2 miss", "write energy (uJ)",
@@ -50,4 +56,9 @@ int main() {
       "risk there. It remains\na reasonable add-on for the unpartitioned "
       "STT design only.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return guarded_main("bench_e18_bypass", /*install_signals=*/true, argc, argv,
+                      run_bench);
 }

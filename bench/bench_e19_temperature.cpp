@@ -5,22 +5,29 @@
 /// in the sun. Sweeps 25/45/65/85 °C and reports what happens to the
 /// multi-retention static design — expiries, refresh work and the bottom
 /// line — plus what the advisor recommends at each temperature.
+///
+/// The suite is generated once and shared by every temperature's runner
+/// (trace generation does not read the technology); `--jobs=N` /
+/// MOBCACHE_JOBS set the grids' worker count, and no emitted number depends
+/// on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/multi_retention_l2.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
 using namespace mobcache;
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E19", "Temperature sweep for the multi-retention design");
   // Session-length traces so blocks actually face the (shortened)
   // retention windows.
   const std::uint64_t len = bench_trace_len(4'000'000);
-  const std::vector<AppId> suite = {AppId::Launcher, AppId::Browser,
-                                    AppId::Email};
+  const ExperimentRunner suite({AppId::Launcher, AppId::Browser, AppId::Email},
+                               len, 42);
 
   TablePrinter t({"temp", "LO retention", "MID retention", "L2 miss",
                   "expired blocks", "refresh uJ", "norm cache energy",
@@ -31,7 +38,8 @@ int main() {
     cfg.temperature_k = celsius + 273.0;
     ScopedTechnology scope(cfg);
 
-    ExperimentRunner runner(suite, len, 42);
+    ExperimentRunner runner(suite.apps(), suite.traces());
+    runner.jobs = jobs;
     auto base = runner.run_scheme(SchemeKind::BaselineSram);
     auto r = runner.run_scheme(SchemeKind::StaticPartMrstt);
     std::vector<SchemeSuiteResult> v{base, r};
@@ -81,4 +89,9 @@ int main() {
       "hot corner, exactly as the advisor's hot-trace recommendation (user "
       "class\nbumped to MID from 65 C) indicates.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return guarded_main("bench_e19_temperature", /*install_signals=*/true, argc,
+                      argv, run_bench);
 }

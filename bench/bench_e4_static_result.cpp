@@ -1,19 +1,25 @@
 /// \file bench_e4_static_result.cpp
 /// E4 (paper Table 2) — the chosen static configuration, per app: the
 /// SP-SRAM and SP-MRSTT designs against the 2 MB SRAM baseline.
+///
+/// `--jobs=N` / MOBCACHE_JOBS set the grid's worker count; no emitted
+/// number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
 using namespace mobcache;
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E4", "Chosen static partition: per-app results");
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
+  runner.jobs = jobs;
   std::vector<SchemeSuiteResult> v = runner.run_schemes(
       {SchemeKind::BaselineSram, SchemeKind::StaticPartSram,
        SchemeKind::StaticPartMrstt});
@@ -62,4 +68,9 @@ int main() {
       (1.0 - v[2].norm_cache_energy) * 100.0,
       (v[2].norm_exec_time - 1.0) * 100.0);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return guarded_main("bench_e4_static_result", /*install_signals=*/true, argc,
+                      argv, run_bench);
 }

@@ -2,19 +2,25 @@
 /// E7 (paper Fig. 6) — where the energy goes: leakage / array reads /
 /// array writes / refresh / DRAM, per scheme, summed over the interactive
 /// suite and normalized to the baseline's cache energy.
+///
+/// `--jobs=N` / MOBCACHE_JOBS set the grid's worker count; no emitted
+/// number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
 using namespace mobcache;
 
-int main() {
+static int run_bench(int argc, char** argv) {
+  const unsigned jobs = bench_jobs(argc, argv);
   print_banner("E7", "Energy breakdown per scheme (suite total)");
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
+  runner.jobs = jobs;
 
   struct Row {
     std::string name;
@@ -55,4 +61,9 @@ int main() {
       "shrinking attacks\nexactly that term, and STT-RAM removes most of "
       "what remains at the cost of a\nvisible write/refresh component.\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return guarded_main("bench_e7_energy_breakdown", /*install_signals=*/true,
+                      argc, argv, run_bench);
 }

@@ -68,10 +68,7 @@ int run_autosizer(int argc, char** argv) {
   std::printf("autosizing a multi-retention STT partition for the primary "
               "suite (time budget %.2fx)...\n\n",
               cfg.max_slowdown);
-  std::vector<Trace> traces;
-  for (AppId id : interactive_apps())
-    traces.push_back(generate_app_trace(id, 400'000, 42));
-  ExperimentRunner runner(std::move(traces));
+  ExperimentRunner runner(interactive_apps(), 400'000, 42);
   runner.jobs = 0;  // MOBCACHE_JOBS, else every core
   const CandidateScore best =
       PartitionAutosizer::best(PartitionAutosizer(cfg).score_all(runner));

@@ -60,8 +60,18 @@ MetricRegistry SchemeSuiteResult::merged_metrics() const {
 
 ExperimentRunner::ExperimentRunner(std::vector<AppId> apps,
                                    std::uint64_t accesses, std::uint64_t seed)
-    : apps_(std::move(apps)),
-      traces_(cached_suite(apps_, accesses, seed)) {}
+    : apps_(std::move(apps)), traces_(apps_.size()) {
+  // One task per app on the auto worker count, which the executor caps at
+  // the number of apps; each task writes only its own slot.
+  SweepExecutor().for_each(apps_.size(), [&](std::size_t i) {
+    traces_[i] = std::make_shared<const Trace>(
+        generate_app_trace(apps_[i], accesses, seed));
+  });
+}
+
+ExperimentRunner::ExperimentRunner(
+    std::vector<AppId> apps, std::vector<std::shared_ptr<const Trace>> traces)
+    : apps_(std::move(apps)), traces_(std::move(traces)) {}
 
 ExperimentRunner::ExperimentRunner(std::vector<Trace> traces) {
   traces_.reserve(traces.size());

@@ -9,8 +9,10 @@
 /// sharded across worker threads.
 /// Results are assembled in cell-index order and every cell is a pure
 /// function of its index, so a parallel run is bit-identical to `jobs = 1`.
-/// Traces come from the process-wide TraceCache via cached_suite():
-/// generated once, shared read-only.
+/// The runner owns its suite: the (apps, accesses, seed) constructor
+/// generates one trace per app on the executor, and the traces are shared
+/// read-only by every cell and by any runner built over them, then freed
+/// with the last runner that holds them.
 ///
 /// When a grid computes two or more designs over one trace, the L1 front
 /// end of that trace is simulated once per call: the first cell to compute
@@ -95,11 +97,21 @@ struct SchemeSuiteResult {
 
 class ExperimentRunner {
  public:
-  /// `apps` defines the suite; traces come from the TraceCache (generated
-  /// once process-wide for this (apps, accesses, seed), shared read-only by
-  /// all schemes and all concurrently-running runners).
+  /// `apps` defines the suite: trace i is generate_app_trace(apps[i],
+  /// accesses, seed). The traces are generated as one SweepExecutor task per
+  /// app on effective_jobs(0) workers (MOBCACHE_JOBS, else the hardware
+  /// threads), at most one per app — not on `jobs`: each trace is a pure
+  /// function of its app, and generation runs no caller code, so any worker
+  /// count builds the same suite.
   ExperimentRunner(std::vector<AppId> apps, std::uint64_t accesses,
                    std::uint64_t seed = 1);
+
+  /// A runner over an existing suite, typically another runner's apps() and
+  /// traces(): nothing is generated, and the two runners share the Trace
+  /// objects. Use it to evaluate one suite under several SimOptions or
+  /// technology settings.
+  ExperimentRunner(std::vector<AppId> apps,
+                   std::vector<std::shared_ptr<const Trace>> traces);
 
   /// Uses pre-generated traces (e.g. loaded from disk) instead of
   /// synthesizing a suite.
@@ -190,7 +202,8 @@ class ExperimentRunner {
   /// Worker threads for this runner's (scheme × workload) cells. 1 = serial
   /// (the default — library users opt in), 0 = auto (MOBCACHE_JOBS env,
   /// then hardware concurrency), N = exactly N. Results are identical for
-  /// every value; only wall-clock changes.
+  /// every value; only wall-clock changes. Suite generation does not read
+  /// it (see the constructor).
   unsigned jobs = 1;
 
   /// When true, every simulate() call gets a fresh Telemetry session,

@@ -11,11 +11,12 @@
 ///
 /// The cache is keyed generically (this layer knows nothing about apps);
 /// workload/suite.hpp provides the AppId-typed wrappers
-/// (cached_app_trace / cached_suite) every runner goes through.
+/// (cached_app_trace / cached_suite). Its one remaining user is the
+/// benchmark harness (mcbench/): ExperimentRunner owns its traces.
 ///
 /// Memory is bounded: entries nobody currently references are evicted LRU
 /// once the resident budget (MOBCACHE_TRACE_CACHE_MB, default 1024) is
-/// exceeded. Entries still referenced by a live runner are never evicted, so
+/// exceeded. Entries still referenced by a caller are never evicted, so
 /// a returned pointer stays valid for as long as the caller holds it; pinned
 /// entries can push residency over budget transiently, and the budget is
 /// re-enforced on every subsequent access (hit or publish), not just when

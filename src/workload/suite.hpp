@@ -21,8 +21,9 @@ std::vector<Trace> generate_suite(const std::vector<AppId>& apps,
                                   std::uint64_t seed = 1);
 
 /// TraceCache-backed app trace: generated once process-wide per
-/// (app, accesses, seed), then shared read-only — the input side of the
-/// parallel sweep engine (docs/PARALLELISM.md).
+/// (app, accesses, seed), then shared read-only. ExperimentRunner owns its
+/// traces and does not use the cache; the benchmark harness (mcbench/)
+/// does.
 std::shared_ptr<const Trace> cached_app_trace(AppId id,
                                               std::uint64_t accesses,
                                               std::uint64_t seed = 1);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "exp/report.hpp"
+#include "exp/result_store.hpp"
 
 namespace mobcache {
 namespace {
@@ -77,6 +80,68 @@ TEST(Runner, SameSeedSameResults) {
   EXPECT_EQ(ra.per_workload[0].cycles, rb.per_workload[0].cycles);
   EXPECT_DOUBLE_EQ(ra.per_workload[0].l2_energy.total_nj(),
                    rb.per_workload[0].l2_energy.total_nj());
+}
+
+// The suite is generated as one executor task per app; each trace must
+// still land at its app's index, equal to a serial generation. Three
+// workers over four apps, whatever the host's core count: one worker takes
+// two apps, and the tasks can finish in any order.
+TEST(RunnerTraces, SuiteMatchesGeneratorInAppOrder) {
+  const std::vector<AppId> apps = {AppId::Maps, AppId::Launcher, AppId::Game,
+                                   AppId::Email};
+  setenv("MOBCACHE_JOBS", "3", 1);
+  const ExperimentRunner r(apps, 15'000, 9);
+  unsetenv("MOBCACHE_JOBS");
+  ASSERT_EQ(r.traces().size(), apps.size());
+  EXPECT_EQ(r.apps(), apps);
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    EXPECT_EQ(hash_trace(r.trace(i)),
+              hash_trace(generate_app_trace(apps[i], 15'000, 9)))
+        << app_name(apps[i]);
+  }
+}
+
+TEST(RunnerTraces, RunnerOverAnotherRunnersSuiteSharesItsTraces) {
+  ExperimentRunner a({AppId::Launcher, AppId::Email, AppId::Browser}, 20'000,
+                     3);
+  ExperimentRunner b(a.apps(), a.traces());
+  EXPECT_EQ(b.apps(), a.apps());
+  ASSERT_EQ(b.traces().size(), a.traces().size());
+  for (std::size_t i = 0; i < a.traces().size(); ++i)
+    EXPECT_EQ(b.traces()[i].get(), a.traces()[i].get()) << i;
+
+  a.jobs = 1;
+  b.jobs = 3;
+  const std::vector<SchemeKind> kinds = {SchemeKind::BaselineSram,
+                                         SchemeKind::StaticPartMrstt};
+  const std::vector<SchemeSuiteResult> ra = a.run_schemes(kinds);
+  const std::vector<SchemeSuiteResult> rb = b.run_schemes(kinds);
+  ASSERT_EQ(ra.size(), rb.size());
+  for (std::size_t s = 0; s < ra.size(); ++s) {
+    ASSERT_EQ(ra[s].per_workload.size(), rb[s].per_workload.size());
+    for (std::size_t w = 0; w < ra[s].per_workload.size(); ++w) {
+      EXPECT_EQ(result_to_record_json(ra[s].per_workload[w]),
+                result_to_record_json(rb[s].per_workload[w]))
+          << ra[s].name << " / " << w;
+    }
+  }
+}
+
+// Runners own their traces: nothing outside them keeps a suite alive, so a
+// multi-runner experiment holds only the suites it still uses.
+TEST(RunnerTraces, TracesFreedWithTheLastRunnerHoldingThem) {
+  std::weak_ptr<const Trace> first;
+  {
+    auto a = std::make_unique<ExperimentRunner>(
+        std::vector<AppId>{AppId::Launcher, AppId::Email, AppId::Maps}, 10'000,
+        1);
+    first = a->traces()[0];
+    const ExperimentRunner b(a->apps(), a->traces());
+    a.reset();
+    EXPECT_FALSE(first.expired());  // b still holds the suite
+    EXPECT_EQ(b.traces()[0].get(), first.lock().get());
+  }
+  EXPECT_TRUE(first.expired());
 }
 
 TEST(Report, HeadlineTableShape) {

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "exp/runner.hpp"
 #include "workload/suite.hpp"
 
 namespace mobcache {
@@ -227,17 +226,6 @@ TEST_F(TraceCacheTest, ReleasedPinsReconvergeOnNextHit) {
   (void)c.get_or_generate({70, n, 3}, [&] { return tiny_trace("d2", n); });
   EXPECT_LE(c.stats().resident_bytes, budget);
   c.set_capacity_bytes(1024ull << 20);
-}
-
-TEST_F(TraceCacheTest, RunnersShareSuiteTraces) {
-  ExperimentRunner a({AppId::Launcher, AppId::Email}, 20'000, 1);
-  ExperimentRunner b({AppId::Launcher, AppId::Email}, 20'000, 1);
-  ASSERT_EQ(a.traces().size(), 2u);
-  EXPECT_EQ(a.traces()[0].get(), b.traces()[0].get());
-  EXPECT_EQ(a.traces()[1].get(), b.traces()[1].get());
-  // Different seed, different trace object.
-  ExperimentRunner d({AppId::Launcher, AppId::Email}, 20'000, 2);
-  EXPECT_NE(a.traces()[0].get(), d.traces()[0].get());
 }
 
 TEST_F(TraceCacheTest, CachedAppTraceMatchesGenerator) {
