@@ -56,7 +56,6 @@ std::vector<Variant> variants() {
 
 static int run_bench(int argc, char** argv) {
   const unsigned jobs = bench_jobs(argc, argv);
-  const unsigned batch = bench_sweep_batch(argc, argv);
   const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
   BenchReport bench("e13_sensitivity", jobs);
   print_banner("E13", "Sensitivity of the conclusions to technology constants");
@@ -70,9 +69,7 @@ static int run_bench(int argc, char** argv) {
   runner.result_store = store.get();
   // Each variant's run_schemes() call below runs every trace's L1 front end
   // once for all three schemes, on the variant's worker, so its
-  // ScopedTechnology prices that pass. --batch[=N] is only recorded.
-  runner.sweep_batch = batch;
-  bench.set_sweep_batch(batch, runner.batchable());
+  // ScopedTechnology prices that pass.
 
   const std::vector<Variant> vars = variants();
 

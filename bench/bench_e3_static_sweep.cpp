@@ -5,9 +5,8 @@
 ///
 /// The baseline plus the seven sizings run as one run_designs() grid, which
 /// runs each trace's L1 front end once for all sizings (docs/SWEEP_ENGINE.md).
-/// `--jobs=N` / MOBCACHE_JOBS pick the worker count; `--batch[=N]` /
-/// MOBCACHE_SWEEP_BATCH are accepted but select no engine — the BENCH report
-/// only records them. Neither knob changes any emitted number.
+/// `--jobs=N` / MOBCACHE_JOBS pick the worker count; it changes no emitted
+/// number.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -31,7 +30,6 @@ struct Sizing {
 
 static int run_bench(int argc, char** argv) {
   const unsigned jobs = bench_jobs(argc, argv);
-  const unsigned batch = bench_sweep_batch(argc, argv);
   const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
   BenchReport bench("e3_static_sweep", jobs);
   print_banner("E3",
@@ -41,8 +39,6 @@ static int run_bench(int argc, char** argv) {
   ExperimentRunner runner(interactive_apps(), len, 42);
   runner.result_store = store.get();
   runner.jobs = jobs;
-  runner.sweep_batch = batch;
-  bench.set_sweep_batch(batch, runner.batchable());
 
   const std::vector<Sizing> sweep = {
       {256, 8, 128, 8},  {512, 8, 128, 8},   {512, 8, 256, 8},

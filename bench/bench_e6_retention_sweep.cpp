@@ -6,10 +6,8 @@
 /// Sweep points (the baseline plus the nine pairings) run as one
 /// run_designs() grid, which drives all pairings from one L1 pass per
 /// workload (docs/SWEEP_ENGINE.md): pass `--jobs=N` (or MOBCACHE_JOBS) to
-/// spread them over worker threads. `--batch[=N]` (or MOBCACHE_SWEEP_BATCH)
-/// selects no engine; the BENCH report only records it. Results are keyed
-/// by point index, so the emitted table, CSV and JSON are byte-identical for
-/// every job count and batch setting.
+/// spread them over worker threads. Results are keyed by point index, so
+/// the emitted table, CSV and JSON are byte-identical for every job count.
 ///
 /// Fault supervision (docs/RELIABILITY.md): --keep-going turns a failing
 /// pairing into a manifest entry (the table/CSV/JSON simply omit that row)
@@ -30,7 +28,6 @@ using namespace mobcache;
 static int run_bench(int argc, char** argv) {
   const std::size_t n_points = 1 + 3 * 3;  // the baseline + 9 pairings
   const unsigned jobs = bench_jobs(argc, argv);
-  const unsigned batch = bench_sweep_batch(argc, argv);
   const bool keep_going = bench_keep_going(argc, argv);
   const std::vector<std::size_t> fail_points =
       bench_fail_points(argc, argv, n_points);
@@ -47,8 +44,6 @@ static int run_bench(int argc, char** argv) {
   runner.result_store = store.get();
   runner.sim_options.point_deadline_ms = bench_point_deadline_ms(argc, argv);
   runner.jobs = jobs;
-  runner.sweep_batch = batch;
-  bench.set_sweep_batch(batch, runner.batchable());
 
   const RetentionClass classes[] = {RetentionClass::Lo, RetentionClass::Mid,
                                     RetentionClass::Hi};

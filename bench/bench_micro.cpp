@@ -5,27 +5,24 @@
 ///
 /// Three entry modes:
 ///  * default: the usual google-benchmark CLI over every BENCHMARK below;
-///  * --kernel-report: a self-timed access-kernel comparison (fast vs.
-///    reference dispatch, see docs/PERFORMANCE.md) that writes
-///    BENCH_micro.json for CI's perf-smoke gate. Deterministic stat
+///  * --kernel-report: a self-timed access-kernel comparison (reference vs.
+///    fast dispatch, see docs/PERFORMANCE.md) that writes BENCH_micro.json
+///    for CI's perf-smoke gate (--min-speedup=X). Deterministic stat
 ///    checksums land under "results"; throughputs and speedups land under
 ///    "timing/" keys, which scripts/check_bench.py treats with a relative
 ///    tolerance instead of exact equality.
-///  * --sweep-report: a self-timed batched-vs-per-point sweep comparison
-///    over a frozen 12-lane geometry grid (docs/SWEEP_ENGINE.md) that
-///    verifies byte-identical SimResults in-binary and writes the
-///    timing/sweep/* keys CI's sweep-gate enforces ≥5x points/s on
+///  * --sweep-report: a self-timed comparison of E9's grid run as one
+///    runner call against the same designs run one call each
+///    (docs/SWEEP_ENGINE.md); it verifies byte-identical records in-binary
+///    and writes the timing/sweep/* keys perf-smoke gates on
 ///    (--min-sweep-speedup=X).
 /// The two report modes are mutually exclusive.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -37,8 +34,8 @@
 #include "core/scheme.hpp"
 #include "exp/bench_harness.hpp"
 #include "exp/result_store.hpp"
+#include "exp/runner.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/batch.hpp"
 #include "sim/multicore.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace_compress.hpp"
@@ -113,152 +110,6 @@ struct KernelOp {
   AccessType type;
 };
 
-/// Frozen replica of the pre-overhaul SetAssocCache hot path: one ~64-byte
-/// AoS record per block, virtual replacement calls, every feature branch
-/// tested at runtime. This is the baseline the perf gate measures the SoA +
-/// devirtualized kernels against (docs/PERFORMANCE.md); it must keep
-/// producing the same stats as the live array, which --kernel-report
-/// asserts via the shared checksum.
-class LegacyAosCache {
- public:
-  struct Block {
-    Addr line = 0;
-    bool valid = false;
-    bool dirty = false;
-    Mode owner = Mode::User;
-    Cycle fill_cycle = 0;
-    Cycle last_access = 0;
-    Cycle last_write = 0;
-    Cycle retention_deadline = 0;
-    std::uint32_t access_count = 0;
-    bool prefetched = false;
-    std::uint16_t fault_bits = 0;
-  };
-
-  LegacyAosCache(const CacheConfig& cfg, std::uint64_t seed)
-      : cfg_(cfg), num_sets_(cfg.num_sets()) {
-    blocks_.resize(static_cast<std::size_t>(num_sets_) * cfg_.assoc);
-    wear_.assign(blocks_.size(), 0);
-    repl_ = make_replacement(cfg_.repl, num_sets_, cfg_.assoc, seed);
-  }
-
-  void set_retention_period(Cycle period) { retention_period_ = period; }
-  const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_.reset(); }
-  std::string kernel_name() const { return "legacy/aos"; }
-
-  AccessResult access(Addr line, AccessType type, Mode mode, Cycle now) {
-    AccessResult r;
-    const std::uint32_t set = set_index(line);
-    const WayMask allowed = full_way_mask(cfg_.assoc);
-    ++stats_.accesses[static_cast<int>(mode)];
-
-    for (WayMask m = allowed; m != 0; m &= m - 1) {
-      const auto way = static_cast<std::uint32_t>(std::countr_zero(m));
-      Block& b = blocks_[loc(set, way)];
-      if (!b.valid || b.line != line) continue;
-      if (expired(b, now)) {
-        r.target_expired = true;
-        r.expired_was_dirty = b.dirty;
-        ++stats_.expired_blocks;
-        if (b.dirty) ++stats_.expired_dirty;
-        b.valid = false;
-        repl_->on_invalidate(set, way);
-        break;  // fall through to the miss path
-      }
-      r.hit = true;
-      r.way = way;
-      ++stats_.hits[static_cast<int>(mode)];
-      if (b.prefetched) {
-        ++stats_.useful_prefetches;
-        b.prefetched = false;
-      }
-      b.last_access = now;
-      ++b.access_count;
-      if (type == AccessType::Write) {
-        ++stats_.store_hits;
-        b.dirty = true;
-        b.last_write = now;
-        ++wear_[loc(set, way)];
-        if (retention_period_ != 0)
-          b.retention_deadline = now + retention_period_;
-      }
-      repl_->on_hit(set, way);
-      return r;
-    }
-
-    std::uint32_t fill_way = cfg_.assoc;  // sentinel
-    for (WayMask m = allowed; m != 0; m &= m - 1) {
-      const auto way = static_cast<std::uint32_t>(std::countr_zero(m));
-      Block& b = blocks_[loc(set, way)];
-      if (b.valid && expired(b, now)) {
-        ++stats_.expired_blocks;
-        if (b.dirty) {
-          ++stats_.expired_dirty;
-          r.expired_was_dirty = true;
-        }
-        b.valid = false;
-        repl_->on_invalidate(set, way);
-      }
-      if (!b.valid && fill_way == cfg_.assoc) fill_way = way;
-    }
-
-    if (fill_way == cfg_.assoc) {
-      fill_way = repl_->choose_victim(set, allowed);
-      Block& victim = blocks_[loc(set, fill_way)];
-      r.evicted_valid = true;
-      r.victim_dirty = victim.dirty;
-      r.victim_line = victim.line;
-      r.victim_owner = victim.owner;
-      r.victim_access_count = victim.access_count;
-      ++stats_.evictions;
-      if (victim.dirty) ++stats_.writebacks;
-      if (victim.owner != mode) ++stats_.cross_mode_evictions;
-    }
-
-    Block& b = blocks_[loc(set, fill_way)];
-    b.line = line;
-    b.valid = true;
-    b.dirty = type == AccessType::Write;
-    b.owner = mode;
-    b.fill_cycle = now;
-    b.last_access = now;
-    b.last_write = now;
-    b.retention_deadline =
-        retention_period_ == 0 ? 0 : now + retention_period_;
-    b.access_count = 1;
-    b.prefetched = false;
-    b.fault_bits = 0;
-    ++wear_[loc(set, fill_way)];
-    repl_->on_fill(set, fill_way);
-
-    r.filled = true;
-    r.way = fill_way;
-    ++stats_.fills;
-    return r;
-  }
-
- private:
-  std::size_t loc(std::uint32_t set, std::uint32_t way) const {
-    return static_cast<std::size_t>(set) * cfg_.assoc + way;
-  }
-  std::uint32_t set_index(Addr line) const {
-    return static_cast<std::uint32_t>((line / cfg_.line_size) &
-                                      (num_sets_ - 1));
-  }
-  bool expired(const Block& b, Cycle now) const {
-    return b.retention_deadline != 0 && now >= b.retention_deadline;
-  }
-
-  CacheConfig cfg_;
-  std::uint32_t num_sets_;
-  Cycle retention_period_ = 0;
-  std::vector<Block> blocks_;
-  std::vector<std::uint32_t> wear_;
-  std::unique_ptr<ReplacementPolicy> repl_;
-  CacheStats stats_;
-};
-
 enum class KernelCase { HitHeavy, MissHeavy, Mixed, RetentionOn };
 
 const char* kernel_case_name(KernelCase c) {
@@ -313,7 +164,7 @@ std::vector<KernelOp> make_kernel_ops(KernelCase c, std::size_t n) {
 
 /// hit_heavy runs against L1 geometry (32 KB, 8-way — the hierarchy's
 /// per-record fast path); the other cases use the paper's 2 MB 16-way L2.
-CacheConfig kernel_bench_config(KernelCase c) {
+SetAssocCache make_kernel_cache(KernelCase c, KernelMode mode) {
   CacheConfig cfg;
   if (c == KernelCase::HitHeavy) {
     cfg.size_bytes = 32ull << 10;
@@ -322,26 +173,15 @@ CacheConfig kernel_bench_config(KernelCase c) {
     cfg.size_bytes = 2ull << 20;
     cfg.assoc = 16;
   }
-  return cfg;
-}
-
-SetAssocCache make_kernel_cache(KernelCase c, KernelMode mode) {
-  SetAssocCache cache(kernel_bench_config(c), /*seed=*/3);
+  SetAssocCache cache(cfg, /*seed=*/3);
   cache.set_kernel_mode(mode);
   if (c == KernelCase::RetentionOn) cache.set_retention_period(50'000);
   return cache;
 }
 
-LegacyAosCache make_legacy_cache(KernelCase c) {
-  LegacyAosCache cache(kernel_bench_config(c), /*seed=*/3);
-  if (c == KernelCase::RetentionOn) cache.set_retention_period(50'000);
-  return cache;
-}
-
-/// Replays `ops` through `cache` (SetAssocCache or LegacyAosCache) and
-/// returns a stat checksum that any two bit-identical kernels must agree on.
-template <typename Cache>
-std::uint64_t replay_kernel_ops(Cache& cache,
+/// Replays `ops` through `cache` and returns a stat checksum that any two
+/// bit-identical kernels must agree on.
+std::uint64_t replay_kernel_ops(SetAssocCache& cache,
                                 const std::vector<KernelOp>& ops) {
   Cycle now = 0;
   for (const KernelOp& op : ops) {
@@ -353,9 +193,10 @@ std::uint64_t replay_kernel_ops(Cache& cache,
          7 * s.evictions + 11 * s.writebacks + 13 * s.expired_blocks;
 }
 
-template <typename Cache>
-void run_kernel_bench(benchmark::State& state, Cache cache,
-                      const std::vector<KernelOp>& ops) {
+void BM_AccessKernel(benchmark::State& state, KernelCase c) {
+  const std::vector<KernelOp> ops = make_kernel_ops(c, 1 << 18);
+  SetAssocCache cache = make_kernel_cache(
+      c, state.range(0) == 0 ? KernelMode::Fast : KernelMode::Reference);
   replay_kernel_ops(cache, ops);  // warmup: populate the array
   for (auto _ : state) {
     benchmark::DoNotOptimize(replay_kernel_ops(cache, ops));
@@ -365,28 +206,10 @@ void run_kernel_bench(benchmark::State& state, Cache cache,
   state.SetLabel(cache.kernel_name());
 }
 
-void BM_AccessKernel(benchmark::State& state, KernelCase c) {
-  const std::vector<KernelOp> ops = make_kernel_ops(c, 1 << 18);
-  switch (state.range(0)) {
-    case 0:
-      run_kernel_bench(state, make_kernel_cache(c, KernelMode::Fast), ops);
-      break;
-    case 1:
-      run_kernel_bench(state, make_kernel_cache(c, KernelMode::Reference),
-                       ops);
-      break;
-    default:
-      run_kernel_bench(state, make_legacy_cache(c), ops);
-      break;
-  }
-}
-
-// Arg: 0 = fast kernel, 1 = reference kernel, 2 = pre-overhaul AoS replica.
 #define KERNEL_BENCH(case_id)                                       \
   BENCHMARK_CAPTURE(BM_AccessKernel, case_id, KernelCase::case_id) \
       ->Arg(0)                                                      \
       ->Arg(1)                                                      \
-      ->Arg(2)                                                      \
       ->Unit(benchmark::kMillisecond)
 KERNEL_BENCH(HitHeavy);
 KERNEL_BENCH(MissHeavy);
@@ -500,7 +323,7 @@ void BM_ScenarioGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioGeneration)->Unit(benchmark::kMillisecond);
 
-// ---- --kernel-report: self-timed fast-vs-reference comparison ------------
+// ---- --kernel-report: self-timed reference-vs-fast comparison ------------
 
 /// One timed replay of `ops` into a freshly built cache, after a warmup
 /// pass that populates the array, plus the stat checksum (identical across
@@ -512,17 +335,21 @@ struct KernelRep {
   std::uint64_t fills = 0;
 };
 
-template <typename MakeCache>
-KernelRep time_kernel_once(MakeCache make_cache,
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+KernelRep time_kernel_once(KernelCase c, KernelMode mode,
                            const std::vector<KernelOp>& ops) {
-  auto cache = make_cache();
+  SetAssocCache cache = make_kernel_cache(c, mode);
   replay_kernel_ops(cache, ops);  // warmup pass populates the array
   cache.reset_stats();
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t sum = replay_kernel_ops(cache, ops);
-  const auto t1 = std::chrono::steady_clock::now();
-  return {std::chrono::duration<double, std::milli>(t1 - t0).count(), sum,
-          cache.stats().total_hits(), cache.stats().fills};
+  const double ms = ms_since(t0);
+  return {ms, sum, cache.stats().total_hits(), cache.stats().fills};
 }
 
 double median_of(std::vector<double> v) {
@@ -531,19 +358,22 @@ double median_of(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/// Runs the four kernel cases under both dispatch modes and the AoS
-/// replica, verifies the stat checksums agree (a cheap in-binary
-/// equivalence gate), and writes BENCH_micro.json. Each repetition times
-/// the fast, reference and AoS kernels back to back, so a burst of host
-/// noise lands on one repetition's three timings rather than on all of one
-/// kernel's, and the speedups are the medians of the per-repetition ratios.
-/// With --min-speedup=X, exits nonzero when the fast-kernel speedup on
-/// hit_heavy or mixed falls below X.
+/// Runs the four kernel cases under both dispatch modes, verifies the stat
+/// checksums agree (a cheap in-binary equivalence gate), and writes
+/// BENCH_micro.json. The reference kernel is a path the product keeps
+/// (MOBCACHE_REFERENCE_KERNEL=1, held to E9's golden bytes by the
+/// golden.e9.reference ctest), so the gated speedup is what the fast
+/// kernels buy over it. Each repetition times the fast and reference
+/// kernels back to back, so a burst of host noise lands on one repetition's
+/// pair of timings rather than on all of one kernel's, and the speedup is
+/// the median of the per-repetition reference/fast ratios. With
+/// --min-speedup=X, exits nonzero when that speedup on hit_heavy or mixed
+/// falls below X.
 int run_kernel_report(int argc, char** argv) {
   const double min_speedup =
       bench_flag_double(argc, argv, "--min-speedup", 0.0);
   const std::size_t accesses = static_cast<std::size_t>(
-      bench_flag_u64(argc, argv, "--accesses", 4u << 20));
+      bench_flag_u64(argc, argv, "--accesses", 4u << 20, 1));
   const int reps =
       static_cast<int>(bench_flag_u64(argc, argv, "--reps", 5, 1, 1000));
 
@@ -554,34 +384,26 @@ int run_kernel_report(int argc, char** argv) {
                        KernelCase::Mixed, KernelCase::RetentionOn}) {
     const std::string name = kernel_case_name(c);
     const std::vector<KernelOp> ops = make_kernel_ops(c, accesses);
-    std::vector<double> fast_ms, ref_ms, aos_ms, vs_aos, vs_ref;
+    std::vector<double> fast_ms, ref_ms, ratios;
     KernelRep fast;
     for (int r = 0; r < reps; ++r) {
-      fast = time_kernel_once(
-          [&] { return make_kernel_cache(c, KernelMode::Fast); }, ops);
-      const KernelRep ref = time_kernel_once(
-          [&] { return make_kernel_cache(c, KernelMode::Reference); }, ops);
-      const KernelRep aos =
-          time_kernel_once([&] { return make_legacy_cache(c); }, ops);
-      if (fast.checksum != ref.checksum || fast.checksum != aos.checksum ||
-          fast.hits != ref.hits || fast.hits != aos.hits ||
-          fast.fills != ref.fills || fast.fills != aos.fills) {
+      fast = time_kernel_once(c, KernelMode::Fast, ops);
+      const KernelRep ref = time_kernel_once(c, KernelMode::Reference, ops);
+      if (fast.checksum != ref.checksum || fast.hits != ref.hits ||
+          fast.fills != ref.fills) {
         std::fprintf(stderr,
                      "[bench] FAIL %s: kernels diverge (checksum fast %llu, "
-                     "reference %llu, aos %llu)\n",
+                     "reference %llu)\n",
                      name.c_str(),
                      static_cast<unsigned long long>(fast.checksum),
-                     static_cast<unsigned long long>(ref.checksum),
-                     static_cast<unsigned long long>(aos.checksum));
+                     static_cast<unsigned long long>(ref.checksum));
         return 1;
       }
       fast_ms.push_back(fast.ms);
       ref_ms.push_back(ref.ms);
-      aos_ms.push_back(aos.ms);
-      vs_aos.push_back(aos.ms / fast.ms);
-      vs_ref.push_back(ref.ms / fast.ms);
+      ratios.push_back(ref.ms / fast.ms);
     }
-    total += 3 * ops.size();
+    total += 2 * ops.size();
 
     // Deterministic half: pure functions of the op stream.
     report.add_result(name + "/hits", static_cast<double>(fast.hits));
@@ -589,26 +411,18 @@ int run_kernel_report(int argc, char** argv) {
     report.add_result(name + "/checksum",
                       static_cast<double>(fast.checksum));
     // Timing half: "timing/" keys get relative-tolerance treatment from
-    // check_bench.py compare --rel-tol. "speedup" is fast vs. the frozen
-    // pre-overhaul AoS baseline (the gated ratio); "speedup_vs_ref" is fast
-    // vs. the in-tree reference kernel, which shares the SoA layout and so
-    // isolates the devirtualization/feature-elision part of the win.
-    // Throughputs come from each kernel's median repetition.
+    // check_bench.py compare --rel-tol. Throughputs come from each kernel's
+    // median repetition; "speedup" is the gated reference/fast ratio.
     const double n = static_cast<double>(ops.size());
     const double fast_mps = n / 1e3 / median_of(fast_ms);
     const double ref_mps = n / 1e3 / median_of(ref_ms);
-    const double aos_mps = n / 1e3 / median_of(aos_ms);
-    const double speedup = median_of(vs_aos);
-    const double speedup_vs_ref = median_of(vs_ref);
+    const double speedup = median_of(ratios);
     report.add_result("timing/" + name + "/fast_maccess_per_s", fast_mps);
     report.add_result("timing/" + name + "/ref_maccess_per_s", ref_mps);
-    report.add_result("timing/" + name + "/aos_maccess_per_s", aos_mps);
     report.add_result("timing/" + name + "/speedup", speedup);
-    report.add_result("timing/" + name + "/speedup_vs_ref", speedup_vs_ref);
-    std::printf("[bench] %-12s fast %7.1f  ref %7.1f  aos %7.1f Macc/s  "
-                "speedup %.2fx (vs ref %.2fx)\n",
-                name.c_str(), fast_mps, ref_mps, aos_mps, speedup,
-                speedup_vs_ref);
+    std::printf("[bench] %-12s fast %7.1f  ref %7.1f Macc/s  "
+                "speedup %.2fx\n",
+                name.c_str(), fast_mps, ref_mps, speedup);
     if (min_speedup > 0.0 &&
         (c == KernelCase::HitHeavy || c == KernelCase::Mixed) &&
         speedup < min_speedup) {
@@ -623,193 +437,118 @@ int run_kernel_report(int argc, char** argv) {
   return gate_ok ? 0 : 1;
 }
 
-// ---- --sweep-report: batched vs per-point sweep-engine comparison --------
+// ---- --sweep-report: one runner grid vs one-design calls -----------------
 
-/// One frozen lane of the sweep-gate grid: a BaselineSram geometry variant.
-struct SweepLane {
-  std::uint64_t size_bytes;
-  std::uint32_t assoc;
-};
-
-/// The frozen 16-lane grid the sweep gate times: 4 capacities × 4 way
-/// counts of the shared-SRAM baseline. Enough lanes that the amortized
-/// L1 pass dominates the per-point path's cost, small enough that every
-/// lane's tag state stays resident during the chunk-blocked replay.
-std::vector<SweepLane> sweep_report_lanes() {
-  std::vector<SweepLane> lanes;
-  for (std::uint64_t kb : {256u, 512u, 1024u, 2048u})
-    for (std::uint32_t assoc : {2u, 4u, 8u, 16u})
-      lanes.push_back({kb << 10, assoc});
-  return lanes;
-}
-
-/// Deterministic gate trace: an L1-resident hot footprint with a thin
-/// L2-bound tail. The batch engine's win is amortizing the shared L1 pass,
-/// so the gate measures it in the regime it exists for — interactive phases
-/// where L1 absorbs ~98% of accesses (the paper's mobile workloads idle in
-/// this band) and the swept L2 geometry decides the remaining traffic's
-/// fate. 30% ifetches over a 128-line code set; data 97% in a 384-line hot
-/// set, 2% in a 512 KB warm region (where the grid's capacities actually
-/// diverge), 1% streaming cold lines.
-Trace make_sweep_trace(std::uint64_t n) {
-  Trace t("sweep_gate");
-  std::vector<Access> v;
-  v.reserve(n);
-  Rng rng(0xCAFE);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Access a;
-    if (rng.chance(0.3)) {
-      a.type = AccessType::InstFetch;
-      a.addr = (1ull << 32) + rng.below(128) * kLineSize;
-    } else {
-      if (rng.chance(0.97)) {
-        a.addr = rng.below(384) * kLineSize;
-      } else if (rng.chance(2.0 / 3.0)) {
-        a.addr = (1ull << 33) + rng.below(8192) * kLineSize;
-      } else {
-        a.addr = (1ull << 34) + static_cast<Addr>(i) * kLineSize;
-      }
-      a.type = rng.chance(0.2) ? AccessType::Write : AccessType::Read;
+/// The first (spec, workload) cell whose record bytes differ between two
+/// results of the same specs, as "spec/workload"; empty when all match.
+std::string first_mismatch(const std::vector<SchemeSuiteResult>& a,
+                           const std::vector<SchemeSuiteResult>& b) {
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    for (std::size_t w = 0; w < a[s].per_workload.size(); ++w) {
+      if (result_to_record_json(a[s].per_workload[w]) !=
+          result_to_record_json(b[s].per_workload[w]))
+        return a[s].name + "/" + a[s].per_workload[w].workload;
     }
-    v.push_back(a);
   }
-  t.append(std::move(v));
-  return t;
+  return {};
 }
 
-std::unique_ptr<L2Interface> make_sweep_lane(const SweepLane& l) {
-  SchemeParams p;
-  p.baseline_bytes = l.size_bytes;
-  p.baseline_assoc = l.assoc;
-  return build_scheme(SchemeKind::BaselineSram, p);
-}
-
-/// Times the frozen grid twice — N independent simulate() runs vs. one
-/// build_demand_stream() + N-lane simulate_batch_lanes() replay — and
-/// verifies the two paths produce byte-identical SimResults (via the
-/// result-store record serialization, the same bytes the ExperimentRunner
-/// persists). Writes BENCH_micro.json with the grid's deterministic
-/// fingerprint under "results" (sweep/*) and the points/s ratio under
-/// "timing/sweep/*". With --min-sweep-speedup=X, exits nonzero when the
-/// batched path's points/s advantage falls below X — CI's sweep-gate runs
-/// this at X = 5 (see .github/workflows/ci.yml for the escape hatch).
+/// Times E9's grid — the 8 interactive apps × 9 headline schemes, on an
+/// ExperimentRunner at jobs=1 — two ways: one run_designs() call, whose
+/// cells replay from one L1MissIndex per trace, and the same specs as nine
+/// one-design calls, where each cell is alone on its trace and so calls
+/// simulate(). Verifies that every record is byte-equal across the two and
+/// writes BENCH_micro.json with the grid's deterministic fingerprint under
+/// "results" (sweep/*) and the cells/s of each side under "timing/sweep/*".
+/// Each repetition times both sides, in alternating order, and the speedup
+/// is the median of the per-repetition one-design/grid ratios. With
+/// --min-sweep-speedup=X, exits nonzero when it falls below X — CI's
+/// perf-smoke job runs this (see .github/workflows/ci.yml for the floor and
+/// its escape hatch).
 int run_sweep_report(int argc, char** argv) {
   const double min_speedup =
       bench_flag_double(argc, argv, "--min-sweep-speedup", 0.0);
   const std::uint64_t accesses =
-      bench_flag_u64(argc, argv, "--accesses", 400'000);
+      bench_flag_u64(argc, argv, "--accesses", 300'000, 1);
   const int reps =
-      static_cast<int>(bench_flag_u64(argc, argv, "--reps", 3, 1, 1000));
+      static_cast<int>(bench_flag_u64(argc, argv, "--reps", 5, 1, 1000));
 
-  BenchReport report("micro", bench_jobs(argc, argv));
-  const Trace trace = make_sweep_trace(accesses);
-  const std::vector<SweepLane> grid = sweep_report_lanes();
-  const std::size_t n = grid.size();
-  const SimOptions opts;  // defaults are batch-eligible by construction
-  if (!batch_eligible(opts)) {
-    std::fprintf(stderr, "[bench] FAIL sweep: default SimOptions no longer "
-                         "batch-eligible\n");
+  BenchReport report("micro", /*jobs=*/1);
+  const ExperimentRunner runner(interactive_apps(), accesses, 42);
+  std::vector<DesignSpec> specs;
+  for (SchemeKind k : headline_schemes()) specs.push_back(scheme_design(k));
+  const std::size_t cells = specs.size() * runner.traces().size();
+
+  std::vector<double> grid_ms, single_ms, ratios;
+  std::vector<SchemeSuiteResult> grid, single;
+  for (int r = 0; r < reps; ++r) {
+    auto time_grid = [&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      grid = runner.run_designs(specs);
+      grid_ms.push_back(ms_since(t0));
+    };
+    auto time_single = [&] {
+      single.clear();
+      const auto t0 = std::chrono::steady_clock::now();
+      for (const DesignSpec& d : specs)
+        single.push_back(std::move(runner.run_designs({d}).front()));
+      single_ms.push_back(ms_since(t0));
+    };
+    if (r % 2 == 0) {
+      time_grid();
+      time_single();
+    } else {
+      time_single();
+      time_grid();
+    }
+    ratios.push_back(single_ms.back() / grid_ms.back());
+  }
+
+  if (const std::string cell = first_mismatch(grid, single); !cell.empty()) {
+    std::fprintf(stderr,
+                 "[bench] FAIL sweep: cell %s of the grid call diverges from "
+                 "its one-design call\n",
+                 cell.c_str());
     return 1;
   }
 
-  // Per-point path: what a sweep pays without the batch engine — one full
-  // simulate() (L1 front end included) per lane. Scheme construction is
-  // timed on both sides; it is part of each path's real per-point cost.
-  double pp_best_ms = 0.0;
-  std::vector<SimResult> pp_results;
-  for (int r = 0; r < reps; ++r) {
-    std::vector<SimResult> results;
-    results.reserve(n);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const SweepLane& l : grid) {
-      const std::unique_ptr<L2Interface> l2 = make_sweep_lane(l);
-      results.push_back(simulate(trace, *l2, opts));
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (r == 0 || ms < pp_best_ms) pp_best_ms = ms;
-    pp_results = std::move(results);
-  }
-
-  // Batched path: one shared L1 pass, then every lane replayed from the
-  // captured demand stream. The stream build is inside the timed region —
-  // it is the batched path's real cost, amortized over all n lanes.
-  double batch_best_ms = 0.0;
-  std::vector<SimResult> batch_results;
-  DemandStream stream;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    DemandStream s = build_demand_stream(trace, opts);
-    std::vector<std::unique_ptr<L2Interface>> designs;
-    std::vector<L2Interface*> lanes;
-    designs.reserve(n);
-    lanes.reserve(n);
-    for (const SweepLane& l : grid) {
-      designs.push_back(make_sweep_lane(l));
-      lanes.push_back(designs.back().get());
-    }
-    std::vector<BatchLaneOutcome> outcomes =
-        simulate_batch_lanes(s, lanes, opts);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (r == 0 || ms < batch_best_ms) batch_best_ms = ms;
-    batch_results.clear();
-    for (BatchLaneOutcome& o : outcomes) {
-      if (!o.ok()) std::rethrow_exception(o.error);
-      batch_results.push_back(std::move(*o.result));
-    }
-    stream = std::move(s);
-  }
-
-  // In-binary equivalence gate: the exact record bytes the result store
-  // would persist must match lane for lane.
+  // Deterministic half: pure functions of the suite and the schemes.
   std::uint64_t checksum = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string pp = result_to_record_json(pp_results[i]);
-    const std::string ba = result_to_record_json(batch_results[i]);
-    if (pp != ba) {
-      std::fprintf(stderr,
-                   "[bench] FAIL sweep lane %zu (%llu KB %u-way): batched "
-                   "result diverges from per-point\n  per-point: %s\n  "
-                   "batched:   %s\n",
-                   i, static_cast<unsigned long long>(grid[i].size_bytes >> 10),
-                   grid[i].assoc, pp.c_str(), ba.c_str());
-      return 1;
+  for (const SchemeSuiteResult& s : grid) {
+    for (const SimResult& res : s.per_workload) {
+      const CacheStats& l2 = res.l2;
+      checksum += l2.total_hits() + 3 * l2.fills + 5 * l2.evictions +
+                  7 * l2.writebacks;
     }
-    const CacheStats& l2 = pp_results[i].l2;
-    checksum += l2.total_hits() + 3 * l2.fills + 5 * l2.evictions +
-                7 * l2.writebacks;
   }
-
+  std::uint64_t demand = 0, records = 0;
+  for (const SimResult& res : grid.front().per_workload) {
+    demand += res.l1i.total_misses() + res.l1d.total_misses();
+    records += res.records;
+  }
   const double demand_ratio =
-      stream.total_records == 0
-          ? 0.0
-          : static_cast<double>(stream.size()) /
-                static_cast<double>(stream.total_records);
-  const double pp_pps = static_cast<double>(n) * 1e3 / pp_best_ms;
-  const double batch_pps = static_cast<double>(n) * 1e3 / batch_best_ms;
-  const double speedup = pp_best_ms / batch_best_ms;
+      static_cast<double>(demand) / static_cast<double>(records);
+  const double n = static_cast<double>(cells);
+  const double grid_cps = n * 1e3 / median_of(grid_ms);
+  const double single_cps = n * 1e3 / median_of(single_ms);
+  const double speedup = median_of(ratios);
 
-  report.set_points(static_cast<std::uint64_t>(n));
-  report.set_sweep_batch(static_cast<unsigned>(n), /*batched=*/true);
-  // Deterministic half: pure functions of the trace + grid definition.
-  report.add_result("sweep/lanes", static_cast<double>(n));
+  report.set_points(cells);
+  report.add_result("sweep/cells", n);
   report.add_result("sweep/demand_ratio", demand_ratio);
   report.add_result("sweep/checksum", static_cast<double>(checksum));
-  // Timing half: rel-tol keys; "speedup" is the CI-gated ratio.
-  report.add_result("timing/sweep/per_point_pps", pp_pps);
-  report.add_result("timing/sweep/batched_pps", batch_pps);
+  // Timing half: rel-tol keys; "speedup" is the gated ratio.
+  report.add_result("timing/sweep/grid_cells_per_s", grid_cps);
+  report.add_result("timing/sweep/one_design_cells_per_s", single_cps);
   report.add_result("timing/sweep/speedup", speedup);
-  std::printf("[bench] sweep %zu lanes  per-point %6.1f  batched %6.1f "
-              "points/s  speedup %.2fx  (demand ratio %.3f)\n",
-              n, pp_pps, batch_pps, speedup, demand_ratio);
+  std::printf("[bench] sweep %zu cells  one-design %6.1f  grid %6.1f "
+              "cells/s  speedup %.2fx  (demand ratio %.3f)\n",
+              cells, single_cps, grid_cps, speedup, demand_ratio);
 
   bool gate_ok = true;
   if (min_speedup > 0.0 && speedup < min_speedup) {
     std::fprintf(stderr,
-                 "[bench] FAIL sweep: batched speedup %.2fx below required "
+                 "[bench] FAIL sweep: grid speedup %.2fx below required "
                  "%.2fx\n",
                  speedup, min_speedup);
     gate_ok = false;

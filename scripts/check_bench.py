@@ -130,17 +130,6 @@ def validate(path, allow_failures=0):
         if not isinstance(value, int) or value < 0:
             fail(f"{path}: sweep.{counter} must be a non-negative integer "
                  f"(got {value!r})")
-    batch_size = sweep.get("batch_size")
-    if not isinstance(batch_size, int) or batch_size < 1:
-        fail(f"{path}: sweep.batch_size must be a positive integer "
-             f"(got {batch_size!r}) — benches must record the resolved "
-             f"lane cap (docs/SWEEP_ENGINE.md)")
-    batched = sweep.get("batched")
-    if not isinstance(batched, bool):
-        fail(f"{path}: sweep.batched must be a boolean (got {batched!r})")
-    if batched and batch_size < 2:
-        fail(f"{path}: sweep.batched is true but sweep.batch_size is "
-             f"{batch_size} — a batched run needs at least 2 lanes")
     failures = doc["failures"]
     if not isinstance(failures, list):
         fail(f"{path}: 'failures' must be an array")

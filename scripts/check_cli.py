@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""CLI flag-contract checks for mobcache_simrun and the generator tools.
+"""CLI flag-contract checks for mobcache_simrun, the generator tools and
+bench_micro's report modes.
 
 Every `--name=value` flag given with an empty value must be a hard usage
 error: exit code 2 plus a `--name needs <what>` diagnostic on stderr. A
@@ -11,14 +12,17 @@ the same holds for the numeric positionals of mobcache_tracegen and
 mobcache_appcheck (`tracegen browser 1e6 out.mct` used to write a 3-record
 trace and exit 0). The partition_explorer example rejects an unknown app,
 tech or retention name the same way (`... 256 8 STT mid lo` used to run
-SRAM).
+SRAM). bench_micro's report modes exit 2 on a zero --accesses or --reps and
+on a garbage speedup floor (`--kernel-report --accesses=0` used to write a
+0-point report of "speedups" over empty streams).
 
 Usage:
   check_cli.py --simrun PATH --tracegen PATH --appcheck PATH
-               --explorer PATH --workdir DIR
+               --explorer PATH --micro PATH --workdir DIR
 """
 
 import argparse
+import os
 import pathlib
 import shutil
 import subprocess
@@ -78,11 +82,22 @@ EXPLORER_NAME_GARBAGE = [
     (["browser", "768", "12", "256", "8", "stt", "low", "lo"],
      "unknown retention"),
 ]
+# Bad values for bench_micro's report modes, rejected before anything is
+# timed or written.
+MICRO_GARBAGE = [
+    (["--kernel-report", "--accesses=0"], "--accesses"),
+    (["--kernel-report", "--reps=0"], "--reps"),
+    (["--kernel-report", "--min-speedup=abc"], "--min-speedup"),
+    (["--sweep-report", "--accesses=0"], "--accesses"),
+    (["--sweep-report", "--reps=0"], "--reps"),
+    (["--sweep-report", "--min-sweep-speedup=abc"], "--min-sweep-speedup"),
+]
 
 
-def run(cmd):
+def run(cmd, env=None):
     return subprocess.run(
-        [str(c) for c in cmd], capture_output=True, text=True, timeout=120
+        [str(c) for c in cmd], capture_output=True, text=True, timeout=120,
+        env=env,
     )
 
 
@@ -94,8 +109,8 @@ def check(name, ok, detail=""):
         FAILURES.append(name)
 
 
-def expect_usage_error(tool_name, cmd, needle):
-    p = run(cmd)
+def expect_usage_error(tool_name, cmd, needle, env=None):
+    p = run(cmd, env)
     label = f"{tool_name} {' '.join(str(c) for c in cmd[1:])!r}"
     check(
         label,
@@ -116,6 +131,7 @@ def main():
     ap.add_argument("--tracegen", required=True, type=pathlib.Path)
     ap.add_argument("--appcheck", required=True, type=pathlib.Path)
     ap.add_argument("--explorer", required=True, type=pathlib.Path)
+    ap.add_argument("--micro", required=True, type=pathlib.Path)
     ap.add_argument("--workdir", required=True, type=pathlib.Path)
     args = ap.parse_args()
 
@@ -154,6 +170,15 @@ def main():
                            f"{name}: expected")
     for argv, needle in EXPLORER_NAME_GARBAGE:
         expect_usage_error("explorer", [args.explorer, *argv], needle)
+
+    # bench_micro: a rejected flag writes no report.
+    results = args.workdir / "micro_results"
+    env = dict(os.environ, MOBCACHE_RESULTS_DIR=str(results))
+    for argv, name in MICRO_GARBAGE:
+        expect_usage_error("bench_micro", [args.micro, *argv],
+                           f"{name}: expected", env)
+    check("bench_micro writes no report for garbage", not results.exists(),
+          f"{results} exists")
 
     if FAILURES:
         print(f"{len(FAILURES)} CLI contract check(s) failed", file=sys.stderr)

@@ -3,7 +3,6 @@
 #include <sys/resource.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -95,33 +94,6 @@ std::vector<std::size_t> bench_fail_points(int argc, char** argv,
     }
   }
   return out;
-}
-
-unsigned bench_sweep_batch(int argc, char** argv) {
-  // The default lane cap when --batch is given bare: big enough to cover
-  // every shipped sweep grid in one or two replays, small enough that lane
-  // state stays cache-resident.
-  constexpr unsigned kDefaultBatch = 16;
-  std::optional<unsigned> from_flag;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[i] + 8, &end, 10);
-      if (end == argv[i] + 8 || *end != '\0' || v > 4096) {
-        throw ConfigError(std::string("bad --batch value: ") + (argv[i] + 8));
-      }
-      from_flag = static_cast<unsigned>(v);
-    } else if (std::strcmp(argv[i], "--batch") == 0) {
-      from_flag = kDefaultBatch;
-    }
-  }
-  unsigned batch = 1;
-  if (from_flag) {
-    batch = *from_flag;
-  } else if (const auto env = env_u64("MOBCACHE_SWEEP_BATCH", 0, 4096)) {
-    batch = static_cast<unsigned>(*env);
-  }
-  return batch < 1 ? 1u : batch;
 }
 
 void chaos_maybe_fail(const std::vector<std::size_t>& fail_points,
@@ -241,8 +213,6 @@ bool BenchReport::write() {
   w.key("completed").value(points_ > failed ? points_ - failed : 0);
   w.key("failed").value(failed);
   w.key("quarantined").value(quarantined);
-  w.key("batch_size").value(static_cast<std::uint64_t>(sweep_batch_));
-  w.key("batched").value(sweep_batched_);
   w.end_object();
   w.key("failures");
   w.begin_array();

@@ -67,20 +67,6 @@ std::vector<std::size_t> bench_fail_points(int argc, char** argv,
 void chaos_maybe_fail(const std::vector<std::size_t>& fail_points,
                       std::size_t index);
 
-/// Requested sweep lane cap, wired to ExperimentRunner::sweep_batch by the
-/// sweep benches. It selects no engine — every runner grid shares one L1
-/// pass per trace (docs/SWEEP_ENGINE.md) — and is only recorded in the
-/// BENCH report:
-///   --batch=N              lane cap N (0 or 1 = 1)
-///   --batch                shorthand for --batch=16
-///   MOBCACHE_SWEEP_BATCH=N same as --batch=N; the flag wins when both are
-///                          given. Parsed with env_u64 — garbage is an
-///                          EnvError (flag garbage a ConfigError), never a
-///                          silent fallback.
-/// Returns the resolved lane cap (>= 1); results are byte-identical for
-/// every value.
-unsigned bench_sweep_batch(int argc, char** argv);
-
 /// Wraps a tool/bench main in the error-taxonomy contract: installs the
 /// SIGINT/SIGTERM cancellation handlers when asked (sweep binaries only —
 /// tools that should die on Ctrl-C pass false), runs `real_main`, and maps
@@ -140,16 +126,6 @@ class BenchReport {
   /// entries served from poison records.
   void add_point_failure(const PointFailure& f, std::string point);
 
-  /// Records the resolved sweep-batch setting, written as
-  /// sweep.batch_size / sweep.batched. Like jobs these are *run* facts, not
-  /// sweep results. They no longer select an engine (every grid shares one
-  /// L1 pass per trace); they only report what was asked for. Defaults to
-  /// batch_size = 1, batched = false when never called.
-  void set_sweep_batch(unsigned batch_size, bool batched) {
-    sweep_batch_ = batch_size;
-    sweep_batched_ = batched;
-  }
-
   double wall_ms() const;
 
   /// Stops the clock and writes BENCH_<name>.json; returns success and
@@ -166,8 +142,6 @@ class BenchReport {
 
   std::string name_;
   unsigned jobs_;
-  unsigned sweep_batch_ = 1;
-  bool sweep_batched_ = false;
   std::uint64_t points_ = 0;
   std::vector<std::pair<std::string, double>> results_;
   std::vector<std::pair<std::string, double>> run_facts_;

@@ -196,10 +196,6 @@ std::vector<SchemeSuiteResult> ExperimentRunner::run_schemes(
   return run_designs(specs);
 }
 
-bool ExperimentRunner::batchable() const {
-  return sweep_batch >= 2 && !collect_telemetry && batch_eligible(sim_options);
-}
-
 std::vector<SchemeSuiteResult> ExperimentRunner::run_designs(
     const std::vector<DesignSpec>& specs) const {
   std::vector<PointOutcome<SchemeSuiteResult>> outcomes =

@@ -172,11 +172,6 @@ class ExperimentRunner {
       const std::vector<DesignSpec>& specs, bool keep_going,
       const std::function<void(std::size_t)>& point_hook = {}) const;
 
-  /// `sweep_batch` >= 2, no telemetry collection, and a batch-eligible
-  /// SimOptions (batch_eligible() in sim/batch.hpp). Selects no engine:
-  /// benches only record it (BENCH sweep.batched).
-  bool batchable() const;
-
   /// Runs all headline schemes and normalizes against the first (baseline).
   std::vector<SchemeSuiteResult> run_headline(
       const SchemeParams& params = {}) const;
@@ -221,10 +216,9 @@ class ExperimentRunner {
   /// because a cached SimResult cannot replay their event streams.
   ResultStore* result_store = nullptr;
 
-  /// Requested design lanes per trace decode, as set by --batch /
-  /// MOBCACHE_SWEEP_BATCH (bench_sweep_batch). It no longer selects an
-  /// engine — every grid shares one L1 pass per trace whatever its value —
-  /// and is only recorded (BENCH sweep.batch_size, batchable()).
+  /// Read by nothing: every grid shares one L1 pass per trace whatever its
+  /// value. It stays only because the benchmark harness (mcbench/) still
+  /// assigns it.
   unsigned sweep_batch = 1;
 
  private:

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <span>
 #include <stdexcept>
 
 #include "common/cancel.hpp"
-#include "trace/trace_stream.hpp"
 
 namespace mobcache {
 
@@ -48,15 +46,14 @@ class RecorderL2 final : public L2Interface {
   EnergyBreakdown energy_;
 };
 
-/// Shared L1 pass over any chunk provider: fills `pass` and reports every
-/// L2 demand access and dirty victim to `sink`, after `sink.begin(index, a)`
-/// names the record being retired. Supervision polls at chunk boundaries —
-/// the exact positions of the simulate() loop when fed kCancelPollStride-
-/// sized subspans, and a pure check in any case, so the capture is
-/// identical however the records arrive.
-template <typename Sink, typename NextChunk>
-void run_l1_pass(NextChunk&& next_chunk, const SimOptions& opts,
+/// Shared L1 pass over `trace`: fills `pass` and reports every L2 demand
+/// access and dirty victim to `sink`, after `sink.begin(index, a)` names the
+/// record being retired. Supervision polls every kCancelPollStride records,
+/// at the positions of the simulate() loop.
+template <typename Sink>
+void run_l1_pass(const Trace& trace, const SimOptions& opts,
                  const PointSupervisor& sup, L1Pass& pass, Sink& sink) {
+  pass.workload = trace.name();
   pass.l1_hit_latency = opts.hierarchy.l1_hit_latency;
   pass.base_cpi = opts.timing.base_cpi;
   pass.l1_tech = make_sram(opts.hierarchy.l1i.size_bytes +
@@ -68,19 +65,18 @@ void run_l1_pass(NextChunk&& next_chunk, const SimOptions& opts,
   // The clock passed down is irrelevant to L1 outcomes (replacement state
   // advances on an internal tick; retention/fault hooks are L2-only), so the
   // pass runs at now = 0 — per-design clocks are rebuilt at replay time.
-  std::uint64_t index = 0;
-  bool first = true;
-  for (;;) {
-    const std::span<const Access> chunk = next_chunk();
-    if (chunk.empty()) break;
-    if (!first) sup.poll(pass.workload, /*scheme=*/{});
-    first = false;
-    for (const Access& a : chunk) {
-      sink.begin(index++, a);
-      hier.access(a, /*now=*/0);
+  const std::vector<Access>& records = trace.accesses();
+  const std::size_t total = records.size();
+  for (std::size_t begin = 0; begin < total; begin += kCancelPollStride) {
+    if (begin != 0) sup.poll(pass.workload, /*scheme=*/{});
+    const std::size_t end =
+        std::min<std::size_t>(total, begin + kCancelPollStride);
+    for (std::size_t i = begin; i < end; ++i) {
+      sink.begin(i, records[i]);
+      hier.access(records[i], /*now=*/0);
     }
   }
-  pass.total_records = index;
+  pass.total_records = total;
 
   // Deliberately no hier.finalize(): finalize would fold L1 leakage (a
   // function of each design's end cycle) into l1_energy_nj. The pure dynamic
@@ -88,19 +84,6 @@ void run_l1_pass(NextChunk&& next_chunk, const SimOptions& opts,
   pass.l1i = hier.l1i_stats();
   pass.l1d = hier.l1d_stats();
   pass.l1_dynamic_nj = hier.l1_energy_nj();
-}
-
-/// kCancelPollStride-record subspans of a materialized trace (zero copy).
-auto trace_chunks(const Trace& trace) {
-  return [&accesses = trace.accesses(),
-          i = std::size_t{0}]() mutable -> std::span<const Access> {
-    if (i >= accesses.size()) return {};
-    const std::size_t end = std::min<std::size_t>(
-        accesses.size(), i + static_cast<std::size_t>(kCancelPollStride));
-    const std::span<const Access> chunk(accesses.data() + i, end - i);
-    i = end;
-    return chunk;
-  };
 }
 
 /// Appends one DemandStream record per demand access.
@@ -261,30 +244,19 @@ std::size_t L1MissIndex::bytes() const {
 
 DemandStream build_demand_stream(const Trace& trace, const SimOptions& opts) {
   DemandStream s;
-  s.workload = trace.name();
   StreamSink sink{s};
-  run_l1_pass(trace_chunks(trace), opts, PointSupervisor(opts), s, sink);
-  return s;
-}
-
-DemandStream build_demand_stream(TraceStream& stream, const SimOptions& opts) {
-  DemandStream s;
-  s.workload = stream.name();
-  StreamSink sink{s};
-  run_l1_pass([&stream] { return stream.next_chunk(); }, opts,
-              PointSupervisor(opts), s, sink);
+  run_l1_pass(trace, opts, PointSupervisor(opts), s, sink);
   return s;
 }
 
 L1MissIndex build_l1_miss_index(const Trace& trace, const SimOptions& opts,
                                 const PointSupervisor& sup) {
   L1MissIndex x;
-  x.workload = trace.name();
   const std::size_t words = (trace.size() + 63) / 64;
   x.miss.assign(words, 0);
   x.wb.assign(words, 0);
   IndexSink sink{x};
-  run_l1_pass(trace_chunks(trace), opts, sup, x, sink);
+  run_l1_pass(trace, opts, sup, x, sink);
   return x;
 }
 
@@ -385,21 +357,6 @@ std::vector<BatchLaneOutcome> simulate_batch_lanes(
     }
   }
   return out;
-}
-
-std::vector<SimResult> simulate_batch(const Trace& trace,
-                                      const std::vector<L2Interface*>& lanes,
-                                      const SimOptions& opts) {
-  const DemandStream stream = build_demand_stream(trace, opts);
-  std::vector<BatchLaneOutcome> outcomes =
-      simulate_batch_lanes(stream, lanes, opts);
-  std::vector<SimResult> results;
-  results.reserve(outcomes.size());
-  for (BatchLaneOutcome& o : outcomes) {
-    if (!o.ok()) std::rethrow_exception(o.error);
-    results.push_back(std::move(*o.result));
-  }
-  return results;
 }
 
 }  // namespace mobcache

@@ -121,15 +121,6 @@ bool batch_eligible(const SimOptions& opts);
 /// Precondition: batch_eligible(opts).
 DemandStream build_demand_stream(const Trace& trace, const SimOptions& opts);
 
-class TraceStream;
-
-/// Streaming front end: same shared L1 pass fed chunk by chunk from a
-/// TraceStream, so the source trace never exists in memory (the captured
-/// DemandStream still does — it is the compact L2-visible residue). The
-/// captured stream is byte-identical to the Trace overload's
-/// (tests/test_trace_stream.cpp); the stream is consumed.
-DemandStream build_demand_stream(TraceStream& stream, const SimOptions& opts);
-
 /// Runs the shared L1 pass for `trace` and returns its miss index. Polls
 /// `sup` every kCancelPollStride records with workload context, like
 /// simulate(). Precondition: batch_eligible(opts).
@@ -165,11 +156,5 @@ struct BatchLaneOutcome {
 std::vector<BatchLaneOutcome> simulate_batch_lanes(
     const DemandStream& stream, const std::vector<L2Interface*>& lanes,
     const SimOptions& opts);
-
-/// Convenience: build the stream and replay, rethrowing the lowest-indexed
-/// lane error (fail-fast). Precondition: batch_eligible(opts).
-std::vector<SimResult> simulate_batch(const Trace& trace,
-                                      const std::vector<L2Interface*>& lanes,
-                                      const SimOptions& opts = {});
 
 }  // namespace mobcache

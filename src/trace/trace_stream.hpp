@@ -7,10 +7,10 @@
 /// counterpart would produce — the batch entry points (generate_trace,
 /// generate_scenario) are implemented as "drain the stream", so the two
 /// paths cannot drift (identity by construction, pinned by
-/// tests/test_trace_stream.cpp). The consumers (simulate, and the batched
-/// sweep engine's build_demand_stream) process one chunk at a time and poll
-/// supervision at chunk boundaries, which keeps peak memory at
-/// O(kStreamChunkRecords) per live stream instead of O(session length).
+/// tests/test_trace_stream.cpp). The consumer, simulate(), processes one
+/// chunk at a time and polls supervision at chunk boundaries, which keeps
+/// peak memory at O(kStreamChunkRecords) per live stream instead of
+/// O(session length).
 /// That bound is what makes the E22 fleet sweep (docs/SWEEP_ENGINE.md,
 /// EXPERIMENTS.md) possible: session count is limited by compute, not RAM.
 

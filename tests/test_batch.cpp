@@ -11,7 +11,6 @@
 
 #include <bit>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <functional>
@@ -23,9 +22,7 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
-#include "exp/bench_harness.hpp"
 #include "exp/result_store.hpp"
 #include "exp/runner.hpp"
 #include "workload/suite.hpp"
@@ -249,14 +246,17 @@ TEST(BatchSim, MixedSchemeBatchMatchesSimulateForEveryScheme) {
     designs.push_back(build_scheme(static_cast<SchemeKind>(k)));
     lanes.push_back(designs.back().get());
   }
-  const std::vector<SimResult> batched = simulate_batch(trace, lanes, opts);
+  const std::vector<BatchLaneOutcome> batched =
+      simulate_batch_lanes(build_demand_stream(trace, opts), lanes, opts);
   ASSERT_EQ(batched.size(), static_cast<std::size_t>(kSchemeCount));
 
   for (int k = 0; k < kSchemeCount; ++k) {
+    const BatchLaneOutcome& lane = batched[static_cast<std::size_t>(k)];
+    ASSERT_TRUE(lane.ok()) << "scheme " << k;
     const std::unique_ptr<L2Interface> ref =
         build_scheme(static_cast<SchemeKind>(k));
     const SimResult expect = simulate(trace, *ref, opts);
-    EXPECT_EQ(result_to_record_json(batched[static_cast<std::size_t>(k)]),
+    EXPECT_EQ(result_to_record_json(*lane.result),
               result_to_record_json(expect))
         << "scheme " << scheme_name(static_cast<SchemeKind>(k));
   }
@@ -298,7 +298,9 @@ TEST(BatchSim, PreCancelledTokenAbortsTheSharedPass) {
   opts.cancel = &token;
   std::unique_ptr<L2Interface> l2 = build_scheme(SchemeKind::BaselineSram);
   std::vector<L2Interface*> lanes{l2.get()};
-  EXPECT_THROW(simulate_batch(trace, lanes, opts), CancelledError);
+  EXPECT_THROW(
+      simulate_batch_lanes(build_demand_stream(trace, opts), lanes, opts),
+      CancelledError);
 }
 
 // ---- ExperimentRunner grids ----------------------------------------------
@@ -358,14 +360,10 @@ TEST(RunnerBatch, RunDesignsByteIdenticalAcrossBatchAndJobs) {
   const std::vector<SchemeSuiteResult> expect =
       simulate_grid(per_point, specs);
 
-  // Every recorded batch size and job count must reproduce the per-point
-  // bytes: sweep_batch selects no engine.
-  for (const auto& [batch, jobs] :
-       std::vector<std::pair<unsigned, unsigned>>{{8, 1}, {2, 1}, {8, 2}}) {
+  // Every job count must reproduce the per-point bytes.
+  for (unsigned jobs : {1u, 2u}) {
     ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
-    r.sweep_batch = batch;
     r.jobs = jobs;
-    ASSERT_TRUE(r.batchable());
     const std::vector<SchemeSuiteResult> got = r.run_designs(specs);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < got.size(); ++i)
@@ -379,8 +377,6 @@ TEST(RunnerBatch, RunSchemesDelegatesToTheBatchedPath) {
                                       SchemeKind::DynamicStt};
   ExperimentRunner per_point({AppId::Maps}, 30'000, 9);
   ExperimentRunner batched({AppId::Maps}, 30'000, 9);
-  batched.sweep_batch = 8;
-  ASSERT_TRUE(batched.batchable());
   std::vector<DesignSpec> specs;
   for (SchemeKind k : kinds) specs.push_back(scheme_design(k));
   const auto expect = simulate_grid(per_point, specs);
@@ -392,10 +388,9 @@ TEST(RunnerBatch, RunSchemesDelegatesToTheBatchedPath) {
 
 TEST(RunnerBatch, IneligibleConfigurationFallsBackPerPoint) {
   ExperimentRunner r({AppId::Launcher}, 20'000, 1);
-  r.sweep_batch = 8;
-  ASSERT_TRUE(r.batchable());
+  ASSERT_TRUE(batch_eligible(r.sim_options));
   r.sim_options.hierarchy.inclusive_l2 = true;
-  EXPECT_FALSE(r.batchable());
+  EXPECT_FALSE(batch_eligible(r.sim_options));
   // The fallback still runs the grid correctly under the ineligible config.
   const std::vector<DesignSpec> specs{scheme_design(SchemeKind::BaselineSram),
                                       scheme_design(SchemeKind::DynamicStt)};
@@ -406,10 +401,13 @@ TEST(RunnerBatch, IneligibleConfigurationFallsBackPerPoint) {
   for (std::size_t i = 0; i < got.size(); ++i)
     expect_suite_equal(got[i], expect[i]);
 
+  // Telemetry collection simulates every cell too: each carries a session.
   ExperimentRunner t({AppId::Launcher}, 20'000, 1);
-  t.sweep_batch = 8;
   t.collect_telemetry = true;
-  EXPECT_FALSE(t.batchable());
+  for (const SchemeSuiteResult& s : t.run_designs(specs)) {
+    ASSERT_EQ(s.per_workload_telemetry.size(), 1u);
+    EXPECT_NE(s.per_workload_telemetry[0], nullptr);
+  }
 }
 
 TEST(RunnerBatch, KeepGoingManifestMatchesPerPoint) {
@@ -436,7 +434,6 @@ TEST(RunnerBatch, KeepGoingManifestMatchesPerPoint) {
   }
 
   ExperimentRunner batched({AppId::Launcher, AppId::Email}, 30'000, 42);
-  batched.sweep_batch = 8;
   const auto got =
       batched.run_designs_outcomes(specs, /*keep_going=*/true, hook);
 
@@ -458,7 +455,6 @@ TEST(RunnerBatch, KeepGoingManifestMatchesPerPoint) {
 
 TEST(RunnerBatch, FailFastPropagatesTheInjectedFault) {
   ExperimentRunner r({AppId::Launcher}, 20'000, 1);
-  r.sweep_batch = 8;
   const auto hook = [](std::size_t i) {
     if (i == 1) throw NumericError("injected chaos fault");
   };
@@ -484,20 +480,28 @@ class BatchStoreTest : public ::testing::Test {
   fs::path dir_;
 };
 
+/// `specs` as one-design runner calls. A lone cell on its trace has no L1
+/// pass to share, so each of these cells calls simulate().
+std::vector<SchemeSuiteResult> run_one_design_calls(
+    const ExperimentRunner& r, const std::vector<DesignSpec>& specs) {
+  std::vector<SchemeSuiteResult> out;
+  for (const DesignSpec& d : specs)
+    out.push_back(std::move(r.run_designs({d}).front()));
+  return out;
+}
+
 TEST_F(BatchStoreTest, BatchedWarmRunServesPerPointColdRecords) {
   const std::vector<DesignSpec> specs = mixed_grid();
   {
     ResultStore cold(dir());
     ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
     r.result_store = &cold;
-    (void)r.run_designs(specs);  // per-point cold run populates the store
+    (void)run_one_design_calls(r, specs);  // simulate() populates the store
     EXPECT_EQ(cold.stats().stores, specs.size() * 2);
   }
   ResultStore warm(dir());
   ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
   r.result_store = &warm;
-  r.sweep_batch = 8;
-  ASSERT_TRUE(r.batchable());
   const auto got = r.run_designs(specs);
 
   ExperimentRunner ref({AppId::Launcher, AppId::Email}, 30'000, 42);
@@ -505,7 +509,7 @@ TEST_F(BatchStoreTest, BatchedWarmRunServesPerPointColdRecords) {
   for (std::size_t i = 0; i < got.size(); ++i)
     expect_suite_equal(got[i], expect[i]);
   // Every (design × workload) cell was served from the records of the
-  // other setting — keys do not depend on it.
+  // other path — keys do not depend on it.
   EXPECT_EQ(warm.stats().hits, specs.size() * 2);
   EXPECT_EQ(warm.stats().misses, 0u);
 }
@@ -516,14 +520,13 @@ TEST_F(BatchStoreTest, PerPointWarmRunServesBatchedColdRecords) {
     ResultStore cold(dir());
     ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
     r.result_store = &cold;
-    r.sweep_batch = 8;
-    (void)r.run_designs(specs);  // batched cold run populates the store
+    (void)r.run_designs(specs);  // the index replay populates the store
     EXPECT_EQ(cold.stats().stores, specs.size() * 2);
   }
   ResultStore warm(dir());
   ExperimentRunner r({AppId::Launcher, AppId::Email}, 30'000, 42);
   r.result_store = &warm;
-  const auto got = r.run_designs(specs);
+  const auto got = run_one_design_calls(r, specs);
   EXPECT_EQ(warm.stats().hits, specs.size() * 2);
   EXPECT_EQ(warm.stats().misses, 0u);
   const auto expect = simulate_grid(r, specs);
@@ -581,7 +584,6 @@ TEST_F(BatchStoreTest, CancellationMidSweepResumesFromTheStore) {
     ResultStore store(dir());
     ExperimentRunner r({AppId::Launcher, AppId::Email}, len, 42);
     r.result_store = &store;
-    r.sweep_batch = 8;
     r.sim_options.cancel = &token;
     EXPECT_THROW(r.run_designs_outcomes(specs, /*keep_going=*/true),
                  CancelledError);
@@ -593,7 +595,6 @@ TEST_F(BatchStoreTest, CancellationMidSweepResumesFromTheStore) {
   ResultStore store(dir());
   ExperimentRunner r({AppId::Launcher, AppId::Email}, len, 42);
   r.result_store = &store;
-  r.sweep_batch = 8;
   const auto got = r.run_designs(specs);
   EXPECT_GE(store.stats().hits, 2u);
 
@@ -601,32 +602,6 @@ TEST_F(BatchStoreTest, CancellationMidSweepResumesFromTheStore) {
   const auto expect = simulate_grid(ref, specs);
   for (std::size_t i = 0; i < got.size(); ++i)
     expect_suite_equal(got[i], expect[i]);
-}
-
-// ---- bench_sweep_batch CLI/env parsing -----------------------------------
-
-unsigned parse_batch(std::vector<std::string> args) {
-  std::vector<char*> argv{const_cast<char*>("bench")};
-  for (std::string& a : args) argv.push_back(a.data());
-  return bench_sweep_batch(static_cast<int>(argv.size()), argv.data());
-}
-
-TEST(BenchSweepBatch, FlagAndEnvParsing) {
-  unsetenv("MOBCACHE_SWEEP_BATCH");
-  EXPECT_EQ(parse_batch({}), 1u);
-  EXPECT_EQ(parse_batch({"--batch=4"}), 4u);
-  EXPECT_EQ(parse_batch({"--batch"}), 16u);       // bare flag = default cap
-  EXPECT_EQ(parse_batch({"--batch=0"}), 1u);      // 0/1 mean per-point
-  EXPECT_EQ(parse_batch({"--batch=1"}), 1u);
-  EXPECT_THROW(parse_batch({"--batch=abc"}), ConfigError);
-  EXPECT_THROW(parse_batch({"--batch=9999"}), ConfigError);
-
-  setenv("MOBCACHE_SWEEP_BATCH", "8", 1);
-  EXPECT_EQ(parse_batch({}), 8u);
-  EXPECT_EQ(parse_batch({"--batch=4"}), 4u);      // the flag wins
-  setenv("MOBCACHE_SWEEP_BATCH", "garbage", 1);
-  EXPECT_THROW(parse_batch({}), EnvError);
-  unsetenv("MOBCACHE_SWEEP_BATCH");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Streaming pipeline identity suite: the chunked producers/consumers must
-// reproduce the materialized path bit for bit — same record sequences, same
-// demand streams, same SimResults for every scheme. This is the contract
-// the E22 fleet sweep (constant-memory sessions) stands on.
+// reproduce the materialized path bit for bit — same record sequences and
+// same SimResults for every scheme. This is the contract the E22 fleet
+// sweep (constant-memory sessions) stands on.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 
 #include "core/scheme.hpp"
 #include "exp/result_store.hpp"
-#include "sim/batch.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace_stream.hpp"
 #include "workload/generator.hpp"
@@ -154,62 +153,6 @@ TEST(TraceStream, StreamingSimulateByteIdenticalOnAllSchemes) {
 
     EXPECT_EQ(result_to_record_json(got), result_to_record_json(expect))
         << "scheme " << scheme_name(kind);
-  }
-}
-
-TEST(TraceStream, StreamingDemandStreamMatchesMaterialized) {
-  ScenarioConfig sc = small_scenario_cfg();
-  sc.total_accesses = 80'000;
-  const Trace batch = generate_scenario(sc);
-  const SimOptions opts;
-  ASSERT_TRUE(batch_eligible(opts));
-
-  const DemandStream a = build_demand_stream(batch, opts);
-  ScenarioStream stream(sc);
-  const DemandStream b = build_demand_stream(stream, opts);
-
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.total_records, b.total_records);
-  EXPECT_EQ(a.record, b.record);
-  EXPECT_EQ(a.line, b.line);
-  EXPECT_EQ(a.flags, b.flags);
-  EXPECT_EQ(a.wb_line, b.wb_line);
-  EXPECT_EQ(a.l1_dynamic_nj, b.l1_dynamic_nj);
-  EXPECT_EQ(a.l1i.total_accesses(), b.l1i.total_accesses());
-  EXPECT_EQ(a.l1i.total_misses(), b.l1i.total_misses());
-  EXPECT_EQ(a.l1d.total_accesses(), b.l1d.total_accesses());
-  EXPECT_EQ(a.l1d.total_misses(), b.l1d.total_misses());
-}
-
-// Streaming lanes compose with the batch engine: a demand stream captured
-// from a TraceStream replays into lanes byte-identical to per-point
-// simulate() over the materialized trace.
-TEST(TraceStream, StreamingDemandStreamFeedsBatchLanes) {
-  ScenarioConfig sc = small_scenario_cfg();
-  sc.total_accesses = 60'000;
-  const Trace batch = generate_scenario(sc);
-  const SimOptions opts;
-
-  ScenarioStream stream(sc);
-  const DemandStream ds = build_demand_stream(stream, opts);
-
-  const std::vector<SchemeKind> kinds = {
-      SchemeKind::BaselineSram, SchemeKind::DynamicStt,
-      SchemeKind::StaticPartMrstt};
-  std::vector<std::unique_ptr<L2Interface>> owners;
-  std::vector<L2Interface*> lanes;
-  for (SchemeKind k : kinds) {
-    owners.push_back(build_scheme(k));
-    lanes.push_back(owners.back().get());
-  }
-  const auto outcomes = simulate_batch_lanes(ds, lanes, opts);
-  ASSERT_EQ(outcomes.size(), kinds.size());
-  for (std::size_t i = 0; i < kinds.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok());
-    const SimResult expect = simulate(batch, *build_scheme(kinds[i]), opts);
-    EXPECT_EQ(result_to_record_json(*outcomes[i].result),
-              result_to_record_json(expect))
-        << "lane " << scheme_name(kinds[i]);
   }
 }
 
