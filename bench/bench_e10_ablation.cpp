@@ -4,9 +4,12 @@
 /// criterion, refresh policy, and replacement policy. Each section compares
 /// against the same SRAM baseline on a reduced suite.
 ///
-/// `--jobs=N` / MOBCACHE_JOBS set every grid's worker count; no emitted
-/// number depends on it. The builders only read their captures, so they
-/// are safe to call from the workers.
+/// The main suite's rows (the baseline and sections a–e, g, i and k) run as
+/// one runner grid, so each trace's L1 front end is simulated once for all
+/// of them; [f]'s long suite is one more grid, and [h] and [j] one grid per
+/// hierarchy setting. `--jobs=N` / MOBCACHE_JOBS set every grid's worker
+/// count; no emitted number depends on it. The grids run after their specs
+/// are declared, so every builder owns its captures.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -22,14 +25,13 @@ std::vector<AppId> reduced_suite() {
   return {AppId::Launcher, AppId::Browser, AppId::AudioPlayer, AppId::Maps};
 }
 
-struct Ctx {
-  ExperimentRunner* runner;
-  SchemeSuiteResult base;
-};
-
-void dp_row(Ctx& ctx, TablePrinter& t, const std::string& label,
-            const std::function<void(DynamicL2Config&)>& tweak) {
-  auto r = ctx.runner->run_custom(label, [&] {
+/// A row of the DP-STT sections: the paper's 2 MB design with `tweak`
+/// applied, named by its row label.
+DesignSpec dp_design(std::string label,
+                     std::function<void(DynamicL2Config&)> tweak) {
+  DesignSpec d;
+  d.name = std::move(label);
+  d.build = [tweak = std::move(tweak)]() -> std::unique_ptr<L2Interface> {
     DynamicL2Config c;
     c.cache.name = "L2";
     c.cache.size_bytes = 2ull << 20;
@@ -38,22 +40,39 @@ void dp_row(Ctx& ctx, TablePrinter& t, const std::string& label,
     c.retention = RetentionClass::Lo;
     tweak(c);
     return std::make_unique<DynamicPartitionedL2>(c);
-  });
-  std::vector<SchemeSuiteResult> v{ctx.base, r};
-  ExperimentRunner::normalize(v);
-  double enabled = 0.0;
-  for (const SimResult& s : r.per_workload)
-    enabled += s.l2_avg_enabled_bytes / 1024.0;
-  enabled /= static_cast<double>(r.per_workload.size());
-  t.add_row({label, format_bytes(static_cast<std::uint64_t>(enabled) << 10),
-             format_percent(r.avg_miss_rate),
-             format_double(v[1].norm_cache_energy, 3),
-             format_double(v[1].norm_exec_time, 3)});
+  };
+  return d;
 }
 
 TablePrinter dp_table() {
   return TablePrinter({"variant", "avg enabled", "L2 miss",
                        "norm cache energy", "norm exec time"});
+}
+
+/// One DP row, labelled by its design name; `r` is already normalized.
+void dp_row(TablePrinter& t, const SchemeSuiteResult& r) {
+  double enabled = 0.0;
+  for (const SimResult& s : r.per_workload)
+    enabled += s.l2_avg_enabled_bytes / 1024.0;
+  enabled /= static_cast<double>(r.per_workload.size());
+  t.add_row({r.name, format_bytes(static_cast<std::uint64_t>(enabled) << 10),
+             format_percent(r.avg_miss_rate),
+             format_double(r.norm_cache_energy, 3),
+             format_double(r.norm_exec_time, 3)});
+}
+
+/// A runner over `runner`'s suite with `tweak` applied to its hierarchy,
+/// running Base-SRAM and SP-MRSTT as one grid, normalized.
+std::vector<SchemeSuiteResult> base_and_spmrstt(
+    const ExperimentRunner& runner,
+    const std::function<void(HierarchyConfig&)>& tweak) {
+  ExperimentRunner r2(runner.apps(), runner.traces());
+  r2.jobs = runner.jobs;
+  tweak(r2.sim_options.hierarchy);
+  std::vector<SchemeSuiteResult> v =
+      r2.run_schemes({SchemeKind::BaselineSram, SchemeKind::StaticPartMrstt});
+  ExperimentRunner::normalize(v);
+  return v;
 }
 
 }  // namespace
@@ -65,49 +84,93 @@ static int run_bench(int argc, char** argv) {
 
   ExperimentRunner runner(reduced_suite(), len, 42);
   runner.jobs = jobs;
-  Ctx ctx{&runner, runner.run_scheme(SchemeKind::BaselineSram)};
 
-  std::printf("[a] DP-STT epoch length (accesses between decisions):\n");
-  TablePrinter a = dp_table();
+  // The main grid: the SRAM baseline first, then every section's rows.
+  std::vector<DesignSpec> specs{scheme_design(SchemeKind::BaselineSram)};
+  auto add = [&specs](DesignSpec d) {
+    specs.push_back(std::move(d));
+    return specs.size() - 1;
+  };
+  using Rows = std::vector<std::size_t>;
+  Rows a_rows, b_rows, c_rows, d_rows, e_rows, k_rows;
   for (std::uint64_t epoch : {2'500ull, 5'000ull, 10'000ull, 20'000ull,
                               40'000ull, 80'000ull}) {
-    dp_row(ctx, a, "epoch=" + std::to_string(epoch),
-           [&](DynamicL2Config& c) { c.epoch_accesses = epoch; });
+    a_rows.push_back(add(dp_design(
+        "epoch=" + std::to_string(epoch),
+        [epoch](DynamicL2Config& c) { c.epoch_accesses = epoch; })));
   }
-  emit(a, "e10a_epoch.csv");
+  b_rows.push_back(add(dp_design("shadow-utility", [](DynamicL2Config&) {})));
+  b_rows.push_back(add(dp_design("hill-climb", [](DynamicL2Config& c) {
+    c.controller.monitor = MonitorKind::HillClimb;
+  })));
+  for (std::uint32_t step : {1u, 2u, 4u, 16u}) {
+    c_rows.push_back(add(dp_design(
+        "step=" + std::to_string(step),
+        [step](DynamicL2Config& cc) { cc.controller.max_step = step; })));
+  }
+  for (double slack : {0.0, 0.02, 0.05, 0.10, 0.20}) {
+    d_rows.push_back(add(dp_design(
+        "slack=" + format_double(slack, 2),
+        [slack](DynamicL2Config& cc) { cc.controller.miss_slack = slack; })));
+  }
+  e_rows.push_back(
+      add(dp_design("off (paper: miss guard only)", [](DynamicL2Config&) {})));
+  e_rows.push_back(add(dp_design("on", [](DynamicL2Config& cc) {
+    cc.controller.use_energy_criterion = true;
+  })));
+  struct ReplRows {
+    ReplKind repl;
+    std::size_t base, sp;
+  };
+  std::vector<ReplRows> g_rows;
+  for (ReplKind rk : {ReplKind::Lru, ReplKind::Plru, ReplKind::Srrip,
+                      ReplKind::Fifo, ReplKind::Random}) {
+    SchemeParams p;
+    p.repl = rk;
+    const std::size_t base = add(scheme_design(SchemeKind::BaselineSram, p));
+    const std::size_t sp = add(scheme_design(SchemeKind::StaticPartSram, p));
+    g_rows.push_back({rk, base, sp});
+  }
+  for (std::uint32_t assoc : {4u, 8u, 16u}) {
+    DesignSpec d;
+    d.name = std::to_string(assoc) + "-way";
+    d.build = [assoc]() -> std::unique_ptr<L2Interface> {
+      StaticPartitionConfig pc;
+      pc.user = sram_segment(1024ull << 10, assoc);
+      pc.kernel = sram_segment(256ull << 10, assoc);
+      return std::make_unique<StaticPartitionedL2>(pc);
+    };
+    k_rows.push_back(add(std::move(d)));
+  }
+  SchemeParams px;
+  px.xor_index = true;
+  const std::size_t i_row = add(scheme_design(SchemeKind::BaselineSram, px));
+
+  // Every row against the baseline; [g] renormalizes against its own.
+  std::vector<SchemeSuiteResult> grid = runner.run_designs(specs);
+  ExperimentRunner::normalize(grid);
+  const SchemeSuiteResult& base = grid[0];
+  auto dp_section = [&grid](const Rows& rows) {
+    TablePrinter t = dp_table();
+    for (std::size_t i : rows) dp_row(t, grid[i]);
+    return t;
+  };
+
+  std::printf("[a] DP-STT epoch length (accesses between decisions):\n");
+  emit(dp_section(a_rows), "e10a_epoch.csv");
 
   std::printf("\n[b] demand monitor:\n");
-  TablePrinter b = dp_table();
-  dp_row(ctx, b, "shadow-utility", [](DynamicL2Config&) {});
-  dp_row(ctx, b, "hill-climb", [](DynamicL2Config& c) {
-    c.controller.monitor = MonitorKind::HillClimb;
-  });
-  emit(b, "e10b_monitor.csv");
+  emit(dp_section(b_rows), "e10b_monitor.csv");
 
   std::printf("\n[c] damping step (max ways moved per epoch):\n");
-  TablePrinter c = dp_table();
-  for (std::uint32_t step : {1u, 2u, 4u, 16u}) {
-    dp_row(ctx, c, "step=" + std::to_string(step),
-           [&](DynamicL2Config& cc) { cc.controller.max_step = step; });
-  }
-  emit(c, "e10c_damping.csv");
+  emit(dp_section(c_rows), "e10c_damping.csv");
 
   std::printf("\n[d] miss slack (allowed projected-miss growth):\n");
-  TablePrinter d = dp_table();
-  for (double slack : {0.0, 0.02, 0.05, 0.10, 0.20}) {
-    dp_row(ctx, d, "slack=" + format_double(slack, 2),
-           [&](DynamicL2Config& cc) { cc.controller.miss_slack = slack; });
-  }
-  emit(d, "e10d_slack.csv");
+  emit(dp_section(d_rows), "e10d_slack.csv");
 
   std::printf("\n[e] energy criterion (trim ways that don't pay their "
               "leakage):\n");
-  TablePrinter e = dp_table();
-  dp_row(ctx, e, "off (paper: miss guard only)", [](DynamicL2Config&) {});
-  dp_row(ctx, e, "on", [](DynamicL2Config& cc) {
-    cc.controller.use_energy_criterion = true;
-  });
-  emit(e, "e10e_energy_criterion.csv");
+  emit(dp_section(e_rows), "e10e_energy_criterion.csv");
 
   std::printf("\n[f] refresh policy for the short-retention designs "
               "(DP-STT, session-length traces so blocks actually outlive "
@@ -116,16 +179,18 @@ static int run_bench(int argc, char** argv) {
     ExperimentRunner long_runner({AppId::Launcher, AppId::Email},
                                  bench_trace_len(6'000'000), 42);
     long_runner.jobs = jobs;
-    Ctx long_ctx{&long_runner,
-                 long_runner.run_scheme(SchemeKind::BaselineSram)};
-    TablePrinter f({"variant", "avg enabled", "L2 miss", "norm cache energy",
-                    "norm exec time"});
+    std::vector<DesignSpec> f_specs{scheme_design(SchemeKind::BaselineSram)};
     for (RefreshPolicy rp :
          {RefreshPolicy::ScrubDirty, RefreshPolicy::ScrubAll,
           RefreshPolicy::InvalidateOnExpiry}) {
-      dp_row(long_ctx, f, std::string(to_string(rp)),
-             [&](DynamicL2Config& cc) { cc.refresh = rp; });
+      f_specs.push_back(
+          dp_design(std::string(to_string(rp)),
+                    [rp](DynamicL2Config& cc) { cc.refresh = rp; }));
     }
+    std::vector<SchemeSuiteResult> f_grid = long_runner.run_designs(f_specs);
+    ExperimentRunner::normalize(f_grid);
+    TablePrinter f = dp_table();
+    for (std::size_t i = 1; i < f_grid.size(); ++i) dp_row(f, f_grid[i]);
     emit(f, "e10f_refresh.csv");
   }
 
@@ -135,19 +200,17 @@ static int run_bench(int argc, char** argv) {
     TablePrinter hh({"L1 (I+D)", "L2 kernel share", "base miss",
                      "SP-MRSTT norm energy", "SP-MRSTT norm time"});
     for (std::uint64_t l1_kb : {16ull, 32ull, 64ull}) {
-      ExperimentRunner r2(runner.apps(), runner.traces());
-      r2.jobs = jobs;
-      r2.sim_options.hierarchy.l1i.size_bytes = l1_kb << 10;
-      r2.sim_options.hierarchy.l1d.size_bytes = l1_kb << 10;
-      auto b = r2.run_scheme(SchemeKind::BaselineSram);
-      auto sp = r2.run_scheme(SchemeKind::StaticPartMrstt);
-      std::vector<SchemeSuiteResult> v{b, sp};
-      ExperimentRunner::normalize(v);
+      const std::vector<SchemeSuiteResult> v =
+          base_and_spmrstt(runner, [l1_kb](HierarchyConfig& h) {
+            h.l1i.size_bytes = l1_kb << 10;
+            h.l1d.size_bytes = l1_kb << 10;
+          });
       double kshare = 0.0;
-      for (const SimResult& s : b.per_workload) kshare += s.l2_kernel_fraction();
-      kshare /= static_cast<double>(b.per_workload.size());
+      for (const SimResult& s : v[0].per_workload)
+        kshare += s.l2_kernel_fraction();
+      kshare /= static_cast<double>(v[0].per_workload.size());
       hh.add_row({std::to_string(l1_kb) + "K+" + std::to_string(l1_kb) + "K",
-                  format_percent(kshare), format_percent(b.avg_miss_rate),
+                  format_percent(kshare), format_percent(v[0].avg_miss_rate),
                   format_double(v[1].norm_cache_energy, 3),
                   format_double(v[1].norm_exec_time, 3)});
     }
@@ -157,17 +220,12 @@ static int run_bench(int argc, char** argv) {
   std::printf("\n[g] replacement policy (baseline and SP-SRAM):\n");
   TablePrinter g({"policy", "baseline miss", "SP-SRAM miss",
                   "SP-SRAM norm energy", "SP-SRAM norm time"});
-  for (ReplKind rk : {ReplKind::Lru, ReplKind::Plru, ReplKind::Srrip,
-                      ReplKind::Fifo, ReplKind::Random}) {
-    SchemeParams p;
-    p.repl = rk;
-    auto base_rk = runner.run_scheme(SchemeKind::BaselineSram, p);
-    auto sp = runner.run_scheme(SchemeKind::StaticPartSram, p);
-    std::vector<SchemeSuiteResult> v{base_rk, sp};
+  for (const ReplRows& row : g_rows) {
+    std::vector<SchemeSuiteResult> v{grid[row.base], grid[row.sp]};
     ExperimentRunner::normalize(v);
-    g.add_row({std::string(to_string(rk)),
-               format_percent(base_rk.avg_miss_rate),
-               format_percent(sp.avg_miss_rate),
+    g.add_row({std::string(to_string(row.repl)),
+               format_percent(v[0].avg_miss_rate),
+               format_percent(v[1].avg_miss_rate),
                format_double(v[1].norm_cache_energy, 3),
                format_double(v[1].norm_exec_time, 3)});
   }
@@ -178,19 +236,10 @@ static int run_bench(int argc, char** argv) {
   {
     TablePrinter kk({"user/kernel assoc", "L2 miss", "norm cache energy",
                      "norm exec time"});
-    for (std::uint32_t assoc : {4u, 8u, 16u}) {
-      auto r = runner.run_custom("aspect", [&] {
-        StaticPartitionConfig pc;
-        pc.user = sram_segment(1024ull << 10, assoc);
-        pc.kernel = sram_segment(256ull << 10, assoc);
-        return std::make_unique<StaticPartitionedL2>(pc);
-      });
-      std::vector<SchemeSuiteResult> v{ctx.base, r};
-      ExperimentRunner::normalize(v);
-      kk.add_row({std::to_string(assoc) + "-way",
-                  format_percent(r.avg_miss_rate),
-                  format_double(v[1].norm_cache_energy, 3),
-                  format_double(v[1].norm_exec_time, 3)});
+    for (std::size_t i : k_rows) {
+      kk.add_row({grid[i].name, format_percent(grid[i].avg_miss_rate),
+                  format_double(grid[i].norm_cache_energy, 3),
+                  format_double(grid[i].norm_exec_time, 3)});
     }
     emit(kk, "e10k_aspect.csv");
   }
@@ -200,15 +249,12 @@ static int run_bench(int argc, char** argv) {
     TablePrinter jj({"policy", "L2 miss", "norm cache energy",
                      "norm exec time"});
     for (bool inclusive : {false, true}) {
-      ExperimentRunner r2(runner.apps(), runner.traces());
-      r2.jobs = jobs;
-      r2.sim_options.hierarchy.inclusive_l2 = inclusive;
-      auto b = r2.run_scheme(SchemeKind::BaselineSram);
-      auto sp = r2.run_scheme(SchemeKind::StaticPartMrstt);
-      std::vector<SchemeSuiteResult> v{b, sp};
-      ExperimentRunner::normalize(v);
+      const std::vector<SchemeSuiteResult> v =
+          base_and_spmrstt(runner, [inclusive](HierarchyConfig& h) {
+            h.inclusive_l2 = inclusive;
+          });
       jj.add_row({inclusive ? "inclusive" : "non-inclusive (paper)",
-                  format_percent(sp.avg_miss_rate),
+                  format_percent(v[1].avg_miss_rate),
                   format_double(v[1].norm_cache_energy, 3),
                   format_double(v[1].norm_exec_time, 3)});
     }
@@ -218,15 +264,11 @@ static int run_bench(int argc, char** argv) {
   std::printf("\n[i] XOR set-index hashing (baseline):\n");
   {
     TablePrinter ii({"indexing", "baseline miss", "norm exec time"});
-    SchemeParams px;
-    px.xor_index = true;
-    auto hashed = runner.run_scheme(SchemeKind::BaselineSram, px);
-    std::vector<SchemeSuiteResult> v{ctx.base, hashed};
-    ExperimentRunner::normalize(v);
-    ii.add_row({"modulo (paper)", format_percent(ctx.base.avg_miss_rate),
+    const SchemeSuiteResult& hashed = grid[i_row];
+    ii.add_row({"modulo (paper)", format_percent(base.avg_miss_rate),
                 "1.000"});
     ii.add_row({"xor-folded", format_percent(hashed.avg_miss_rate),
-                format_double(v[1].norm_exec_time, 3)});
+                format_double(hashed.norm_exec_time, 3)});
     emit(ii, "e10i_indexing.csv");
   }
 

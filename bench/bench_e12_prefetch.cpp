@@ -5,9 +5,9 @@
 /// owning segment. This bench quantifies miss/energy/time with the L2
 /// prefetcher off vs on for the three main designs.
 ///
-/// Every grid runs over one suite, generated once; `--jobs=N` /
-/// MOBCACHE_JOBS set the grids' worker count, and no emitted number depends
-/// on it.
+/// One runner grid per prefetch setting, both over one suite generated
+/// once; `--jobs=N` / MOBCACHE_JOBS set the grids' worker count, and no
+/// emitted number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -23,22 +23,27 @@ static int run_bench(int argc, char** argv) {
   print_banner("E12", "Prefetcher x partitioning interaction");
   const std::uint64_t len = bench_trace_len();
 
-  ExperimentRunner runner(interactive_apps(), len, 42);
-  runner.jobs = jobs;
+  const ExperimentRunner suite(interactive_apps(), len, 42);
+  const std::vector<SchemeKind> kinds = {SchemeKind::BaselineSram,
+                                         SchemeKind::StaticPartMrstt,
+                                         SchemeKind::DynamicStt};
+  std::vector<SchemeSuiteResult> by_prefetch[2];  // [off, on] × kinds
+  for (bool pf : {false, true}) {
+    ExperimentRunner runner(suite.apps(), suite.traces());
+    runner.jobs = jobs;
+    runner.sim_options.hierarchy.prefetch.enabled = pf;
+    runner.sim_options.hierarchy.prefetch.degree = 2;
+    by_prefetch[pf] = runner.run_schemes(kinds);
+  }
   // Baseline for normalization: no prefetch, shared SRAM.
-  const SchemeSuiteResult base = runner.run_scheme(SchemeKind::BaselineSram);
+  const SchemeSuiteResult& base = by_prefetch[0][0];
 
   TablePrinter t({"scheme", "prefetch", "L2 miss", "useful prefetch",
                   "cache E vs base", "time vs base"});
 
-  for (SchemeKind k : {SchemeKind::BaselineSram, SchemeKind::StaticPartMrstt,
-                       SchemeKind::DynamicStt}) {
+  for (std::size_t ki = 0; ki < kinds.size(); ++ki) {
     for (bool pf : {false, true}) {
-      ExperimentRunner r2(runner.apps(), runner.traces());
-      r2.jobs = jobs;
-      r2.sim_options.hierarchy.prefetch.enabled = pf;
-      r2.sim_options.hierarchy.prefetch.degree = 2;
-      const SchemeSuiteResult r = r2.run_scheme(k);
+      const SchemeSuiteResult& r = by_prefetch[pf][ki];
       std::vector<SchemeSuiteResult> v{base, r};
       ExperimentRunner::normalize(v);
 
@@ -52,7 +57,7 @@ static int run_bench(int argc, char** argv) {
           pf_fills == 0 ? "-"
                         : format_percent(static_cast<double>(pf_useful) /
                                          static_cast<double>(pf_fills));
-      t.add_row({scheme_name(k), pf ? "on" : "off",
+      t.add_row({r.name, pf ? "on" : "off",
                  format_percent(r.avg_miss_rate), accuracy,
                  format_double(v[1].norm_cache_energy, 3),
                  format_double(v[1].norm_exec_time, 3)});

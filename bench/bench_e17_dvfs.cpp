@@ -7,8 +7,9 @@
 /// unit plus its saving versus the same-clock baseline.
 ///
 /// The suite is generated once and shared by every clock's runner (trace
-/// generation does not read the technology); `--jobs=N` / MOBCACHE_JOBS set
-/// the grids' worker count, and no emitted number depends on it.
+/// generation does not read the technology); each clock's three designs
+/// are one runner grid. `--jobs=N` / MOBCACHE_JOBS set the grids' worker
+/// count, and no emitted number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -38,10 +39,10 @@ static int run_bench(int argc, char** argv) {
 
     ExperimentRunner runner(suite.apps(), suite.traces());
     runner.jobs = jobs;
-    std::vector<SchemeSuiteResult> r;
-    r.push_back(runner.run_scheme(SchemeKind::BaselineSram));
-    r.push_back(runner.run_scheme(SchemeKind::StaticPartMrstt));
-    r.push_back(runner.run_scheme(SchemeKind::DynamicStt));
+    std::vector<SchemeSuiteResult> r =
+        runner.run_schemes({SchemeKind::BaselineSram,
+                            SchemeKind::StaticPartMrstt,
+                            SchemeKind::DynamicStt});
     ExperimentRunner::normalize(r);
 
     // Wall time of this clock's baseline (ns), for the cross-clock column.

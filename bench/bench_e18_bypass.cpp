@@ -4,8 +4,9 @@
 /// page-cache/network/frame data). Reports the write-energy cut against the
 /// re-miss cost, per design.
 ///
-/// `--jobs=N` / MOBCACHE_JOBS set the grids' worker count; no emitted
-/// number depends on it.
+/// The baseline and the four bypass rows are one runner grid; `--jobs=N` /
+/// MOBCACHE_JOBS set its worker count, and no emitted number depends on
+/// it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -22,27 +23,30 @@ static int run_bench(int argc, char** argv) {
 
   ExperimentRunner runner(interactive_apps(), len, 42);
   runner.jobs = jobs;
-  const SchemeSuiteResult base = runner.run_scheme(SchemeKind::BaselineSram);
-
-  TablePrinter t({"design", "bypass", "L2 miss", "write energy (uJ)",
-                  "norm cache energy", "norm exec time"});
-
+  std::vector<DesignSpec> specs{scheme_design(SchemeKind::BaselineSram)};
+  std::vector<bool> bypassed{false};
   for (SchemeKind k : {SchemeKind::SharedStt, SchemeKind::StaticPartMrstt}) {
     for (bool bypass : {false, true}) {
       SchemeParams p;
       p.stt_write_bypass = bypass;
-      const SchemeSuiteResult r = runner.run_scheme(k, p);
-      std::vector<SchemeSuiteResult> v{base, r};
-      ExperimentRunner::normalize(v);
-      double write_nj = 0.0;
-      for (const SimResult& s : r.per_workload)
-        write_nj += s.l2_energy.write_nj;
-      t.add_row({r.name, bypass ? "on" : "off",
-                 format_percent(r.avg_miss_rate),
-                 format_double(write_nj / 1e3, 1),
-                 format_double(v[1].norm_cache_energy, 3),
-                 format_double(v[1].norm_exec_time, 3)});
+      specs.push_back(scheme_design(k, p));
+      bypassed.push_back(bypass);
     }
+  }
+  std::vector<SchemeSuiteResult> grid = runner.run_designs(specs);
+  ExperimentRunner::normalize(grid);
+
+  TablePrinter t({"design", "bypass", "L2 miss", "write energy (uJ)",
+                  "norm cache energy", "norm exec time"});
+  for (std::size_t i = 1; i < grid.size(); ++i) {
+    const SchemeSuiteResult& r = grid[i];
+    double write_nj = 0.0;
+    for (const SimResult& s : r.per_workload) write_nj += s.l2_energy.write_nj;
+    t.add_row({r.name, bypassed[i] ? "on" : "off",
+               format_percent(r.avg_miss_rate),
+               format_double(write_nj / 1e3, 1),
+               format_double(r.norm_cache_energy, 3),
+               format_double(r.norm_exec_time, 3)});
   }
 
   emit(t, "e18_bypass.csv");

@@ -7,7 +7,8 @@
 /// line — plus what the advisor recommends at each temperature.
 ///
 /// The suite is generated once and shared by every temperature's runner
-/// (trace generation does not read the technology); `--jobs=N` /
+/// (trace generation does not read the technology); each temperature's
+/// baseline and SP-MRSTT rows are one runner grid. `--jobs=N` /
 /// MOBCACHE_JOBS set the grids' worker count, and no emitted number depends
 /// on it.
 
@@ -40,10 +41,10 @@ static int run_bench(int argc, char** argv) {
 
     ExperimentRunner runner(suite.apps(), suite.traces());
     runner.jobs = jobs;
-    auto base = runner.run_scheme(SchemeKind::BaselineSram);
-    auto r = runner.run_scheme(SchemeKind::StaticPartMrstt);
-    std::vector<SchemeSuiteResult> v{base, r};
+    std::vector<SchemeSuiteResult> v = runner.run_schemes(
+        {SchemeKind::BaselineSram, SchemeKind::StaticPartMrstt});
     ExperimentRunner::normalize(v);
+    const SchemeSuiteResult& r = v[1];
 
     std::uint64_t expired = 0;
     double refresh_nj = 0.0;
@@ -73,8 +74,8 @@ static int run_bench(int argc, char** argv) {
                ms(retention_cycles_of(RetentionClass::Mid)),
                format_percent(r.avg_miss_rate), format_count(expired),
                format_double(refresh_nj / 1e3, 1),
-               format_double(v[1].norm_cache_energy, 3),
-               format_double(v[1].norm_exec_time, 3),
+               format_double(r.norm_cache_energy, 3),
+               format_double(r.norm_exec_time, 3),
                std::string(to_string(user_rec)) + " / " +
                    std::string(to_string(kernel_rec))});
   }

@@ -1,14 +1,16 @@
 /// \file bench_e8_dynamic_trace.cpp
 /// E8 (paper Fig. 7) — the dynamic partition in action: per-epoch way
 /// allocation over time on a phase-rich workload, plus reconfiguration
-/// statistics for every app.
+/// statistics for every app. Each app is simulated once, one trace resident
+/// at a time; the browser's time series comes from its summary run.
+
+#include <algorithm>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/dynamic_partitioned_l2.hpp"
 #include "exp/report.hpp"
-#include "sim/cpi_model.hpp"
-#include "sim/hierarchy.hpp"
+#include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
 using namespace mobcache;
@@ -18,12 +20,11 @@ namespace {
 struct RunOut {
   std::vector<AllocationSample> history;
   std::uint64_t reconfig_writebacks = 0;
-  Cycle end = 0;
   WayAllocation final_alloc;
   double avg_enabled = 0.0;
 };
 
-/// A direct hierarchy loop, not a runner grid: the rows read the design's
+/// A direct simulate(), not a runner grid: the rows read the design's
 /// allocation history after the run.
 RunOut run_dp(const Trace& trace) {
   DynamicL2Config c;
@@ -33,17 +34,11 @@ RunOut run_dp(const Trace& trace) {
   c.tech = TechKind::SttRam;
   c.retention = RetentionClass::Lo;
   DynamicPartitionedL2 dp(c);
-
-  MemoryHierarchy h({}, dp);
-  CpiModel cpu;
-  Cycle now = 0;
-  for (const Access& a : trace.accesses()) now = cpu.retire(h.access(a, now));
-  h.finalize(now);
+  simulate(trace, dp);
 
   RunOut out;
   out.history = dp.allocation_history();
   out.reconfig_writebacks = dp.reconfig_writebacks();
-  out.end = now;
   out.final_alloc = dp.allocation();
   out.avg_enabled = dp.avg_enabled_bytes();
   return out;
@@ -55,10 +50,13 @@ int main() {
   print_banner("E8", "Dynamic partition allocation trace");
   const std::uint64_t len = bench_trace_len();
 
-  // Detailed time series for the phase-rich browser workload.
-  const Trace browser = generate_app_trace(AppId::Browser, len, 42);
-  const RunOut b = run_dp(browser);
+  const std::vector<AppId> apps = interactive_apps();
+  std::vector<RunOut> runs;
+  for (AppId id : apps) runs.push_back(run_dp(generate_app_trace(id, len, 42)));
 
+  // Detailed time series for the phase-rich browser workload.
+  const auto browser = std::find(apps.begin(), apps.end(), AppId::Browser);
+  const RunOut& b = runs[static_cast<std::size_t>(browser - apps.begin())];
   TablePrinter series({"time (ms)", "user ways", "kernel ways", "off ways",
                        "enabled"});
   const std::size_t stride = std::max<std::size_t>(1, b.history.size() / 32);
@@ -78,9 +76,9 @@ int main() {
   // Summary across the suite.
   TablePrinter sum({"app", "reconfigs", "flush writebacks", "final (u/k)",
                     "avg enabled"});
-  for (AppId id : interactive_apps()) {
-    const Trace trace = generate_app_trace(id, len, 42);
-    const RunOut r = run_dp(trace);
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const AppId id = apps[i];
+    const RunOut& r = runs[i];
     sum.add_row({app_name(id), format_count(r.history.size()),
                  format_count(r.reconfig_writebacks),
                  std::to_string(r.final_alloc.user_ways) + "/" +

@@ -14,7 +14,11 @@ trace and exit 0). The partition_explorer example rejects an unknown app,
 tech or retention name the same way (`... 256 8 STT mid lo` used to run
 SRAM). bench_micro's report modes exit 2 on a zero --accesses or --reps and
 on a garbage speedup floor (`--kernel-report --accesses=0` used to write a
-0-point report of "speedups" over empty streams).
+0-point report of "speedups" over empty streams). A valid `--kernel-report`
+writes a BENCH_micro.json that passes `check_bench.py validate` and counts
+what it timed: `jobs` 1 (every repetition runs on one thread) and `points`
+= the timed replays, 4 cases x --reps x 2 kernels (it used to write the
+worker count and the number of timed accesses).
 
 Usage:
   check_cli.py --simrun PATH --tracegen PATH --appcheck PATH
@@ -22,6 +26,7 @@ Usage:
 """
 
 import argparse
+import json
 import os
 import pathlib
 import shutil
@@ -179,6 +184,25 @@ def main():
                            f"{name}: expected", env)
     check("bench_micro writes no report for garbage", not results.exists(),
           f"{results} exists")
+
+    # bench_micro --kernel-report: one thread, one point per timed replay.
+    p = run([args.micro, "--kernel-report", "--accesses=4096", "--reps=1"],
+            env)
+    report = results / "BENCH_micro.json"
+    check("bench_micro --kernel-report runs", p.returncode == 0,
+          f"rc={p.returncode} stderr={p.stderr.strip()!r}")
+    if report.exists():
+        v = run([sys.executable, pathlib.Path(__file__).with_name(
+            "check_bench.py"), "validate", report])
+        check("kernel report passes check_bench.py validate",
+              v.returncode == 0, (v.stdout + v.stderr).strip())
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        check("kernel report counts what it timed",
+              doc.get("jobs") == 1 and doc.get("points") == 8,
+              f"jobs={doc.get('jobs')!r} points={doc.get('points')!r} "
+              f"(wanted jobs=1, points=8: 4 cases x 1 rep x 2 kernels)")
+    else:
+        check("kernel report written", False, f"{report} missing")
 
     if FAILURES:
         print(f"{len(FAILURES)} CLI contract check(s) failed", file=sys.stderr)

@@ -50,14 +50,6 @@ void validate_sim_result_finite(const SimResult& r) {
   }
 }
 
-MetricRegistry SchemeSuiteResult::merged_metrics() const {
-  MetricRegistry merged;
-  for (const auto& tel : per_workload_telemetry) {
-    if (tel) merged.merge(tel->metrics());
-  }
-  return merged;
-}
-
 ExperimentRunner::ExperimentRunner(std::vector<AppId> apps,
                                    std::uint64_t accesses, std::uint64_t seed)
     : apps_(std::move(apps)), traces_(apps_.size()) {
@@ -80,12 +72,6 @@ ExperimentRunner::ExperimentRunner(std::vector<Trace> traces) {
 }
 
 namespace {
-
-/// One (scheme/design, workload) execution — the unit the executor shards.
-struct SuiteCell {
-  SimResult res;
-  std::shared_ptr<Telemetry> tel;
-};
 
 /// The shared L1 passes of one grid call: at most one L1MissIndex per
 /// trace, built by the first cell that computes on the trace — under that
@@ -147,11 +133,7 @@ const std::vector<std::uint64_t>& ExperimentRunner::trace_hashes() const {
   return trace_hashes_;
 }
 
-bool ExperimentRunner::memoizable() const {
-  // Telemetry sessions are a side channel a cached SimResult cannot
-  // replay — those runs always simulate.
-  return result_store != nullptr && !collect_telemetry;
-}
+bool ExperimentRunner::memoizable() const { return result_store != nullptr; }
 
 std::vector<std::uint64_t> ExperimentRunner::cell_keys(
     std::uint64_t design_hash) const {
@@ -171,21 +153,6 @@ DesignSpec scheme_design(SchemeKind kind, const SchemeParams& params) {
   d.design_hash = scheme_design_hash(kind, params);
   d.kind = kind;
   return d;
-}
-
-SchemeSuiteResult ExperimentRunner::run_scheme(SchemeKind kind,
-                                               const SchemeParams& params) const {
-  std::vector<SchemeSuiteResult> r = run_designs({scheme_design(kind, params)});
-  return std::move(r.front());
-}
-
-SchemeSuiteResult ExperimentRunner::run_custom(
-    const std::string& name,
-    const std::function<std::unique_ptr<L2Interface>()>& builder,
-    std::optional<std::uint64_t> design_hash) const {
-  std::vector<SchemeSuiteResult> r =
-      run_designs({DesignSpec{name, builder, design_hash, std::nullopt}});
-  return std::move(r.front());
 }
 
 std::vector<SchemeSuiteResult> ExperimentRunner::run_schemes(
@@ -250,7 +217,7 @@ ExperimentRunner::run_designs_outcomes(
     f.index = s;
     spec_fail[s] = std::make_pair(w, std::move(f));
   };
-  std::vector<std::optional<SuiteCell>> cells(n * w_count);
+  std::vector<std::optional<SimResult>> cells(n * w_count);
   std::vector<std::size_t> cold;
   std::vector<std::size_t> cold_on_trace(w_count, 0);
   for (std::size_t w = 0; w < w_count; ++w) {
@@ -258,7 +225,7 @@ ExperimentRunner::run_designs_outcomes(
       if (!live[s]) continue;
       if (!keys[s].empty()) {
         if (std::optional<SimResult> hit = result_store->lookup(keys[s][w])) {
-          cells[s * w_count + w].emplace().res = std::move(*hit);
+          cells[s * w_count + w] = std::move(*hit);
           continue;
         }
         if (keep_going) {
@@ -278,32 +245,26 @@ ExperimentRunner::run_designs_outcomes(
 
   // Two or more cold cells on a trace replay from its L1MissIndex; a lone
   // cell has nothing to share and simulates.
-  const bool indexable = batch_eligible(sim_options) && !collect_telemetry;
+  const bool indexable = batch_eligible(sim_options);
   std::vector<std::size_t> indexed(w_count, 0);
   for (std::size_t w = 0; w < w_count; ++w)
     if (indexable && cold_on_trace[w] >= 2) indexed[w] = cold_on_trace[w];
   L1IndexSlots indexes(indexed);
   auto run_cell = [&](std::size_t s, std::size_t w) {
     const Trace& trace = *traces_[w];
-    SuiteCell cell;
+    SimResult res;
     if (indexed[w] != 0) {
       L1IndexSlots::Use use(indexes, w);
       const PointSupervisor sup(sim_options);
       const L1MissIndex& index = use.get(trace, sim_options, sup);
       const std::unique_ptr<L2Interface> l2 = specs[s].build();
-      cell.res = replay_l1_miss_index(trace, index, *l2, sup);
+      res = replay_l1_miss_index(trace, index, *l2, sup);
     } else {
-      SimOptions opts = sim_options;
-      if (collect_telemetry) {
-        cell.tel = std::make_shared<Telemetry>();
-        cell.tel->set_sample_interval(telemetry_sample_interval);
-        opts.telemetry = cell.tel.get();
-      }
-      cell.res = simulate(trace, specs[s].build(), opts);
+      res = simulate(trace, specs[s].build(), sim_options);
     }
     // Validated before it can reach the store, an artifact or a normalize.
-    validate_sim_result_finite(cell.res);
-    return cell;
+    validate_sim_result_finite(res);
+    return res;
   };
   auto compute = [&](std::size_t j) {
     const std::size_t s = cold[j] / w_count;
@@ -312,9 +273,9 @@ ExperimentRunner::run_designs_outcomes(
     // Persisted as it finishes, value or poison: a killed sweep resumes
     // from every cell decided. Cancellation is never poisoned — the cell
     // did not fail, the run stopped.
-    SuiteCell cell;
+    SimResult res;
     try {
-      cell = run_cell(s, w);
+      res = run_cell(s, w);
     } catch (...) {
       const std::exception_ptr e = std::current_exception();
       if (keep_going && keyed && !is_cancellation(e)) {
@@ -323,8 +284,8 @@ ExperimentRunner::run_designs_outcomes(
       }
       throw;
     }
-    if (keyed) result_store->store(keys[s][w], cell.res);
-    cells[cold[j]] = std::move(cell);
+    if (keyed) result_store->store(keys[s][w], res);
+    cells[cold[j]] = std::move(res);
   };
 
   SweepExecutor ex(jobs);
@@ -349,11 +310,9 @@ ExperimentRunner::run_designs_outcomes(
     r.per_workload.reserve(w_count);
     double miss_sum = 0.0;
     for (std::size_t w = 0; w < w_count; ++w) {
-      SuiteCell& cell = *cells[s * w_count + w];
-      miss_sum += cell.res.l2_miss_rate();
-      r.per_workload.push_back(std::move(cell.res));
-      if (collect_telemetry)
-        r.per_workload_telemetry.push_back(std::move(cell.tel));
+      SimResult& res = *cells[s * w_count + w];
+      miss_sum += res.l2_miss_rate();
+      r.per_workload.push_back(std::move(res));
     }
     if (w_count > 0) r.avg_miss_rate = miss_sum / static_cast<double>(w_count);
     out[s].value = std::move(r);

@@ -38,7 +38,6 @@
 
 #include "core/scheme.hpp"
 #include "exp/parallel.hpp"
-#include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
@@ -49,9 +48,13 @@ class ResultStore;
 /// One point of a multi-design sweep grid (ExperimentRunner::run_designs): a
 /// named L2 factory plus its memoization identity. The factory is invoked
 /// once per workload, possibly from worker threads — building fresh objects
-/// from captured read-only state is the contract (same as run_custom's
-/// builder). `design_hash` opts the point into result-store memoization
-/// and poison-record quarantine; `kind` is carried onto
+/// from captured read-only state is the contract. A builder that runs after
+/// the scope that declared it has ended (an experiment declares its rows,
+/// then runs the grid) must capture by value.
+/// `design_hash` opts the point into result-store memoization and
+/// poison-record quarantine: a content hash covering every parameter the
+/// builder bakes into the design (use ContentHasher); without it the
+/// point's cells are never served from the store. `kind` is carried onto
 /// SchemeSuiteResult::kind when set.
 struct DesignSpec {
   std::string name;
@@ -60,9 +63,9 @@ struct DesignSpec {
   std::optional<SchemeKind> kind;
 };
 
-/// The DesignSpec equivalent of run_scheme(kind, params): same name, same
-/// builder, same content hash — a grid built from these memoizes into the
-/// same result-store records as per-point run_scheme calls.
+/// The DesignSpec of a built-in scheme: its scheme_name(), a build_scheme()
+/// builder and a content hash of (kind, params), so the same scheme
+/// memoizes into the same result-store records in every grid it joins.
 DesignSpec scheme_design(SchemeKind kind, const SchemeParams& params = {});
 
 /// Throws NumericError (naming the scheme and workload) when any
@@ -77,15 +80,6 @@ struct SchemeSuiteResult {
   SchemeKind kind = SchemeKind::BaselineSram;
   std::string name;
   std::vector<SimResult> per_workload;  ///< aligned with the suite order
-
-  /// Per-workload observability sessions (aligned with per_workload); empty
-  /// unless ExperimentRunner::collect_telemetry is on. shared_ptr because
-  /// Telemetry is non-copyable while suite results get moved around freely.
-  std::vector<std::shared_ptr<Telemetry>> per_workload_telemetry;
-
-  /// Suite-wide metric rollup: all per-workload registries merged (counters
-  /// add, histograms/stats combine). Empty registry when telemetry was off.
-  MetricRegistry merged_metrics() const;
 
   /// Normalized-to-baseline aggregates (geomean over workloads); filled by
   /// ExperimentRunner when a baseline is present.
@@ -117,23 +111,6 @@ class ExperimentRunner {
   /// synthesizing a suite.
   explicit ExperimentRunner(std::vector<Trace> traces);
 
-  /// Runs one scheme (fresh L2 per workload via the factory).
-  SchemeSuiteResult run_scheme(SchemeKind kind,
-                               const SchemeParams& params = {}) const;
-
-  /// Runs a custom design. The builder is invoked once per workload — from
-  /// worker threads when jobs != 1, so it must be safe to call concurrently
-  /// (building fresh objects from captured read-only state is fine).
-  ///
-  /// `design_hash` is the memoization opt-in for custom designs: a content
-  /// hash covering every parameter the builder bakes into the design (use
-  /// ContentHasher). Without it the runner cannot key the cells, so a
-  /// custom run is never served from the result store.
-  SchemeSuiteResult run_custom(
-      const std::string& name,
-      const std::function<std::unique_ptr<L2Interface>()>& builder,
-      std::optional<std::uint64_t> design_hash = std::nullopt) const;
-
   /// Runs several schemes as one flat (scheme × workload) sweep — the
   /// maximum-parallelism path. No normalization is applied.
   std::vector<SchemeSuiteResult> run_schemes(
@@ -142,7 +119,10 @@ class ExperimentRunner {
 
   /// Runs a sweep grid of designs (one suite evaluation per spec), in spec
   /// order, as flat (spec × workload) cells on `jobs` workers. Fail-fast:
-  /// the first failing point aborts the sweep.
+  /// the first failing point aborts the sweep. Declare an experiment's rows
+  /// once and run them as one call per SimOptions and technology scope: each
+  /// call simulates a trace's L1 front end at most once, however many rows
+  /// it holds.
   std::vector<SchemeSuiteResult> run_designs(
       const std::vector<DesignSpec>& specs) const;
 
@@ -164,10 +144,10 @@ class ExperimentRunner {
   ///
   /// This is the one grid implementation behind every run_* entry point.
   /// Cells run workload-major, so workers start on different traces; a
-  /// batch-eligible call without telemetry that computes two or more cells
-  /// on a trace replays them from that trace's L1MissIndex, built at most
-  /// once by the first of them and freed after the last of them, at the
-  /// latest when the call returns. Other cells call simulate().
+  /// batch-eligible call that computes two or more cells on a trace replays
+  /// them from that trace's L1MissIndex, built at most once by the first of
+  /// them and freed after the last of them, at the latest when the call
+  /// returns. Other cells call simulate().
   std::vector<PointOutcome<SchemeSuiteResult>> run_designs_outcomes(
       const std::vector<DesignSpec>& specs, bool keep_going,
       const std::function<void(std::size_t)>& point_hook = {}) const;
@@ -201,19 +181,8 @@ class ExperimentRunner {
   /// it (see the constructor).
   unsigned jobs = 1;
 
-  /// When true, every simulate() call gets a fresh Telemetry session,
-  /// returned on SchemeSuiteResult::per_workload_telemetry. Off by default:
-  /// the no-sink fast path keeps sweeps at full speed. Sessions are created
-  /// and filled on the worker that runs the cell (one session per cell, no
-  /// cross-thread sharing), then handed back in suite order.
-  bool collect_telemetry = false;
-  /// Trace-record sampling cadence for the collected sessions (0 = only
-  /// scheme-internal epochs sample; see Telemetry::set_sample_interval).
-  std::uint64_t telemetry_sample_interval = 0;
-
-  /// Persistent memoization of completed cells (null = off). Only plain
-  /// result cells are memoized: runs collecting telemetry always simulate,
-  /// because a cached SimResult cannot replay their event streams.
+  /// Persistent memoization of completed cells (null = off); only cells of
+  /// specs with a design_hash are keyed.
   ResultStore* result_store = nullptr;
 
   /// Read by nothing: every grid shares one L1 pass per trace whatever its

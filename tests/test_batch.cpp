@@ -400,14 +400,6 @@ TEST(RunnerBatch, IneligibleConfigurationFallsBackPerPoint) {
   const auto expect = simulate_grid(r, specs);
   for (std::size_t i = 0; i < got.size(); ++i)
     expect_suite_equal(got[i], expect[i]);
-
-  // Telemetry collection simulates every cell too: each carries a session.
-  ExperimentRunner t({AppId::Launcher}, 20'000, 1);
-  t.collect_telemetry = true;
-  for (const SchemeSuiteResult& s : t.run_designs(specs)) {
-    ASSERT_EQ(s.per_workload_telemetry.size(), 1u);
-    EXPECT_NE(s.per_workload_telemetry[0], nullptr);
-  }
 }
 
 TEST(RunnerBatch, KeepGoingManifestMatchesPerPoint) {

@@ -11,7 +11,6 @@
 #include "core/scheme.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
-#include "exp/runner.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
@@ -375,32 +374,6 @@ TEST(ObsEndToEnd, BothPathsTogetherMulticast) {
   EXPECT_EQ(legacy_count, via_hub.size());
   EXPECT_EQ(legacy_count,
             tel.metrics().counters().at("l2.evictions").value());
-}
-
-TEST(ObsEndToEnd, RunnerCollectsAndMergesTelemetry) {
-  ExperimentRunner runner({AppId::Browser, AppId::Launcher}, 60'000, 5);
-  runner.collect_telemetry = true;
-  runner.telemetry_sample_interval = 10'000;
-  const SchemeSuiteResult r = runner.run_scheme(SchemeKind::DynamicStt);
-
-  ASSERT_EQ(r.per_workload_telemetry.size(), 2u);
-  for (const auto& tel : r.per_workload_telemetry) {
-    ASSERT_TRUE(tel);
-    EXPECT_FALSE(tel->metrics().empty());
-    EXPECT_GT(tel->epochs().size(), 0u);
-  }
-  const MetricRegistry merged = r.merged_metrics();
-  const std::uint64_t merged_epochs = merged.counters().at("l2.epochs").value();
-  std::uint64_t sum = 0;
-  for (const auto& tel : r.per_workload_telemetry)
-    sum += tel->metrics().counters().at("l2.epochs").value();
-  EXPECT_EQ(merged_epochs, sum);
-
-  // Telemetry off by default: no sessions, empty merged registry.
-  ExperimentRunner plain({AppId::Browser}, 30'000, 5);
-  const SchemeSuiteResult p = plain.run_scheme(SchemeKind::BaselineSram);
-  EXPECT_TRUE(p.per_workload_telemetry.empty());
-  EXPECT_TRUE(p.merged_metrics().empty());
 }
 
 }  // namespace

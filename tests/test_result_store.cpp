@@ -601,12 +601,13 @@ TEST_F(ResultStoreTest, RunnerMemoizationMatchesDirectRun) {
   // Served-from-store results must be indistinguishable from computed ones
   // at the SimResult level, not just on headline numbers.
   ExperimentRunner runner({AppId::Launcher}, 4000, 7);
-  const SchemeSuiteResult direct = runner.run_scheme(SchemeKind::DynamicStt);
+  const std::vector<SchemeKind> dp = {SchemeKind::DynamicStt};
+  const SchemeSuiteResult direct = runner.run_schemes(dp).at(0);
 
   ResultStore store(dir());
   runner.result_store = &store;
-  const SchemeSuiteResult cold = runner.run_scheme(SchemeKind::DynamicStt);
-  const SchemeSuiteResult warm = runner.run_scheme(SchemeKind::DynamicStt);
+  const SchemeSuiteResult cold = runner.run_schemes(dp).at(0);
+  const SchemeSuiteResult warm = runner.run_schemes(dp).at(0);
   runner.result_store = nullptr;
 
   ASSERT_EQ(direct.per_workload.size(), warm.per_workload.size());
@@ -615,18 +616,6 @@ TEST_F(ResultStoreTest, RunnerMemoizationMatchesDirectRun) {
     expect_equal(direct.per_workload[i], warm.per_workload[i]);
   }
   EXPECT_GT(store.stats().hits, 0u);
-}
-
-TEST_F(ResultStoreTest, TelemetryRunsAreNotMemoized) {
-  // A cached SimResult cannot replay telemetry events, so runs with a
-  // telemetry side channel must bypass the store entirely.
-  ExperimentRunner runner({AppId::Launcher}, 2000, 7);
-  ResultStore store(dir());
-  runner.result_store = &store;
-  runner.collect_telemetry = true;
-  (void)runner.run_scheme(SchemeKind::BaselineSram);
-  EXPECT_EQ(store.stats().hits + store.stats().misses, 0u);
-  EXPECT_EQ(store.stats().stores, 0u);
 }
 
 }  // namespace

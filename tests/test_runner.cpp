@@ -17,9 +17,12 @@ TEST(Runner, GeneratesOneTracePerApp) {
   EXPECT_GE(r.trace(0).size(), 20'000u);
 }
 
-TEST(Runner, RunSchemeProducesAlignedResults) {
+TEST(Runner, RunDesignsProducesAlignedResults) {
   ExperimentRunner r({AppId::Launcher, AppId::Email}, 20'000, 1);
-  const SchemeSuiteResult s = r.run_scheme(SchemeKind::BaselineSram);
+  const std::vector<SchemeSuiteResult> v =
+      r.run_designs({scheme_design(SchemeKind::BaselineSram)});
+  ASSERT_EQ(v.size(), 1u);
+  const SchemeSuiteResult& s = v[0];
   ASSERT_EQ(s.per_workload.size(), 2u);
   EXPECT_EQ(s.per_workload[0].workload, "launcher");
   EXPECT_EQ(s.per_workload[1].workload, "email");
@@ -27,22 +30,24 @@ TEST(Runner, RunSchemeProducesAlignedResults) {
   EXPECT_GT(s.avg_miss_rate, 0.0);
 }
 
-TEST(Runner, RunCustomUsesBuilderPerWorkload) {
+TEST(Runner, RunDesignsUsesBuilderPerWorkload) {
   ExperimentRunner r({AppId::Launcher, AppId::Email}, 20'000, 1);
   int builds = 0;
-  const SchemeSuiteResult s = r.run_custom("probe", [&] {
+  DesignSpec probe;
+  probe.name = "probe";
+  probe.build = [&builds] {
     ++builds;
     return build_scheme(SchemeKind::BaselineSram);
-  });
+  };
+  const std::vector<SchemeSuiteResult> v = r.run_designs({probe});
   EXPECT_EQ(builds, 2);
-  EXPECT_EQ(s.name, "probe");
+  EXPECT_EQ(v.at(0).name, "probe");
 }
 
 TEST(Runner, NormalizeBaselineIsUnity) {
   ExperimentRunner r({AppId::Launcher}, 30'000, 1);
-  std::vector<SchemeSuiteResult> v;
-  v.push_back(r.run_scheme(SchemeKind::BaselineSram));
-  v.push_back(r.run_scheme(SchemeKind::ShrunkSram));
+  std::vector<SchemeSuiteResult> v =
+      r.run_schemes({SchemeKind::BaselineSram, SchemeKind::ShrunkSram});
   ExperimentRunner::normalize(v);
   EXPECT_NEAR(v[0].norm_cache_energy, 1.0, 1e-12);
   EXPECT_NEAR(v[0].norm_exec_time, 1.0, 1e-12);
@@ -75,8 +80,8 @@ TEST(Runner, NormalizeCrossWorkloadGeomean) {
 TEST(Runner, SameSeedSameResults) {
   ExperimentRunner a({AppId::Game}, 30'000, 5);
   ExperimentRunner b({AppId::Game}, 30'000, 5);
-  const auto ra = a.run_scheme(SchemeKind::BaselineSram);
-  const auto rb = b.run_scheme(SchemeKind::BaselineSram);
+  const auto ra = a.run_schemes({SchemeKind::BaselineSram}).at(0);
+  const auto rb = b.run_schemes({SchemeKind::BaselineSram}).at(0);
   EXPECT_EQ(ra.per_workload[0].cycles, rb.per_workload[0].cycles);
   EXPECT_DOUBLE_EQ(ra.per_workload[0].l2_energy.total_nj(),
                    rb.per_workload[0].l2_energy.total_nj());
@@ -146,8 +151,7 @@ TEST(RunnerTraces, TracesFreedWithTheLastRunnerHoldingThem) {
 
 TEST(Report, HeadlineTableShape) {
   ExperimentRunner r({AppId::Launcher}, 20'000, 1);
-  std::vector<SchemeSuiteResult> v;
-  v.push_back(r.run_scheme(SchemeKind::BaselineSram));
+  std::vector<SchemeSuiteResult> v = r.run_schemes({SchemeKind::BaselineSram});
   ExperimentRunner::normalize(v);
   const TablePrinter t = headline_table(v);
   EXPECT_EQ(t.row_count(), 1u);

@@ -422,9 +422,10 @@ static int tool_main(int argc, char** argv) {
   // cached SimResult cannot replay the per-access events --trace-out and
   // --sample exist to capture. (--metrics is fine — hits simply skip the
   // run, so the merged registry covers executed runs plus store counters.)
-  // This loop is not a runner grid because the runner never memoizes a run
-  // that carries a telemetry session; it applies the runner's lookup and
-  // poison rules (docs/RESULT_STORE.md) point by point instead.
+  // This loop is not a runner grid because each point may carry its own
+  // telemetry session, which runner cells never do; it applies the
+  // runner's lookup and poison rules (docs/RESULT_STORE.md) point by point
+  // instead.
   const bool memoize = store != nullptr && flags.trace_out.empty() &&
                        flags.sample_interval == 0;
   const std::uint64_t tech_hash = memoize ? hash_technology(technology()) : 0;
