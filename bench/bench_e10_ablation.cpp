@@ -25,19 +25,14 @@ std::vector<AppId> reduced_suite() {
   return {AppId::Launcher, AppId::Browser, AppId::AudioPlayer, AppId::Maps};
 }
 
-/// A row of the DP-STT sections: the paper's 2 MB design with `tweak`
-/// applied, named by its row label.
+/// A row of the DP-STT sections: E9's DP-STT with `tweak` applied, named
+/// by its row label.
 DesignSpec dp_design(std::string label,
                      std::function<void(DynamicL2Config&)> tweak) {
   DesignSpec d;
   d.name = std::move(label);
   d.build = [tweak = std::move(tweak)]() -> std::unique_ptr<L2Interface> {
-    DynamicL2Config c;
-    c.cache.name = "L2";
-    c.cache.size_bytes = 2ull << 20;
-    c.cache.assoc = 16;
-    c.tech = TechKind::SttRam;
-    c.retention = RetentionClass::Lo;
+    DynamicL2Config c = dynamic_scheme_config(SchemeKind::DynamicStt);
     tweak(c);
     return std::make_unique<DynamicPartitionedL2>(c);
   };
@@ -49,13 +44,14 @@ TablePrinter dp_table() {
                        "norm cache energy", "norm exec time"});
 }
 
-/// One DP row, labelled by its design name; `r` is already normalized.
-void dp_row(TablePrinter& t, const SchemeSuiteResult& r) {
+/// One DP row under `label`; `r` is already normalized.
+void dp_row(TablePrinter& t, const std::string& label,
+            const SchemeSuiteResult& r) {
   double enabled = 0.0;
   for (const SimResult& s : r.per_workload)
     enabled += s.l2_avg_enabled_bytes / 1024.0;
   enabled /= static_cast<double>(r.per_workload.size());
-  t.add_row({r.name, format_bytes(static_cast<std::uint64_t>(enabled) << 10),
+  t.add_row({label, format_bytes(static_cast<std::uint64_t>(enabled) << 10),
              format_percent(r.avg_miss_rate),
              format_double(r.norm_cache_energy, 3),
              format_double(r.norm_exec_time, 3)});
@@ -91,33 +87,48 @@ static int run_bench(int argc, char** argv) {
     specs.push_back(std::move(d));
     return specs.size() - 1;
   };
-  using Rows = std::vector<std::size_t>;
-  Rows a_rows, b_rows, c_rows, d_rows, e_rows, k_rows;
+  // A section row: a label and its spec. E9's DP-STT (epoch 10,000,
+  // shadow-utility monitor, step 1, slack 0.05, no energy criterion) is
+  // one spec, printed under its label in each of [a]–[e].
+  using Rows = std::vector<std::pair<std::string, std::size_t>>;
+  const std::size_t dpstt = add(scheme_design(SchemeKind::DynamicStt));
+  auto dp = [&add](std::string label,
+                   std::function<void(DynamicL2Config&)> tweak) {
+    return std::pair{label, add(dp_design(label, std::move(tweak)))};
+  };
+  Rows a_rows, b_rows, c_rows, d_rows, e_rows;
   for (std::uint64_t epoch : {2'500ull, 5'000ull, 10'000ull, 20'000ull,
                               40'000ull, 80'000ull}) {
-    a_rows.push_back(add(dp_design(
-        "epoch=" + std::to_string(epoch),
-        [epoch](DynamicL2Config& c) { c.epoch_accesses = epoch; })));
+    const std::string label = "epoch=" + std::to_string(epoch);
+    a_rows.push_back(epoch == 10'000
+                         ? std::pair{label, dpstt}
+                         : dp(label, [epoch](DynamicL2Config& c) {
+                             c.epoch_accesses = epoch;
+                           }));
   }
-  b_rows.push_back(add(dp_design("shadow-utility", [](DynamicL2Config&) {})));
-  b_rows.push_back(add(dp_design("hill-climb", [](DynamicL2Config& c) {
+  b_rows.push_back({"shadow-utility", dpstt});
+  b_rows.push_back(dp("hill-climb", [](DynamicL2Config& c) {
     c.controller.monitor = MonitorKind::HillClimb;
-  })));
+  }));
   for (std::uint32_t step : {1u, 2u, 4u, 16u}) {
-    c_rows.push_back(add(dp_design(
-        "step=" + std::to_string(step),
-        [step](DynamicL2Config& cc) { cc.controller.max_step = step; })));
+    const std::string label = "step=" + std::to_string(step);
+    c_rows.push_back(step == 1 ? std::pair{label, dpstt}
+                               : dp(label, [step](DynamicL2Config& c) {
+                                   c.controller.max_step = step;
+                                 }));
   }
   for (double slack : {0.0, 0.02, 0.05, 0.10, 0.20}) {
-    d_rows.push_back(add(dp_design(
-        "slack=" + format_double(slack, 2),
-        [slack](DynamicL2Config& cc) { cc.controller.miss_slack = slack; })));
+    const std::string label = "slack=" + format_double(slack, 2);
+    d_rows.push_back(slack == 0.05 ? std::pair{label, dpstt}
+                                   : dp(label, [slack](DynamicL2Config& c) {
+                                       c.controller.miss_slack = slack;
+                                     }));
   }
-  e_rows.push_back(
-      add(dp_design("off (paper: miss guard only)", [](DynamicL2Config&) {})));
-  e_rows.push_back(add(dp_design("on", [](DynamicL2Config& cc) {
-    cc.controller.use_energy_criterion = true;
-  })));
+  e_rows.push_back({"off (paper: miss guard only)", dpstt});
+  e_rows.push_back(dp("on", [](DynamicL2Config& c) {
+    c.controller.use_energy_criterion = true;
+  }));
+  std::vector<std::size_t> k_rows;
   struct ReplRows {
     ReplKind repl;
     std::size_t base, sp;
@@ -152,7 +163,7 @@ static int run_bench(int argc, char** argv) {
   const SchemeSuiteResult& base = grid[0];
   auto dp_section = [&grid](const Rows& rows) {
     TablePrinter t = dp_table();
-    for (std::size_t i : rows) dp_row(t, grid[i]);
+    for (const auto& [label, i] : rows) dp_row(t, label, grid[i]);
     return t;
   };
 
@@ -190,7 +201,8 @@ static int run_bench(int argc, char** argv) {
     std::vector<SchemeSuiteResult> f_grid = long_runner.run_designs(f_specs);
     ExperimentRunner::normalize(f_grid);
     TablePrinter f = dp_table();
-    for (std::size_t i = 1; i < f_grid.size(); ++i) dp_row(f, f_grid[i]);
+    for (std::size_t i = 1; i < f_grid.size(); ++i)
+      dp_row(f, f_grid[i].name, f_grid[i]);
     emit(f, "e10f_refresh.csv");
   }
 

@@ -7,8 +7,8 @@
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/dynamic_partitioned_l2.hpp"
 #include "core/multi_retention_l2.hpp"
+#include "core/scheme.hpp"
 #include "core/shared_l2.hpp"
 #include "exp/report.hpp"
 #include "sim/simulator.hpp"
@@ -100,13 +100,7 @@ int main() {
                 secs, t);
   }
   {
-    DynamicL2Config c;
-    c.cache.name = "L2";
-    c.cache.size_bytes = 2ull << 20;
-    c.cache.assoc = 16;
-    c.tech = TechKind::SttRam;
-    c.retention = RetentionClass::Lo;
-    DynamicPartitionedL2 l2(c);
+    DynamicPartitionedL2 l2(dynamic_scheme_config(SchemeKind::DynamicStt));
     const SimResult r = simulate(trace, l2);
     const double secs = static_cast<double>(r.cycles) * 1e-9;
     report_rows("DP-STT", {{"whole array", l2.array().wear_summary()}}, secs,

@@ -8,7 +8,7 @@
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/dynamic_partitioned_l2.hpp"
+#include "core/scheme.hpp"
 #include "exp/report.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
@@ -24,16 +24,10 @@ struct RunOut {
   double avg_enabled = 0.0;
 };
 
-/// A direct simulate(), not a runner grid: the rows read the design's
-/// allocation history after the run.
+/// E9's DP-STT through a direct simulate(), not a runner grid: the rows
+/// read the design's allocation history after the run.
 RunOut run_dp(const Trace& trace) {
-  DynamicL2Config c;
-  c.cache.name = "L2";
-  c.cache.size_bytes = 2ull << 20;
-  c.cache.assoc = 16;
-  c.tech = TechKind::SttRam;
-  c.retention = RetentionClass::Lo;
-  DynamicPartitionedL2 dp(c);
+  DynamicPartitionedL2 dp(dynamic_scheme_config(SchemeKind::DynamicStt));
   simulate(trace, dp);
 
   RunOut out;

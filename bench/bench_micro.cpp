@@ -288,7 +288,7 @@ void BM_TraceDecompression(benchmark::State& state) {
   const std::string path = "/tmp/mobcache_bm.mctz";
   write_trace_compressed(t, path);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(read_trace_compressed(path));
+    benchmark::DoNotOptimize(read_trace_compressed_detailed(path));
   }
   state.SetItemsProcessed(state.iterations() * t.size());
 }

@@ -18,11 +18,14 @@ on a garbage speedup floor (`--kernel-report --accesses=0` used to write a
 writes a BENCH_micro.json that passes `check_bench.py validate` and counts
 what it timed: `jobs` 1 (every repetition runs on one thread) and `points`
 = the timed replays, 4 cases x --reps x 2 kernels (it used to write the
-worker count and the number of timed accesses).
+worker count and the number of timed accesses). mobcache_tracestat on a
+file that is not a trace exits 1 and names the reader's status, as simrun
+does (it used to print the same "missing/corrupt/inconsistent" for every
+failure).
 
 Usage:
-  check_cli.py --simrun PATH --tracegen PATH --appcheck PATH
-               --explorer PATH --micro PATH --workdir DIR
+  check_cli.py --simrun PATH --tracegen PATH --tracestat PATH
+               --appcheck PATH --explorer PATH --micro PATH --workdir DIR
 """
 
 import argparse
@@ -134,6 +137,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--simrun", required=True, type=pathlib.Path)
     ap.add_argument("--tracegen", required=True, type=pathlib.Path)
+    ap.add_argument("--tracestat", required=True, type=pathlib.Path)
     ap.add_argument("--appcheck", required=True, type=pathlib.Path)
     ap.add_argument("--explorer", required=True, type=pathlib.Path)
     ap.add_argument("--micro", required=True, type=pathlib.Path)
@@ -170,6 +174,15 @@ def main():
                            f"{name}: expected")
     check("tracegen writes no trace for garbage", not out.exists(),
           f"{out} exists")
+    junk = args.workdir / "junk.mct"
+    junk.write_bytes(b"this is not a mobcache trace file\n" * 4)
+    p = run([args.tracestat, junk])
+    check(
+        "tracestat names why a trace is unreadable",
+        p.returncode == 1 and "bad-magic" in p.stderr,
+        f"rc={p.returncode} stderr={p.stderr.strip()!r} (wanted rc=1 "
+        f"containing 'bad-magic')",
+    )
     for argv, name in APPCHECK_NUMERIC_GARBAGE:
         expect_usage_error("appcheck", [args.appcheck, *argv],
                            f"{name}: expected")

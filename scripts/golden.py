@@ -12,8 +12,9 @@ The run sees MOBCACHE_TRACE_LEN=120000 and MOBCACHE_RESULTS_DIR=<temp dir>;
 every other MOBCACHE_* variable is removed from its environment, so a
 developer's shell cannot change the bytes. The one exception is
 MOBCACHE_REFERENCE_KERNEL, which by contract cannot change them: it selects
-the reference access kernel, and the ctest golden.e9.reference sets it to
-hold that kernel to the same files. BENCH_*.json reports are left out
+the reference access kernel, and the ctests golden.e9.reference,
+golden.e5.reference and golden.e21.reference set it to hold that kernel to
+the same files. BENCH_*.json reports are left out
 because they carry wall time.
 
 The files were written at --jobs=1. ctest (bench/CMakeLists.txt, tests

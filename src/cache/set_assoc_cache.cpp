@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <type_traits>
 #include <utility>
 
 namespace mobcache {
@@ -115,8 +116,7 @@ bool SetAssocCache::invalidate_line(Addr line, bool* was_dirty) {
   return false;
 }
 
-template <typename Repl, bool HasRetention, bool HasFault, bool HasObs,
-          std::uint32_t AssocT>
+template <typename Repl, bool Plain, std::uint32_t AssocT>
 AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
                                           Mode mode, Cycle now,
                                           WayMask allowed, bool prefetch,
@@ -160,7 +160,7 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
     const std::uint32_t way = hit_way;
     const std::size_t i = base + way;
     bool dropped = false;
-    if (HasRetention && expired_at(i, now)) {
+    if (!Plain && expired_at(i, now)) {
       // Retention ran out before this re-reference: the data is gone. The
       // scrub hardware wrote dirty data back at expiry; surface that so the
       // owner design can charge the DRAM write.
@@ -169,11 +169,11 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
       r.expired_was_dirty = dirty;
       ++stats_.expired_blocks;
       if (dirty) ++stats_.expired_dirty;
-      if constexpr (HasObs) notify_eviction(i, now);
+      if constexpr (!Plain) notify_eviction(i, now);
       invalidate_at(i);
       rp.on_invalidate(set, way);
       dropped = true;  // fall through to the miss path
-    } else if (HasFault && cold_[i].fault_bits != 0 && fault_hooks_ != nullptr) {
+    } else if (!Plain && fault_hooks_ != nullptr && cold_[i].fault_bits != 0) {
       const FaultReadOutcome out = fault_hooks_->read_check(line, cold_[i].fault_bits);
       if (out == FaultReadOutcome::Corrected) {
         cold_[i].fault_bits = 0;
@@ -187,7 +187,7 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
         r.fault_lost_dirty = dirty;
         ++stats_.fault_losses;
         if (dirty) ++stats_.fault_lost_dirty;
-        if constexpr (HasObs) notify_eviction(i, now);
+        if constexpr (!Plain) notify_eviction(i, now);
         invalidate_at(i);
         rp.on_invalidate(set, way);
         dropped = true;  // fall through to the miss path
@@ -212,8 +212,8 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
         flags_[i] |= kDirtyBit;
         cold_[i].last_write = now;
         ++wear_[i];
-        if (HasFault && fault_hooks_ != nullptr) apply_write_faults(i, set, way);
-        if (HasRetention && retention_period_ != 0)
+        if (!Plain && fault_hooks_ != nullptr) apply_write_faults(i, set, way);
+        if (!Plain && retention_period_ != 0)
           deadline_[i] = now + effective_period(line);
       }
       rp.on_hit(set, way);
@@ -228,7 +228,7 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
   // Miss: first expire the allowed blocks past their deadline, then pick
   // a fill way — the lowest invalid allowed way if any, else a replacement
   // victim among the allowed ways.
-  if constexpr (HasRetention) {
+  if constexpr (!Plain) {
     // Invalid blocks hold deadline 0, so the deadline lane alone finds
     // the expired blocks: two host lines for 16 ways. They are retired in
     // ascending way order.
@@ -246,7 +246,7 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
         ++stats_.expired_dirty;
         r.expired_was_dirty = true;
       }
-      if constexpr (HasObs) notify_eviction(i, now);
+      notify_eviction(i, now);
       invalidate_at(i);
       rp.on_invalidate(set, way);
     }
@@ -273,7 +273,7 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
     ++stats_.evictions;
     if (victim_dirty) ++stats_.writebacks;
     if (r.victim_owner != mode) ++stats_.cross_mode_evictions;
-    if constexpr (HasObs) notify_eviction(v, now);
+    if constexpr (!Plain) notify_eviction(v, now);
   }
 
   const std::size_t i = base + fill_way;
@@ -288,7 +288,7 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
   deadline_[i] = retention_period_ == 0 ? 0 : now + effective_period(line);
   cold_[i].access_count = 1;
   cold_[i].fault_bits = 0;
-  if (HasFault && fault_hooks_ != nullptr) apply_write_faults(i, set, fill_way);
+  if (!Plain && fault_hooks_ != nullptr) apply_write_faults(i, set, fill_way);
   ++wear_[i];
   rp.on_fill(set, fill_way);
 
@@ -302,90 +302,47 @@ AccessResult SetAssocCache::access_kernel(Addr line, AccessType type,
   return r;
 }
 
-template <typename Repl>
-SetAssocCache::AccessFn SetAssocCache::kernel_for_flags(bool retention,
-                                                        bool fault,
-                                                        bool obs) {
-  if (retention) {
-    if (fault)
-      return obs ? &SetAssocCache::access_kernel<Repl, true, true, true>
-                 : &SetAssocCache::access_kernel<Repl, true, true, false>;
-    return obs ? &SetAssocCache::access_kernel<Repl, true, false, true>
-               : &SetAssocCache::access_kernel<Repl, true, false, false>;
-  }
-  if (fault)
-    return obs ? &SetAssocCache::access_kernel<Repl, false, true, true>
-               : &SetAssocCache::access_kernel<Repl, false, true, false>;
-  return obs ? &SetAssocCache::access_kernel<Repl, false, false, true>
-             : &SetAssocCache::access_kernel<Repl, false, false, false>;
-}
-
-SetAssocCache::AccessFn SetAssocCache::pinned_lru_kernel(std::uint32_t assoc,
-                                                         bool retention,
-                                                         bool fault,
-                                                         bool obs) {
-  // The LRU kernels the modeled hierarchies run, pinned where they run:
-  // 2 and 4 ways are the L1I and L1D; 8 and 16 ways the L2 designs, where
-  // the retention kernel is SP-MRSTT's segments (8) and DP-STT (16). The
-  // ablation-only policies, fault injection and observers keep the runtime
-  // associativity.
-  if (fault || obs) return nullptr;
-  if (retention) {
+template <typename Repl, bool Plain>
+SetAssocCache::AccessFn SetAssocCache::fast_kernel(std::uint32_t assoc) {
+  if constexpr (std::is_same_v<Repl, LruPolicy>) {
     switch (assoc) {
-      case 8:
-        return &SetAssocCache::access_kernel<LruPolicy, true, false, false, 8>;
-      case 16:
-        return &SetAssocCache::access_kernel<LruPolicy, true, false, false,
-                                             16>;
-      default:
-        return nullptr;
+      case 2: return &SetAssocCache::access_kernel<Repl, Plain, 2>;
+      case 4: return &SetAssocCache::access_kernel<Repl, Plain, 4>;
+      case 8: return &SetAssocCache::access_kernel<Repl, Plain, 8>;
+      case 16: return &SetAssocCache::access_kernel<Repl, Plain, 16>;
+      default: break;
     }
   }
-  switch (assoc) {
-    case 2:
-      return &SetAssocCache::access_kernel<LruPolicy, false, false, false, 2>;
-    case 4:
-      return &SetAssocCache::access_kernel<LruPolicy, false, false, false, 4>;
-    case 8:
-      return &SetAssocCache::access_kernel<LruPolicy, false, false, false, 8>;
-    case 16:
-      return &SetAssocCache::access_kernel<LruPolicy, false, false, false,
-                                           16>;
-    default:
-      return nullptr;
-  }
+  return &SetAssocCache::access_kernel<Repl, Plain>;
 }
 
 void SetAssocCache::select_kernel() {
   if (retention_period_ != 0) retention_ever_ = true;
-  pinned_assoc_ = 0;
   if (kernel_mode_ == KernelMode::Reference) {
     // The generic always-checking kernel through the virtual policy
     // interface: the behavioral baseline.
-    kernel_ = &SetAssocCache::access_kernel<ReplacementPolicy, true, true, true>;
+    kernel_ = &SetAssocCache::access_kernel<ReplacementPolicy, false>;
     return;
   }
-  const bool ret = retention_ever_;
-  const bool fault = fault_hooks_ != nullptr;
-  const bool obs = !observers_.empty();
+  const bool plain =
+      !retention_ever_ && fault_hooks_ == nullptr && observers_.empty();
   switch (cfg_.repl) {
     case ReplKind::Lru:
     case ReplKind::Fifo:  // FIFO shares LruPolicy (update_on_hit=false)
-      kernel_ = pinned_lru_kernel(cfg_.assoc, ret, fault, obs);
-      if (kernel_ != nullptr) {
-        pinned_assoc_ = cfg_.assoc;
-      } else {
-        kernel_ = kernel_for_flags<LruPolicy>(ret, fault, obs);
-      }
+      kernel_ = plain ? fast_kernel<LruPolicy, true>(cfg_.assoc)
+                      : fast_kernel<LruPolicy, false>(cfg_.assoc);
       break;
     case ReplKind::Random:
-      kernel_ = kernel_for_flags<RandomPolicy>(ret, fault, obs);
+      kernel_ = plain ? fast_kernel<RandomPolicy, true>(cfg_.assoc)
+                      : fast_kernel<RandomPolicy, false>(cfg_.assoc);
       break;
     case ReplKind::Plru:
-      kernel_ = kernel_for_flags<PlruPolicy>(ret, fault, obs);
+      kernel_ = plain ? fast_kernel<PlruPolicy, true>(cfg_.assoc)
+                      : fast_kernel<PlruPolicy, false>(cfg_.assoc);
       break;
     case ReplKind::Srrip:
-      kernel_ = kernel_for_flags<SrripPolicy>(ret, fault, obs);
+      kernel_ = plain ? fast_kernel<SrripPolicy, true>(cfg_.assoc)
+                      : fast_kernel<SrripPolicy, false>(cfg_.assoc);
       break;
   }
 }
@@ -397,7 +354,12 @@ std::string SetAssocCache::kernel_name() const {
   if (retention_ever_) n += "+retention";
   if (fault_hooks_ != nullptr) n += "+fault";
   if (!observers_.empty()) n += "+obs";
-  if (pinned_assoc_ != 0) n += "@" + std::to_string(pinned_assoc_);
+  // Pinned: the policy's kernel at this associativity is not the
+  // runtime-associativity one.
+  if ((cfg_.repl == ReplKind::Lru || cfg_.repl == ReplKind::Fifo) &&
+      fast_kernel<LruPolicy, true>(cfg_.assoc) !=
+          &SetAssocCache::access_kernel<LruPolicy, true>)
+    n += "@" + std::to_string(cfg_.assoc);
   return n;
 }
 

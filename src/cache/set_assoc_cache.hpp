@@ -20,10 +20,11 @@
 /// kernel is additionally specialized at run start: one
 /// member-function-pointer dispatch selects a kernel templated on the
 /// concrete replacement policy (devirtualizing on_hit/on_fill/choose_victim),
-/// on whether retention, fault hooks and eviction observers are live, and,
-/// for the LRU kernels the modeled hierarchies run, on the associativity, so
-/// disabled features cost nothing per access. The generic virtual-dispatch
-/// kernel is retained as the reference implementation
+/// on whether the array is plain — no retention ever set, no fault hooks,
+/// no eviction observers, so those checks are compiled out; every other
+/// array tests each feature at run time — and, for the LRU kernels the
+/// modeled hierarchies run, on the associativity. The generic
+/// virtual-dispatch kernel is retained as the reference implementation
 /// (KernelMode::Reference); the two are bit-identical, which the
 /// golden-equivalence suite (tests/test_kernel_equiv.cpp) pins.
 /// See docs/PERFORMANCE.md.
@@ -177,7 +178,7 @@ struct EvictionEvent {
 
 /// Which access kernel a SetAssocCache dispatches to.
 enum class KernelMode : std::uint8_t {
-  Fast,       ///< policy-devirtualized, feature-specialized kernel
+  Fast,       ///< policy-devirtualized kernel; plain arrays skip features
   Reference,  ///< generic kernel: virtual replacement calls, all branches
 };
 
@@ -306,9 +307,11 @@ class SetAssocCache {
     select_kernel();
   }
   KernelMode kernel_mode() const { return kernel_mode_; }
-  /// Human-readable name of the currently selected kernel, e.g.
-  /// "fast/SRRIP+retention", "fast/LRU+retention@16" (an instantiation
-  /// pinned at 16 ways) or "reference" (for tests and diagnostics).
+  /// Human-readable name of the currently selected kernel: the policy, the
+  /// live features (none on the plain kernel) and "@ways" for an
+  /// instantiation pinned at the associativity, e.g. "fast/LRU@4",
+  /// "fast/SRRIP+retention", "fast/LRU+retention+obs@16", or "reference"
+  /// (for tests and diagnostics).
   std::string kernel_name() const;
 
   /// Process-wide default for newly constructed arrays. Initialized from
@@ -334,20 +337,21 @@ class SetAssocCache {
 
   /// The one access kernel, specialized on the concrete replacement policy
   /// (Repl = ReplacementPolicy keeps virtual dispatch — the reference path)
-  /// and on which feature lanes are live. All instantiations run the same
-  /// statements over the same state; the template parameters only delete
-  /// provably-dead branches. AssocT pins the associativity at compile time
-  /// (0 = read it from cfg_ at runtime), which turns every way scan into
-  /// straight-line code; pinned_lru_kernel lists the pinned instantiations.
-  template <typename Repl, bool HasRetention, bool HasFault, bool HasObs,
-            std::uint32_t AssocT = 0>
+  /// and on whether the array is plain. All instantiations run the same
+  /// statements over the same state: Plain deletes the retention, fault and
+  /// observer branches, which every other instantiation tests at run time.
+  /// AssocT pins the associativity at compile time (0 = read it from cfg_
+  /// at runtime), which turns every way scan into straight-line code.
+  template <typename Repl, bool Plain, std::uint32_t AssocT = 0>
   AccessResult access_kernel(Addr line, AccessType type, Mode mode, Cycle now,
                              WayMask allowed, bool prefetch, bool no_alloc);
 
-  template <typename Repl>
-  static AccessFn kernel_for_flags(bool retention, bool fault, bool obs);
-  static AccessFn pinned_lru_kernel(std::uint32_t assoc, bool retention,
-                                    bool fault, bool obs);
+  /// The fast kernel of one policy. LRU and FIFO (one LruPolicy kernel)
+  /// are pinned where the modeled hierarchies run them: 2 and 4 ways are
+  /// the L1I and L1D, 8 and 16 the L2 designs. The ablation-only policies
+  /// keep the runtime associativity.
+  template <typename Repl, bool Plain>
+  static AccessFn fast_kernel(std::uint32_t assoc);
   void select_kernel();
 
   std::size_t loc(std::uint32_t set, std::uint32_t way) const {
@@ -390,8 +394,8 @@ class SetAssocCache {
   std::uint32_t index_rotation_ = 0;
   Cycle retention_period_ = 0;
   /// True once any nonzero retention period was ever configured: blocks may
-  /// carry deadlines even after retention is reset to 0, so the
-  /// retention-free kernel specialization stays off the table.
+  /// carry deadlines even after retention is reset to 0, so the plain
+  /// kernel stays off the table.
   bool retention_ever_ = false;
 
   /// Per-block bookkeeping that is only touched after the probe resolves.
@@ -424,7 +428,6 @@ class SetAssocCache {
   ArrayFaultHooks* fault_hooks_ = nullptr;  ///< non-owning; null = fault-free
   KernelMode kernel_mode_;
   AccessFn kernel_ = nullptr;
-  std::uint32_t pinned_assoc_ = 0;  ///< AssocT of kernel_; 0 = runtime assoc
 };
 
 }  // namespace mobcache

@@ -1,5 +1,7 @@
 #include "core/scheme.hpp"
 
+#include <stdexcept>
+
 namespace mobcache {
 
 const char* scheme_name(SchemeKind k) {
@@ -118,22 +120,29 @@ std::unique_ptr<L2Interface> build_scheme(SchemeKind kind,
       return std::make_unique<StaticPartitionedL2>(c);
     }
     case SchemeKind::DynamicSram:
-    case SchemeKind::DynamicStt: {
-      DynamicL2Config c;
-      c.cache = shared_geometry("L2", p.baseline_bytes, p.baseline_assoc,
-                                p.repl);
-      c.tech = kind == SchemeKind::DynamicStt ? TechKind::SttRam
-                                              : TechKind::Sram;
-      c.retention = p.dp_retention;
-      c.refresh = p.refresh;
-      c.epoch_accesses = p.dp_epoch_accesses;
-      c.controller.monitor = p.dp_monitor;
-      c.controller.miss_slack = p.dp_miss_slack;
-      c.fault = p.fault;
-      return std::make_unique<DynamicPartitionedL2>(c);
-    }
+    case SchemeKind::DynamicStt:
+      return std::make_unique<DynamicPartitionedL2>(
+          dynamic_scheme_config(kind, p));
   }
   return nullptr;
+}
+
+DynamicL2Config dynamic_scheme_config(SchemeKind kind,
+                                      const SchemeParams& p) {
+  if (kind != SchemeKind::DynamicSram && kind != SchemeKind::DynamicStt)
+    throw std::invalid_argument("dynamic_scheme_config: not a DP scheme");
+  DynamicL2Config c;
+  c.cache =
+      shared_geometry("L2", p.baseline_bytes, p.baseline_assoc, p.repl);
+  c.tech =
+      kind == SchemeKind::DynamicStt ? TechKind::SttRam : TechKind::Sram;
+  c.retention = p.dp_retention;
+  c.refresh = p.refresh;
+  c.epoch_accesses = p.dp_epoch_accesses;
+  c.controller.monitor = p.dp_monitor;
+  c.controller.miss_slack = p.dp_miss_slack;
+  c.fault = p.fault;
+  return c;
 }
 
 std::vector<SchemeKind> headline_schemes() {

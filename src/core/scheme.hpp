@@ -84,6 +84,13 @@ struct SchemeParams {
 std::unique_ptr<L2Interface> build_scheme(SchemeKind kind,
                                           const SchemeParams& p = {});
 
+/// The configuration build_scheme gives DP-SRAM or DP-STT (`kind` must be
+/// DynamicSram or DynamicStt). Benches that read the concrete design after
+/// a run (E8, E20) or ablate one knob (E10) start from it, so they run the
+/// headline DP designs.
+DynamicL2Config dynamic_scheme_config(SchemeKind kind,
+                                      const SchemeParams& p = {});
+
 /// The scheme list of the headline comparison (E9), baseline first.
 std::vector<SchemeKind> headline_schemes();
 

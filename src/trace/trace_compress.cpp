@@ -186,10 +186,6 @@ TraceReadResult read_trace_compressed_detailed(const std::string& path) {
   return ok;
 }
 
-std::optional<Trace> read_trace_compressed(const std::string& path) {
-  return read_trace_compressed_detailed(path).trace;
-}
-
 TraceReadResult read_trace_any_detailed(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f) {
@@ -213,10 +209,6 @@ TraceReadResult read_trace_any_detailed(const std::string& path) {
   r.status = TraceIoStatus::BadMagic;
   r.detail = "magic matches neither .mct nor .mctz: " + path;
   return r;
-}
-
-std::optional<Trace> read_trace_any(const std::string& path) {
-  return read_trace_any_detailed(path).trace;
 }
 
 }  // namespace mobcache

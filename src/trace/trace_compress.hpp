@@ -11,7 +11,6 @@
 /// Typical synthetic mobile traces compress 4–6× (pinned by tests), which
 /// matters once traces reach hundreds of millions of records.
 
-#include <optional>
 #include <string>
 
 #include "trace/trace.hpp"
@@ -25,15 +24,9 @@ inline constexpr std::uint64_t kTraceMagicZ = 0x315a4341'43424f4dull;
 /// Writes the compressed trace; returns false on I/O failure.
 bool write_trace_compressed(const Trace& trace, const std::string& path);
 
-/// Loads a compressed trace; std::nullopt on missing/corrupt input or a
-/// record whose mode contradicts its address half.
-std::optional<Trace> read_trace_compressed(const std::string& path);
-
-/// Typed-diagnostic variant of read_trace_compressed.
+/// Loads a compressed trace with a typed failure classification (missing or
+/// corrupt input, or a record whose mode contradicts its address half).
 TraceReadResult read_trace_compressed_detailed(const std::string& path);
-
-/// Convenience: picks the reader by file magic (.mct or .mctz).
-std::optional<Trace> read_trace_any(const std::string& path);
 
 /// Sniffs the magic and dispatches to the matching detailed reader, so an
 /// unreadable file reports *why* it is unreadable (a file whose magic

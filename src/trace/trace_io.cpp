@@ -153,8 +153,4 @@ TraceReadResult read_trace_detailed(const std::string& path) {
   return ok;
 }
 
-std::optional<Trace> read_trace(const std::string& path) {
-  return read_trace_detailed(path).trace;
-}
-
 }  // namespace mobcache

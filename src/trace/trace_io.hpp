@@ -13,10 +13,9 @@
 /// the scales used here (≤ tens of millions of records) load in well under a
 /// second.
 ///
-/// Readers come in two flavours: the legacy std::optional API (kept for
-/// callers that only care about success) and the *_detailed API that
-/// classifies failures so tools can print an actionable diagnostic and exit
-/// nonzero instead of silently regenerating a workload.
+/// Every reader classifies its failures (TraceReadResult), so tools can
+/// print an actionable diagnostic and exit nonzero instead of silently
+/// regenerating a workload.
 
 #include <optional>
 #include <string>
@@ -55,13 +54,10 @@ inline constexpr std::uint64_t kTraceMagic = 0x3148434143424f4dull;
 /// Writes the trace; returns false on I/O failure.
 bool write_trace(const Trace& trace, const std::string& path);
 
-/// Loads a trace; returns std::nullopt on missing file, bad magic,
-/// truncation, or a record whose mode contradicts its address half.
-std::optional<Trace> read_trace(const std::string& path);
-
-/// Loads a trace with a typed failure classification. Validates the record
-/// count against the file size *before* reserving, so a corrupt header can
-/// never drive a multi-gigabyte allocation.
+/// Loads a trace with a typed failure classification: a missing file, bad
+/// magic, truncation, or a record whose mode contradicts its address half.
+/// Validates the record count against the file size *before* reserving, so
+/// a corrupt header can never drive a multi-gigabyte allocation.
 TraceReadResult read_trace_detailed(const std::string& path);
 
 }  // namespace mobcache

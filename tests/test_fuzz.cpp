@@ -60,8 +60,8 @@ TEST_P(FuzzRoundtrip, FlatAndCompressedAgreeOnRandomTraces) {
   ASSERT_TRUE(write_trace(t, flat));
   ASSERT_TRUE(write_trace_compressed(t, comp));
 
-  const auto a = read_trace(flat);
-  const auto b = read_trace_compressed(comp);
+  const auto a = read_trace_detailed(flat).trace;
+  const auto b = read_trace_compressed_detailed(comp).trace;
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   ASSERT_EQ(a->size(), t.size());
@@ -107,7 +107,7 @@ TEST(FuzzCorruption, CompressedReaderNeverCrashesOnBitFlips) {
     out.close();
     // Must either load something structurally valid or reject — no crash,
     // no mode/address inconsistency.
-    const auto r = read_trace_compressed(cpath);
+    const auto r = read_trace_compressed_detailed(cpath).trace;
     if (r.has_value()) {
       ++loaded;
       EXPECT_TRUE(r->modes_consistent_with_addresses());

@@ -1,7 +1,7 @@
 /// \file test_kernel_equiv.cpp
 /// Golden equivalence suite for the access-kernel family.
 ///
-/// The fast kernels (policy-devirtualized, feature-specialized — see
+/// The fast kernels (policy-devirtualized, plain or feature-testing — see
 /// docs/PERFORMANCE.md) must be bit-identical to the generic reference
 /// kernel: same stats, same energy, same wear, same per-block state, for
 /// every replacement policy, every L2 scheme, every associativity-pinned
@@ -166,11 +166,12 @@ struct ArrayCase {
   bool observer;
 };
 
-/// The kernel a case must run. LRU and FIFO (one LruPolicy kernel) without
-/// fault hooks or observers run instantiations pinned at the modeled
-/// hierarchies' associativities: feature-free at 2, 4, 8 and 16 ways (the
-/// L1s and the SRAM L2 designs), retention at 8 and 16 (SP-MRSTT's segments
-/// and DP-STT). Every other case runs a runtime-associativity kernel.
+/// The kernel a case must run: the plain kernel when no feature is live,
+/// else the one that tests each feature at run time. LRU and FIFO (one
+/// LruPolicy kernel) run instantiations pinned at the modeled hierarchies'
+/// associativities, 2, 4, 8 and 16 ways (the L1s and the L2 designs), with
+/// or without features. Every other case runs a runtime-associativity
+/// kernel.
 std::string expected_kernel_name(const ArrayCase& c) {
   std::string n = "fast/" + std::string(to_string(c.repl));
   if (c.retention != 0) n += "+retention";
@@ -178,11 +179,8 @@ std::string expected_kernel_name(const ArrayCase& c) {
   if (c.observer) n += "+obs";
   const bool lru = c.repl == ReplKind::Lru || c.repl == ReplKind::Fifo;
   const bool pinned_assoc =
-      c.assoc == 8 || c.assoc == 16 ||
-      (c.retention == 0 && (c.assoc == 2 || c.assoc == 4));
-  if (lru && !c.fault_hooks && !c.observer && pinned_assoc) {
-    n += "@" + std::to_string(c.assoc);
-  }
+      c.assoc == 2 || c.assoc == 4 || c.assoc == 8 || c.assoc == 16;
+  if (lru && pinned_assoc) n += "@" + std::to_string(c.assoc);
   return n;
 }
 
@@ -386,7 +384,7 @@ TEST(KernelDispatch, NamesTrackPolicyAndFeatures) {
 
 TEST(KernelDispatch, RetentionSpecializationIsSticky) {
   // Once a nonzero retention period existed, blocks may carry deadlines, so
-  // resetting the period to 0 must NOT re-select the retention-free kernel.
+  // resetting the period to 0 must NOT re-select the plain kernel.
   CacheConfig cfg;
   cfg.size_bytes = 16ull << 10;
   cfg.assoc = 4;

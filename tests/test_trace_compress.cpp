@@ -31,7 +31,7 @@ class TraceCompressTest : public ::testing::Test {
 TEST_F(TraceCompressTest, RoundtripIsExact) {
   const Trace original = generate_app_trace(AppId::Browser, 50'000, 3);
   ASSERT_TRUE(write_trace_compressed(original, path("t.mctz")));
-  const auto loaded = read_trace_compressed(path("t.mctz"));
+  const auto loaded = read_trace_compressed_detailed(path("t.mctz")).trace;
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->name(), original.name());
   ASSERT_EQ(loaded->size(), original.size());
@@ -56,7 +56,7 @@ TEST_F(TraceCompressTest, CompressesRealTracesWell) {
 TEST_F(TraceCompressTest, EmptyTrace) {
   Trace t("nothing");
   ASSERT_TRUE(write_trace_compressed(t, path("e.mctz")));
-  const auto loaded = read_trace_compressed(path("e.mctz"));
+  const auto loaded = read_trace_compressed_detailed(path("e.mctz")).trace;
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->empty());
   EXPECT_EQ(loaded->name(), "nothing");
@@ -65,7 +65,8 @@ TEST_F(TraceCompressTest, EmptyTrace) {
 TEST_F(TraceCompressTest, RejectsFlatFormatMagic) {
   const Trace t = generate_app_trace(AppId::Launcher, 1'000, 3);
   ASSERT_TRUE(write_trace(t, path("flat.mct")));
-  EXPECT_FALSE(read_trace_compressed(path("flat.mct")).has_value());
+  EXPECT_FALSE(read_trace_compressed_detailed(path("flat.mct"))
+                   .trace.has_value());
 }
 
 TEST_F(TraceCompressTest, RejectsTruncation) {
@@ -73,7 +74,8 @@ TEST_F(TraceCompressTest, RejectsTruncation) {
   ASSERT_TRUE(write_trace_compressed(t, path("t.mctz")));
   const auto full = std::filesystem::file_size(path("t.mctz"));
   std::filesystem::resize_file(path("t.mctz"), full - 5);
-  EXPECT_FALSE(read_trace_compressed(path("t.mctz")).has_value());
+  EXPECT_FALSE(read_trace_compressed_detailed(path("t.mctz"))
+                   .trace.has_value());
 }
 
 TEST_F(TraceCompressTest, RejectsTrailingGarbage) {
@@ -92,19 +94,20 @@ TEST_F(TraceCompressTest, RejectsTrailingGarbage) {
   const std::uint64_t bogus = 3;
   f.write(reinterpret_cast<const char*>(&bogus), sizeof bogus);
   f.close();
-  EXPECT_FALSE(read_trace_compressed(path("t.mctz")).has_value());
+  EXPECT_FALSE(read_trace_compressed_detailed(path("t.mctz"))
+                   .trace.has_value());
 }
 
 TEST_F(TraceCompressTest, ReadAnyDispatchesOnMagic) {
   const Trace t = generate_app_trace(AppId::Email, 2'000, 3);
   ASSERT_TRUE(write_trace(t, path("a.mct")));
   ASSERT_TRUE(write_trace_compressed(t, path("a.mctz")));
-  const auto flat = read_trace_any(path("a.mct"));
-  const auto comp = read_trace_any(path("a.mctz"));
+  const auto flat = read_trace_any_detailed(path("a.mct")).trace;
+  const auto comp = read_trace_any_detailed(path("a.mctz")).trace;
   ASSERT_TRUE(flat.has_value());
   ASSERT_TRUE(comp.has_value());
   EXPECT_EQ(flat->size(), comp->size());
-  EXPECT_FALSE(read_trace_any(path("missing.mctz")).has_value());
+  EXPECT_FALSE(read_trace_any_detailed(path("missing.mctz")).trace.has_value());
 }
 
 TEST_F(TraceCompressTest, MixedThreadsAndModesSurvive) {
@@ -119,7 +122,7 @@ TEST_F(TraceCompressTest, MixedThreadsAndModesSurvive) {
     t.push(a);
   }
   ASSERT_TRUE(write_trace_compressed(t, path("m.mctz")));
-  const auto loaded = read_trace_compressed(path("m.mctz"));
+  const auto loaded = read_trace_compressed_detailed(path("m.mctz")).trace;
   ASSERT_TRUE(loaded.has_value());
   for (std::size_t i = 0; i < t.size(); ++i) {
     ASSERT_EQ((*loaded)[i].thread, t[i].thread) << i;

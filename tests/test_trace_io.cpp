@@ -45,7 +45,7 @@ TEST_F(TraceIoTest, RoundtripPreservesEverything) {
   const Trace original = sample_trace();
   ASSERT_TRUE(write_trace(original, path("a.mct")));
 
-  const auto loaded = read_trace(path("a.mct"));
+  const auto loaded = read_trace_detailed(path("a.mct")).trace;
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->name(), "roundtrip");
   ASSERT_EQ(loaded->size(), original.size());
@@ -60,14 +60,15 @@ TEST_F(TraceIoTest, RoundtripPreservesEverything) {
 TEST_F(TraceIoTest, EmptyTraceRoundtrips) {
   Trace t("empty");
   ASSERT_TRUE(write_trace(t, path("e.mct")));
-  const auto loaded = read_trace(path("e.mct"));
+  const auto loaded = read_trace_detailed(path("e.mct")).trace;
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->empty());
   EXPECT_EQ(loaded->name(), "empty");
 }
 
 TEST_F(TraceIoTest, MissingFileIsNullopt) {
-  EXPECT_FALSE(read_trace(path("does_not_exist.mct")).has_value());
+  EXPECT_FALSE(read_trace_detailed(path("does_not_exist.mct"))
+                   .trace.has_value());
 }
 
 TEST_F(TraceIoTest, BadMagicRejected) {
@@ -75,14 +76,14 @@ TEST_F(TraceIoTest, BadMagicRejected) {
   const char garbage[64] = "this is not a mobcache trace file at all";
   f.write(garbage, sizeof garbage);
   f.close();
-  EXPECT_FALSE(read_trace(path("bad.mct")).has_value());
+  EXPECT_FALSE(read_trace_detailed(path("bad.mct")).trace.has_value());
 }
 
 TEST_F(TraceIoTest, TruncatedFileRejected) {
   ASSERT_TRUE(write_trace(sample_trace(), path("t.mct")));
   const auto full = std::filesystem::file_size(path("t.mct"));
   std::filesystem::resize_file(path("t.mct"), full - 10);
-  EXPECT_FALSE(read_trace(path("t.mct")).has_value());
+  EXPECT_FALSE(read_trace_detailed(path("t.mct")).trace.has_value());
 }
 
 TEST_F(TraceIoTest, ModeInconsistentFileRejected) {
@@ -94,7 +95,7 @@ TEST_F(TraceIoTest, ModeInconsistentFileRejected) {
   a.mode = Mode::Kernel;
   t.push(a);
   ASSERT_TRUE(write_trace(t, path("m.mct")));
-  EXPECT_FALSE(read_trace(path("m.mct")).has_value());
+  EXPECT_FALSE(read_trace_detailed(path("m.mct")).trace.has_value());
 }
 
 TEST_F(TraceIoTest, WriteToUnwritablePathFails) {

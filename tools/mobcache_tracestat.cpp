@@ -21,15 +21,16 @@ static int tool_main(int argc, char** argv) {
     std::fprintf(stderr, "usage: %s <trace.mct>\n", argv[0]);
     return 2;
   }
-  const auto trace = read_trace_any(argv[1]);
-  if (!trace) {
-    std::fprintf(stderr, "cannot load '%s' (missing/corrupt/inconsistent)\n",
-                 argv[1]);
+  const TraceReadResult r = read_trace_any_detailed(argv[1]);
+  if (!r.ok()) {
+    std::fprintf(stderr, "cannot load '%s': %s (%s)\n", argv[1],
+                 to_string(r.status), r.detail.c_str());
     return 1;
   }
+  const Trace& trace = *r.trace;
 
-  const TraceSummary s = trace->summarize();
-  std::printf("trace '%s': %s records\n\n", trace->name().c_str(),
+  const TraceSummary s = trace.summarize();
+  std::printf("trace '%s': %s records\n\n", trace.name().c_str(),
               format_count(s.total).c_str());
 
   TablePrinter mix({"dimension", "value"});
@@ -52,7 +53,7 @@ static int tool_main(int argc, char** argv) {
   std::unordered_map<Addr, std::uint32_t> touches;
   touches.reserve(s.distinct_lines_user + s.distinct_lines_kernel);
   std::map<std::uint16_t, std::uint64_t> per_thread;
-  for (const Access& a : trace->accesses()) {
+  for (const Access& a : trace.accesses()) {
     ++touches[line_addr(a.addr)];
     ++per_thread[a.thread];
   }
