@@ -7,9 +7,9 @@
 /// The main suite's rows (the baseline and sections a–e, g, i and k) run as
 /// one runner grid, so each trace's L1 front end is simulated once for all
 /// of them; [f]'s long suite is one more grid, and [h] and [j] one grid per
-/// hierarchy setting. `--jobs=N` / MOBCACHE_JOBS set every grid's worker
-/// count; no emitted number depends on it. The grids run after their specs
-/// are declared, so every builder owns its captures.
+/// hierarchy setting. No emitted number depends on the worker count. The
+/// grids run after their specs are declared, so every builder owns its
+/// captures.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -60,10 +60,10 @@ void dp_row(TablePrinter& t, const std::string& label,
 /// A runner over `runner`'s suite with `tweak` applied to its hierarchy,
 /// running Base-SRAM and SP-MRSTT as one grid, normalized.
 std::vector<SchemeSuiteResult> base_and_spmrstt(
-    const ExperimentRunner& runner,
+    const ExperimentContext& ctx, const ExperimentRunner& runner,
     const std::function<void(HierarchyConfig&)>& tweak) {
   ExperimentRunner r2(runner.apps(), runner.traces());
-  r2.jobs = runner.jobs;
+  ctx.configure(r2);
   tweak(r2.sim_options.hierarchy);
   std::vector<SchemeSuiteResult> v =
       r2.run_schemes({SchemeKind::BaselineSram, SchemeKind::StaticPartMrstt});
@@ -73,13 +73,12 @@ std::vector<SchemeSuiteResult> base_and_spmrstt(
 
 }  // namespace
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
+static int run(ExperimentContext& ctx) {
   print_banner("E10", "Ablation of the dynamic/static design choices");
   const std::uint64_t len = bench_trace_len(600'000);
 
   ExperimentRunner runner(reduced_suite(), len, 42);
-  runner.jobs = jobs;
+  ctx.configure(runner);
 
   // The main grid: the SRAM baseline first, then every section's rows.
   std::vector<DesignSpec> specs{scheme_design(SchemeKind::BaselineSram)};
@@ -189,7 +188,7 @@ static int run_bench(int argc, char** argv) {
   {
     ExperimentRunner long_runner({AppId::Launcher, AppId::Email},
                                  bench_trace_len(6'000'000), 42);
-    long_runner.jobs = jobs;
+    ctx.configure(long_runner);
     std::vector<DesignSpec> f_specs{scheme_design(SchemeKind::BaselineSram)};
     for (RefreshPolicy rp :
          {RefreshPolicy::ScrubDirty, RefreshPolicy::ScrubAll,
@@ -213,7 +212,7 @@ static int run_bench(int argc, char** argv) {
                      "SP-MRSTT norm energy", "SP-MRSTT norm time"});
     for (std::uint64_t l1_kb : {16ull, 32ull, 64ull}) {
       const std::vector<SchemeSuiteResult> v =
-          base_and_spmrstt(runner, [l1_kb](HierarchyConfig& h) {
+          base_and_spmrstt(ctx, runner, [l1_kb](HierarchyConfig& h) {
             h.l1i.size_bytes = l1_kb << 10;
             h.l1d.size_bytes = l1_kb << 10;
           });
@@ -262,7 +261,7 @@ static int run_bench(int argc, char** argv) {
                      "norm exec time"});
     for (bool inclusive : {false, true}) {
       const std::vector<SchemeSuiteResult> v =
-          base_and_spmrstt(runner, [inclusive](HierarchyConfig& h) {
+          base_and_spmrstt(ctx, runner, [inclusive](HierarchyConfig& h) {
             h.inclusive_l2 = inclusive;
           });
       jj.add_row({inclusive ? "inclusive" : "non-inclusive (paper)",
@@ -292,10 +291,14 @@ static int run_bench(int argc, char** argv) {
       "but pays in flush misses; refresh policy only matters once blocks\n"
       "outlive their retention, where scrub-dirty is the cheapest safe "
       "choice.\n");
+
+  ctx.report.set_points(grid.size() * runner.apps().size());
+  ctx.report.add_result("dpstt_norm_cache_energy",
+                        grid[dpstt].norm_cache_energy);
+  ctx.report.add_result("dpstt_norm_exec_time", grid[dpstt].norm_exec_time);
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e10_ablation", /*install_signals=*/true, argc,
-                      argv, run_bench);
+  return run_experiment("e10_ablation", argc, argv, run);
 }

@@ -5,8 +5,7 @@
 /// the kernel segment, strengthening the partitioning premise.
 ///
 /// The schemes run as one runner grid over the scenario trace, sharing its
-/// L1 pass. `--jobs=N` / MOBCACHE_JOBS pick the worker count; no emitted
-/// number depends on it.
+/// L1 pass; no emitted number depends on the worker count.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -17,8 +16,7 @@
 
 using namespace mobcache;
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
+static int run(ExperimentContext& ctx) {
   print_banner("E11", "Multitasking scenario (time-sliced app mix)");
   const std::uint64_t len = bench_trace_len(4'000'000);
 
@@ -29,7 +27,7 @@ static int run_bench(int argc, char** argv) {
   std::vector<Trace> mix;
   mix.push_back(generate_scenario(sc));
   ExperimentRunner runner(std::move(mix));
-  runner.jobs = jobs;
+  ctx.configure(runner);
 
   const TraceSummary ts = runner.trace(0).summarize();
   std::printf("scenario: %s records over %zu apps, kernel share %s, "
@@ -65,10 +63,17 @@ static int run_bench(int argc, char** argv) {
       "extra misses): under fast app switching, static provisioning\nis "
       "the safer choice — a trade-off the single-app evaluation cannot "
       "reveal.\n");
+
+  ctx.report.set_points(results.size());
+  for (const SchemeSuiteResult& s : results) {
+    const SimResult& r = s.per_workload[0];
+    ctx.report.add_result(
+        s.name + "_cache_vs_base",
+        r.l2_energy.cache_nj() / base.l2_energy.cache_nj());
+  }
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e11_multitask", /*install_signals=*/true, argc,
-                      argv, run_bench);
+  return run_experiment("e11_multitask", argc, argv, run);
 }

@@ -6,8 +6,7 @@
 /// prefetcher off vs on for the three main designs.
 ///
 /// One runner grid per prefetch setting, both over one suite generated
-/// once; `--jobs=N` / MOBCACHE_JOBS set the grids' worker count, and no
-/// emitted number depends on it.
+/// once; no emitted number depends on the worker count.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -18,8 +17,7 @@
 
 using namespace mobcache;
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
+static int run(ExperimentContext& ctx) {
   print_banner("E12", "Prefetcher x partitioning interaction");
   const std::uint64_t len = bench_trace_len();
 
@@ -30,7 +28,7 @@ static int run_bench(int argc, char** argv) {
   std::vector<SchemeSuiteResult> by_prefetch[2];  // [off, on] × kinds
   for (bool pf : {false, true}) {
     ExperimentRunner runner(suite.apps(), suite.traces());
-    runner.jobs = jobs;
+    ctx.configure(runner);
     runner.sim_options.hierarchy.prefetch.enabled = pf;
     runner.sim_options.hierarchy.prefetch.degree = 2;
     by_prefetch[pf] = runner.run_schemes(kinds);
@@ -71,10 +69,14 @@ static int run_bench(int argc, char** argv) {
       "every design. The partitioned caches\nkeep their energy advantage "
       "with prefetch on: pollution stays inside the owning\nsegment instead "
       "of evicting the other mode's blocks.\n");
+
+  ctx.report.set_points(2 * kinds.size() * suite.apps().size());
+  ctx.report.add_result("base_prefetch_miss_rate",
+                        by_prefetch[1][0].avg_miss_rate);
+  ctx.report.add_result("base_miss_rate", base.avg_miss_rate);
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e12_prefetch", /*install_signals=*/true, argc,
-                      argv, run_bench);
+  return run_experiment("e12_prefetch", argc, argv, run);
 }

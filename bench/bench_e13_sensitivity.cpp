@@ -6,14 +6,14 @@
 /// claims survive if SP-MRSTT and DP-STT keep large savings and their
 /// ordering under every perturbation.
 ///
-/// Each perturbation variant is one SweepExecutor point. The technology
-/// config is thread_local, so a worker's ScopedTechnology override cannot
-/// leak into other variants running concurrently (`--jobs=N`).
+/// Each perturbation variant is one SweepExecutor point on the --jobs
+/// workers, its runner grid on one. The technology config is thread_local,
+/// so a worker's ScopedTechnology override cannot leak into other variants
+/// running concurrently.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "exp/bench_harness.hpp"
-#include "exp/parallel.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
@@ -54,26 +54,26 @@ std::vector<Variant> variants() {
 
 }  // namespace
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
-  const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
-  BenchReport bench("e13_sensitivity", jobs);
+static int run(ExperimentContext& ctx) {
   print_banner("E13", "Sensitivity of the conclusions to technology constants");
   const std::uint64_t len = bench_trace_len(600'000);
 
   ExperimentRunner runner(
       {AppId::Launcher, AppId::Browser, AppId::AudioPlayer, AppId::Maps},
       len, 42);
-  // Safe under ScopedTechnology: the runner hashes technology() on the
-  // worker thread, so each variant's cells key on its own perturbed config.
-  runner.result_store = store.get();
+  // The store is safe under ScopedTechnology: the runner hashes
+  // technology() on the worker thread, so each variant's cells key on its
+  // own perturbed config. Its grids run on one worker each: the variants
+  // are the parallel axis.
+  ctx.configure(runner);
+  runner.jobs = 1;
   // Each variant's run_schemes() call below runs every trace's L1 front end
   // once for all three schemes, on the variant's worker, so its
   // ScopedTechnology prices that pass.
 
   const std::vector<Variant> vars = variants();
 
-  SweepExecutor ex(jobs);
+  SweepExecutor ex(ctx.flags.jobs);
   const auto rows = ex.map(vars.size(), [&](std::size_t i) {
     ScopedTechnology scope(vars[i].cfg);
     std::vector<SchemeSuiteResult> r = runner.run_schemes(
@@ -82,7 +82,7 @@ static int run_bench(int argc, char** argv) {
     ExperimentRunner::normalize(r);
     return r;
   });
-  bench.set_points(static_cast<std::uint64_t>(rows.size()));
+  ctx.report.set_points(rows.size());
 
   TablePrinter t({"perturbation", "SP-MRSTT energy", "DP-STT energy",
                   "SP-MRSTT time", "DP-STT time", "dynamic still best?"});
@@ -111,14 +111,11 @@ static int run_bench(int argc, char** argv) {
       "range), exactly the constant a silicon calibration should pin\n"
       "first.\n");
 
-  bench.add_result("dp_always_best", dp_always_best ? 1.0 : 0.0);
-  bench.add_result("worst_dp_norm_energy", worst_dp_energy);
-  if (store) bench.set_store_stats(store->stats());
-  bench.write();
+  ctx.report.add_result("dp_always_best", dp_always_best ? 1.0 : 0.0);
+  ctx.report.add_result("worst_dp_norm_energy", worst_dp_energy);
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e13_sensitivity", /*install_signals=*/true, argc, argv,
-                      run_bench);
+  return run_experiment("e13_sensitivity", argc, argv, run);
 }

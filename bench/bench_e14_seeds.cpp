@@ -4,9 +4,9 @@
 /// orderings must hold outside the seed-noise band, not just at one seed.
 ///
 /// run_multi_seed runs each seed as one (scheme × workload) runner grid on
-/// `--jobs=N` workers (or MOBCACHE_JOBS), sharing one L1 pass per trace;
-/// stats accumulate in seed order, so the reported numbers are identical
-/// for every job count. `--store-dir` memoizes the cells.
+/// the --jobs workers, sharing one L1 pass per trace; stats accumulate in
+/// seed order, so the reported numbers are identical for every job count.
+/// A result store memoizes the cells.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -27,10 +27,7 @@ std::string pm(const SeedStat& s, int decimals = 3) {
 
 }  // namespace
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
-  const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
-  BenchReport bench("e14_seeds", jobs);
+static int run(ExperimentContext& ctx) {
   print_banner("E14", "Seed robustness of the headline results");
   const std::uint64_t len = bench_trace_len();
   const std::vector<std::uint64_t> seeds = {11, 22, 42, 1234, 98765};
@@ -41,8 +38,8 @@ static int run_bench(int argc, char** argv) {
       SchemeKind::DynamicStt};
 
   const auto results = run_multi_seed(interactive_apps(), len, seeds, schemes,
-                                      {}, jobs, store.get());
-  bench.set_points(static_cast<std::uint64_t>(seeds.size() * schemes.size()));
+                                      {}, ctx.flags.jobs, ctx.store.get());
+  ctx.report.set_points(seeds.size() * schemes.size());
 
   TablePrinter t({"scheme", "norm cache energy (mean +- sd [min,max])",
                   "norm exec time", "miss rate"});
@@ -68,16 +65,13 @@ static int run_bench(int argc, char** argv) {
           ? "yes"
           : "NO");
 
-  bench.add_result("sp_mrstt_energy_mean", mrstt.cache_energy.mean);
-  bench.add_result("sp_mrstt_energy_max", mrstt.cache_energy.max);
-  bench.add_result("dp_stt_energy_mean", dpstt.cache_energy.mean);
-  bench.add_result("dp_stt_energy_max", dpstt.cache_energy.max);
-  if (store) bench.set_store_stats(store->stats());
-  bench.write();
+  ctx.report.add_result("sp_mrstt_energy_mean", mrstt.cache_energy.mean);
+  ctx.report.add_result("sp_mrstt_energy_max", mrstt.cache_energy.max);
+  ctx.report.add_result("dp_stt_energy_mean", dpstt.cache_energy.mean);
+  ctx.report.add_result("dp_stt_energy_max", dpstt.cache_energy.max);
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e14_seeds", /*install_signals=*/true, argc, argv,
-                      run_bench);
+  return run_experiment("e14_seeds", argc, argv, run);
 }

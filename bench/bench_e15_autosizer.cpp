@@ -7,8 +7,7 @@
 ///
 /// Each step is one runner grid (the baseline and every candidate, then the
 /// baseline and the chosen design), so candidates share each trace's L1
-/// pass. `--jobs=N` / MOBCACHE_JOBS pick the worker count; no emitted
-/// number depends on it.
+/// pass; no emitted number depends on the worker count.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -18,8 +17,7 @@
 
 using namespace mobcache;
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
+static int run(ExperimentContext& ctx) {
   print_banner("E15", "Automated static-partition provisioning + holdout");
   const std::uint64_t len = bench_trace_len(600'000);
   const PartitionAutosizer az({.max_slowdown = 1.05, .tech = TechKind::SttRam});
@@ -30,7 +28,7 @@ static int run_bench(int argc, char** argv) {
   std::vector<CandidateScore> scores;
   {
     ExperimentRunner train(interactive_apps(), len, 42);
-    train.jobs = jobs;
+    ctx.configure(train);
     scores = az.score_all(train);
   }
   TablePrinter t({"candidate", "total", "miss", "norm energy", "norm time",
@@ -51,7 +49,7 @@ static int run_bench(int argc, char** argv) {
 
   // 2. Validate on held-out apps.
   ExperimentRunner holdout(extra_apps(), len, 42);
-  holdout.jobs = jobs;
+  ctx.configure(holdout);
   const std::vector<SchemeSuiteResult> grid = holdout.run_designs(
       {scheme_design(SchemeKind::BaselineSram), az.design(best.candidate)});
   TablePrinter h({"holdout app", "base miss", "chosen-SP miss",
@@ -74,10 +72,15 @@ static int run_bench(int argc, char** argv) {
       "hand-picked one\nwithin one grid step, and generalizes to unseen "
       "interactive apps — the static\nprovisioning step is reproducible, "
       "not an artifact of manual tuning.\n");
+
+  ctx.report.set_points(scores.size() + grid.size());
+  ctx.report.add_result("chosen_norm_cache_energy", best.norm_cache_energy);
+  ctx.report.add_result("chosen_norm_exec_time", best.norm_exec_time);
+  ctx.report.add_result("chosen_total_bytes",
+                        static_cast<double>(best.candidate.total_bytes()));
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e15_autosizer", /*install_signals=*/true, argc,
-                      argv, run_bench);
+  return run_experiment("e15_autosizer", argc, argv, run);
 }

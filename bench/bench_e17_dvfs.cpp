@@ -8,8 +8,8 @@
 ///
 /// The suite is generated once and shared by every clock's runner (trace
 /// generation does not read the technology); each clock's three designs
-/// are one runner grid. `--jobs=N` / MOBCACHE_JOBS set the grids' worker
-/// count, and no emitted number depends on it.
+/// are one runner grid, its cells keyed under the clock's technology. No
+/// emitted number depends on the worker count.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -19,8 +19,7 @@
 
 using namespace mobcache;
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
+static int run(ExperimentContext& ctx) {
   print_banner("E17", "Core-clock (DVFS) sweep");
   const std::uint64_t len = bench_trace_len(600'000);
 
@@ -38,7 +37,7 @@ static int run_bench(int argc, char** argv) {
     ScopedTechnology scope(cfg);
 
     ExperimentRunner runner(suite.apps(), suite.traces());
-    runner.jobs = jobs;
+    ctx.configure(runner);
     std::vector<SchemeSuiteResult> r =
         runner.run_schemes({SchemeKind::BaselineSram,
                             SchemeKind::StaticPartMrstt,
@@ -61,10 +60,14 @@ static int run_bench(int argc, char** argv) {
         cache_nj += s.l2_energy.cache_nj();
         wall_ns += static_cast<double>(s.cycles) * cfg.cycle_ns;
       }
+      const double saving = 1.0 - cache_nj / base_cache_nj;
+      if (sr.kind != SchemeKind::BaselineSram) {
+        ctx.report.add_result(
+            sr.name + "_saving_at_" + format_double(ghz, 1) + "ghz", saving);
+      }
       t.add_row({format_double(ghz, 1) + " GHz", sr.name,
                  format_percent(sr.avg_miss_rate),
-                 format_double(cache_nj / 1e3, 0),
-                 format_percent(1.0 - cache_nj / base_cache_nj),
+                 format_double(cache_nj / 1e3, 0), format_percent(saving),
                  base_1ghz_cycles_ns > 0
                      ? format_double(wall_ns / base_1ghz_cycles_ns, 2)
                      : "-"});
@@ -79,10 +82,11 @@ static int run_bench(int argc, char** argv) {
       "governors actually prefer, compounding the two\ntechniques. (Note "
       "the 0.5 GHz rows are computed against their own-clock baseline;\n"
       "the final column shows wall time relative to the 1 GHz baseline.)\n");
+
+  ctx.report.set_points(3 * 3 * suite.apps().size());
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e17_dvfs", /*install_signals=*/true, argc, argv,
-                      run_bench);
+  return run_experiment("e17_dvfs", argc, argv, run);
 }

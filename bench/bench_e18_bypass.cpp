@@ -4,9 +4,8 @@
 /// page-cache/network/frame data). Reports the write-energy cut against the
 /// re-miss cost, per design.
 ///
-/// The baseline and the four bypass rows are one runner grid; `--jobs=N` /
-/// MOBCACHE_JOBS set its worker count, and no emitted number depends on
-/// it.
+/// The baseline and the four bypass rows are one runner grid; no emitted
+/// number depends on its worker count.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -16,13 +15,12 @@
 
 using namespace mobcache;
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
+static int run(ExperimentContext& ctx) {
   print_banner("E18", "Stream write-bypass for STT-RAM fills");
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
-  runner.jobs = jobs;
+  ctx.configure(runner);
   std::vector<DesignSpec> specs{scheme_design(SchemeKind::BaselineSram)};
   std::vector<bool> bypassed{false};
   for (SchemeKind k : {SchemeKind::SharedStt, SchemeKind::StaticPartMrstt}) {
@@ -42,6 +40,9 @@ static int run_bench(int argc, char** argv) {
     const SchemeSuiteResult& r = grid[i];
     double write_nj = 0.0;
     for (const SimResult& s : r.per_workload) write_nj += s.l2_energy.write_nj;
+    ctx.report.add_result(r.name + (bypassed[i] ? "_bypass" : "") +
+                              "_norm_cache_energy",
+                          r.norm_cache_energy);
     t.add_row({r.name, bypassed[i] ? "on" : "off",
                format_percent(r.avg_miss_rate),
                format_double(write_nj / 1e3, 1),
@@ -59,10 +60,11 @@ static int run_bench(int argc, char** argv) {
       "writes\ncheap enough that bypass is not worth its misprediction "
       "risk there. It remains\na reasonable add-on for the unpartitioned "
       "STT design only.\n");
+
+  ctx.report.set_points(grid.size() * runner.apps().size());
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e18_bypass", /*install_signals=*/true, argc, argv,
-                      run_bench);
+  return run_experiment("e18_bypass", argc, argv, run);
 }

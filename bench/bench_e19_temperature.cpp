@@ -8,9 +8,8 @@
 ///
 /// The suite is generated once and shared by every temperature's runner
 /// (trace generation does not read the technology); each temperature's
-/// baseline and SP-MRSTT rows are one runner grid. `--jobs=N` /
-/// MOBCACHE_JOBS set the grids' worker count, and no emitted number depends
-/// on it.
+/// baseline and SP-MRSTT rows are one runner grid. No emitted number
+/// depends on the worker count.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -21,8 +20,7 @@
 
 using namespace mobcache;
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
+static int run(ExperimentContext& ctx) {
   print_banner("E19", "Temperature sweep for the multi-retention design");
   // Session-length traces so blocks actually face the (shortened)
   // retention windows.
@@ -40,7 +38,7 @@ static int run_bench(int argc, char** argv) {
     ScopedTechnology scope(cfg);
 
     ExperimentRunner runner(suite.apps(), suite.traces());
-    runner.jobs = jobs;
+    ctx.configure(runner);
     std::vector<SchemeSuiteResult> v = runner.run_schemes(
         {SchemeKind::BaselineSram, SchemeKind::StaticPartMrstt});
     ExperimentRunner::normalize(v);
@@ -65,6 +63,11 @@ static int run_bench(int argc, char** argv) {
     const RetentionClass kernel_rec =
         RetentionAdvisor::recommend(rec.liveness(Mode::Kernel));
 
+    const std::string temp = format_double(celsius, 0) + "c";
+    ctx.report.add_result("spmrstt_norm_cache_energy_at_" + temp,
+                          r.norm_cache_energy);
+    ctx.report.add_result("spmrstt_expired_blocks_at_" + temp,
+                          static_cast<double>(expired));
     auto ms = [](Cycle c) {
       return c == 0 ? std::string("inf")
                     : format_double(static_cast<double>(c) / 1e6, 2) + " ms";
@@ -89,10 +92,11 @@ static int run_bench(int argc, char** argv) {
       "less than a point. A deployment should provision retention\nat the "
       "hot corner, exactly as the advisor's hot-trace recommendation (user "
       "class\nbumped to MID from 65 C) indicates.\n");
+
+  ctx.report.set_points(4 * 2 * suite.apps().size());
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e19_temperature", /*install_signals=*/true, argc,
-                      argv, run_bench);
+  return run_experiment("e19_temperature", argc, argv, run);
 }

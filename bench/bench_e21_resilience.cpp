@@ -6,8 +6,8 @@
 /// ECC + scrub repair + way-disable quarantine (docs/RELIABILITY.md).
 ///
 /// run_fault_sweep shards its (rate × workload) grid through the runner's
-/// SweepExecutor; `--jobs=N` / MOBCACHE_JOBS set the worker count. Output is
-/// keyed by grid index, so every job count emits identical tables and JSON.
+/// SweepExecutor. Output is keyed by grid index, so every job count emits
+/// identical tables and JSON.
 
 #include <utility>
 #include <vector>
@@ -47,15 +47,11 @@ void sweep_rows(SchemeKind kind, const std::vector<FaultSweepPoint>& pts,
 
 }  // namespace
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
-  BenchReport bench("e21_resilience", jobs);
+static int run(ExperimentContext& ctx) {
   print_banner("E21", "Error rate vs energy/CPI under ECC + repair");
   const std::uint64_t len = bench_trace_len(400'000);
   ExperimentRunner runner({AppId::Browser, AppId::Game}, len, 21);
-  runner.jobs = jobs;
-  const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
-  runner.result_store = store.get();
+  ctx.configure(runner);
 
   const std::vector<double> rates = {0.0, 1e-4, 1e-3, 5e-3, 2e-2};
   SchemeParams tmpl;
@@ -106,14 +102,12 @@ static int run_bench(int argc, char** argv) {
   json.end_object();
   write_json_results(json, "e21_resilience.json");
 
-  bench.set_points(static_cast<std::uint64_t>(sp_pts.size() + dp_pts.size()) +
-                   ecc_points);
+  BenchReport& bench = ctx.report;
+  bench.set_points(sp_pts.size() + dp_pts.size() + ecc_points);
   bench.add_result("sp_mrstt_worst_energy", sp_pts.back().norm_cache_energy);
   bench.add_result("sp_mrstt_worst_time", sp_pts.back().norm_exec_time);
   bench.add_result("dp_stt_worst_energy", dp_pts.back().norm_cache_energy);
   bench.add_result("dp_stt_worst_time", dp_pts.back().norm_exec_time);
-  if (store) bench.set_store_stats(store->stats());
-  bench.write();
 
   // The energy reading follows the computed worst-rate points: losses add
   // DRAM refills, but quarantined ways stop leaking, so either can win.
@@ -149,6 +143,5 @@ static int run_bench(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e21_resilience", /*install_signals=*/true, argc, argv,
-                      run_bench);
+  return run_experiment("e21_resilience", argc, argv, run);
 }

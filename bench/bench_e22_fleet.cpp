@@ -7,7 +7,7 @@
 /// count. CI's fleet-gate holds this binary to a sessions/s floor and a
 /// peak-RSS ceiling (scripts/check_bench.py rss-gate).
 ///
-/// Flags (on top of the shared --jobs=N):
+/// Flags (on top of the sweep flags):
 ///   --sessions=N          fleet size (default 10000)
 ///   --mean-accesses=N     population mean session length (default
 ///                         MOBCACHE_TRACE_LEN, else 60000)
@@ -21,7 +21,6 @@
 /// determinism contract in src/exp/fleet.hpp, pinned by tests/test_fleet.cpp).
 
 #include <cstdio>
-#include <cstring>
 
 #include "common/error.hpp"
 #include "common/table.hpp"
@@ -35,18 +34,19 @@ using namespace mobcache;
 
 namespace {
 
-SchemeKind flag_scheme(int argc, char** argv, SchemeKind fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scheme=", 9) != 0) continue;
-    const char* want = argv[i] + 9;
+SchemeKind flag_scheme(const std::vector<std::string>& args,
+                       SchemeKind fallback) {
+  for (const std::string& a : args) {
+    if (a.rfind("--scheme=", 0) != 0) continue;
+    const std::string want = a.substr(9);
     bool found = false;
     for (int k = 0; k < kSchemeCount; ++k) {
-      if (std::strcmp(scheme_name(static_cast<SchemeKind>(k)), want) == 0) {
+      if (want == scheme_name(static_cast<SchemeKind>(k))) {
         fallback = static_cast<SchemeKind>(k);
         found = true;
       }
     }
-    if (!found) throw ConfigError(std::string("unknown --scheme: ") + want);
+    if (!found) throw ConfigError("unknown --scheme: " + want);
   }
   return fallback;
 }
@@ -70,24 +70,22 @@ std::string row(const FleetMetric& m, int decimals) {
 
 }  // namespace
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
-  BenchReport bench("e22_fleet", jobs);
+static int run(ExperimentContext& ctx) {
+  BenchReport& bench = ctx.report;
   print_banner("E22", "Fleet population sweep (streaming sessions)");
 
+  const std::vector<std::string>& args = ctx.flags.rest;
   FleetConfig cfg;
-  cfg.sessions = bench_flag_u64(argc, argv, "--sessions", 10'000);
-  cfg.seed = bench_flag_u64(argc, argv, "--seed", 1);
-  cfg.scheme = flag_scheme(argc, argv, SchemeKind::DynamicStt);
-  cfg.jobs = jobs;
+  cfg.sessions = bench_flag_u64(args, "--sessions", 10'000);
+  cfg.seed = bench_flag_u64(args, "--seed", 1);
+  cfg.scheme = flag_scheme(args, SchemeKind::DynamicStt);
+  cfg.jobs = ctx.flags.jobs;
   const std::uint64_t mean =
-      bench_flag_u64(argc, argv, "--mean-accesses", bench_trace_len(60'000));
+      bench_flag_u64(args, "--mean-accesses", bench_trace_len(60'000));
   cfg.mix = PopulationModel::default_mix(mean);
   // Gate floors, parsed before the run so a bad value fails fast.
-  const double min_rate =
-      bench_flag_double(argc, argv, "--min-sessions-per-s", 0.0);
-  const double max_rss_mb =
-      bench_flag_double(argc, argv, "--max-peak-rss-mb", 0.0);
+  const double min_rate = bench_flag_double(args, "--min-sessions-per-s", 0.0);
+  const double max_rss_mb = bench_flag_double(args, "--max-peak-rss-mb", 0.0);
 
   reset_stream_counters();
   reset_fleet_counters();
@@ -128,7 +126,6 @@ static int run_bench(int argc, char** argv) {
   add_metric_results(bench, "cache_energy_nj", fleet.acc.cache_energy_nj);
   add_metric_results(bench, "total_energy_nj", fleet.acc.total_energy_nj);
   add_metric_results(bench, "cpi", fleet.acc.cpi);
-  bench.write();
 
   // In-binary CI gates (CI passes the floors; local runs skip them).
   if (min_rate > 0.0 && sessions_per_s < min_rate) {
@@ -151,6 +148,5 @@ static int run_bench(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e22_fleet", /*install_signals=*/true, argc, argv,
-                      run_bench);
+  return run_experiment("e22_fleet", argc, argv, run);
 }

@@ -6,6 +6,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/static_partitioned_l2.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
@@ -32,7 +33,7 @@ std::unique_ptr<L2Interface> split_2mb() {
 
 }  // namespace
 
-int main() {
+static int run(ExperimentContext& ctx) {
   print_banner("E2",
                "User/kernel interference in the shared L2 (cross-mode "
                "evictions and the isolation dividend)");
@@ -42,19 +43,26 @@ int main() {
                   "shared miss (kern)", "split miss (user)",
                   "split miss (kern)", "miss delta"});
 
-  // A direct simulate() loop, not a runner grid: one trace resident at a
-  // time keeps peak memory at one trace (a grid holds the whole suite).
-  for (AppId id : interactive_apps()) {
-    const Trace trace = generate_app_trace(id, len, 42);
-    const SimResult shared = simulate(trace, shared_2mb());
-    const SimResult split = simulate(trace, split_2mb());
-
+  // One task per app: it generates its trace, simulates both designs and
+  // frees the trace, so --jobs=1 keeps one trace resident at a time (a
+  // runner grid holds the whole suite).
+  const std::vector<AppId> apps = interactive_apps();
+  const auto runs =
+      SweepExecutor(ctx.flags.jobs).map(apps.size(), [&](std::size_t i) {
+        const Trace trace = generate_app_trace(apps[i], len, 42);
+        return std::pair{simulate(trace, shared_2mb()),
+                         simulate(trace, split_2mb())};
+      });
+  double mean_cross = 0.0;
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const auto& [shared, split] = runs[i];
     const double cross =
         shared.l2.evictions == 0
             ? 0.0
             : static_cast<double>(shared.l2.cross_mode_evictions) /
                   static_cast<double>(shared.l2.evictions);
-    t.add_row({app_name(id), format_percent(cross),
+    mean_cross += cross / static_cast<double>(apps.size());
+    t.add_row({app_name(apps[i]), format_percent(cross),
                format_percent(shared.l2.miss_rate(Mode::User)),
                format_percent(shared.l2.miss_rate(Mode::Kernel)),
                format_percent(split.l2.miss_rate(Mode::User)),
@@ -69,5 +77,12 @@ int main() {
       "mode's blocks.\nIsolating the modes at the SAME total capacity keeps "
       "the miss rate (delta ~0), so\nthe interference headroom can instead "
       "be cashed in as capacity shrink (E3).\n");
+
+  ctx.report.set_points(apps.size());
+  ctx.report.add_result("mean_cross_mode_eviction_share", mean_cross);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_experiment("e2_interference", argc, argv, run);
 }

@@ -5,13 +5,11 @@
 ///
 /// The baseline plus the seven sizings run as one run_designs() grid, which
 /// runs each trace's L1 front end once for all sizings (docs/SWEEP_ENGINE.md).
-/// `--jobs=N` / MOBCACHE_JOBS pick the worker count; it changes no emitted
-/// number.
+/// The worker count changes no emitted number.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "exp/bench_harness.hpp"
-#include "exp/parallel.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
@@ -28,17 +26,13 @@ struct Sizing {
 
 }  // namespace
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
-  const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
-  BenchReport bench("e3_static_sweep", jobs);
+static int run(ExperimentContext& ctx) {
   print_banner("E3",
                "Static partition size sweep: miss rate vs. total capacity");
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
-  runner.result_store = store.get();
-  runner.jobs = jobs;
+  ctx.configure(runner);
 
   const std::vector<Sizing> sweep = {
       {256, 8, 128, 8},  {512, 8, 128, 8},   {512, 8, 256, 8},
@@ -71,7 +65,7 @@ static int run_bench(int argc, char** argv) {
     specs.push_back(std::move(d));
   }
   const std::vector<SchemeSuiteResult> cells = runner.run_designs(specs);
-  bench.set_points(static_cast<std::uint64_t>(cells.size()));
+  ctx.report.set_points(cells.size());
   const SchemeSuiteResult& base = cells[0];
 
   TablePrinter t({"config (user+kernel)", "total", "vs 2MB", "L2 miss",
@@ -102,14 +96,11 @@ static int run_bench(int argc, char** argv) {
       "(~1 MB+256 KB here),\nfurther capacity buys almost nothing — the "
       "paper's 'shrink at similar miss rate' claim.\n");
 
-  bench.add_result("base_miss_rate", base.avg_miss_rate);
-  bench.add_result("knee_norm_energy", knee_energy);
-  if (store) bench.set_store_stats(store->stats());
-  bench.write();
+  ctx.report.add_result("base_miss_rate", base.avg_miss_rate);
+  ctx.report.add_result("knee_norm_energy", knee_energy);
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e3_static_sweep", /*install_signals=*/true, argc, argv,
-                      run_bench);
+  return run_experiment("e3_static_sweep", argc, argv, run);
 }

@@ -1,9 +1,6 @@
 /// \file bench_e4_static_result.cpp
 /// E4 (paper Table 2) — the chosen static configuration, per app: the
 /// SP-SRAM and SP-MRSTT designs against the 2 MB SRAM baseline.
-///
-/// `--jobs=N` / MOBCACHE_JOBS set the grid's worker count; no emitted
-/// number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -13,13 +10,12 @@
 
 using namespace mobcache;
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
+static int run(ExperimentContext& ctx) {
   print_banner("E4", "Chosen static partition: per-app results");
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
-  runner.jobs = jobs;
+  ctx.configure(runner);
   std::vector<SchemeSuiteResult> v = runner.run_schemes(
       {SchemeKind::BaselineSram, SchemeKind::StaticPartSram,
        SchemeKind::StaticPartMrstt});
@@ -67,10 +63,14 @@ static int run_bench(int argc, char** argv) {
       "reduction at %.1f%% loss.\n",
       (1.0 - v[2].norm_cache_energy) * 100.0,
       (v[2].norm_exec_time - 1.0) * 100.0);
+
+  ctx.report.set_points(v.size() * runner.apps().size());
+  ctx.report.add_result("spsram_norm_cache_energy", v[1].norm_cache_energy);
+  ctx.report.add_result("spmrstt_norm_cache_energy", v[2].norm_cache_energy);
+  ctx.report.add_result("spmrstt_norm_exec_time", v[2].norm_exec_time);
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e4_static_result", /*install_signals=*/true, argc,
-                      argv, run_bench);
+  return run_experiment("e4_static_result", argc, argv, run);
 }

@@ -5,8 +5,7 @@
 ///
 /// Sweep points (the baseline plus the nine pairings) run as one
 /// run_designs() grid, which drives all pairings from one L1 pass per
-/// workload (docs/SWEEP_ENGINE.md): pass `--jobs=N` (or MOBCACHE_JOBS) to
-/// spread them over worker threads. Results are keyed by point index, so
+/// workload (docs/SWEEP_ENGINE.md). Results are keyed by point index, so
 /// the emitted table, CSV and JSON are byte-identical for every job count.
 ///
 /// Fault supervision (docs/RELIABILITY.md): --keep-going turns a failing
@@ -19,21 +18,15 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "exp/bench_harness.hpp"
-#include "exp/parallel.hpp"
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 
 using namespace mobcache;
 
-static int run_bench(int argc, char** argv) {
+static int run(ExperimentContext& ctx) {
   const std::size_t n_points = 1 + 3 * 3;  // the baseline + 9 pairings
-  const unsigned jobs = bench_jobs(argc, argv);
-  const bool keep_going = bench_keep_going(argc, argv);
   const std::vector<std::size_t> fail_points =
-      bench_fail_points(argc, argv, n_points);
-  const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
-  if (store) store->set_retry_failed(bench_retry_failed(argc, argv));
-  BenchReport bench("e6_retention_sweep", jobs);
+      ctx.flags.fail_points(n_points);
   print_banner("E6", "Multi-retention pairing sweep for the static design");
   // Session-length traces (see E5): shorter runs hide user-block expiry
   // under LO retention. A four-app subset keeps the 9-pairing sweep fast.
@@ -41,9 +34,7 @@ static int run_bench(int argc, char** argv) {
 
   ExperimentRunner runner(
       {AppId::Launcher, AppId::Browser, AppId::Email, AppId::Maps}, len, 42);
-  runner.result_store = store.get();
-  runner.sim_options.point_deadline_ms = bench_point_deadline_ms(argc, argv);
-  runner.jobs = jobs;
+  ctx.configure(runner);
 
   const RetentionClass classes[] = {RetentionClass::Lo, RetentionClass::Mid,
                                     RetentionClass::Hi};
@@ -59,13 +50,13 @@ static int run_bench(int argc, char** argv) {
     p.mrstt_kernel = classes[(i - 1) % 3];
     specs.push_back(scheme_design(SchemeKind::StaticPartMrstt, p));
   }
-  // Fail-fast (the default, keep_going == false): any failure propagates to
+  // Fail-fast (the default, no --keep-going): any failure propagates to
   // guarded_main, so every outcome below holds a value.
   std::vector<PointOutcome<SchemeSuiteResult>> cells =
-      runner.run_designs_outcomes(specs, keep_going, [&](std::size_t i) {
-        chaos_maybe_fail(fail_points, i);
-      });
-  bench.set_points(static_cast<std::uint64_t>(n_points));
+      runner.run_designs_outcomes(
+          specs, ctx.flags.keep_going,
+          [&](std::size_t i) { chaos_maybe_fail(fail_points, i); });
+  ctx.report.set_points(n_points);
 
   auto pair_label = [&](std::size_t i) -> std::string {
     if (i == 0) return "baseline";
@@ -77,7 +68,7 @@ static int run_bench(int argc, char** argv) {
     std::fprintf(stderr, "e6: point failed: %s: [%s] %s\n",
                  pair_label(i).c_str(), cells[i].failure->error_type.c_str(),
                  cells[i].failure->message.c_str());
-    bench.add_point_failure(*cells[i].failure, pair_label(i));
+    ctx.report.add_point_failure(*cells[i].failure, pair_label(i));
   }
   if (!cells[0].ok()) {
     // Every pairing is normalized against the baseline point; without it
@@ -172,16 +163,13 @@ static int run_bench(int argc, char** argv) {
   json.end_object();
   write_json_results(json, "e6_retention_sweep.json");
 
-  bench.add_result("min_norm_energy", min_e);
-  bench.add_result("chosen_norm_energy", best->energy);
-  bench.add_result("chosen_norm_time", best->time);
-  bench.add_result("base_miss_rate", base_cell.avg_miss_rate);
-  if (store) bench.set_store_stats(store->stats());
-  bench.write();
+  ctx.report.add_result("min_norm_energy", min_e);
+  ctx.report.add_result("chosen_norm_energy", best->energy);
+  ctx.report.add_result("chosen_norm_time", best->time);
+  ctx.report.add_result("base_miss_rate", base_cell.avg_miss_rate);
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e6_retention_sweep", /*install_signals=*/true,
-                      argc, argv, run_bench);
+  return run_experiment("e6_retention_sweep", argc, argv, run);
 }

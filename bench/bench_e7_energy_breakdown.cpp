@@ -2,9 +2,6 @@
 /// E7 (paper Fig. 6) — where the energy goes: leakage / array reads /
 /// array writes / refresh / DRAM, per scheme, summed over the interactive
 /// suite and normalized to the baseline's cache energy.
-///
-/// `--jobs=N` / MOBCACHE_JOBS set the grid's worker count; no emitted
-/// number depends on it.
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -14,13 +11,12 @@
 
 using namespace mobcache;
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
+static int run(ExperimentContext& ctx) {
   print_banner("E7", "Energy breakdown per scheme (suite total)");
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
-  runner.jobs = jobs;
+  ctx.configure(runner);
 
   struct Row {
     std::string name;
@@ -60,10 +56,16 @@ static int run_bench(int argc, char** argv) {
       "\nReading: the SRAM baseline is leakage-dominated; partitioning + "
       "shrinking attacks\nexactly that term, and STT-RAM removes most of "
       "what remains at the cost of a\nvisible write/refresh component.\n");
+
+  ctx.report.set_points(rows.size() * runner.apps().size());
+  ctx.report.add_result("base_leakage_share",
+                        rows.front().e.leakage_nj / base_cache);
+  for (const Row& r : rows)
+    ctx.report.add_result(r.name + "_cache_vs_base",
+                          r.e.cache_nj() / base_cache);
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e7_energy_breakdown", /*install_signals=*/true,
-                      argc, argv, run_bench);
+  return run_experiment("e7_energy_breakdown", argc, argv, run);
 }

@@ -1,14 +1,16 @@
 /// \file bench_e8_dynamic_trace.cpp
 /// E8 (paper Fig. 7) — the dynamic partition in action: per-epoch way
 /// allocation over time on a phase-rich workload, plus reconfiguration
-/// statistics for every app. Each app is simulated once, one trace resident
-/// at a time; the browser's time series comes from its summary run.
+/// statistics for every app. Each app is simulated once, as one task that
+/// generates its trace, so --jobs=1 keeps one trace resident at a time; the
+/// browser's time series comes from its summary run.
 
 #include <algorithm>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/scheme.hpp"
+#include "exp/bench_harness.hpp"
 #include "exp/report.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
@@ -40,13 +42,15 @@ RunOut run_dp(const Trace& trace) {
 
 }  // namespace
 
-int main() {
+static int run(ExperimentContext& ctx) {
   print_banner("E8", "Dynamic partition allocation trace");
   const std::uint64_t len = bench_trace_len();
 
   const std::vector<AppId> apps = interactive_apps();
-  std::vector<RunOut> runs;
-  for (AppId id : apps) runs.push_back(run_dp(generate_app_trace(id, len, 42)));
+  const std::vector<RunOut> runs =
+      SweepExecutor(ctx.flags.jobs).map(apps.size(), [&](std::size_t i) {
+        return run_dp(generate_app_trace(apps[i], len, 42));
+      });
 
   // Detailed time series for the phase-rich browser workload.
   const auto browser = std::find(apps.begin(), apps.end(), AppId::Browser);
@@ -86,5 +90,14 @@ int main() {
       "\nReading: the controller tracks phase changes (page-load vs idle "
       "demand), keeps the\ntwo segments sized to their current working "
       "sets, and powers the rest off.\n");
+
+  ctx.report.set_points(apps.size());
+  ctx.report.add_result("browser_reconfigs",
+                        static_cast<double>(b.history.size()));
+  ctx.report.add_result("browser_avg_enabled_bytes", b.avg_enabled);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_experiment("e8_dynamic_trace", argc, argv, run);
 }

@@ -3,10 +3,12 @@
 /// energy and execution time for every scheme over the interactive suite,
 /// plus the compute-bound controls as an appendix.
 ///
-/// `--jobs=N` / MOBCACHE_JOBS set the worker count; every (scheme × app)
-/// cell is keyed by its grid index, so every job count emits identical
-/// tables and JSON. BENCH_e9_headline.json records the wall time, records/s
-/// and the two headline designs' normalized geomeans.
+/// Every (scheme × app) cell is keyed by its grid index, so every job count
+/// emits identical tables and JSON, and every cell is memoized in a result
+/// store when one is selected. BENCH_e9_headline.json records the wall
+/// time, records/s and the two headline designs' normalized geomeans.
+
+#include <stdexcept>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -29,20 +31,19 @@ std::uint64_t records_of(const std::vector<SchemeSuiteResult>& grid) {
 
 }  // namespace
 
-static int run_bench(int argc, char** argv) {
-  const unsigned jobs = bench_jobs(argc, argv);
-  BenchReport bench("e9_headline", jobs);
+static int run(ExperimentContext& ctx) {
   print_banner("E9", "Headline comparison across all schemes");
   const std::uint64_t len = bench_trace_len();
 
   ExperimentRunner runner(interactive_apps(), len, 42);
-  runner.jobs = jobs;
+  ctx.configure(runner);
   const std::vector<SchemeSuiteResult> results = runner.run_headline();
 
   emit(headline_table(results), "e9_headline.csv");
-  if (write_experiment_json("E9", results, "e9_headline.json")) {
-    std::printf("[json] %s\n", results_path("e9_headline.json").c_str());
-  }
+  const std::string json_path = results_path("e9_headline.json");
+  if (!write_experiment_json("E9", results, "e9_headline.json"))
+    throw std::runtime_error("cannot write '" + json_path + "'");
+  std::printf("[json] %s\n", json_path.c_str());
 
   // Per-app normalized cache energy for the two headline designs.
   const SchemeSuiteResult& base = results[0];
@@ -74,7 +75,7 @@ static int run_bench(int argc, char** argv) {
 
   // Compute controls: partitioning must not hurt kernel-light workloads.
   ExperimentRunner compute({AppId::ComputeFft, AppId::ComputeMatmul}, len, 42);
-  compute.jobs = jobs;
+  ctx.configure(compute);
   std::vector<SchemeSuiteResult> cres = compute.run_schemes(
       {SchemeKind::BaselineSram, SchemeKind::StaticPartMrstt,
        SchemeKind::DynamicStt});
@@ -94,6 +95,7 @@ static int run_bench(int argc, char** argv) {
   const std::uint64_t cells =
       (results.size() * runner.apps().size()) +
       (cres.size() * compute.apps().size());
+  BenchReport& bench = ctx.report;
   bench.set_points(cells);
   const double wall_s = bench.wall_ms() / 1e3;
   const double records = static_cast<double>(records_of(results) +
@@ -104,11 +106,9 @@ static int run_bench(int argc, char** argv) {
   bench.add_result("spmrstt_norm_exec_time", mrstt.norm_exec_time);
   bench.add_result("dpstt_norm_cache_energy", dpstt.norm_cache_energy);
   bench.add_result("dpstt_norm_exec_time", dpstt.norm_exec_time);
-  bench.write();
   return 0;
 }
 
 int main(int argc, char** argv) {
-  return guarded_main("bench_e9_headline", /*install_signals=*/true, argc,
-                      argv, run_bench);
+  return run_experiment("e9_headline", argc, argv, run);
 }

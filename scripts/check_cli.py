@@ -21,11 +21,17 @@ what it timed: `jobs` 1 (every repetition runs on one thread) and `points`
 worker count and the number of timed accesses). mobcache_tracestat on a
 file that is not a trace exits 1 and names the reader's status, as simrun
 does (it used to print the same "missing/corrupt/inconsistent" for every
-failure).
+failure). The experiment binaries share simrun's sweep-flag rules through
+run_experiment: garbage in MOBCACHE_TRACE_LEN or --jobs exits 2 (E1 used to
+abort with 134 on the one and run on the other), `--store-dir=` exits 2
+(E3 used to run without a store), and an experiment that cannot write its
+results exits nonzero naming the path (E4 used to exit 0 having written
+nothing).
 
 Usage:
   check_cli.py --simrun PATH --tracegen PATH --tracestat PATH
-               --appcheck PATH --explorer PATH --micro PATH --workdir DIR
+               --appcheck PATH --explorer PATH --micro PATH
+               --e1 PATH --e3 PATH --e4 PATH --workdir DIR
 """
 
 import argparse
@@ -141,6 +147,9 @@ def main():
     ap.add_argument("--appcheck", required=True, type=pathlib.Path)
     ap.add_argument("--explorer", required=True, type=pathlib.Path)
     ap.add_argument("--micro", required=True, type=pathlib.Path)
+    ap.add_argument("--e1", required=True, type=pathlib.Path)
+    ap.add_argument("--e3", required=True, type=pathlib.Path)
+    ap.add_argument("--e4", required=True, type=pathlib.Path)
     ap.add_argument("--workdir", required=True, type=pathlib.Path)
     args = ap.parse_args()
 
@@ -216,6 +225,29 @@ def main():
               f"(wanted jobs=1, points=8: 4 cases x 1 rep x 2 kernels)")
     else:
         check("kernel report written", False, f"{report} missing")
+
+    # Experiment binaries: usage errors exit 2 before anything runs, and a
+    # results directory that cannot be created fails the run.
+    bench_env = dict(os.environ,
+                     MOBCACHE_RESULTS_DIR=str(args.workdir / "bench_results"))
+    expect_usage_error("MOBCACHE_TRACE_LEN=abc bench_e1", [args.e1],
+                       "MOBCACHE_TRACE_LEN: expected",
+                       dict(bench_env, MOBCACHE_TRACE_LEN="abc"))
+    expect_usage_error("bench_e1", [args.e1, "--jobs=abc"],
+                       "--jobs: expected", bench_env)
+    expect_usage_error("bench_e3", [args.e3, "--store-dir="],
+                       "--store-dir needs a path", bench_env)
+    blocker = args.workdir / "not_a_dir"
+    blocker.write_text("a regular file\n", encoding="utf-8")
+    unwritable = blocker / "results"
+    p = run([args.e4], dict(os.environ, MOBCACHE_TRACE_LEN="20000",
+                            MOBCACHE_RESULTS_DIR=str(unwritable)))
+    check(
+        "bench_e4 with an unwritable results directory fails naming it",
+        p.returncode != 0 and str(unwritable) in p.stderr,
+        f"rc={p.returncode} stderr={p.stderr.strip()!r} (wanted nonzero "
+        f"naming {unwritable})",
+    )
 
     if FAILURES:
         print(f"{len(FAILURES)} CLI contract check(s) failed", file=sys.stderr)

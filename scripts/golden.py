@@ -4,7 +4,16 @@ oracle trace length, compared byte for byte against tests/golden/.
 
   check <binary> [args...]    run the binary into a fresh temporary results
                               directory and require exactly the files under
-                              tests/golden/<binary name>/, byte for byte.
+                              tests/golden/<binary name>/, byte for byte,
+                              plus exactly one BENCH_<name>.json report
+                              (<name> = the binary name minus "bench_")
+                              that passes `check_bench.py validate`.
+  check --warm <binary> [args...]
+                              the same check twice, both runs against one
+                              fresh --store-dir; the second (warm) run's
+                              report must read result_store.misses == 0
+                              and hits > 0, so every cell was served from
+                              the store and still wrote the same bytes.
   update <binary> [args...]   run it the same way and rewrite that
                               directory with what it wrote.
 
@@ -15,10 +24,10 @@ MOBCACHE_REFERENCE_KERNEL, which by contract cannot change them: it selects
 the reference access kernel, and the ctests golden.e9.reference,
 golden.e5.reference and golden.e21.reference set it to hold that kernel to
 the same files. BENCH_*.json reports are left out
-because they carry wall time.
+of the byte comparison because they carry wall time.
 
 The files were written at --jobs=1. ctest (bench/CMakeLists.txt, tests
-golden.e1 ... golden.e22) runs the sweep benches at --jobs=4, so each run
+golden.e1 ... golden.e22) runs every experiment at --jobs=4, so each run
 also checks jobs=1 == jobs=N. Regenerate one experiment with e.g.
 
   python3 scripts/golden.py update build/bench/bench_e22_fleet \\
@@ -29,6 +38,7 @@ failed run, 2 on bad usage.
 """
 
 import difflib
+import json
 import os
 import shutil
 import subprocess
@@ -38,6 +48,8 @@ import tempfile
 ORACLE_TRACE_LEN = "120000"
 # Passed through to the run: switches kernels, never bytes.
 PASSTHROUGH = ("MOBCACHE_REFERENCE_KERNEL",)
+CHECK_BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "check_bench.py")
 GOLDEN_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests",
     "golden")
@@ -81,22 +93,79 @@ def first_difference(name, want, got):
     return "\n".join(diff[:12]) if diff else "(differs only in line endings)"
 
 
+def bench_report(binary, results_dir):
+    """The run's BENCH report as a dict, or None after printing why: the
+    run must write exactly one BENCH_*.json, named after the binary, and
+    it must pass check_bench.py validate."""
+    want = "BENCH_" + os.path.basename(binary).removeprefix("bench_") + ".json"
+    found = sorted(n for n in os.listdir(results_dir)
+                   if n.startswith("BENCH_") and n.endswith(".json"))
+    if found != [want]:
+        print(f"golden: FAIL: wanted exactly one report, {want}; the run "
+              f"wrote {found or 'none'}", file=sys.stderr)
+        return None
+    path = os.path.join(results_dir, want)
+    proc = subprocess.run([sys.executable, CHECK_BENCH, "validate", path],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def differences(want, got):
+    """One failure line per file missing, extra or differing in `got`."""
+    failures = []
+    for name in sorted(set(want) - set(got)):
+        failures.append(f"missing: {name} (golden has it, the run wrote none)")
+    for name in sorted(set(got) - set(want)):
+        failures.append(f"extra: {name} (the run wrote it, golden has none)")
+    for name in sorted(set(want) & set(got)):
+        if want[name] != got[name]:
+            failures.append(f"differs: {name}\n"
+                            + first_difference(name, want[name], got[name]))
+    return failures
+
+
 def main(argv):
     if len(argv) < 3 or argv[1] not in ("check", "update"):
         print(__doc__, file=sys.stderr)
         return 2
-    mode, binary, args = argv[1], argv[2], argv[3:]
+    mode, rest = argv[1], argv[2:]
+    warm = mode == "check" and rest[0] == "--warm"
+    if warm:
+        rest = rest[1:]
+    if not rest:
+        print(__doc__, file=sys.stderr)
+        return 2
+    binary, args = rest[0], rest[1:]
     golden_dir = os.path.join(GOLDEN_ROOT, os.path.basename(binary))
 
+    # One run, or a cold and a warm run against one store.
+    runs = []
     with tempfile.TemporaryDirectory(prefix="mobcache-golden-") as tmp:
-        got = run_binary(binary, args, tmp)
-    if got is None:
-        return 1
-    if not got:
-        print(f"golden: {binary} wrote no result files", file=sys.stderr)
-        return 1
+        if warm:
+            args = args + [f"--store-dir={os.path.join(tmp, 'store')}"]
+        for sub in ("cold", "warm") if warm else ("",):
+            results_dir = os.path.join(tmp, sub)
+            os.makedirs(results_dir, exist_ok=True)
+            got = run_binary(binary, args, results_dir)
+            if got is None:
+                return 1
+            if not got:
+                print(f"golden: {binary} wrote no result files",
+                      file=sys.stderr)
+                return 1
+            report = None
+            if mode == "check":
+                report = bench_report(binary, results_dir)
+                if report is None:
+                    return 1
+            runs.append((got, report))
 
     if mode == "update":
+        got = runs[0][0]
         shutil.rmtree(golden_dir, ignore_errors=True)
         for name, data in got.items():
             path = os.path.join(golden_dir, name)
@@ -111,19 +180,20 @@ def main(argv):
         return 1
     want = result_files(golden_dir)
     failures = []
-    for name in sorted(set(want) - set(got)):
-        failures.append(f"missing: {name} (golden has it, the run wrote none)")
-    for name in sorted(set(got) - set(want)):
-        failures.append(f"extra: {name} (the run wrote it, golden has none)")
-    for name in sorted(set(want) & set(got)):
-        if want[name] != got[name]:
-            failures.append(f"differs: {name}\n"
-                            + first_difference(name, want[name], got[name]))
+    for got, _ in runs:
+        failures += differences(want, got)
+    if warm:
+        store = runs[1][1]["result_store"]
+        if store["misses"] != 0 or store["hits"] == 0:
+            failures.append(f"warm run not served from the store: "
+                            f"result_store {store}")
     if failures:
         for f in failures:
             print(f"golden: FAIL: {f}", file=sys.stderr)
         return 1
-    print(f"golden: OK: {len(want)} file(s) byte-identical to {golden_dir}")
+    note = " (cold and warm)" if warm else ""
+    print(f"golden: OK: {len(want)} file(s) byte-identical to "
+          f"{golden_dir}{note}; report valid")
     return 0
 
 

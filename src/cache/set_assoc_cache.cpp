@@ -72,8 +72,7 @@ SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
   select_kernel();
 }
 
-void SetAssocCache::notify_eviction(std::size_t i, Cycle now) {
-  if (observers_.empty()) return;
+void SetAssocCache::emit_eviction(std::size_t i, Cycle now) {
   EvictionEvent e;
   e.line = tags_[i];
   e.owner = owner_at(i);

@@ -374,7 +374,12 @@ class SetAssocCache {
     deadline_[i] = 0;   // ... and the deadline-only expiry scan
   }
 
-  void notify_eviction(std::size_t i, Cycle now);
+  /// Reports the eviction of slot i to the observers. The empty test is
+  /// inline, so an array without observers pays no call per eviction.
+  void notify_eviction(std::size_t i, Cycle now) {
+    if (!observers_.empty()) emit_eviction(i, now);
+  }
+  void emit_eviction(std::size_t i, Cycle now);
 
   /// Retention period for a block being (re)written now; hooks may shorten
   /// or stretch the nominal class period per block.

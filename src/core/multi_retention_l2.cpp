@@ -30,6 +30,15 @@ void LifetimeRecorder::export_metrics(MetricRegistry& reg,
   }
 }
 
+void LifetimeRecorder::merge(const LifetimeRecorder& o) {
+  for (int m = 0; m < kModeCount; ++m) {
+    residency_[m].merge(o.residency_[m]);
+    liveness_[m].merge(o.liveness_[m]);
+    dead_[m].merge(o.dead_[m]);
+    reuse_[m].merge(o.reuse_[m]);
+  }
+}
+
 RetentionClass RetentionAdvisor::recommend(const Log2Histogram& liveness,
                                            double coverage) {
   for (RetentionClass r : {RetentionClass::Lo, RetentionClass::Mid}) {

@@ -57,6 +57,10 @@ class LifetimeRecorder {
   /// rest of a run's telemetry (obs/metrics.hpp).
   void export_metrics(MetricRegistry& reg, const std::string& prefix) const;
 
+  /// Adds `o`'s distributions to this recorder's, as if its evictions had
+  /// been observed here (Log2Histogram / RunningStat merges).
+  void merge(const LifetimeRecorder& o);
+
  private:
   std::array<Log2Histogram, kModeCount> residency_;
   std::array<Log2Histogram, kModeCount> liveness_;

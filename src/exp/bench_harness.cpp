@@ -7,83 +7,100 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
 
 #include "common/cancel.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "exp/parallel.hpp"
 #include "exp/report.hpp"
+#include "exp/runner.hpp"
 
 namespace mobcache {
 
 namespace {
 
-/// The value of the last `--name=VALUE` in argv; nullopt when absent.
-std::optional<std::string> flag_value(int argc, char** argv,
+/// The value of the last `--name=VALUE` in args; nullopt when absent.
+std::optional<std::string> last_value(const std::vector<std::string>& args,
                                       const char* name) {
-  const std::size_t len = std::strlen(name);
+  const std::string flag = std::string(name) + "=";
   std::optional<std::string> v;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=')
-      v = argv[i] + len + 1;
-  }
+  for (const std::string& a : args)
+    if (a.compare(0, flag.size(), flag) == 0) v = a.substr(flag.size());
   return v;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
 }
 
 }  // namespace
 
-std::uint64_t bench_flag_u64(int argc, char** argv, const char* name,
-                             std::uint64_t fallback, std::uint64_t min,
-                             std::uint64_t max) {
-  const std::optional<std::string> v = flag_value(argc, argv, name);
+std::optional<std::string> flag_value(const std::string& arg,
+                                      const char* flag, const char* what) {
+  const std::size_t len = std::strlen(flag);
+  if (arg.compare(0, len, flag) != 0) return std::nullopt;
+  if (arg.size() == len)
+    throw EnvError(std::string(flag, len - 1) + " needs " + what);
+  return arg.substr(len);
+}
+
+std::uint64_t bench_flag_u64(const std::vector<std::string>& args,
+                             const char* name, std::uint64_t fallback,
+                             std::uint64_t min, std::uint64_t max) {
+  const std::optional<std::string> v = last_value(args, name);
   return v ? parse_u64(name, *v, min, max) : fallback;
 }
 
-double bench_flag_double(int argc, char** argv, const char* name,
-                         double fallback) {
-  const std::optional<std::string> v = flag_value(argc, argv, name);
+double bench_flag_double(const std::vector<std::string>& args,
+                         const char* name, double fallback) {
+  const std::optional<std::string> v = last_value(args, name);
   return v ? parse_double(name, *v) : fallback;
 }
 
-unsigned bench_jobs(int argc, char** argv) {
-  // The range MOBCACHE_JOBS accepts; 0 keeps its meaning of "auto".
-  return effective_jobs(static_cast<unsigned>(
-      bench_flag_u64(argc, argv, "--jobs", 0, 0, 65536)));
-}
-
-std::unique_ptr<ResultStore> bench_result_store(int argc, char** argv) {
-  const std::optional<std::string> dir = flag_value(argc, argv, "--store-dir");
-  if (dir && !dir->empty()) return std::make_unique<ResultStore>(*dir);
-  if (auto store = ResultStore::from_env()) return store;
-  if (has_flag(argc, argv, "--resume"))
-    return std::make_unique<ResultStore>(results_path("result_store"));
-  return nullptr;
-}
-
-bool bench_keep_going(int argc, char** argv) {
-  return has_flag(argc, argv, "--keep-going");
-}
-
-bool bench_retry_failed(int argc, char** argv) {
-  return has_flag(argc, argv, "--retry-failed");
-}
-
-std::uint64_t bench_point_deadline_ms(int argc, char** argv) {
-  return bench_flag_u64(argc, argv, "--point-deadline-ms", 0);
-}
-
-std::vector<std::size_t> bench_fail_points(int argc, char** argv,
-                                           std::size_t points) {
-  std::vector<std::size_t> out;
+SweepFlags parse_sweep_flags(int argc, char** argv) {
+  SweepFlags f;
+  std::uint64_t jobs = 0;
+  bool resume = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--fail-points=", 14) != 0) continue;
-    const std::string list = argv[i] + 14;
+    std::string a = argv[i];
+    if (auto v = flag_value(a, "--jobs=", "a count")) {
+      // The range MOBCACHE_JOBS accepts; 0 keeps its meaning of "auto".
+      jobs = parse_u64("--jobs", *v, 0, 65536);
+    } else if (auto d = flag_value(a, "--store-dir=", "a path")) {
+      f.store_dir = std::move(*d);
+    } else if (auto ms = flag_value(a, "--point-deadline-ms=",
+                                    "a deadline")) {
+      f.point_deadline_ms = parse_u64("--point-deadline-ms", *ms);
+    } else if (a == "--resume") {
+      resume = true;
+    } else if (a == "--keep-going") {
+      f.keep_going = true;
+    } else if (a == "--retry-failed") {
+      f.retry_failed = true;
+    } else {
+      f.rest.push_back(std::move(a));
+    }
+  }
+  f.jobs = effective_jobs(static_cast<unsigned>(jobs));
+  if (f.store_dir.empty()) {
+    if (auto env = env_string("MOBCACHE_RESULT_STORE")) {
+      f.store_dir = std::move(*env);
+    } else if (resume) {
+      f.store_dir = results_path("result_store");
+    }
+  }
+  return f;
+}
+
+std::unique_ptr<ResultStore> SweepFlags::open_store() const {
+  if (store_dir.empty()) return nullptr;
+  auto store = std::make_unique<ResultStore>(store_dir);
+  store->set_retry_failed(retry_failed);
+  return store;
+}
+
+std::vector<std::size_t> SweepFlags::fail_points(std::size_t points) const {
+  std::vector<std::size_t> out;
+  for (const std::string& a : rest) {
+    if (a.rfind("--fail-points=", 0) != 0) continue;
+    const std::string list = a.substr(14);
     for (std::size_t start = 0;;) {
       const std::size_t comma = list.find(',', start);
       out.push_back(static_cast<std::size_t>(
@@ -107,7 +124,7 @@ void chaos_maybe_fail(const std::vector<std::size_t>& fail_points,
 }
 
 int guarded_main(const char* tool, bool install_signals, int argc, char** argv,
-                 int (*real_main)(int, char**)) {
+                 const std::function<int(int, char**)>& real_main) {
   if (install_signals) install_cancellation_handlers();
   try {
     return real_main(argc, argv);
@@ -134,15 +151,14 @@ std::uint64_t peak_rss_bytes() {
 #endif
 }
 
-bool write_json_results(const JsonWriter& w, const std::string& filename) {
+void write_json_results(const JsonWriter& w, const std::string& filename) {
   const std::string path = results_path(filename);
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
   std::ofstream f(path, std::ios::trunc);
-  if (!f) return false;
-  f << w.str() << '\n';
-  return static_cast<bool>(f);
+  if (f) f << w.str() << '\n';
+  if (!f) throw std::runtime_error("cannot write '" + path + "'");
 }
 
 BenchReport::BenchReport(std::string name, unsigned jobs)
@@ -172,7 +188,7 @@ double BenchReport::wall_ms() const {
   return std::chrono::duration<double, std::milli>(dt).count();
 }
 
-bool BenchReport::write() {
+void BenchReport::write() {
   const double ms = wall_ms();
   JsonWriter w;
   w.begin_object();
@@ -232,15 +248,34 @@ bool BenchReport::write() {
   w.end_object();
 
   const std::string filename = "BENCH_" + name_ + ".json";
-  const bool ok = write_json_results(w, filename);
-  if (ok) {
-    std::printf("[bench] %s (jobs=%u, %.0f ms, %.2f points/s)\n",
-                results_path(filename).c_str(), jobs_, ms,
-                ms > 0.0 ? static_cast<double>(points_) * 1e3 / ms : 0.0);
-  } else {
-    std::printf("[bench] failed to write %s\n", results_path(filename).c_str());
-  }
-  return ok;
+  write_json_results(w, filename);
+  std::printf("[bench] %s (jobs=%u, %.0f ms, %.2f points/s)\n",
+              results_path(filename).c_str(), jobs_, ms,
+              ms > 0.0 ? static_cast<double>(points_) * 1e3 / ms : 0.0);
+}
+
+ExperimentContext::ExperimentContext(std::string name, SweepFlags f)
+    : flags(std::move(f)),
+      store(flags.open_store()),
+      report(std::move(name), flags.jobs) {}
+
+void ExperimentContext::configure(ExperimentRunner& runner) const {
+  runner.jobs = flags.jobs;
+  runner.result_store = store.get();
+  runner.sim_options.point_deadline_ms = flags.point_deadline_ms;
+}
+
+int run_experiment(const char* name, int argc, char** argv,
+                   int (*body)(ExperimentContext&)) {
+  const std::string tool = std::string("bench_") + name;
+  return guarded_main(tool.c_str(), /*install_signals=*/true, argc, argv,
+                      [&](int ac, char** av) {
+    ExperimentContext ctx(name, parse_sweep_flags(ac, av));
+    const int code = body(ctx);
+    if (ctx.store) ctx.report.set_store_stats(ctx.store->stats());
+    ctx.report.write();
+    return code;
+  });
 }
 
 }  // namespace mobcache

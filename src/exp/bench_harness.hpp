@@ -1,13 +1,16 @@
 #pragma once
 /// \file bench_harness.hpp
-/// Shared CLI + perf-report plumbing for the bench binaries: --jobs parsing
-/// (with the MOBCACHE_JOBS environment override) and the machine-readable
-/// BENCH_<name>.json consumed by CI's perf-regression gate
+/// The experiment binaries' one entry point, run_experiment(), and the CLI
+/// and report plumbing it shares with the tools: the sweep flags (also
+/// parsed by mobcache_simrun), guarded_main's exit-code contract, and the
+/// machine-readable BENCH_<name>.json consumed by CI's perf-regression gate
 /// (scripts/check_bench.py, docs/PARALLELISM.md).
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,47 +21,64 @@
 
 namespace mobcache {
 
-/// Checked numeric flags: the value of the last `--name=VALUE` in argv,
-/// parsed by parse_u64 / parse_double (common/env.hpp), or `fallback` when
-/// the flag is absent. Garbage, an empty value or an out-of-range value
-/// throws EnvError naming the flag (exit 2 under guarded_main).
-std::uint64_t bench_flag_u64(int argc, char** argv, const char* name,
-                             std::uint64_t fallback, std::uint64_t min = 0,
+class ExperimentRunner;
+
+/// The value of `arg` when it is the `=`-flag `flag` ("--name="), else
+/// nullopt. An empty value throws EnvError("--name needs <what>"), exit 2
+/// under guarded_main: a `--metrics=` that silently fell back to a default
+/// would hide a truncated shell variable.
+std::optional<std::string> flag_value(const std::string& arg,
+                                      const char* flag, const char* what);
+
+/// Checked numeric flags over `args` (argv without the program name, or
+/// SweepFlags::rest): the value of the last `--name=VALUE`, parsed by
+/// parse_u64 / parse_double (common/env.hpp), or `fallback` when the flag is
+/// absent. Garbage, an empty value or an out-of-range value throws EnvError
+/// naming the flag (exit 2 under guarded_main).
+std::uint64_t bench_flag_u64(const std::vector<std::string>& args,
+                             const char* name, std::uint64_t fallback,
+                             std::uint64_t min = 0,
                              std::uint64_t max = UINT64_MAX);
-double bench_flag_double(int argc, char** argv, const char* name,
-                         double fallback);
+double bench_flag_double(const std::vector<std::string>& args,
+                         const char* name, double fallback);
 
-/// Worker count for a bench binary: --jobs=N from argv when present (0 =
-/// auto), else effective_jobs(0) (MOBCACHE_JOBS, then hardware
-/// concurrency). Other arguments are left alone so benches stay forgiving
-/// about extra flags.
-unsigned bench_jobs(int argc, char** argv);
-
-/// Resumable-sweep opt-in shared by the bench binaries (and simrun):
-///   --store-dir=PATH   open (or create) the result store at PATH
-///   --resume           open the default store: MOBCACHE_RESULT_STORE when
-///                      set, else results_path("result_store")
+/// The sweep flags of every experiment binary and of mobcache_simrun:
+///   --jobs=N               worker threads (0 = auto: MOBCACHE_JOBS, then
+///                          hardware concurrency; the default)
+///   --store-dir=PATH       open (or create) the result store at PATH
+///   --resume               open the default store: MOBCACHE_RESULT_STORE
+///                          when set, else results_path("result_store")
 ///   MOBCACHE_RESULT_STORE=PATH   same as --store-dir=PATH, no flag needed
-/// Returns null when none of the three are present (sweeps recompute
-/// everything, exactly as before).
-std::unique_ptr<ResultStore> bench_result_store(int argc, char** argv);
-
-/// Fault-supervision CLI shared by sweep binaries (docs/RELIABILITY.md):
 ///   --keep-going           failing points become manifest entries instead
 ///                          of aborting the sweep
-///   --retry-failed         ignore poison records — quarantined points re-run
+///   --retry-failed         ignore poison records: quarantined points re-run
 ///   --point-deadline-ms=N  per-point wall-clock budget (0 = off)
-///   --fail-points=i,j,...  chaos injection: those point indices throw
-///                          NumericError before simulating (testing/CI only)
-/// bench_fail_points checks every index against the sweep's `points` (>= 1):
-/// an element that is not a plain decimal in [0, points - 1] — empty, signed,
-/// padded, overflowing or past the last point — throws EnvError naming
-/// --fail-points (exit 2 under guarded_main).
-bool bench_keep_going(int argc, char** argv);
-bool bench_retry_failed(int argc, char** argv);
-std::uint64_t bench_point_deadline_ms(int argc, char** argv);
-std::vector<std::size_t> bench_fail_points(int argc, char** argv,
-                                           std::size_t points);
+struct SweepFlags {
+  unsigned jobs = 1;  ///< --jobs resolved through effective_jobs()
+  /// The selected store: --store-dir, else MOBCACHE_RESULT_STORE, else
+  /// --resume's default; empty when none is selected.
+  std::string store_dir;
+  bool keep_going = false;
+  bool retry_failed = false;
+  std::uint64_t point_deadline_ms = 0;
+  std::vector<std::string> rest;  ///< every other argument, in argv order
+
+  /// The store at store_dir with retry_failed applied; null when none is
+  /// selected (sweeps recompute everything).
+  std::unique_ptr<ResultStore> open_store() const;
+
+  /// --fail-points=i,j,... in `rest`: chaos injection, those point indices
+  /// throw NumericError before simulating (testing/CI only). An element
+  /// that is not a plain decimal in [0, points - 1] throws EnvError naming
+  /// --fail-points.
+  std::vector<std::size_t> fail_points(std::size_t points) const;
+};
+
+/// Parses the sweep flags out of argv. An empty value ("--store-dir=")
+/// throws EnvError("--store-dir needs a path") and a malformed number
+/// ("--jobs=abc") parse_u64's EnvError: exit 2 under guarded_main. Other
+/// arguments go to `rest` unread.
+SweepFlags parse_sweep_flags(int argc, char** argv);
 
 /// The --fail-points hook: throws NumericError("injected chaos fault") when
 /// `index` is in `fail_points`. Pass it as run_designs_outcomes'
@@ -73,11 +93,12 @@ void chaos_maybe_fail(const std::vector<std::size_t>& fail_points,
 /// any escaping exception to a one-line stderr diagnostic plus its
 /// documented exit code (exit_code_for; cancellation exits 75, resumable).
 int guarded_main(const char* tool, bool install_signals, int argc, char** argv,
-                 int (*real_main)(int, char**));
+                 const std::function<int(int, char**)>& real_main);
 
 /// Writes a finished JsonWriter document under the results directory
-/// (results_path(filename)); returns success.
-bool write_json_results(const JsonWriter& w, const std::string& filename);
+/// (results_path(filename)). A file that cannot be written throws
+/// std::runtime_error naming its path (exit 5 under guarded_main).
+void write_json_results(const JsonWriter& w, const std::string& filename);
 
 /// Peak resident set size of this process so far, in bytes (getrusage
 /// max_rss). Every BENCH_*.json records it — the E22 fleet gate compares it
@@ -128,9 +149,9 @@ class BenchReport {
 
   double wall_ms() const;
 
-  /// Stops the clock and writes BENCH_<name>.json; returns success and
-  /// prints the path (mirrors emit()'s [csv] line).
-  bool write();
+  /// Stops the clock, writes BENCH_<name>.json and prints its path (mirrors
+  /// emit()'s [csv] line); throws as write_json_results() does.
+  void write();
 
  private:
   struct ManifestEntry {
@@ -149,5 +170,30 @@ class BenchReport {
   ResultStoreStats store_stats_;
   std::chrono::steady_clock::time_point start_;
 };
+
+/// What run_experiment() hands an experiment.
+struct ExperimentContext {
+  ExperimentContext(std::string name, SweepFlags f);
+
+  const SweepFlags flags;
+  const std::unique_ptr<ResultStore> store;  ///< null when none is selected
+  /// The experiment sets its points and headline results; run_experiment()
+  /// adds the store counters and writes it.
+  BenchReport report;
+
+  /// Gives `runner` the flags' jobs and point deadline and the store.
+  void configure(ExperimentRunner& runner) const;
+};
+
+/// The whole main of every experiment binary (bench/bench_eN_*.cpp):
+///   int main(int argc, char** argv) {
+///     return run_experiment("e3_static_sweep", argc, argv, run);
+///   }
+/// Under guarded_main("bench_<name>") with the cancellation handlers on, it
+/// parses the sweep flags, opens the store they select, runs `body`, then
+/// writes results_path("BENCH_<name>.json") with the store's counters and
+/// returns body's exit code.
+int run_experiment(const char* name, int argc, char** argv,
+                   int (*body)(ExperimentContext&));
 
 }  // namespace mobcache

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "common/stats.hpp"
 
@@ -46,11 +47,9 @@ TablePrinter headline_table(const std::vector<SchemeSuiteResult>& results) {
 void emit(const TablePrinter& table, const std::string& csv_name) {
   table.print();
   const std::string path = results_path(csv_name);
-  if (table.write_csv(path)) {
-    std::cout << "[csv] " << path << "\n";
-  } else {
-    std::cout << "[csv] failed to write " << path << "\n";
-  }
+  if (!table.write_csv(path))
+    throw std::runtime_error("cannot write '" + path + "'");
+  std::cout << "[csv] " << path << "\n";
 }
 
 }  // namespace mobcache

@@ -23,7 +23,9 @@ std::string results_path(const std::string& filename);
 /// execution time.
 TablePrinter headline_table(const std::vector<SchemeSuiteResult>& results);
 
-/// Prints a table and also writes it as CSV; reports the CSV path.
+/// Prints a table and also writes it as CSV; reports the CSV path. A CSV
+/// that cannot be written throws std::runtime_error naming its path (exit 5
+/// under guarded_main).
 void emit(const TablePrinter& table, const std::string& csv_name);
 
 }  // namespace mobcache

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "common/atomic_file.hpp"
-#include "common/env.hpp"
 #include "common/flat_json.hpp"
 #include "common/json_writer.hpp"
 #include "energy/technology.hpp"
@@ -417,12 +416,6 @@ ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
                              dir_ + "'");
   }
   load_existing();
-}
-
-std::unique_ptr<ResultStore> ResultStore::from_env() {
-  if (const auto dir = env_string("MOBCACHE_RESULT_STORE"))
-    return std::make_unique<ResultStore>(*dir);
-  return nullptr;
 }
 
 void ResultStore::load_existing() {

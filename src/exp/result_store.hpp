@@ -102,9 +102,6 @@ class ResultStore {
   /// Throws std::runtime_error when the directory cannot be created.
   explicit ResultStore(std::string dir);
 
-  /// The store named by MOBCACHE_RESULT_STORE, or null when unset.
-  static std::unique_ptr<ResultStore> from_env();
-
   /// Returns the stored result and counts a hit; nullopt counts a miss.
   std::optional<SimResult> lookup(std::uint64_t key);
 

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/bench_harness.hpp"
+#include "exp/report.hpp"
 
 namespace mobcache {
 namespace {
@@ -157,13 +159,18 @@ TEST(ParseU64, ErrorNamesTheFlagAndTheText) {
   }
 }
 
-/// bench_fail_points over argv = {prog, "--fail-points=<list>"}.
+/// parse_sweep_flags over argv = {prog, args...}.
+SweepFlags sweep_flags(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return parse_sweep_flags(static_cast<int>(argv.size()), argv.data());
+}
+
+/// The fail points of argv = {prog, "--fail-points=<list>"}.
 std::vector<std::size_t> fail_points(const std::string& list,
                                      std::size_t points) {
-  std::string prog = "bench";
-  std::string arg = "--fail-points=" + list;
-  char* argv[] = {prog.data(), arg.data()};
-  return bench_fail_points(2, argv, points);
+  return sweep_flags({"--fail-points=" + list}).fail_points(points);
 }
 
 TEST(ParseU64, FailPointsAreIndicesBelowThePointCount) {
@@ -178,6 +185,43 @@ TEST(ParseU64, FailPointsAreIndicesBelowThePointCount) {
     } catch (const EnvError& err) {
       EXPECT_NE(std::string(err.what()).find("--fail-points: expected"),
                 std::string::npos)
+          << err.what();
+    }
+  }
+}
+
+TEST(SweepFlags, ParsesTheSixFlagsAndKeepsTheRest) {
+  ScopedEnv no_store("MOBCACHE_RESULT_STORE", nullptr);
+  const SweepFlags f =
+      sweep_flags({"--jobs=3", "--sessions=5", "--store-dir=s", "--resume",
+                   "--keep-going", "--retry-failed", "--point-deadline-ms=7",
+                   "pos"});
+  EXPECT_EQ(f.jobs, 3u);
+  EXPECT_EQ(f.store_dir, "s");
+  EXPECT_TRUE(f.keep_going && f.retry_failed);
+  EXPECT_EQ(f.point_deadline_ms, 7u);
+  EXPECT_EQ(f.rest, (std::vector<std::string>{"--sessions=5", "pos"}));
+  EXPECT_EQ(sweep_flags({"--resume"}).store_dir,
+            results_path("result_store"));
+  EXPECT_EQ(sweep_flags({}).store_dir, "");
+  ScopedEnv env_store("MOBCACHE_RESULT_STORE", "e");
+  EXPECT_EQ(sweep_flags({"--resume"}).store_dir, "e");
+  EXPECT_EQ(sweep_flags({"--store-dir=s"}).store_dir, "s");
+}
+
+TEST(SweepFlags, EmptyOrMalformedValuesAreUsageErrors) {
+  for (const auto& [arg, needle] :
+       {std::pair{"--jobs=", "--jobs needs a count"},
+        std::pair{"--store-dir=", "--store-dir needs a path"},
+        std::pair{"--point-deadline-ms=", "--point-deadline-ms needs"},
+        std::pair{"--jobs=abc", "--jobs: expected"},
+        std::pair{"--jobs=65537", "--jobs: expected"},
+        std::pair{"--point-deadline-ms=-1", "--point-deadline-ms: expected"}}) {
+    try {
+      sweep_flags({arg});
+      ADD_FAILURE() << "accepted '" << arg << "'";
+    } catch (const EnvError& err) {
+      EXPECT_NE(std::string(err.what()).find(needle), std::string::npos)
           << err.what();
     }
   }

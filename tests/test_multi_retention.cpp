@@ -48,6 +48,34 @@ TEST(LifetimeRecorder, HandlesDegenerateTimestamps) {
   EXPECT_LE(rec.residency(Mode::User).quantile_upper_bound(1.0), 1u);
 }
 
+TEST(LifetimeRecorder, MergeEqualsRecordingBothStreams) {
+  const EvictionEvent a[] = {event(Mode::User, 100, 900, 1000, false, 5),
+                             event(Mode::Kernel, 100, 150, 200, true, 2)};
+  const EvictionEvent b[] = {event(Mode::User, 0, 30'000, 70'000, true, 9),
+                             event(Mode::Kernel, 50, 60, 4'000, false, 1),
+                             event(Mode::User, 10, 20, 30, false, 3)};
+  LifetimeRecorder both, first, second;
+  for (const EvictionEvent& e : a) {
+    both.on_eviction(e);
+    first.on_eviction(e);
+  }
+  for (const EvictionEvent& e : b) {
+    both.on_eviction(e);
+    second.on_eviction(e);
+  }
+  first.merge(second);
+  for (Mode m : {Mode::User, Mode::Kernel}) {
+    EXPECT_EQ(first.residency(m).buckets(), both.residency(m).buckets());
+    EXPECT_EQ(first.liveness(m).buckets(), both.liveness(m).buckets());
+    EXPECT_EQ(first.dead_time(m).buckets(), both.dead_time(m).buckets());
+    EXPECT_EQ(first.events(m), both.events(m));
+    EXPECT_EQ(first.liveness(m).quantile_upper_bound(1.0),
+              both.liveness(m).quantile_upper_bound(1.0));
+    EXPECT_EQ(first.reuse(m).count(), both.reuse(m).count());
+    EXPECT_DOUBLE_EQ(first.reuse(m).mean(), both.reuse(m).mean());
+  }
+}
+
 TEST(RetentionAdvisor, ShortLivedBlocksGetLowRetention) {
   Log2Histogram liveness;
   // Everything lives ~1 ms ≪ 10 ms LO retention.

@@ -169,13 +169,9 @@ struct CliFlags {
   std::uint64_t fault_seed = 1;
   std::uint32_t way_disable_threshold = 0;
   std::vector<double> sweep_rates;
-  unsigned jobs = 0;  ///< 0 = auto (MOBCACHE_JOBS, then hw concurrency)
-  /// --store-dir / --resume are parsed here for validation but resolved by
-  /// bench_result_store(argc, argv), the shared precedence logic.
-  bool want_store = false;
-  bool keep_going = false;
-  bool retry_failed = false;
-  std::uint64_t point_deadline_ms = 0;
+  /// --jobs, --store-dir, --resume, --keep-going, --retry-failed and
+  /// --point-deadline-ms, parsed as every experiment binary parses them.
+  SweepFlags sweep;
 
   bool telemetry_needed() const {
     return !trace_out.empty() || want_metrics || sample_interval != 0;
@@ -187,41 +183,17 @@ struct CliFlags {
   }
 };
 
-/// Value of an `--name=value` flag. An empty value is a hard usage error for
-/// every `=`-flag: `--metrics=` silently falling back to the stdout table
-/// (or `--trace-out=` writing nowhere) hides a truncated shell variable.
-/// `flag` includes the trailing '='; `what` names the expected value.
-std::string require_flag_value(const std::string& a, const char* flag,
-                               const char* what) {
-  std::string v = a.substr(std::strlen(flag));
-  if (v.empty()) {
-    std::fprintf(stderr, "%.*s needs %s\n",
-                 static_cast<int>(std::strlen(flag) - 1), flag, what);
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Checked numeric `--name=value` flag: an empty value is the usage error
-/// above; garbage or an out-of-range value throws EnvError naming the flag
-/// (exit 2 under guarded_main).
-std::uint64_t u64_flag(const std::string& a, const char* flag,
-                       const char* what, std::uint64_t max = UINT64_MAX) {
-  return parse_u64(std::string(flag, std::strlen(flag) - 1),
-                   require_flag_value(a, flag, what), 0, max);
-}
-
 /// Consumes --flags from (argc, argv); returns remaining positional args.
+/// Every `=`-flag is read through flag_value (exp/bench_harness.hpp), so an
+/// empty value is a usage error.
 std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
+  f.sweep = parse_sweep_flags(argc, argv);
   std::vector<std::string> positional;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
+  for (const std::string& a : f.sweep.rest) {
     if (a.rfind("--", 0) != 0) {
       positional.push_back(a);
-      continue;
-    }
-    if (a.rfind("--trace-out=", 0) == 0) {
-      std::string spec = require_flag_value(a, "--trace-out=", "a path");
+    } else if (auto out = flag_value(a, "--trace-out=", "a path")) {
+      std::string spec = std::move(*out);
       const std::size_t comma = spec.rfind(',');
       bool format_given = false;
       if (comma != std::string::npos) {
@@ -239,51 +211,33 @@ std::vector<std::string> parse_flags(int argc, char** argv, CliFlags& f) {
       f.trace_out = std::move(spec);
     } else if (a == "--metrics") {
       f.want_metrics = true;
-    } else if (a.rfind("--metrics=", 0) == 0) {
+    } else if (auto path = flag_value(a, "--metrics=", "a path")) {
       f.want_metrics = true;
-      f.metrics_out = require_flag_value(a, "--metrics=", "a path");
-    } else if (a.rfind("--sample=", 0) == 0) {
-      f.sample_interval = u64_flag(a, "--sample=", "an interval");
+      f.metrics_out = std::move(*path);
+    } else if (auto n = flag_value(a, "--sample=", "an interval")) {
+      f.sample_interval = parse_u64("--sample", *n);
     } else if (a == "--trace-evictions") {
       f.trace_evictions = true;
-    } else if (a.rfind("--fault-rate=", 0) == 0) {
-      f.fault_rate = parse_double(
-          "--fault-rate", require_flag_value(a, "--fault-rate=", "a rate"),
-          0.0, 1.0);
-    } else if (a.rfind("--ecc=", 0) == 0) {
-      const std::string kind = require_flag_value(a, "--ecc=", "a kind");
-      if (auto k = parse_ecc_kind(kind)) {
+    } else if (auto rate = flag_value(a, "--fault-rate=", "a rate")) {
+      f.fault_rate = parse_double("--fault-rate", *rate, 0.0, 1.0);
+    } else if (auto kind = flag_value(a, "--ecc=", "a kind")) {
+      if (auto k = parse_ecc_kind(*kind)) {
         f.ecc = *k;
       } else {
         std::fprintf(stderr,
                      "unknown --ecc '%s' (none|parity|secded|dected)\n",
-                     kind.c_str());
+                     kind->c_str());
         std::exit(2);
       }
-    } else if (a.rfind("--fault-seed=", 0) == 0) {
-      f.fault_seed = u64_flag(a, "--fault-seed=", "a seed");
-    } else if (a.rfind("--way-disable-threshold=", 0) == 0) {
+    } else if (auto seed = flag_value(a, "--fault-seed=", "a seed")) {
+      f.fault_seed = parse_u64("--fault-seed", *seed);
+    } else if (auto t = flag_value(a, "--way-disable-threshold=", "a count")) {
       f.way_disable_threshold = static_cast<std::uint32_t>(
-          u64_flag(a, "--way-disable-threshold=", "a count", UINT32_MAX));
-    } else if (a.rfind("--fault-sweep=", 0) == 0) {
-      for (const std::string& r : split_commas(
-               require_flag_value(a, "--fault-sweep=", "at least one rate"))) {
+          parse_u64("--way-disable-threshold", *t, 0, UINT32_MAX));
+    } else if (auto rates =
+                   flag_value(a, "--fault-sweep=", "at least one rate")) {
+      for (const std::string& r : split_commas(*rates))
         f.sweep_rates.push_back(parse_double("--fault-sweep", r, 0.0, 1.0));
-      }
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      // The range MOBCACHE_JOBS accepts; 0 keeps its meaning of "auto".
-      f.jobs = static_cast<unsigned>(u64_flag(a, "--jobs=", "a count", 65536));
-    } else if (a.rfind("--store-dir=", 0) == 0) {
-      require_flag_value(a, "--store-dir=", "a path");
-      f.want_store = true;
-    } else if (a == "--resume") {
-      f.want_store = true;
-    } else if (a == "--keep-going") {
-      f.keep_going = true;
-    } else if (a == "--retry-failed") {
-      f.retry_failed = true;
-    } else if (a.rfind("--point-deadline-ms=", 0) == 0) {
-      f.point_deadline_ms = u64_flag(a, "--point-deadline-ms=", "a deadline");
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
       std::exit(2);
@@ -335,9 +289,9 @@ void print_metrics_table(const MetricRegistry& reg) {
 int run_sweep_mode(const CliFlags& flags, std::vector<Trace> traces,
                    const std::vector<SchemeKind>& kinds, ResultStore* store) {
   ExperimentRunner runner(std::move(traces));
-  runner.jobs = effective_jobs(flags.jobs);
+  runner.jobs = flags.sweep.jobs;
   runner.result_store = store;
-  runner.sim_options.point_deadline_ms = flags.point_deadline_ms;
+  runner.sim_options.point_deadline_ms = flags.sweep.point_deadline_ms;
   SchemeParams tmpl;
   tmpl.fault = flags.fault_config(0.0);
   tmpl.fault.ecc = flags.ecc;
@@ -405,8 +359,7 @@ static int tool_main(int argc, char** argv) {
     return 2;
   }
 
-  const std::unique_ptr<ResultStore> store = bench_result_store(argc, argv);
-  if (store) store->set_retry_failed(flags.retry_failed);
+  const std::unique_ptr<ResultStore> store = flags.sweep.open_store();
 
   if (!flags.sweep_rates.empty())
     return run_sweep_mode(flags, std::move(traces), kinds, store.get());
@@ -460,7 +413,7 @@ static int tool_main(int argc, char** argv) {
     std::optional<SimResult> base;
     for (SchemeKind k : kinds) {
       SimOptions opts;
-      opts.point_deadline_ms = flags.point_deadline_ms;
+      opts.point_deadline_ms = flags.sweep.point_deadline_ms;
       SimResult r;
       bool cached_hit = false;
       std::uint64_t key = 0;
@@ -474,7 +427,7 @@ static int tool_main(int argc, char** argv) {
         if (std::optional<SimResult> cached = store->lookup(key)) {
           r = std::move(*cached);
           cached_hit = true;
-        } else if (flags.keep_going) {
+        } else if (flags.sweep.keep_going) {
           if (std::optional<StoredFailure> poisoned =
                   store->lookup_failure(key)) {
             std::fprintf(stderr,
@@ -497,7 +450,7 @@ static int tool_main(int argc, char** argv) {
           if (!flags.trace_out.empty()) sink.attach(tel);
           opts.telemetry = &tel;
         }
-        if (flags.keep_going) {
+        if (flags.sweep.keep_going) {
           try {
             r = simulate(trace, build_scheme(k, params), opts);
             validate_sim_result_finite(r);
