@@ -4,8 +4,9 @@
 /// mergeable fleet statistics (docs/EXPERIMENTS.md). Sessions never
 /// materialize — ScenarioStream chunks feed simulate(TraceStream&) directly,
 /// so peak RSS is bounded by jobs · O(chunk) regardless of the session
-/// count. CI's fleet-gate holds this binary to a sessions/s floor and a
-/// peak-RSS ceiling (scripts/check_bench.py rss-gate).
+/// count. ctest contract.fleet-memory holds this binary to a peak-RSS
+/// ceiling (scripts/contracts.py, check_bench.py rss-gate), and CI's
+/// perf-smoke job to a sessions/s floor.
 ///
 /// Flags (on top of the sweep flags):
 ///   --sessions=N          fleet size (default 10000)
@@ -127,7 +128,8 @@ static int run(ExperimentContext& ctx) {
   add_metric_results(bench, "total_energy_nj", fleet.acc.total_energy_nj);
   add_metric_results(bench, "cpi", fleet.acc.cpi);
 
-  // In-binary CI gates (CI passes the floors; local runs skip them).
+  // In-binary gates (the fleet contract passes the RSS ceiling, CI's
+  // perf-smoke the sessions/s floor; plain runs skip them).
   if (min_rate > 0.0 && sessions_per_s < min_rate) {
     std::fprintf(stderr,
                  "bench_e22_fleet: FAIL: %.1f sessions/s below the %.1f "

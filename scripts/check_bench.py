@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Validate BENCH_*.json perf reports and gate determinism + speedup in CI.
+"""Validate BENCH_*.json perf reports and gate determinism, speedup and
+memory.
 
 A BENCH report (src/exp/bench_harness.hpp) splits into timing fields that
 vary run to run (jobs, wall_ms, points_per_sec) and a "results" object that
@@ -26,21 +27,12 @@ halves:
                             from bench_micro --kernel-report) are compared
                             with relative tolerance R instead of exactly;
                             all other keys stay exact.
-  identical A B             byte-for-byte file comparison — for the
-                            deterministic result artifacts (CSV / result
-                            JSON) emitted by a --jobs=1 vs --jobs=N run.
   rss-gate SMALL LARGE      the constant-memory gate for streaming sweeps
                             (docs/SWEEP_ENGINE.md): LARGE ran many times the
                             sessions of SMALL, yet its peak_rss_bytes must
                             stay within --max-ratio (default 2.0) of SMALL's.
                             A ratio tracking the session count means a
                             session was materialized somewhere.
-  store-gate WARM           the warm-run report of a resumable sweep
-                            (docs/RESULT_STORE.md): asserts the result
-                            store served >= --min-hit-rate (default 0.9)
-                            of its lookups and skipped no corrupt
-                            records. Run the bench twice against the same
-                            --store-dir and gate the second report.
 
 Exits 0 with a one-line summary per check; exits 1 with the first failure.
 """
@@ -232,20 +224,6 @@ def compare(serial_path, parallel_path, min_speedup, rel_tol):
              f"{min_speedup:.2f}x")
 
 
-def identical(path_a, path_b):
-    try:
-        with open(path_a, "rb") as f:
-            a = f.read()
-        with open(path_b, "rb") as f:
-            b = f.read()
-    except OSError as e:
-        fail(str(e))
-    if a != b:
-        fail(f"{path_a} and {path_b} differ — parallel output is not "
-             f"byte-identical to serial")
-    print(f"check_bench: OK: {path_a} == {path_b} ({len(a)} bytes)")
-
-
 def rss_gate(small_path, large_path, max_ratio):
     small = load_report(small_path)
     large = load_report(large_path)
@@ -272,28 +250,6 @@ def rss_gate(small_path, large_path, max_ratio):
           f"limit {max_ratio:.2f}x)")
 
 
-def store_gate(path, min_hit_rate):
-    doc = load_report(path)
-    store = doc["result_store"]
-    hits, misses = store["hits"], store["misses"]
-    lookups = hits + misses
-    if lookups == 0:
-        fail(f"{path}: no store lookups recorded — was the bench run "
-             f"without --store-dir?")
-    if store["corrupt_skipped"] != 0:
-        fail(f"{path}: {store['corrupt_skipped']} corrupt store records "
-             f"skipped — the warm store should be pristine")
-    hit_rate = hits / lookups
-    if hit_rate < min_hit_rate:
-        fail(f"{doc['bench']}: warm-run store hit rate {hit_rate:.1%} "
-             f"({hits}/{lookups}) below required {min_hit_rate:.0%} — "
-             f"the resume path re-simulated points it should have served "
-             f"from the store")
-    print(f"check_bench: OK: {doc['bench']} warm run served "
-          f"{hit_rate:.1%} of lookups from the result store "
-          f"({hits}/{lookups}, {store['loaded']} records loaded)")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,20 +270,11 @@ def main():
         help="relative tolerance for results keys under the 'timing/' "
              "prefix; other keys remain exact")
 
-    p_identical = sub.add_parser("identical", help="byte-compare two files")
-    p_identical.add_argument("a")
-    p_identical.add_argument("b")
-
     p_rss = sub.add_parser("rss-gate",
                            help="constant-memory gate across session counts")
     p_rss.add_argument("small")
     p_rss.add_argument("large")
     p_rss.add_argument("--max-ratio", type=float, default=2.0)
-
-    p_store = sub.add_parser("store-gate",
-                             help="warm-run result-store hit-rate gate")
-    p_store.add_argument("warm")
-    p_store.add_argument("--min-hit-rate", type=float, default=0.9)
 
     args = parser.parse_args()
     if args.command == "validate":
@@ -335,12 +282,8 @@ def main():
             validate(path, args.allow_failures)
     elif args.command == "compare":
         compare(args.serial, args.parallel, args.min_speedup, args.rel_tol)
-    elif args.command == "identical":
-        identical(args.a, args.b)
-    elif args.command == "rss-gate":
-        rss_gate(args.small, args.large, args.max_ratio)
     else:
-        store_gate(args.warm, args.min_hit_rate)
+        rss_gate(args.small, args.large, args.max_ratio)
 
 
 if __name__ == "__main__":

@@ -21,12 +21,17 @@ what it timed: `jobs` 1 (every repetition runs on one thread) and `points`
 worker count and the number of timed accesses). mobcache_tracestat on a
 file that is not a trace exits 1 and names the reader's status, as simrun
 does (it used to print the same "missing/corrupt/inconsistent" for every
-failure). The experiment binaries share simrun's sweep-flag rules through
+failure). simrun given a file that is not a trace (garbage, an empty file,
+a valid magic over a garbage header) exits 1 naming the reader's status.
+The experiment binaries share simrun's sweep-flag rules through
 run_experiment: garbage in MOBCACHE_TRACE_LEN or --jobs exits 2 (E1 used to
 abort with 134 on the one and run on the other), `--store-dir=` exits 2
 (E3 used to run without a store), and an experiment that cannot write its
 results exits nonzero naming the path (E4 used to exit 0 having written
-nothing).
+nothing). simrun's --metrics and --trace-out files and tracegen's output
+exit 5 naming the path they cannot write, as the experiments do (they used
+to exit 1, the code for corrupt input), and so does a --metrics file on a
+full device (it used to exit 0: the write failed only at fclose).
 
 Usage:
   check_cli.py --simrun PATH --tracegen PATH --tracestat PATH
@@ -95,6 +100,12 @@ EXPLORER_NAME_GARBAGE = [
     (["browser", "768", "12", "256", "8", "STT", "mid", "lo"], "unknown tech"),
     (["browser", "768", "12", "256", "8", "stt", "low", "lo"],
      "unknown retention"),
+]
+# Files that are not traces, with the reader status simrun must name.
+CORRUPT_TRACES = [
+    ("corrupt.mct", b"not a trace at all", "bad-magic"),
+    ("empty.mct", b"", "corrupt-header"),
+    ("bad.mct", b"MOBCACH1garbage-that-is-not-a-header", "corrupt-header"),
 ]
 # Bad values for bench_micro's report modes, rejected before anything is
 # timed or written.
@@ -174,6 +185,17 @@ def main():
         f"rc={p.returncode} stderr={p.stderr.strip()!r}",
     )
 
+    for name, data, status in CORRUPT_TRACES:
+        trace = args.workdir / name
+        trace.write_bytes(data)
+        p = run([args.simrun, trace, "base", "1000", "1"])
+        check(
+            f"simrun names why {name} is unreadable",
+            p.returncode == 1 and status in p.stderr,
+            f"rc={p.returncode} stderr={p.stderr.strip()!r} (wanted rc=1 "
+            f"containing {status!r})",
+        )
+
     # Generator tools: numeric garbage is a usage error, and no trace is
     # written for it.
     out = args.workdir / "garbage.mct"
@@ -248,6 +270,30 @@ def main():
         f"rc={p.returncode} stderr={p.stderr.strip()!r} (wanted nonzero "
         f"naming {unwritable})",
     )
+
+    # The tools' own output files: exit 5 (internal), naming the path.
+    out = blocker / "out"
+    cases = [
+        ("simrun --metrics", out, [args.simrun, "browser", "dpstt", "2000",
+                                   "7", f"--metrics={out}"]),
+        ("simrun --trace-out", out, [args.simrun, "browser", "dpstt", "2000",
+                                     "7", f"--trace-out={out}"]),
+        ("tracegen", out, [args.tracegen, "browser", "1000", out]),
+    ]
+    if os.path.exists("/dev/full"):
+        # Opens fine, fails at the flush: the short metrics document only
+        # reaches the device when the file is closed.
+        cases.append(("simrun --metrics on a full device", "/dev/full",
+                      [args.simrun, "browser", "dpstt", "2000", "7",
+                       "--metrics=/dev/full"]))
+    for label, path, cmd in cases:
+        p = run(cmd)
+        check(
+            f"{label} that cannot be written exits 5 naming it",
+            p.returncode == 5 and f"cannot write '{path}'" in p.stderr,
+            f"rc={p.returncode} stderr={p.stderr.strip()!r} (wanted rc=5 "
+            f"containing \"cannot write '{path}'\")",
+        )
 
     if FAILURES:
         print(f"{len(FAILURES)} CLI contract check(s) failed", file=sys.stderr)

@@ -11,9 +11,10 @@ oracle trace length, compared byte for byte against tests/golden/.
   check --warm <binary> [args...]
                               the same check twice, both runs against one
                               fresh --store-dir; the second (warm) run's
-                              report must read result_store.misses == 0
-                              and hits > 0, so every cell was served from
-                              the store and still wrote the same bytes.
+                              report must read result_store.misses == 0,
+                              hits > 0 and corrupt_skipped == 0, so every
+                              cell was served from an intact store and
+                              still wrote the same bytes.
   update <binary> [args...]   run it the same way and rewrite that
                               directory with what it wrote.
 
@@ -184,7 +185,8 @@ def main(argv):
         failures += differences(want, got)
     if warm:
         store = runs[1][1]["result_store"]
-        if store["misses"] != 0 or store["hits"] == 0:
+        if (store["misses"] != 0 or store["hits"] == 0
+                or store["corrupt_skipped"] != 0):
             failures.append(f"warm run not served from the store: "
                             f"result_store {store}")
     if failures:

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/multi_retention_l2.hpp"
 #include "core/scheme.hpp"
 #include "energy/technology.hpp"
 #include "sim/simulator.hpp"
@@ -75,6 +76,32 @@ TEST(Temperature, DesignStillSavesEnergyWhenHot) {
   const SimResult mrstt =
       simulate(t, build_scheme(SchemeKind::StaticPartMrstt));
   EXPECT_LT(mrstt.l2_energy.cache_nj(), 0.4 * base.l2_energy.cache_nj());
+}
+
+TEST(Temperature, SramBlockLifetimesIgnoreTemperature) {
+  // E19 simulates its advisor's all-SRAM design once for every temperature:
+  // temperature acts only through STT-RAM retention, so the lifetimes the
+  // advisor reads are the same hot and cold.
+  const Trace t = generate_app_trace(AppId::Launcher, 200'000, 42);
+  auto lifetimes = [&](double kelvin) {
+    TechnologyConfig cfg;
+    cfg.temperature_k = kelvin;
+    ScopedTechnology scope(cfg);
+    LifetimeRecorder rec;
+    const std::unique_ptr<L2Interface> l2 =
+        build_scheme(SchemeKind::StaticPartSram);
+    l2->add_eviction_observer(rec.observer());
+    simulate(t, *l2);
+    return rec;
+  };
+  const LifetimeRecorder cold = lifetimes(298.0);  // 25 C
+  const LifetimeRecorder hot = lifetimes(358.0);   // 85 C
+  for (Mode m : {Mode::User, Mode::Kernel}) {
+    ASSERT_GT(cold.liveness(m).total(), 0u);
+    EXPECT_EQ(cold.liveness(m).buckets(), hot.liveness(m).buckets());
+    EXPECT_EQ(cold.liveness(m).total(), hot.liveness(m).total());
+    EXPECT_EQ(cold.liveness(m).max_value(), hot.liveness(m).max_value());
+  }
 }
 
 }  // namespace

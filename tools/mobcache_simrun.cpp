@@ -84,14 +84,16 @@
 ///
 /// Exit codes (shared guarded_main contract, src/common/error.hpp):
 /// 0 ok, 1 corrupt/unreadable input, 2 usage error, 3 numeric invariant
-/// broken, 4 point deadline exceeded, 5 unexpected exception, 75
-/// interrupted by SIGINT/SIGTERM (resumable — completed points persisted).
+/// broken, 4 point deadline exceeded, 5 unexpected exception or an output
+/// file (--metrics, --trace-out) it cannot write, 75 interrupted by
+/// SIGINT/SIGTERM (resumable — completed points persisted).
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -507,11 +509,8 @@ static int tool_main(int argc, char** argv) {
   }
 
   if (!flags.trace_out.empty()) {
-    if (!sink.write_file(flags.trace_out)) {
-      std::fprintf(stderr, "cannot write trace to '%s'\n",
-                   flags.trace_out.c_str());
-      return 1;
-    }
+    if (!sink.write_file(flags.trace_out))
+      throw std::runtime_error("cannot write '" + flags.trace_out + "'");
     std::printf("wrote %zu trace events to %s (%s)\n", sink.event_count(),
                 flags.trace_out.c_str(),
                 flags.trace_format == TraceFormat::Jsonl ? "jsonl" : "chrome");
@@ -557,14 +556,12 @@ static int tool_main(int argc, char** argv) {
     } else {
       const std::string doc = metrics_json_string(merged) + "\n";
       std::FILE* f = std::fopen(flags.metrics_out.c_str(), "w");
-      if (f == nullptr || std::fwrite(doc.data(), 1, doc.size(), f) !=
-                              doc.size()) {
-        if (f != nullptr) std::fclose(f);
-        std::fprintf(stderr, "cannot write metrics to '%s'\n",
-                     flags.metrics_out.c_str());
-        return 1;
-      }
-      std::fclose(f);
+      bool written = f != nullptr && std::fwrite(doc.data(), 1, doc.size(),
+                                                 f) == doc.size();
+      // A short document sits in stdio's buffer until fclose flushes it.
+      if (f != nullptr && std::fclose(f) != 0) written = false;
+      if (!written)
+        throw std::runtime_error("cannot write '" + flags.metrics_out + "'");
       std::printf("wrote metrics JSON to %s\n", flags.metrics_out.c_str());
     }
   }

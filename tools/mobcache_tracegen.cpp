@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/env.hpp"
 #include "common/stats.hpp"
@@ -60,10 +62,7 @@ static int tool_main(int argc, char** argv) {
       out_path.size() > 5 && out_path.rfind(".mctz") == out_path.size() - 5;
   const bool ok = compressed ? write_trace_compressed(trace, out_path)
                              : write_trace(trace, out_path);
-  if (!ok) {
-    std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-    return 1;
-  }
+  if (!ok) throw std::runtime_error("cannot write '" + out_path + "'");
   const TraceSummary s = trace.summarize();
   std::printf("%s: %s records (%s kernel, %s writes) -> %s\n",
               trace.name().c_str(), format_count(s.total).c_str(),
