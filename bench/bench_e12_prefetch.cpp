@@ -29,8 +29,7 @@ static int run(ExperimentContext& ctx) {
   for (bool pf : {false, true}) {
     ExperimentRunner runner(suite.apps(), suite.traces());
     ctx.configure(runner);
-    runner.sim_options.hierarchy.prefetch.enabled = pf;
-    runner.sim_options.hierarchy.prefetch.degree = 2;
+    runner.sim_options.hierarchy.prefetch = pf;
     by_prefetch[pf] = runner.run_schemes(kinds);
   }
   // Baseline for normalization: no prefetch, shared SRAM.

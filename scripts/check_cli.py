@@ -30,8 +30,9 @@ abort with 134 on the one and run on the other), `--store-dir=` exits 2
 results exits nonzero naming the path (E4 used to exit 0 having written
 nothing). simrun's --metrics and --trace-out files and tracegen's output
 exit 5 naming the path they cannot write, as the experiments do (they used
-to exit 1, the code for corrupt input), and so does a --metrics file on a
-full device (it used to exit 0: the write failed only at fclose).
+to exit 1, the code for corrupt input), and so do a --metrics or
+--trace-out file on a full device and an experiment whose CSV is one (they
+used to exit 0: the write failed only at the final flush).
 
 Usage:
   check_cli.py --simrun PATH --tracegen PATH --tracestat PATH
@@ -281,13 +282,24 @@ def main():
         ("tracegen", out, [args.tracegen, "browser", "1000", out]),
     ]
     if os.path.exists("/dev/full"):
-        # Opens fine, fails at the flush: the short metrics document only
+        # Each opens fine and fails at the flush: a short document only
         # reaches the device when the file is closed.
         cases.append(("simrun --metrics on a full device", "/dev/full",
                       [args.simrun, "browser", "dpstt", "2000", "7",
                        "--metrics=/dev/full"]))
-    for label, path, cmd in cases:
-        p = run(cmd)
+        # A Chrome trace is never empty: it has at least its frame.
+        cases.append(("simrun --trace-out on a full device", "/dev/full",
+                      [args.simrun, "browser", "dpstt", "2000", "7",
+                       "--trace-out=/dev/full,chrome"]))
+        full_results = args.workdir / "full_results"
+        full_results.mkdir()
+        csv = full_results / "e4_static_result.csv"
+        csv.symlink_to("/dev/full")
+        cases.append(("bench_e4 with its CSV on a full device", csv,
+                      [args.e4], dict(os.environ, MOBCACHE_TRACE_LEN="20000",
+                                      MOBCACHE_RESULTS_DIR=str(full_results))))
+    for label, path, cmd, *env in cases:
+        p = run(cmd, *env)
         check(
             f"{label} that cannot be written exits 5 naming it",
             p.returncode == 5 and f"cannot write '{path}'" in p.stderr,

@@ -28,11 +28,6 @@ each; tools/CMakeLists.txt registers each as ctest contract.<name>.
   faults SIMRUN     fault injection with SEC-DED and DEC-TED, the traced run
                     exporting `fault` events, and two --fault-sweep runs at
                     --jobs=4.
-  jobs E6 E9 E14 E21 E22
-                    each bench at --jobs=1 and in parallel (--jobs=4; E22
-                    --jobs=2 at 200 sessions): both reports pass
-                    `check_bench.py validate` and `compare` finds their
-                    results equal.
   fleet-memory E22  10,000 streamed sessions at --jobs=2 stay under
                     --max-peak-rss-mb=512 and within 2.0x the peak RSS of
                     200 sessions (`check_bench.py rss-gate`).
@@ -41,7 +36,7 @@ Each contract runs in a fresh temporary directory. Every MOBCACHE_*
 variable is removed from the runs' environment and only the ones a contract
 sets are passed, so a developer's shell cannot change a verdict.
 
-Usage: contracts.py <contract> BINARY...   (as listed above)
+Usage: contracts.py <contract> BINARY   (as listed above)
 Exits 0 when the contract holds, 1 when it does not, 2 on bad usage.
 """
 
@@ -257,23 +252,6 @@ def faults(tmp, simrun):
         "--jobs=4")
 
 
-def jobs(tmp, *benches):
-    for bench in benches:
-        name = os.path.basename(bench).removeprefix("bench_")
-        if name == "e22_fleet":
-            workers, args, settings = "2", FLEET_SMALL, {}
-        else:
-            workers, args, settings = "4", [], {"TRACE_LEN": 120000}
-        reports = []
-        for n in ("1", workers):
-            results = os.path.join(tmp, f"{name}-jobs{n}")
-            run(bench, f"--jobs={n}", *args, RESULTS_DIR=results, **settings)
-            reports.append(os.path.join(results, f"BENCH_{name}.json"))
-        for path in reports:
-            bench_gate(check_bench.validate, path)
-        bench_gate(check_bench.compare, *reports, None, None)
-
-
 def fleet_memory(tmp, e22):
     small, large = (os.path.join(tmp, d, "BENCH_e22_fleet.json")
                     for d in ("small", "large"))
@@ -287,21 +265,20 @@ def fleet_memory(tmp, e22):
 
 
 CONTRACTS = {
-    "sigterm": (sigterm, 1),
-    "keep-going": (keep_going, 1),
-    "poison": (poison, 1),
-    "simrun-store": (simrun_store, 1),
-    "telemetry": (telemetry, 1),
-    "faults": (faults, 1),
-    "jobs": (jobs, None),
-    "fleet-memory": (fleet_memory, 1),
+    "sigterm": sigterm,
+    "keep-going": keep_going,
+    "poison": poison,
+    "simrun-store": simrun_store,
+    "telemetry": telemetry,
+    "faults": faults,
+    "fleet-memory": fleet_memory,
 }
 
 
 def main(argv):
     name, binaries = (argv[1], argv[2:]) if len(argv) > 2 else (None, [])
-    contract, arity = CONTRACTS.get(name, (None, 0))
-    if contract is None or arity not in (None, len(binaries)):
+    contract = CONTRACTS.get(name)
+    if contract is None or len(binaries) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     binaries = [os.path.abspath(b) for b in binaries]

@@ -7,16 +7,21 @@ oracle trace length, compared byte for byte against tests/golden/.
                               tests/golden/<binary name>/, byte for byte,
                               plus exactly one BENCH_<name>.json report
                               (<name> = the binary name minus "bench_")
-                              that passes `check_bench.py validate`.
+                              that passes `check_bench.py validate` and
+                              whose "results" object equals the pinned
+                              tests/golden/<binary name>/BENCH_results.json
+                              exactly.
   check --warm <binary> [args...]
                               the same check twice, both runs against one
                               fresh --store-dir; the second (warm) run's
                               report must read result_store.misses == 0,
                               hits > 0 and corrupt_skipped == 0, so every
                               cell was served from an intact store and
-                              still wrote the same bytes.
+                              still wrote the same bytes and results.
   update <binary> [args...]   run it the same way and rewrite that
-                              directory with what it wrote.
+                              directory with what it wrote, plus the
+                              report's "results" object as
+                              BENCH_results.json.
 
 The run sees MOBCACHE_TRACE_LEN=120000 and MOBCACHE_RESULTS_DIR=<temp dir>;
 every other MOBCACHE_* variable is removed from its environment, so a
@@ -25,11 +30,14 @@ MOBCACHE_REFERENCE_KERNEL, which by contract cannot change them: it selects
 the reference access kernel, and the ctests golden.e9.reference,
 golden.e5.reference and golden.e21.reference set it to hold that kernel to
 the same files. BENCH_*.json reports are left out
-of the byte comparison because they carry wall time.
+of the byte comparison because they carry wall time; their "results"
+objects, which are a pure function of the sweep, are compared against the
+pin instead.
 
-The files were written at --jobs=1. ctest (bench/CMakeLists.txt, tests
-golden.e1 ... golden.e22) runs every experiment at --jobs=4, so each run
-also checks jobs=1 == jobs=N. Regenerate one experiment with e.g.
+The files and pins were written at --jobs=1. ctest (bench/CMakeLists.txt,
+tests golden.e1 ... golden.e22) runs every experiment at --jobs=4, so each
+run also checks jobs=1 == jobs=N, for the result files and the report
+alike. Regenerate one experiment with e.g.
 
   python3 scripts/golden.py update build/bench/bench_e22_fleet \\
       --sessions=200 --mean-accesses=8000 --jobs=1
@@ -54,6 +62,9 @@ CHECK_BENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 GOLDEN_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests",
     "golden")
+# The pinned "results" object of the report; the BENCH_ prefix keeps it out
+# of result_files(), so the byte comparison never sees it.
+RESULTS_PIN = "BENCH_results.json"
 
 
 def result_files(directory):
@@ -129,6 +140,20 @@ def differences(want, got):
     return failures
 
 
+def results_differences(pinned, results):
+    """One failure line per report result missing, extra or unequal."""
+    failures = []
+    for key in sorted(set(pinned) | set(results)):
+        if key not in results:
+            failures.append(f"results.{key}: pinned, missing from the report")
+        elif key not in pinned:
+            failures.append(f"results.{key}: in the report, not pinned")
+        elif pinned[key] != results[key]:
+            failures.append(f"results.{key}: pinned {pinned[key]!r}, the run "
+                            f"reported {results[key]!r}")
+    return failures
+
+
 def main(argv):
     if len(argv) < 3 or argv[1] not in ("check", "update"):
         print(__doc__, file=sys.stderr)
@@ -158,31 +183,41 @@ def main(argv):
                 print(f"golden: {binary} wrote no result files",
                       file=sys.stderr)
                 return 1
-            report = None
-            if mode == "check":
-                report = bench_report(binary, results_dir)
-                if report is None:
-                    return 1
+            report = bench_report(binary, results_dir)
+            if report is None:
+                return 1
             runs.append((got, report))
 
     if mode == "update":
-        got = runs[0][0]
+        got, report = runs[0]
         shutil.rmtree(golden_dir, ignore_errors=True)
         for name, data in got.items():
             path = os.path.join(golden_dir, name)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "wb") as fh:
                 fh.write(data)
-        print(f"golden: wrote {len(got)} file(s) to {golden_dir}")
+        with open(os.path.join(golden_dir, RESULTS_PIN), "w",
+                  encoding="utf-8") as fh:
+            json.dump(report["results"], fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"golden: wrote {len(got)} file(s) and {RESULTS_PIN} to "
+              f"{golden_dir}")
         return 0
 
     if not os.path.isdir(golden_dir):
         print(f"golden: no golden files at {golden_dir}", file=sys.stderr)
         return 1
     want = result_files(golden_dir)
+    pin_path = os.path.join(golden_dir, RESULTS_PIN)
+    if not os.path.isfile(pin_path):
+        print(f"golden: no pinned results at {pin_path}", file=sys.stderr)
+        return 1
+    with open(pin_path, encoding="utf-8") as fh:
+        pinned = json.load(fh)
     failures = []
-    for got, _ in runs:
+    for got, report in runs:
         failures += differences(want, got)
+        failures += results_differences(pinned, report["results"])
     if warm:
         store = runs[1][1]["result_store"]
         if (store["misses"] != 0 or store["hits"] == 0
@@ -195,7 +230,7 @@ def main(argv):
         return 1
     note = " (cold and warm)" if warm else ""
     print(f"golden: OK: {len(want)} file(s) byte-identical to "
-          f"{golden_dir}{note}; report valid")
+          f"{golden_dir}{note}; report valid, results equal the pin")
     return 0
 
 

@@ -2,19 +2,13 @@
 
 namespace mobcache {
 
-StreamBypassPredictor::StreamBypassPredictor(
-    const BypassPredictorConfig& cfg)
-    : cfg_(cfg) {
-  std::uint32_t size = cfg_.table_size;
-  if (size == 0) size = 1;
-  // Round up to a power of two for the mask-index.
-  while ((size & (size - 1)) != 0) ++size;
-  table_.assign(size, 2);  // weakly install: new regions get cached
-}
+StreamBypassPredictor::StreamBypassPredictor(bool enabled)
+    : enabled_(enabled),
+      table_(kTableSize, 2) {}  // weakly install: new regions get cached
 
 bool StreamBypassPredictor::should_bypass(Addr line) const {
-  if (!cfg_.enabled) return false;
-  return table_[index(line)] < cfg_.bypass_below;
+  if (!enabled_) return false;
+  return table_[index(line)] < kBypassBelow;
 }
 
 bool StreamBypassPredictor::decide_bypass(Addr line) {

@@ -18,17 +18,10 @@
 
 namespace mobcache {
 
-struct BypassPredictorConfig {
-  bool enabled = false;
-  std::uint32_t table_size = 256;  ///< counters (power of two)
-  /// Counter value below which fills bypass (0..3; 1 = bypass only for
-  /// strongly-dead regions).
-  std::uint8_t bypass_below = 1;
-};
-
 class StreamBypassPredictor {
  public:
-  explicit StreamBypassPredictor(const BypassPredictorConfig& cfg);
+  /// A disabled predictor never bypasses.
+  explicit StreamBypassPredictor(bool enabled);
 
   /// True when a fill for this line should be bypassed (pure query).
   bool should_bypass(Addr line) const;
@@ -47,7 +40,7 @@ class StreamBypassPredictor {
   /// was touched again after its fill.
   void train_eviction(Addr line, bool was_reused);
 
-  bool enabled() const { return cfg_.enabled; }
+  bool enabled() const { return enabled_; }
   std::uint64_t bypasses() const { return bypasses_; }
   /// Called by the owner when it acts on decide_bypass().
   void count_bypass() { ++bypasses_; }
@@ -57,6 +50,10 @@ class StreamBypassPredictor {
  private:
   static constexpr std::uint64_t kRegionBytes = 4096;
   static constexpr std::uint8_t kMax = 3;
+  static constexpr std::size_t kTableSize = 256;  ///< counters (power of two)
+  /// Counter value below which fills bypass (0..3; 1 = bypass only for
+  /// strongly-dead regions).
+  static constexpr std::uint8_t kBypassBelow = 1;
 
   std::size_t index(Addr line) const {
     const std::uint64_t region = line / kRegionBytes;
@@ -65,8 +62,8 @@ class StreamBypassPredictor {
     return static_cast<std::size_t>(h) & (table_.size() - 1);
   }
 
-  BypassPredictorConfig cfg_;
-  std::vector<std::uint8_t> table_;  ///< 2-bit counters, init weakly-install
+  bool enabled_;
+  std::vector<std::uint8_t> table_;  ///< 2-bit counters
   std::uint64_t bypasses_ = 0;
   std::uint64_t probe_tick_ = 0;
 };

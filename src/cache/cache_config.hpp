@@ -67,31 +67,30 @@ constexpr WayMask highest_ways(WayMask from, std::uint32_t count) {
   return out;
 }
 
+/// One array's geometry and policy. Every array in the model has
+/// kLineSize-byte lines (common/types.hpp).
 struct CacheConfig {
   std::string name = "cache";
   std::uint64_t size_bytes = 2ull << 20;
   std::uint32_t assoc = 16;
-  std::uint64_t line_size = kLineSize;
   ReplKind repl = ReplKind::Lru;
   /// XOR-fold the tag bits into the set index (classic conflict-miss
   /// mitigation; E10 ablates its interaction with partitioning).
   bool xor_index = false;
 
   std::uint32_t num_sets() const {
-    return static_cast<std::uint32_t>(size_bytes / (line_size * assoc));
+    return static_cast<std::uint32_t>(size_bytes / (kLineSize * assoc));
   }
 
-  std::uint64_t num_lines() const { return size_bytes / line_size; }
+  std::uint64_t num_lines() const { return size_bytes / kLineSize; }
 
   /// Throws std::invalid_argument on inconsistent geometry (non-power-of-two
-  /// sets/line size, zero sizes, assoc > 64).
+  /// sets, zero sizes, assoc > 64).
   void validate() const {
     auto pow2 = [](std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; };
-    if (line_size == 0 || !pow2(line_size))
-      throw std::invalid_argument(name + ": line size must be a power of two");
     if (assoc == 0 || assoc > 64)
       throw std::invalid_argument(name + ": associativity must be in [1,64]");
-    if (size_bytes == 0 || size_bytes % (line_size * assoc) != 0)
+    if (size_bytes == 0 || size_bytes % (kLineSize * assoc) != 0)
       throw std::invalid_argument(name +
                                   ": size must be a multiple of line*assoc");
     if (!pow2(num_sets()))

@@ -2,8 +2,8 @@
 
 namespace mobcache {
 
-StridePrefetcher::StridePrefetcher(const PrefetchConfig& cfg) : cfg_(cfg) {
-  for (auto& t : table_) t.resize(cfg_.table_entries);
+StridePrefetcher::StridePrefetcher(bool enabled) : enabled_(enabled) {
+  for (auto& t : table_) t.resize(kTableEntries);
 }
 
 StridePrefetcher::Entry& StridePrefetcher::lookup(Addr region, Mode mode) {
@@ -20,7 +20,7 @@ StridePrefetcher::Entry& StridePrefetcher::lookup(Addr region, Mode mode) {
 
 std::vector<Addr> StridePrefetcher::observe_miss(Addr line, Mode mode) {
   std::vector<Addr> out;
-  if (!cfg_.enabled) return out;
+  if (!enabled_) return out;
 
   const Addr region = line / kRegionBytes;
   Entry& e = lookup(region, mode);
@@ -41,9 +41,9 @@ std::vector<Addr> StridePrefetcher::observe_miss(Addr line, Mode mode) {
   e.last_line = line;
 
   if (e.confidence >= kTrainHits && e.stride != 0) {
-    out.reserve(cfg_.degree);
+    out.reserve(kDegree);
     Addr next = line;
-    for (std::uint32_t d = 0; d < cfg_.degree; ++d) {
+    for (std::uint32_t d = 0; d < kDegree; ++d) {
       next = static_cast<Addr>(static_cast<std::int64_t>(next) + e.stride);
       // Never cross into the other half of the address space: a user
       // stream must not fabricate kernel prefetches (and vice versa).

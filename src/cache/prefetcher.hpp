@@ -10,7 +10,7 @@
 ///
 /// The engine is a classic region-based stride detector: per 4 KB region it
 /// remembers the last miss line and the detected stride; after `kTrainHits`
-/// consecutive confirmations it emits `degree` prefetch candidates.
+/// consecutive confirmations it emits `kDegree` prefetch candidates.
 
 #include <cstdint>
 #include <vector>
@@ -19,15 +19,10 @@
 
 namespace mobcache {
 
-struct PrefetchConfig {
-  bool enabled = false;
-  std::uint32_t degree = 2;        ///< lines fetched ahead once trained
-  std::uint32_t table_entries = 16;  ///< tracked regions per mode
-};
-
 class StridePrefetcher {
  public:
-  explicit StridePrefetcher(const PrefetchConfig& cfg);
+  /// A disabled prefetcher observes nothing and never issues.
+  explicit StridePrefetcher(bool enabled);
 
   /// Observes a demand L2 miss; returns the line addresses to prefetch
   /// (empty while training or when disabled).
@@ -38,6 +33,10 @@ class StridePrefetcher {
  private:
   static constexpr std::uint64_t kRegionBytes = 4096;
   static constexpr std::uint32_t kTrainHits = 2;
+  /// Lines fetched ahead once trained.
+  static constexpr std::uint32_t kDegree = 2;
+  /// Tracked regions per mode.
+  static constexpr std::size_t kTableEntries = 16;
 
   struct Entry {
     Addr region = 0;
@@ -50,7 +49,7 @@ class StridePrefetcher {
 
   Entry& lookup(Addr region, Mode mode);
 
-  PrefetchConfig cfg_;
+  bool enabled_;
   std::vector<Entry> table_[kModeCount];
   std::uint64_t tick_ = 0;
   std::uint64_t issued_ = 0;

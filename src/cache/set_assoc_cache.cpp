@@ -59,7 +59,6 @@ SetAssocCache::SetAssocCache(CacheConfig cfg, std::uint64_t seed)
       kernel_mode_(default_kernel_mode()) {
   cfg_.validate();
   num_sets_ = cfg_.num_sets();
-  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.line_size));
   sets_shift_ = static_cast<std::uint32_t>(
       std::countr_zero(static_cast<std::uint64_t>(num_sets_)));
   const std::size_t n = static_cast<std::size_t>(num_sets_) * cfg_.assoc;

@@ -257,10 +257,10 @@ class SetAssocCache {
 
   std::uint32_t num_sets() const { return num_sets_; }
   std::uint32_t assoc() const { return cfg_.assoc; }
-  /// Line size and set count are validated powers of two, so indexing is
-  /// pure shift/mask work — no division on the per-access path.
+  /// Line size and set count are powers of two, so indexing is pure
+  /// shift/mask work — no division on the per-access path.
   std::uint32_t set_index(Addr line) const {
-    const Addr n = line >> line_shift_;
+    const Addr n = line / kLineSize;
     const Addr idx = cfg_.xor_index ? n ^ (n >> sets_shift_) : n;
     return static_cast<std::uint32_t>((idx ^ index_rotation_) &
                                       (num_sets_ - 1));
@@ -394,7 +394,6 @@ class SetAssocCache {
 
   CacheConfig cfg_;
   std::uint32_t num_sets_;
-  std::uint32_t line_shift_ = 0;  ///< log2(line_size)
   std::uint32_t sets_shift_ = 0;  ///< log2(num_sets)
   std::uint32_t index_rotation_ = 0;
   Cycle retention_period_ = 0;

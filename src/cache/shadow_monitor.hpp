@@ -15,6 +15,10 @@
 
 namespace mobcache {
 
+/// The sampling the way-gated L2 designs (DP, multicore) monitor at: shadow
+/// tags on 1 in 16 sets.
+inline constexpr std::uint32_t kMonitorSampleShift = 4;
+
 class ShadowTagMonitor {
  public:
   /// Monitors 1-in-2^sample_shift sets of a cache with `num_sets` sets;

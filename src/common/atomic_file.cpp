@@ -12,18 +12,28 @@ namespace mobcache {
 
 namespace fs = std::filesystem;
 
-bool write_file_synced(const std::string& path, const std::string& bytes) {
+namespace {
+
+bool write_checked(const std::string& path, const std::string& bytes,
+                   bool sync) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-      std::fflush(f) == 0;
-#if defined(_WIN32)
-  const bool synced = wrote;
-#else
-  const bool synced = wrote && ::fsync(::fileno(f)) == 0;
+  bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
+            std::fflush(f) == 0;
+#if !defined(_WIN32)
+  if (sync) ok = ok && ::fsync(::fileno(f)) == 0;
 #endif
-  return (std::fclose(f) == 0) && synced;
+  return std::fclose(f) == 0 && ok;
+}
+
+}  // namespace
+
+bool write_file(const std::string& path, const std::string& bytes) {
+  return write_checked(path, bytes, /*sync=*/false);
+}
+
+bool write_file_synced(const std::string& path, const std::string& bytes) {
+  return write_checked(path, bytes, /*sync=*/true);
 }
 
 void atomic_publish(const std::string& final_path, const std::string& bytes,

@@ -1,17 +1,24 @@
 #pragma once
 /// \file atomic_file.hpp
-/// Crash-safe file publication: stream to a `.tmp-*` sibling, fsync, then
-/// rename() into place. This is the durability idiom of the result store's
-/// records, kept in one audited place. Readers of a published name never
-/// observe a half-written file; a crash leaves at most a `.tmp-*` orphan,
-/// which owners sweep on startup.
+/// Checked whole-file writes, and crash-safe file publication: stream to a
+/// `.tmp-*` sibling, fsync, then rename() into place. This is the
+/// durability idiom of the result store's records, kept in one audited
+/// place. Readers of a published name never observe a half-written file; a
+/// crash leaves at most a `.tmp-*` orphan, which owners sweep on startup.
 
 #include <string>
 
 namespace mobcache {
 
-/// Writes `bytes` to `path` and flushes them to stable storage (fsync on
-/// POSIX). Returns false on any failure; the file may then exist partially
+/// Writes `bytes` to `path`, replacing its content. Returns false unless
+/// the open, the write, the flush and the close all succeed, so a device
+/// that fails only when the buffered tail is flushed (a full disk) is
+/// reported. Every artifact (CSV, JSON, trace export, metrics) is rendered
+/// to a string and written through here.
+bool write_file(const std::string& path, const std::string& bytes);
+
+/// write_file(), plus a flush to stable storage (fsync on POSIX) before the
+/// close. Returns false on any failure; the file may then exist partially
 /// written — callers remove it (atomic_publish does).
 bool write_file_synced(const std::string& path, const std::string& bytes);
 

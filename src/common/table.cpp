@@ -2,8 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
+
+#include "common/atomic_file.hpp"
 
 namespace mobcache {
 
@@ -79,10 +80,7 @@ bool TablePrinter::write_csv(const std::string& path) const {
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return false;
-  f << to_csv();
-  return static_cast<bool>(f);
+  return write_file(path, to_csv());
 }
 
 std::string format_double(double v, int decimals) {

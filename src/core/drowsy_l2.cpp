@@ -6,11 +6,9 @@
 
 namespace mobcache {
 
-DrowsyL2::DrowsyL2(const DrowsyL2Config& cfg)
-    : OneSegmentL2(sram_array(cfg.cache)),
-      cfg_(cfg),
-      awake_(static_cast<std::size_t>(cfg.cache.num_sets()) * cfg.cache.assoc,
-             false) {}
+DrowsyL2::DrowsyL2(const CacheConfig& cache)
+    : OneSegmentL2(sram_array(cache)),
+      awake_(static_cast<std::size_t>(cache.num_sets()) * cache.assoc, false) {}
 
 void DrowsyL2::close_window(Cycle span, Cycle at) {
   // Effective leakage fraction of the closing window: woken lines are
@@ -18,8 +16,8 @@ void DrowsyL2::close_window(Cycle span, Cycle at) {
   // the rest stay drowsy throughout.
   const double total = static_cast<double>(awake_.size());
   const double awake_frac = static_cast<double>(awake_count_) / total;
-  const double eff = awake_frac * (0.5 + 0.5 * cfg_.drowsy_leak_factor) +
-                     (1.0 - awake_frac) * cfg_.drowsy_leak_factor;
+  const double eff = awake_frac * (0.5 + 0.5 * kDrowsyLeakFactor) +
+                     (1.0 - awake_frac) * kDrowsyLeakFactor;
   seg_.accountant().add_leakage(seg_.tech(), span, eff);
   leak_fraction_integral_ += static_cast<double>(span) * eff;
   if (telemetry_ && (awake_count_ != 0 || window_wakeups_ != 0)) {
@@ -29,12 +27,12 @@ void DrowsyL2::close_window(Cycle span, Cycle at) {
 }
 
 void DrowsyL2::roll_windows(Cycle now) {
-  while (now >= window_start_ + cfg_.window) {
-    close_window(cfg_.window, window_start_ + cfg_.window);
+  while (now >= window_start_ + kWindow) {
+    close_window(kWindow, window_start_ + kWindow);
     window_wakeups_ = 0;
     std::fill(awake_.begin(), awake_.end(), false);
     awake_count_ = 0;
-    window_start_ += cfg_.window;
+    window_start_ += kWindow;
   }
 }
 
@@ -61,7 +59,7 @@ L2Result DrowsyL2::access(Addr line, AccessType type, Mode mode, Cycle now) {
   const Cycle stall = now < busy ? busy - now : 0;
 
   const bool woke = wake(seg_.array().set_index(line), r.way);
-  const Cycle wake_pen = woke ? cfg_.wake_latency : 0;
+  const Cycle wake_pen = woke ? kWakeLatency : 0;
 
   if (r.hit) {
     if (type == AccessType::Write) {
@@ -122,7 +120,7 @@ double DrowsyL2::avg_leak_fraction() const {
 std::string DrowsyL2::describe() const {
   return "drowsy " + std::to_string(seg_.capacity_bytes() >> 10) + "KB " +
          std::to_string(seg_.array().assoc()) + "-way SRAM (window " +
-         std::to_string(cfg_.window) + " cyc)";
+         std::to_string(kWindow) + " cyc)";
 }
 
 }  // namespace mobcache

@@ -11,8 +11,8 @@
 /// keeps the full 2 MB array and its dynamic energy, while the paper's
 /// partition+shrink+STT designs go much further.
 ///
-/// Policy modeled: the "simple" global policy — every `window` cycles all
-/// lines are put drowsy; an access to a drowsy line pays `wake_latency`
+/// Policy modeled: the "simple" global policy — every `kWindow` cycles all
+/// lines are put drowsy; an access to a drowsy line pays `kWakeLatency`
 /// and the line stays awake until the next window boundary. Leakage within
 /// a window is integrated as: woken lines awake for half the window on
 /// average, everything else drowsy.
@@ -23,18 +23,19 @@
 
 namespace mobcache {
 
-struct DrowsyL2Config {
-  CacheConfig cache;              ///< geometry (paper baseline: 2 MB 16-way)
-  Cycle window = 4000;            ///< global drowse period
-  Cycle wake_latency = 2;         ///< extra cycles to access a drowsy line
-  double drowsy_leak_factor = 0.25;  ///< leakage of a drowsy line vs awake
-};
-
 /// The array is one SRAM segment; leakage is integrated here per window,
 /// and the bank model is the drowsy baseline's own.
 class DrowsyL2 final : public OneSegmentL2 {
  public:
-  explicit DrowsyL2(const DrowsyL2Config& cfg);
+  /// Global drowse period.
+  static constexpr Cycle kWindow = 4000;
+  /// Extra cycles to access a drowsy line.
+  static constexpr Cycle kWakeLatency = 2;
+  /// Leakage of a drowsy line vs an awake one.
+  static constexpr double kDrowsyLeakFactor = 0.25;
+
+  /// `cache`: the geometry (paper baseline: 2 MB 16-way).
+  explicit DrowsyL2(const CacheConfig& cache);
 
   L2Result access(Addr line, AccessType type, Mode mode, Cycle now) override;
   void writeback(Addr line, Mode owner, Cycle now) override;
@@ -62,7 +63,6 @@ class DrowsyL2 final : public OneSegmentL2 {
   /// True (and records the wake) when the line's way was drowsy.
   bool wake(std::uint32_t set, std::uint32_t way);
 
-  DrowsyL2Config cfg_;
   std::vector<bool> awake_;
   std::uint64_t awake_count_ = 0;
   std::uint64_t wakeups_ = 0;

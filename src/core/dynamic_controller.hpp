@@ -48,36 +48,32 @@ struct WayAllocation {
   std::uint32_t total() const { return user_ways + kernel_ways; }
 };
 
+/// The controller's policy choices (E10 ablates each).
 struct ControllerConfig {
-  std::uint32_t total_ways = 16;
-  std::uint32_t min_ways_per_mode = 1;
   MonitorKind monitor = MonitorKind::ShadowUtility;
   /// Allowed relative growth in (shadow-projected) misses vs. the
   /// full-depth allocation: w is the smallest way count with
   /// misses(w) <= misses(full) * (1 + miss_slack).
-  double miss_slack = 0.08;
+  double miss_slack = 0.05;
   /// Optional criterion (b): trim ways whose marginal hits no longer pay
   /// their leakage. Off by default — it deliberately trades miss rate for
   /// energy, beyond the paper's "similar miss rate" constraint (E10 ablates
-  /// it). way_leak_mw is the static power of one way (mW); the per-epoch
-  /// threshold is way_leak_mw × measured epoch cycles (1 GHz ⇒ mW·cycle =
-  /// pJ).
+  /// it). The per-epoch threshold is one way's static power × measured
+  /// epoch cycles (1 GHz ⇒ mW·cycle = pJ), against a DRAM access
+  /// (tech_constants::kDramAccessNj) per marginal hit.
   bool use_energy_criterion = false;
-  double way_leak_mw = 0.0;
-  double dram_nj_per_miss = 18.0;
   /// Damping: each segment moves toward its target by at most this many
-  /// ways per epoch, avoiding bulk flushes on phase changes (set to
-  /// total_ways to disable; E10 ablates this).
+  /// ways per epoch, avoiding bulk flushes on phase changes (set to the
+  /// way count to disable; E10 ablates this).
   std::uint32_t max_step = 1;
-  /// HillClimb: relative miss-rate degradation that triggers growth, and
-  /// epochs between trial shrinks.
-  double hill_tolerance = 0.05;
-  std::uint32_t hill_shrink_period = 4;
 };
 
 class DynamicPartitionController {
  public:
-  explicit DynamicPartitionController(const ControllerConfig& cfg);
+  /// Splits `total_ways` ways; `way_leak_mw` is the static power of one
+  /// way (mW), which only the energy criterion reads.
+  DynamicPartitionController(const ControllerConfig& cfg,
+                             std::uint32_t total_ways, double way_leak_mw);
 
   const ControllerConfig& config() const { return cfg_; }
 
@@ -94,6 +90,8 @@ class DynamicPartitionController {
   WayAllocation decide_hill(const ModeDemand& user, const ModeDemand& kernel);
 
   ControllerConfig cfg_;
+  std::uint32_t total_ways_;
+  double way_leak_mw_;
   WayAllocation current_;
   // HillClimb state.
   double best_miss_rate_[2] = {1.0, 1.0};

@@ -4,29 +4,24 @@
 
 namespace mobcache {
 
-namespace {
-
-ControllerConfig tuned_controller(const DynamicL2Config& cfg,
-                                  const TechParams& tech) {
-  ControllerConfig c = cfg.controller;
-  c.total_ways = cfg.cache.assoc;
-  // Energy criterion: one way's static power; the controller multiplies by
-  // the measured epoch span to decide whether a way's hits pay its leakage.
-  c.way_leak_mw = tech.leakage_mw / static_cast<double>(cfg.cache.assoc);
-  c.dram_nj_per_miss = tech_constants::kDramAccessNj;
-  return c;
-}
-
-}  // namespace
-
 DynamicPartitionedL2::DynamicPartitionedL2(const DynamicL2Config& cfg)
-    : OneSegmentL2(segment_config(cfg, cfg.fault)),
+    // The array configures no bypass and no wear rotation.
+    : OneSegmentL2({.cache = cfg.cache,
+                    .tech = cfg.tech,
+                    .retention = cfg.retention,
+                    .refresh = cfg.refresh,
+                    .fault = cfg.fault}),
       epoch_length_(cfg.epoch_accesses),
-      controller_(tuned_controller(cfg, seg_.tech())),
+      // Energy criterion: one way's static power; the controller multiplies
+      // by the measured epoch span to decide whether a way's hits pay its
+      // leakage.
+      controller_(cfg.controller, cfg.cache.assoc,
+                  seg_.tech().leakage_mw /
+                      static_cast<double>(cfg.cache.assoc)),
       alloc_(controller_.current()),
-      user_monitor_(cfg.cache.num_sets(), cfg.monitor_sample_shift,
+      user_monitor_(cfg.cache.num_sets(), kMonitorSampleShift,
                     cfg.cache.assoc),
-      kernel_monitor_(cfg.cache.num_sets(), cfg.monitor_sample_shift,
+      kernel_monitor_(cfg.cache.num_sets(), kMonitorSampleShift,
                       cfg.cache.assoc) {
   adopt(alloc_, 0);
 }

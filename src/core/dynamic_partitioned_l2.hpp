@@ -25,10 +25,8 @@ struct DynamicL2Config {
   TechKind tech = TechKind::Sram;
   RetentionClass retention = RetentionClass::Lo;  ///< STT-RAM only
   RefreshPolicy refresh = RefreshPolicy::ScrubDirty;
-  Cycle refresh_check_interval = 2'000'000;
   /// Epoch length in L2 demand accesses between repartition decisions.
   std::uint64_t epoch_accesses = 10'000;
-  std::uint32_t monitor_sample_shift = 4;  ///< shadow tags sample 1/16 sets
   ControllerConfig controller;
   /// Fault injection + ECC + way-disable repair (disabled by default).
   /// Quarantined ways shrink the controller's way budget: allocations are

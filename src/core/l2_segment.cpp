@@ -7,6 +7,9 @@ namespace mobcache {
 
 namespace {
 
+/// Maintenance cadence; clamped to t_ret/2 when retention is finite.
+constexpr Cycle kRefreshCheckInterval = 2'000'000;
+
 /// The refresh engine guarantees scrubbed blocks never expire only when it
 /// runs at least twice per retention period.
 Cycle clamp_interval(Cycle requested, Cycle retention) {
@@ -38,7 +41,7 @@ L2Segment::L2Segment(const L2SegmentConfig& cfg, bool banked)
                 ? make_sram(cfg.cache.size_bytes)
                 : make_sttram(cfg.cache.size_bytes, cfg.retention)),
       dram_stall_(dram_visible_stall_cycles()),
-      refresher_(cfg.refresh, clamp_interval(cfg.refresh_check_interval,
+      refresher_(cfg.refresh, clamp_interval(kRefreshCheckInterval,
                                              tech_.retention_cycles)),
       banked_(banked),
       bypass_(cfg.bypass),

@@ -26,16 +26,17 @@
 
 namespace mobcache {
 
+/// One segment: the shared baseline's array, either static-partition
+/// segment (StaticPartitionConfig), or the array a way-gated design (DP,
+/// multicore) masks.
 struct L2SegmentConfig {
   CacheConfig cache;                     ///< geometry + replacement
   TechKind tech = TechKind::Sram;
   RetentionClass retention = RetentionClass::Hi;  ///< STT-RAM only
   RefreshPolicy refresh = RefreshPolicy::ScrubDirty;
-  /// Maintenance cadence; clamped to t_ret/2 when retention is finite.
-  Cycle refresh_check_interval = 2'000'000;
   /// Optional stream write-bypass (meaningful for STT-RAM: skips the
   /// expensive install for predicted-dead fills; experiment E18).
-  BypassPredictorConfig bypass;
+  bool bypass = false;
   /// Wear leveling: rotate the set mapping after this many array writes
   /// (0 = off). Production values are billions of writes (days apart);
   /// experiment E20 uses small values to demonstrate the flattening.
@@ -45,22 +46,6 @@ struct L2SegmentConfig {
   /// to a fault-free binary.
   FaultConfig fault;
 };
-
-/// The segment part of a way-gated design's config (DP, multicore): array
-/// geometry, technology, refresh and `fault`. These designs configure no
-/// bypass and no wear rotation.
-template <class DesignConfig>
-L2SegmentConfig segment_config(const DesignConfig& d,
-                               const FaultConfig& fault = {}) {
-  L2SegmentConfig c;
-  c.cache = d.cache;
-  c.tech = d.tech;
-  c.retention = d.retention;
-  c.refresh = d.refresh;
-  c.refresh_check_interval = d.refresh_check_interval;
-  c.fault = fault;
-  return c;
-}
 
 /// A plain SRAM segment over `cache`: no refresh, bypass, rotation or
 /// faults (the drowsy and victim-buffer baselines).

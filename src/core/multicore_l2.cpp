@@ -2,13 +2,37 @@
 
 #include <algorithm>
 
+#include "core/dynamic_controller.hpp"
+
 namespace mobcache {
 
+namespace {
+
+/// L2 demand accesses between repartition decisions.
+constexpr std::uint64_t kEpochAccesses = 10'000;
+/// The two-group controller's defaults: a group's shadow-projected misses
+/// may exceed its full-depth misses by miss_slack, and it moves max_step
+/// ways toward its target per epoch.
+constexpr ControllerConfig kController{};
+/// Ways each group keeps whatever its demand.
+constexpr std::uint32_t kMinWaysPerGroup = 1;
+
+/// DP-STT's array: short-retention STT-RAM, dirty blocks scrubbed.
+L2SegmentConfig array_of(const MulticoreL2Config& cfg) {
+  L2SegmentConfig c;
+  c.cache = cfg.cache;
+  c.tech = TechKind::SttRam;
+  c.retention = RetentionClass::Lo;
+  return c;
+}
+
+}  // namespace
+
 MulticoreDynamicL2::MulticoreDynamicL2(const MulticoreL2Config& cfg)
-    : cfg_(cfg), seg_(segment_config(cfg), /*banked=*/false) {
+    : cfg_(cfg), seg_(array_of(cfg), /*banked=*/false) {
   const std::uint32_t groups = cfg_.cores + 1;
   // Even initial split across groups.
-  ways_.assign(groups, std::max(cfg_.min_ways_per_group,
+  ways_.assign(groups, std::max(kMinWaysPerGroup,
                                 cfg_.cache.assoc / groups));
   while (enabled_ways() > cfg_.cache.assoc) {
     auto it = std::max_element(ways_.begin(), ways_.end());
@@ -26,7 +50,7 @@ MulticoreDynamicL2::MulticoreDynamicL2(const MulticoreL2Config& cfg)
   epoch_accesses_.assign(groups, 0);
   monitors_.reserve(groups);
   for (std::uint32_t g = 0; g < groups; ++g) {
-    monitors_.emplace_back(cfg_.cache.num_sets(), cfg_.monitor_sample_shift,
+    monitors_.emplace_back(cfg_.cache.num_sets(), kMonitorSampleShift,
                            cfg_.cache.assoc);
   }
 }
@@ -57,22 +81,22 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
     const std::uint64_t accesses =
         std::max(mon.observed_accesses(), full_hits);
     if (accesses == 0) {
-      target[g] = cfg_.min_ways_per_group;
+      target[g] = kMinWaysPerGroup;
       continue;
     }
     const double full_misses =
         static_cast<double>(accesses) - static_cast<double>(full_hits);
     const double required =
-        static_cast<double>(full_hits) - cfg_.miss_slack * full_misses;
+        static_cast<double>(full_hits) - kController.miss_slack * full_misses;
     std::uint32_t w = cfg_.cache.assoc;
-    for (std::uint32_t c = cfg_.min_ways_per_group; c <= cfg_.cache.assoc;
+    for (std::uint32_t c = kMinWaysPerGroup; c <= cfg_.cache.assoc;
          ++c) {
       if (static_cast<double>(mon.hits_with_ways(c)) >= required) {
         w = c;
         break;
       }
     }
-    target[g] = std::max(w, cfg_.min_ways_per_group);
+    target[g] = std::max(w, kMinWaysPerGroup);
   }
 
   // Damped approach toward the targets.
@@ -80,14 +104,14 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
   for (std::uint32_t g = 0; g < groups; ++g) {
     const std::uint32_t cur = ways_[g];
     const std::uint32_t tgt = target[g];
-    next[g] = tgt > cur ? cur + std::min(tgt - cur, cfg_.max_step)
-                        : cur - std::min(cur - tgt, cfg_.max_step);
+    next[g] = tgt > cur ? cur + std::min(tgt - cur, kController.max_step)
+                        : cur - std::min(cur - tgt, kController.max_step);
   }
 
   // Budget: trim the group with the weakest marginal utility until it fits.
   auto marginal = [&](std::uint32_t g) {
     const std::uint32_t w = next[g];
-    if (w <= cfg_.min_ways_per_group) return 1e18;  // cannot shrink
+    if (w <= kMinWaysPerGroup) return 1e18;  // cannot shrink
     return static_cast<double>(monitors_[g].hits_with_ways(w) -
                                monitors_[g].hits_with_ways(w - 1));
   };
@@ -151,7 +175,7 @@ void MulticoreDynamicL2::decide_and_apply(Cycle now) {
 }
 
 void MulticoreDynamicL2::maybe_epoch(Cycle now) {
-  if (epoch_total_ < cfg_.epoch_accesses) return;
+  if (epoch_total_ < kEpochAccesses) return;
   decide_and_apply(now);
   for (auto& m : monitors_) m.new_epoch();
   std::fill(epoch_accesses_.begin(), epoch_accesses_.end(), 0);

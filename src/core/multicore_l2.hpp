@@ -26,18 +26,12 @@
 
 namespace mobcache {
 
+/// The array is short-retention (Lo) STT-RAM with dirty-block scrub, as in
+/// DP-STT; the controller's epoch, slack and damping are DP-STT's defaults
+/// (multicore_l2.cpp).
 struct MulticoreL2Config {
   CacheConfig cache;  ///< physical array (2 MB, 16-way by default)
   std::uint32_t cores = 2;
-  TechKind tech = TechKind::SttRam;
-  RetentionClass retention = RetentionClass::Lo;
-  RefreshPolicy refresh = RefreshPolicy::ScrubDirty;
-  Cycle refresh_check_interval = 2'000'000;
-  std::uint64_t epoch_accesses = 10'000;
-  std::uint32_t monitor_sample_shift = 4;
-  double miss_slack = 0.05;
-  std::uint32_t min_ways_per_group = 1;
-  std::uint32_t max_step = 1;
 };
 
 /// Core-aware L2 interface (the single-core L2Interface does not carry a

@@ -82,29 +82,21 @@ std::unique_ptr<L2Interface> build_scheme(SchemeKind kind,
       c.tech = TechKind::SttRam;
       c.retention = RetentionClass::Hi;
       c.refresh = p.refresh;
-      c.bypass.enabled = p.stt_write_bypass;
+      c.bypass = p.stt_write_bypass;
       c.fault = p.fault;
       return std::make_unique<SharedL2>(c);
     }
-    case SchemeKind::DrowsySram: {
-      DrowsyL2Config c;
-      c.cache = shared_geometry("L2", p.baseline_bytes, p.baseline_assoc,
-                                p.repl);
-      c.window = p.drowsy_window;
-      return std::make_unique<DrowsyL2>(c);
-    }
-    case SchemeKind::VictimSram: {
-      VictimCacheL2Config c;
-      c.cache = shared_geometry("L2", p.baseline_bytes, p.baseline_assoc,
-                                p.repl);
-      c.victim_entries = 64;
-      return std::make_unique<VictimCacheL2>(c);
-    }
+    case SchemeKind::DrowsySram:
+      return std::make_unique<DrowsyL2>(shared_geometry(
+          "L2", p.baseline_bytes, p.baseline_assoc, p.repl));
+    case SchemeKind::VictimSram:
+      return std::make_unique<VictimCacheL2>(shared_geometry(
+          "L2", p.baseline_bytes, p.baseline_assoc, p.repl));
     case SchemeKind::StaticPartSram: {
       StaticPartitionConfig c;
       c.user = sram_segment(p.sp_user_bytes, p.sp_user_assoc);
       c.kernel = sram_segment(p.sp_kernel_bytes, p.sp_kernel_assoc);
-      c.user.repl = c.kernel.repl = p.repl;
+      c.user.cache.repl = c.kernel.cache.repl = p.repl;
       c.user.fault = p.fault;
       c.kernel.fault = derived_fault(p.fault, 1);
       return std::make_unique<StaticPartitionedL2>(c);
@@ -113,8 +105,8 @@ std::unique_ptr<L2Interface> build_scheme(SchemeKind kind,
       StaticPartitionConfig c = make_mrstt_config(
           p.sp_user_bytes, p.sp_user_assoc, p.mrstt_user, p.sp_kernel_bytes,
           p.sp_kernel_assoc, p.mrstt_kernel, p.refresh);
-      c.user.repl = c.kernel.repl = p.repl;
-      c.user.bypass.enabled = c.kernel.bypass.enabled = p.stt_write_bypass;
+      c.user.cache.repl = c.kernel.cache.repl = p.repl;
+      c.user.bypass = c.kernel.bypass = p.stt_write_bypass;
       c.user.fault = p.fault;
       c.kernel.fault = derived_fault(p.fault, 1);
       return std::make_unique<StaticPartitionedL2>(c);
@@ -136,11 +128,7 @@ DynamicL2Config dynamic_scheme_config(SchemeKind kind,
       shared_geometry("L2", p.baseline_bytes, p.baseline_assoc, p.repl);
   c.tech =
       kind == SchemeKind::DynamicStt ? TechKind::SttRam : TechKind::Sram;
-  c.retention = p.dp_retention;
   c.refresh = p.refresh;
-  c.epoch_accesses = p.dp_epoch_accesses;
-  c.controller.monitor = p.dp_monitor;
-  c.controller.miss_slack = p.dp_miss_slack;
   c.fault = p.fault;
   return c;
 }

@@ -57,14 +57,9 @@ struct SchemeParams {
   RetentionClass mrstt_kernel = RetentionClass::Lo;
   RefreshPolicy refresh = RefreshPolicy::ScrubDirty;
 
-  // Dynamic partition.
-  std::uint64_t dp_epoch_accesses = 10'000;
-  MonitorKind dp_monitor = MonitorKind::ShadowUtility;
-  double dp_miss_slack = 0.05;
-  RetentionClass dp_retention = RetentionClass::Lo;
-
-  // Drowsy baseline.
-  Cycle drowsy_window = 4000;
+  // The dynamic partition runs DynamicL2Config's defaults (epoch, monitor,
+  // miss slack, Lo retention); experiments that vary them start from
+  // dynamic_scheme_config().
 
   ReplKind repl = ReplKind::Lru;
   bool xor_index = false;
@@ -85,9 +80,11 @@ std::unique_ptr<L2Interface> build_scheme(SchemeKind kind,
                                           const SchemeParams& p = {});
 
 /// The configuration build_scheme gives DP-SRAM or DP-STT (`kind` must be
-/// DynamicSram or DynamicStt). Benches that read the concrete design after
-/// a run (E8, E20) or ablate one knob (E10) start from it, so they run the
-/// headline DP designs.
+/// DynamicSram or DynamicStt): `p`'s geometry, replacement, refresh and
+/// faults, the kind's technology, and DynamicL2Config's defaults for the
+/// rest. Benches that read the concrete design after a run (E8, E20) or
+/// ablate one knob (E10) start from it, so they run the headline DP
+/// designs.
 DynamicL2Config dynamic_scheme_config(SchemeKind kind,
                                       const SchemeParams& p = {});
 

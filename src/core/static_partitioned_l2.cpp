@@ -4,27 +4,16 @@ namespace mobcache {
 
 namespace {
 
-L2SegmentConfig to_shared_config(const SegmentSpec& s, const char* name) {
-  L2SegmentConfig c;
+L2SegmentConfig named(L2SegmentConfig c, const char* name) {
   c.cache.name = name;
-  c.cache.size_bytes = s.size_bytes;
-  c.cache.assoc = s.assoc;
-  c.cache.repl = s.repl;
-  c.tech = s.tech;
-  c.retention = s.retention;
-  c.refresh = s.refresh;
-  c.refresh_check_interval = s.refresh_check_interval;
-  c.bypass = s.bypass;
-  c.wear_rotate_writes = s.wear_rotate_writes;
-  c.fault = s.fault;
   return c;
 }
 
 }  // namespace
 
 StaticPartitionedL2::StaticPartitionedL2(const StaticPartitionConfig& cfg)
-    : segments_{{L2Segment(to_shared_config(cfg.user, "L2.user")),
-                 L2Segment(to_shared_config(cfg.kernel, "L2.kernel"))}} {}
+    : segments_{{L2Segment(named(cfg.user, "L2.user")),
+                 L2Segment(named(cfg.kernel, "L2.kernel"))}} {}
 
 const EnergyBreakdown& StaticPartitionedL2::energy() const {
   merged_ = EnergyBreakdown{};
@@ -73,19 +62,16 @@ void StaticPartitionedL2::add_eviction_observer(
   segments_[1].array().add_eviction_observer(std::move(obs));
 }
 
-SegmentSpec sram_segment(std::uint64_t size_bytes, std::uint32_t assoc) {
-  SegmentSpec s;
-  s.size_bytes = size_bytes;
-  s.assoc = assoc;
-  s.tech = TechKind::Sram;
+L2SegmentConfig sram_segment(std::uint64_t size_bytes, std::uint32_t assoc) {
+  L2SegmentConfig s;
+  s.cache.size_bytes = size_bytes;
+  s.cache.assoc = assoc;
   return s;
 }
 
-SegmentSpec sttram_segment(std::uint64_t size_bytes, std::uint32_t assoc,
-                           RetentionClass r, RefreshPolicy p) {
-  SegmentSpec s;
-  s.size_bytes = size_bytes;
-  s.assoc = assoc;
+L2SegmentConfig sttram_segment(std::uint64_t size_bytes, std::uint32_t assoc,
+                               RetentionClass r, RefreshPolicy p) {
+  L2SegmentConfig s = sram_segment(size_bytes, assoc);
   s.tech = TechKind::SttRam;
   s.retention = r;
   s.refresh = p;

@@ -14,23 +14,11 @@
 
 namespace mobcache {
 
-/// Per-segment specification.
-struct SegmentSpec {
-  std::uint64_t size_bytes = 256ull << 10;
-  std::uint32_t assoc = 8;
-  ReplKind repl = ReplKind::Lru;
-  TechKind tech = TechKind::Sram;
-  RetentionClass retention = RetentionClass::Hi;
-  RefreshPolicy refresh = RefreshPolicy::ScrubDirty;
-  Cycle refresh_check_interval = 2'000'000;
-  BypassPredictorConfig bypass;  ///< stream write-bypass (E18)
-  std::uint64_t wear_rotate_writes = 0;  ///< set-rotation wear leveling (E20)
-  FaultConfig fault;  ///< per-segment fault injection (disabled by default)
-};
-
+/// The two segments. The design names their arrays "L2.user" and
+/// "L2.kernel", whatever `cache.name` says.
 struct StaticPartitionConfig {
-  SegmentSpec user;
-  SegmentSpec kernel;
+  L2SegmentConfig user;
+  L2SegmentConfig kernel;
 };
 
 class StaticPartitionedL2 final : public L2Interface {
@@ -77,10 +65,11 @@ class StaticPartitionedL2 final : public L2Interface {
   mutable EnergyBreakdown merged_;
 };
 
-/// Convenience builders used by the scheme factory and benches.
-SegmentSpec sram_segment(std::uint64_t size_bytes, std::uint32_t assoc);
-SegmentSpec sttram_segment(std::uint64_t size_bytes, std::uint32_t assoc,
-                           RetentionClass r,
-                           RefreshPolicy p = RefreshPolicy::ScrubDirty);
+/// Segment builders used by the scheme factory and benches: the geometry
+/// and technology, everything else at its L2SegmentConfig default.
+L2SegmentConfig sram_segment(std::uint64_t size_bytes, std::uint32_t assoc);
+L2SegmentConfig sttram_segment(std::uint64_t size_bytes, std::uint32_t assoc,
+                               RetentionClass r,
+                               RefreshPolicy p = RefreshPolicy::ScrubDirty);
 
 }  // namespace mobcache

@@ -4,12 +4,9 @@
 
 namespace mobcache {
 
-VictimCacheL2::VictimCacheL2(const VictimCacheL2Config& cfg)
-    : OneSegmentL2(sram_array(cfg.cache)),
-      cfg_(cfg),
-      victim_tech_(make_sram(std::max<std::uint64_t>(
-          4096, static_cast<std::uint64_t>(cfg.victim_entries) * kLineSize))) {
-}
+VictimCacheL2::VictimCacheL2(const CacheConfig& cache)
+    : OneSegmentL2(sram_array(cache)),
+      victim_tech_(make_sram(std::uint64_t{kVictimEntries} * kLineSize)) {}
 
 bool VictimCacheL2::pop_victim(Addr line, VictimEntry& out) {
   const auto it =
@@ -22,7 +19,7 @@ bool VictimCacheL2::pop_victim(Addr line, VictimEntry& out) {
 }
 
 void VictimCacheL2::push_victim(const AccessResult& r, Mode requester) {
-  if (victims_.size() == cfg_.victim_entries && !victims_.empty()) {
+  if (victims_.size() == kVictimEntries) {
     // Oldest victim leaves for good; dirty data goes to DRAM.
     if (victims_.front().dirty) seg_.accountant().add_dram(1);
     victims_.pop_front();
@@ -92,7 +89,7 @@ void VictimCacheL2::finalize(Cycle end) {
 
 std::string VictimCacheL2::describe() const {
   return "shared " + std::to_string(seg_.capacity_bytes() >> 10) +
-         "KB SRAM + " + std::to_string(cfg_.victim_entries) +
+         "KB SRAM + " + std::to_string(kVictimEntries) +
          "-entry victim buffer";
 }
 

@@ -16,16 +16,15 @@
 
 namespace mobcache {
 
-struct VictimCacheL2Config {
-  CacheConfig cache;            ///< main array (paper baseline: 2 MB 16-way)
-  std::uint32_t victim_entries = 64;  ///< fully-associative victim lines
-};
-
 /// The main array is one SRAM segment; the victim buffer charges its
 /// energy into the segment's accountant.
 class VictimCacheL2 final : public OneSegmentL2 {
  public:
-  explicit VictimCacheL2(const VictimCacheL2Config& cfg);
+  /// Fully-associative victim lines.
+  static constexpr std::uint32_t kVictimEntries = 64;
+
+  /// `cache`: the main array (paper baseline: 2 MB 16-way).
+  explicit VictimCacheL2(const CacheConfig& cache);
 
   L2Result access(Addr line, AccessType type, Mode mode, Cycle now) override;
   void writeback(Addr line, Mode owner, Cycle now) override;
@@ -36,7 +35,7 @@ class VictimCacheL2 final : public OneSegmentL2 {
   void finalize(Cycle end) override;
   std::uint64_t capacity_bytes() const override {
     return seg_.capacity_bytes() +
-           static_cast<std::uint64_t>(cfg_.victim_entries) * kLineSize;
+           std::uint64_t{kVictimEntries} * kLineSize;
   }
   double avg_enabled_bytes() const override {
     return static_cast<double>(capacity_bytes());
@@ -61,7 +60,6 @@ class VictimCacheL2 final : public OneSegmentL2 {
   /// Buffers the block `r` displaced for `requester`'s fill.
   void push_victim(const AccessResult& r, Mode requester);
 
-  VictimCacheL2Config cfg_;
   TechParams victim_tech_;
   std::deque<VictimEntry> victims_;  ///< front = LRU, back = MRU
   std::uint64_t victim_hits_ = 0;

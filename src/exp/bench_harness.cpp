@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 
+#include "common/atomic_file.hpp"
 #include "common/cancel.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
@@ -156,9 +156,8 @@ void write_json_results(const JsonWriter& w, const std::string& filename) {
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream f(path, std::ios::trunc);
-  if (f) f << w.str() << '\n';
-  if (!f) throw std::runtime_error("cannot write '" + path + "'");
+  if (!write_file(path, w.str() + "\n"))
+    throw std::runtime_error("cannot write '" + path + "'");
 }
 
 BenchReport::BenchReport(std::string name, unsigned jobs)

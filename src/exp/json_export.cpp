@@ -1,8 +1,8 @@
 #include "exp/json_export.hpp"
 
 #include <filesystem>
-#include <fstream>
 
+#include "common/atomic_file.hpp"
 #include "exp/report.hpp"
 
 namespace mobcache {
@@ -99,10 +99,7 @@ bool write_experiment_json(const std::string& experiment_id,
   std::error_code ec;
   const auto parent = std::filesystem::path(path).parent_path();
   if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return false;
-  f << experiment_to_json(experiment_id, results);
-  return static_cast<bool>(f);
+  return write_file(path, experiment_to_json(experiment_id, results));
 }
 
 }  // namespace mobcache

@@ -64,7 +64,6 @@ std::uint64_t hash_cache_config(const CacheConfig& c) {
   return ContentHasher()
       .mix(c.size_bytes)
       .mix(std::uint64_t{c.assoc})
-      .mix(c.line_size)
       .mix(static_cast<std::uint64_t>(c.repl))
       .mix(static_cast<std::uint64_t>(c.xor_index))
       .digest();
@@ -83,11 +82,6 @@ std::uint64_t hash_scheme_params(const SchemeParams& p) {
       .mix(static_cast<std::uint64_t>(p.mrstt_user))
       .mix(static_cast<std::uint64_t>(p.mrstt_kernel))
       .mix(static_cast<std::uint64_t>(p.refresh))
-      .mix(p.dp_epoch_accesses)
-      .mix(static_cast<std::uint64_t>(p.dp_monitor))
-      .mix(p.dp_miss_slack)
-      .mix(static_cast<std::uint64_t>(p.dp_retention))
-      .mix(std::uint64_t{p.drowsy_window})
       .mix(static_cast<std::uint64_t>(p.repl))
       .mix(static_cast<std::uint64_t>(p.xor_index))
       .mix(static_cast<std::uint64_t>(p.stt_write_bypass))
@@ -104,12 +98,8 @@ std::uint64_t hash_sim_options(const SimOptions& o) {
   return ContentHasher()
       .mix(hash_cache_config(o.hierarchy.l1i))
       .mix(hash_cache_config(o.hierarchy.l1d))
-      .mix(std::uint64_t{o.hierarchy.l1_hit_latency})
-      .mix(static_cast<std::uint64_t>(o.hierarchy.prefetch.enabled))
-      .mix(std::uint64_t{o.hierarchy.prefetch.degree})
-      .mix(std::uint64_t{o.hierarchy.prefetch.table_entries})
+      .mix(static_cast<std::uint64_t>(o.hierarchy.prefetch))
       .mix(static_cast<std::uint64_t>(o.hierarchy.inclusive_l2))
-      .mix(o.timing.base_cpi)
       .digest();
 }
 

@@ -148,12 +148,6 @@ class ObserverHub {
 
   bool wants_evictions() const { return !evict_.empty(); }
 
-  /// Adapter for SetAssocCache::add_eviction_observer — bridges the legacy
-  /// per-array callback mechanism into the hub.
-  EvictionFn eviction_bridge() {
-    return [this](const EvictionEvent& e) { emit(e); };
-  }
-
  private:
   std::vector<PartitionResizeFn> resize_;
   std::vector<DrowsyFn> drowsy_;

@@ -1,7 +1,8 @@
 #include "obs/trace_export.hpp"
 
 #include <cstdio>
-#include <fstream>
+
+#include "common/atomic_file.hpp"
 
 namespace mobcache {
 
@@ -199,10 +200,7 @@ std::string TraceSink::render() const {
 }
 
 bool TraceSink::write_file(const std::string& path) const {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return false;
-  f << render();
-  return static_cast<bool>(f);
+  return mobcache::write_file(path, render());
 }
 
 void write_metrics_json(JsonWriter& w, const MetricRegistry& reg) {

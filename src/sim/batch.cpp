@@ -54,8 +54,6 @@ template <typename Sink>
 void run_l1_pass(const Trace& trace, const SimOptions& opts,
                  const PointSupervisor& sup, L1Pass& pass, Sink& sink) {
   pass.workload = trace.name();
-  pass.l1_hit_latency = opts.hierarchy.l1_hit_latency;
-  pass.base_cpi = opts.timing.base_cpi;
   pass.l1_tech = make_sram(opts.hierarchy.l1i.size_bytes +
                            opts.hierarchy.l1d.size_bytes);
 
@@ -153,11 +151,11 @@ class LaneReplay {
   /// out at the same cycle; stores are posted and do not stall.
   Cycle demand(std::uint64_t record, Addr line, Mode mode, bool is_write) {
     const Cycle now =
-        static_cast<Cycle>(static_cast<double>(record) * pass_->base_cpi) +
+        static_cast<Cycle>(static_cast<double>(record) * kBaseCpi) +
         stall_sum_;
     const L2Result r = l2_->access(line, AccessType::Read, mode, now);
     if (!is_write) {
-      const Cycle stall = pass_->l1_hit_latency + r.latency;
+      const Cycle stall = kL1HitLatency + r.latency;
       (r.hit ? stall_hit_ : stall_miss_) += stall;
       stall_sum_ += stall;
     }
@@ -172,7 +170,7 @@ class LaneReplay {
   SimResult finish() {
     const std::uint64_t records = pass_->total_records;
     const Cycle end_cycle =
-        static_cast<Cycle>(static_cast<double>(records) * pass_->base_cpi) +
+        static_cast<Cycle>(static_cast<double>(records) * kBaseCpi) +
         stall_sum_;
     l2_->finalize(end_cycle);
 
@@ -215,7 +213,7 @@ bool batch_eligible(const SimOptions& opts) {
   // The L1 front end is lane-invariant only when nothing flows back from the
   // L2 (no inclusion back-invalidation) and no per-lane side channel
   // (prefetcher training, telemetry) is attached.
-  return !opts.hierarchy.inclusive_l2 && !opts.hierarchy.prefetch.enabled &&
+  return !opts.hierarchy.inclusive_l2 && !opts.hierarchy.prefetch &&
          opts.telemetry == nullptr;
 }
 

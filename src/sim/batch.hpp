@@ -24,7 +24,7 @@
 ///
 /// Both replays share one core that rebuilds the CpiModel clock per design:
 ///
-///   now = Cycle(double(record_index) * base_cpi) + stall_sum
+///   now = Cycle(double(record_index) * kBaseCpi) + stall_sum
 ///
 /// which is bit-for-bit the value CpiModel::now() would have produced at
 /// that access in a per-point run. The resulting SimResults are
@@ -43,7 +43,7 @@
 namespace mobcache {
 
 /// What the shared L1 pass over one trace fixes for every L2 design: the
-/// L1 stat counters, the L1 dynamic energy and the timing constants.
+/// L1 stat counters and the L1 dynamic energy.
 /// Replaying any demand source on top of it gives the per-point SimResult.
 struct L1Pass {
   std::string workload;
@@ -52,8 +52,6 @@ struct L1Pass {
   CacheStats l1d;
   double l1_dynamic_nj = 0.0;  ///< L1 array energy, accumulated in trace order
   TechParams l1_tech;          ///< per-lane leakage is charged at the lane's end
-  Cycle l1_hit_latency = 1;
-  double base_cpi = 2.0;
 };
 
 /// The L2-visible residue of one trace + one L1 front end, in SoA layout:
@@ -115,9 +113,9 @@ struct L1MissIndex : L1Pass {
 /// ExperimentRunner falls back automatically).
 bool batch_eligible(const SimOptions& opts);
 
-/// Runs the shared L1 pass for `trace` under `opts.hierarchy`/`opts.timing`
-/// and returns the captured demand stream. Polls `opts.cancel` (or the
-/// global token) at kCancelPollStride records, like simulate().
+/// Runs the shared L1 pass for `trace` under `opts.hierarchy` and returns
+/// the captured demand stream. Polls `opts.cancel` (or the global token) at
+/// kCancelPollStride records, like simulate().
 /// Precondition: batch_eligible(opts).
 DemandStream build_demand_stream(const Trace& trace, const SimOptions& opts);
 

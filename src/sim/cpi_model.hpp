@@ -7,7 +7,7 @@
 /// memory op of an instruction — costs one base cycle; memory stalls from
 /// the hierarchy add on top:
 ///
-///   cycles = records · base_cpi + Σ stalls
+///   cycles = records · kBaseCpi + Σ stalls
 ///
 /// Execution-time comparisons between schemes are ratios of these cycle
 /// counts, which is exactly how the paper reports "performance loss".
@@ -18,17 +18,13 @@
 
 namespace mobcache {
 
-struct TimingParams {
-  /// Cycles per record before memory stalls. 2.0 models an in-order mobile
-  /// core (IPC ≈ 0.5 on interactive code: branches, dependences, front-end
-  /// bubbles) — the regime in which L2 leakage dominates L2 energy.
-  double base_cpi = 2.0;
-};
+/// Cycles per record before memory stalls. 2.0 models an in-order mobile
+/// core (IPC ≈ 0.5 on interactive code: branches, dependences, front-end
+/// bubbles) — the regime in which L2 leakage dominates L2 energy.
+inline constexpr double kBaseCpi = 2.0;
 
 class CpiModel {
  public:
-  explicit CpiModel(const TimingParams& p = {}) : params_(p) {}
-
   /// Advances time by one record plus its stall; returns the new now.
   Cycle retire(Cycle stall) {
     ++records_;
@@ -37,8 +33,7 @@ class CpiModel {
   }
 
   Cycle now() const {
-    return static_cast<Cycle>(static_cast<double>(records_) *
-                              params_.base_cpi) +
+    return static_cast<Cycle>(static_cast<double>(records_) * kBaseCpi) +
            stall_cycles_;
   }
 
@@ -53,7 +48,6 @@ class CpiModel {
   }
 
  private:
-  TimingParams params_;
   std::uint64_t records_ = 0;
   Cycle stall_cycles_ = 0;
 };

@@ -56,7 +56,7 @@ Cycle MemoryHierarchy::access(const Access& a, Cycle now) {
   // Loads and fetches stall the core; stores retire through the write
   // buffer.
   if (a.is_write()) return 0;
-  const Cycle stall = cfg_.l1_hit_latency + l2r.latency;
+  const Cycle stall = kL1HitLatency + l2r.latency;
   (l2r.hit ? stall_l2_hit_ : stall_l2_miss_) += stall;
   return stall;
 }

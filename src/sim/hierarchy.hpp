@@ -13,20 +13,20 @@
 
 namespace mobcache {
 
+/// L1 hit latency in cycles: pipelined, so charged only on the L2 path.
+inline constexpr Cycle kL1HitLatency = 1;
+
 struct HierarchyConfig {
   CacheConfig l1i{.name = "L1I",
                   .size_bytes = 32ull << 10,
                   .assoc = 2,
-                  .line_size = kLineSize,
                   .repl = ReplKind::Lru};
   CacheConfig l1d{.name = "L1D",
                   .size_bytes = 32ull << 10,
                   .assoc = 4,
-                  .line_size = kLineSize,
                   .repl = ReplKind::Lru};
-  Cycle l1_hit_latency = 1;  ///< pipelined; charged only on the L2 path
   /// L2-side stream prefetcher (off by default; experiment E12).
-  PrefetchConfig prefetch;
+  bool prefetch = false;
   /// Inclusive L2: an L2 eviction back-invalidates any L1 copy (the
   /// coherence-friendly policy; costs extra L1 misses). Default:
   /// non-inclusive, as in the paper's platform. Ablated in E10.

@@ -8,29 +8,27 @@ namespace {
 
 /// Private per-core front end: L1I + L1D in front of the shared L2.
 struct CoreFrontEnd {
-  CoreFrontEnd(const HierarchyConfig& cfg)
-      : l1i(cfg.l1i), l1d(cfg.l1d) {}
+  CoreFrontEnd(const HierarchyConfig& cfg) : l1i(cfg.l1i), l1d(cfg.l1d) {}
 
   SetAssocCache l1i;
   SetAssocCache l1d;
-  CpiModel cpu;
 };
 
 }  // namespace
 
 MulticoreResult simulate_multicore(const std::vector<Trace>& per_core,
-                                   MulticoreL2Interface& l2,
-                                   const MulticoreOptions& opts) {
+                                   MulticoreL2Interface& l2) {
   MulticoreResult res;
   res.scheme = l2.describe();
   res.l2_capacity_bytes = l2.capacity_bytes();
 
   const auto cores = static_cast<std::uint32_t>(per_core.size());
+  const HierarchyConfig hierarchy;
   std::vector<CoreFrontEnd> fe;
   fe.reserve(cores);
-  for (std::uint32_t c = 0; c < cores; ++c) fe.emplace_back(opts.hierarchy);
+  for (std::uint32_t c = 0; c < cores; ++c) fe.emplace_back(hierarchy);
   std::vector<std::size_t> cursor(cores, 0);
-  std::vector<CpiModel> cpu(cores, CpiModel(opts.timing));
+  std::vector<CpiModel> cpu(cores);
 
   bool any = true;
   while (any) {
@@ -53,7 +51,7 @@ MulticoreResult simulate_multicore(const std::vector<Trace>& per_core,
         if (r.evicted_valid && r.victim_dirty) {
           l2.writeback(r.victim_line, r.victim_owner, c, now);
         }
-        if (!a.is_write()) stall = opts.hierarchy.l1_hit_latency + l2r.latency;
+        if (!a.is_write()) stall = kL1HitLatency + l2r.latency;
       }
       cpu[c].retire(stall);
     }
@@ -78,9 +76,8 @@ MulticoreResult simulate_multicore(const std::vector<Trace>& per_core,
 }
 
 MulticoreResult simulate_multicore(const std::vector<Trace>& per_core,
-                                   std::unique_ptr<MulticoreL2Interface> l2,
-                                   const MulticoreOptions& opts) {
-  return simulate_multicore(per_core, *l2, opts);
+                                   std::unique_ptr<MulticoreL2Interface> l2) {
+  return simulate_multicore(per_core, *l2);
 }
 
 }  // namespace mobcache

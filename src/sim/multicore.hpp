@@ -44,20 +44,14 @@ struct MulticoreResult {
   double l2_miss_rate() const { return l2.miss_rate(); }
 };
 
-struct MulticoreOptions {
-  HierarchyConfig hierarchy;  ///< per-core L1 geometry (prefetch ignored)
-  TimingParams timing;
-};
-
-/// Runs one trace per core against the shared L2 (non-owning). Traces
+/// Runs one trace per core against the shared L2 (non-owning). Each core
+/// has the default HierarchyConfig's L1I and L1D and no prefetcher. Traces
 /// should be of comparable length (see interleaving model).
 MulticoreResult simulate_multicore(const std::vector<Trace>& per_core,
-                                   MulticoreL2Interface& l2,
-                                   const MulticoreOptions& opts = {});
+                                   MulticoreL2Interface& l2);
 
 /// Owning convenience overload; the design is destroyed on return.
 MulticoreResult simulate_multicore(const std::vector<Trace>& per_core,
-                                   std::unique_ptr<MulticoreL2Interface> l2,
-                                   const MulticoreOptions& opts = {});
+                                   std::unique_ptr<MulticoreL2Interface> l2);
 
 }  // namespace mobcache

@@ -83,7 +83,7 @@ SimResult simulate_chunked(const std::string& workload, NextChunk&& next_chunk,
   }
 
   MemoryHierarchy hier(opts.hierarchy, l2);
-  CpiModel cpu(opts.timing);
+  CpiModel cpu;
 
   // Cancellation/deadline supervision stays out of the per-record path:
   // the demand loops below run chunk by chunk (one chunk ≈ one

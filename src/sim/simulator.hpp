@@ -53,7 +53,6 @@ class CancelToken;
 
 struct SimOptions {
   HierarchyConfig hierarchy;
-  TimingParams timing;
   /// Wall-clock budget for this one run in milliseconds; 0 disables the
   /// deadline. Checked cooperatively at the cancellation-poll stride; on
   /// expiry the run throws DeadlineExceeded naming the workload and scheme.

@@ -61,7 +61,6 @@ class Trace {
   explicit Trace(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
 
   void reserve(std::size_t n) { accesses_.reserve(n); }
   void push(const Access& a) { accesses_.push_back(a); }

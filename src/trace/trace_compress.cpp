@@ -80,6 +80,8 @@ bool write_trace_compressed(const Trace& trace, const std::string& path) {
   const std::uint64_t body_len = body.size();
   f.write(reinterpret_cast<const char*>(&body_len), sizeof body_len);
   f.write(body.data(), static_cast<std::streamsize>(body.size()));
+  // Tested after the close: the buffered tail is written only then.
+  f.close();
   return static_cast<bool>(f);
 }
 

@@ -79,6 +79,8 @@ bool write_trace(const Trace& trace, const std::string& path) {
     r.pad = 0;
     f.write(reinterpret_cast<const char*>(&r), sizeof r);
   }
+  // Tested after the close: the buffered tail is written only then.
+  f.close();
   return static_cast<bool>(f);
 }
 

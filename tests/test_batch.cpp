@@ -88,7 +88,7 @@ TEST(BatchEligible, AnyL2ToL1ChannelDisqualifies) {
   EXPECT_FALSE(batch_eligible(inclusive));
 
   SimOptions prefetch;
-  prefetch.hierarchy.prefetch.enabled = true;
+  prefetch.hierarchy.prefetch = true;
   EXPECT_FALSE(batch_eligible(prefetch));
 
   SimOptions telemetry;

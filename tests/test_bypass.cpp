@@ -11,25 +11,19 @@
 namespace mobcache {
 namespace {
 
-BypassPredictorConfig on() {
-  BypassPredictorConfig c;
-  c.enabled = true;
-  return c;
-}
-
 TEST(BypassPredictor, DisabledNeverBypasses) {
-  StreamBypassPredictor p(BypassPredictorConfig{});
+  StreamBypassPredictor p(/*enabled=*/false);
   for (int i = 0; i < 10; ++i) p.train_eviction(0x1000, /*was_reused=*/false);
   EXPECT_FALSE(p.should_bypass(0x1000));
 }
 
 TEST(BypassPredictor, NewRegionsInstallByDefault) {
-  StreamBypassPredictor p(on());
+  StreamBypassPredictor p(/*enabled=*/true);
   EXPECT_FALSE(p.should_bypass(0x5000));
 }
 
 TEST(BypassPredictor, DeadEvictionsTrainTowardBypass) {
-  StreamBypassPredictor p(on());
+  StreamBypassPredictor p(/*enabled=*/true);
   const Addr line = 0x9000;
   EXPECT_FALSE(p.should_bypass(line));
   p.train_eviction(line, false);  // counter 2 → 1
@@ -39,7 +33,7 @@ TEST(BypassPredictor, DeadEvictionsTrainTowardBypass) {
 }
 
 TEST(BypassPredictor, ReuseRecoversInstallDecision) {
-  StreamBypassPredictor p(on());
+  StreamBypassPredictor p(/*enabled=*/true);
   const Addr line = 0x9000;
   p.train_eviction(line, false);
   p.train_eviction(line, false);
@@ -49,7 +43,7 @@ TEST(BypassPredictor, ReuseRecoversInstallDecision) {
 }
 
 TEST(BypassPredictor, RegionsAreIndependent) {
-  StreamBypassPredictor p(on());
+  StreamBypassPredictor p(/*enabled=*/true);
   // Two lines in the same 4 KB region share a counter; a distant region
   // does not (modulo the tagless table's rare aliasing, avoided here).
   p.train_eviction(0x0000, false);
@@ -67,7 +61,7 @@ TEST(BypassL2, StreamingFillsGetBypassed) {
   c.cache.assoc = 8;
   c.tech = TechKind::SttRam;
   c.retention = RetentionClass::Hi;
-  c.bypass.enabled = true;
+  c.bypass = true;
   SharedL2 l2(c);
 
   // A pure stream: every line touched once. After the predictor trains on
@@ -91,7 +85,7 @@ TEST(BypassL2, HotDataStaysCached) {
   c.cache.size_bytes = 256ull << 10;
   c.cache.assoc = 8;
   c.tech = TechKind::SttRam;
-  c.bypass.enabled = true;
+  c.bypass = true;
   SharedL2 l2(c);
 
   // A small hot loop: after the first pass everything hits; the predictor

@@ -41,6 +41,12 @@ struct DefaultModeGuard {
 struct Draw {
   SchemeKind kind = SchemeKind::BaselineSram;
   SchemeParams params;
+  /// The DP designs' knobs, applied to dynamic_scheme_config(kind, params);
+  /// every draw makes them, so the sequence of draws does not depend on
+  /// the kind.
+  RetentionClass retention = RetentionClass::Lo;
+  std::uint64_t epoch_accesses = 10'000;
+  MonitorKind monitor = MonitorKind::ShadowUtility;
   AppId app = AppId::Launcher;
   std::uint64_t records = 0;
   std::uint64_t trace_seed = 0;
@@ -71,13 +77,14 @@ Draw draw(std::size_t i) {
       RetentionClass::Lo, RetentionClass::Mid, RetentionClass::Hi};
   p.mrstt_user = pick(rng, classes);
   p.mrstt_kernel = pick(rng, classes);
-  p.dp_retention = pick(rng, classes);
+  d.retention = pick(rng, classes);
   p.refresh = pick(rng, std::vector<RefreshPolicy>{
                             RefreshPolicy::InvalidateOnExpiry,
                             RefreshPolicy::ScrubDirty, RefreshPolicy::ScrubAll});
-  p.dp_epoch_accesses = pick<std::uint64_t>(rng, {2'000, 5'000, 10'000, 25'000});
-  p.dp_monitor = pick(rng, std::vector<MonitorKind>{MonitorKind::ShadowUtility,
-                                                    MonitorKind::HillClimb});
+  d.epoch_accesses =
+      pick<std::uint64_t>(rng, {2'000, 5'000, 10'000, 25'000});
+  d.monitor = pick(rng, std::vector<MonitorKind>{MonitorKind::ShadowUtility,
+                                                 MonitorKind::HillClimb});
   p.repl = pick(rng, std::vector<ReplKind>{ReplKind::Lru, ReplKind::Fifo,
                                            ReplKind::Random, ReplKind::Plru,
                                            ReplKind::Srrip});
@@ -97,6 +104,31 @@ Draw draw(std::size_t i) {
   return d;
 }
 
+/// The draw's design: its scheme, or for DP-SRAM and DP-STT the scheme's
+/// DynamicL2Config with the draw's retention, epoch and monitor, keyed by
+/// all of them.
+DesignSpec design_of(const Draw& d) {
+  if (d.kind != SchemeKind::DynamicSram && d.kind != SchemeKind::DynamicStt)
+    return scheme_design(d.kind, d.params);
+  DynamicL2Config c = dynamic_scheme_config(d.kind, d.params);
+  c.retention = d.retention;
+  c.epoch_accesses = d.epoch_accesses;
+  c.controller.monitor = d.monitor;
+  DesignSpec spec;
+  spec.name = scheme_name(d.kind);
+  spec.build = [c] { return std::make_unique<DynamicPartitionedL2>(c); };
+  spec.design_hash = ContentHasher()
+                         .mix(std::string("differential-dp"))
+                         .mix(static_cast<std::uint64_t>(d.kind))
+                         .mix(hash_scheme_params(d.params))
+                         .mix(static_cast<std::uint64_t>(d.retention))
+                         .mix(d.epoch_accesses)
+                         .mix(static_cast<std::uint64_t>(d.monitor))
+                         .digest();
+  spec.kind = d.kind;
+  return spec;
+}
+
 class Differential : public ::testing::TestWithParam<std::size_t> {
  protected:
   void SetUp() override {
@@ -112,35 +144,35 @@ class Differential : public ::testing::TestWithParam<std::size_t> {
 
 TEST_P(Differential, EveryPathGivesTheSameBytes) {
   const Draw d = draw(GetParam());
+  const DesignSpec design = design_of(d);
   const Trace trace = generate_app_trace(d.app, d.records, d.trace_seed);
   const SimOptions opts;
   SCOPED_TRACE(std::string(scheme_name(d.kind)) + " on " + trace.name() +
                " x " + std::to_string(d.records));
 
-  const std::string want = result_to_record_json(
-      simulate(trace, build_scheme(d.kind, d.params), opts));
+  const std::string want =
+      result_to_record_json(simulate(trace, design.build(), opts));
 
   {
     // Arrays read the process default when built, so the design is built
     // inside the scope; the guard restores the default even on failure.
     const DefaultModeGuard guard;
     SetAssocCache::set_default_kernel_mode(KernelMode::Reference);
-    EXPECT_EQ(result_to_record_json(
-                  simulate(trace, build_scheme(d.kind, d.params), opts)),
+    EXPECT_EQ(result_to_record_json(simulate(trace, design.build(), opts)),
               want)
         << "reference kernel";
   }
 
   const L1MissIndex index =
       build_l1_miss_index(trace, opts, PointSupervisor(opts));
-  const std::unique_ptr<L2Interface> replayed = build_scheme(d.kind, d.params);
+  const std::unique_ptr<L2Interface> replayed = design.build();
   EXPECT_EQ(result_to_record_json(replay_l1_miss_index(
                 trace, index, *replayed, PointSupervisor(opts))),
             want)
       << "index replay";
 
   const DemandStream stream = build_demand_stream(trace, opts);
-  const std::unique_ptr<L2Interface> lane = build_scheme(d.kind, d.params);
+  const std::unique_ptr<L2Interface> lane = design.build();
   const std::vector<BatchLaneOutcome> lanes =
       simulate_batch_lanes(stream, {lane.get()}, opts);
   ASSERT_TRUE(lanes[0].ok());
@@ -148,7 +180,7 @@ TEST_P(Differential, EveryPathGivesTheSameBytes) {
 
   // The runner only shares an L1 pass between two or more designs on a
   // trace, so the draw rides with a default-configured companion.
-  const std::vector<DesignSpec> specs{scheme_design(d.kind, d.params),
+  const std::vector<DesignSpec> specs{design,
                                       scheme_design(SchemeKind::DynamicStt)};
   for (const unsigned jobs : {1u, 4u}) {
     ExperimentRunner runner({trace});

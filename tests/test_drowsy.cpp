@@ -9,25 +9,28 @@
 namespace mobcache {
 namespace {
 
-DrowsyL2Config cfg(Cycle window = 1000) {
-  DrowsyL2Config c;
-  c.cache.name = "L2";
-  c.cache.size_bytes = 256ull << 10;
-  c.cache.assoc = 8;
-  c.window = window;
+CacheConfig cfg() {
+  CacheConfig c;
+  c.name = "L2";
+  c.size_bytes = 256ull << 10;
+  c.assoc = 8;
   return c;
 }
 
 TEST(Drowsy, FirstAccessPaysWakeLatency) {
+  static_assert(DrowsyL2::kWindow == 4000 && DrowsyL2::kWakeLatency == 2);
   DrowsyL2 l2(cfg());
   const TechParams sram = make_sram(256ull << 10);
-  // Fill, then hit within the same window: the line is already awake.
+  // Fill, then hit within the same window: the line is already awake, up
+  // to the window's last cycle.
   l2.access(0x1000, AccessType::Read, Mode::User, 0);
   const L2Result warm = l2.access(0x1000, AccessType::Read, Mode::User, 10);
   EXPECT_EQ(warm.latency, sram.read_latency);
+  const L2Result last = l2.access(0x1000, AccessType::Read, Mode::User, 3999);
+  EXPECT_EQ(last.latency, sram.read_latency);
 
-  // After a window boundary everything is drowsy again.
-  const L2Result cold = l2.access(0x1000, AccessType::Read, Mode::User, 2000);
+  // At the 4000-cycle boundary everything is drowsy again.
+  const L2Result cold = l2.access(0x1000, AccessType::Read, Mode::User, 4000);
   EXPECT_EQ(cold.latency, sram.read_latency + 2);
   EXPECT_EQ(l2.wakeups(), 2u);  // fill wake + re-wake
 }
@@ -45,12 +48,13 @@ TEST(Drowsy, IdleCacheLeaksAtDrowsyFloor) {
 }
 
 TEST(Drowsy, HeavyTrafficRaisesLeakTowardAwake) {
-  DrowsyL2 l2(cfg(/*window=*/100'000));
-  // Touch many distinct lines continuously within each window.
+  DrowsyL2 l2(cfg());
+  // Touch a distinct line every cycle: each 4000-cycle window wakes 4000
+  // of the 4096 lines.
   Cycle now = 0;
   for (std::uint64_t i = 0; i < 40'000; ++i) {
     l2.access((i % 4096) * kLineSize, AccessType::Read, Mode::User, now);
-    now += 10;
+    now += 1;
   }
   l2.finalize(now);
   EXPECT_GT(l2.avg_leak_fraction(), 0.5);
@@ -94,9 +98,9 @@ TEST(Drowsy, SavesLeakageButLessThanPartitionedStt) {
 
 TEST(Drowsy, WakeupsBoundedByAccessesPlusFills) {
   const Trace t = generate_app_trace(AppId::Email, 100'000, 3);
-  DrowsyL2Config c = cfg();
-  c.cache.size_bytes = 2ull << 20;
-  c.cache.assoc = 16;
+  CacheConfig c = cfg();
+  c.size_bytes = 2ull << 20;
+  c.assoc = 16;
   DrowsyL2 l2(c);
   const SimResult r = simulate(t, l2);
   EXPECT_GT(l2.wakeups(), 0u);

@@ -147,7 +147,7 @@ TEST(EnergyReconcile, EccEnergyMatchesCorrectionsUnderPrefetch) {
   SchemeParams p;
   p.fault = FaultConfig::from_rate(5e-3, EccKind::Secded, 4, 11);
   SimOptions opts;
-  opts.hierarchy.prefetch.enabled = true;
+  opts.hierarchy.prefetch = true;
   const double per_correction = EccModel(EccKind::Secded).correction_energy_nj();
   for (AppId app : {AppId::Browser, AppId::Launcher}) {
     const Trace t = generate_app_trace(app, 120'000, 7);

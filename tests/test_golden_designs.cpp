@@ -130,7 +130,7 @@ FaultConfig pin_faults() {
 
 SimOptions with_prefetch() {
   SimOptions o;
-  o.hierarchy.prefetch.enabled = true;
+  o.hierarchy.prefetch = true;
   return o;
 }
 

@@ -136,9 +136,8 @@ TEST(Hierarchy, FinalizeIsIdempotent) {
 }
 
 TEST(CpiModel, BaseAndStallArithmetic) {
-  TimingParams tp;
-  tp.base_cpi = 2.0;
-  CpiModel m(tp);
+  static_assert(kBaseCpi == 2.0);
+  CpiModel m;
   EXPECT_EQ(m.now(), 0u);
   m.retire(0);
   EXPECT_EQ(m.now(), 2u);

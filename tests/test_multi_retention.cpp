@@ -116,7 +116,7 @@ TEST(MrsttConfig, BuilderWiresClassesAndPolicy) {
                         RetentionClass::Lo, RefreshPolicy::ScrubAll);
   EXPECT_EQ(c.user.tech, TechKind::SttRam);
   EXPECT_EQ(c.user.retention, RetentionClass::Mid);
-  EXPECT_EQ(c.user.size_bytes, 512ull << 10);
+  EXPECT_EQ(c.user.cache.size_bytes, 512ull << 10);
   EXPECT_EQ(c.kernel.retention, RetentionClass::Lo);
   EXPECT_EQ(c.kernel.refresh, RefreshPolicy::ScrubAll);
 }

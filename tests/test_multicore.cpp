@@ -10,15 +10,12 @@
 namespace mobcache {
 namespace {
 
-MulticoreL2Config mc_cfg(std::uint32_t cores = 2,
-                         TechKind tech = TechKind::SttRam) {
+MulticoreL2Config mc_cfg(std::uint32_t cores = 2) {
   MulticoreL2Config c;
   c.cache.name = "L2";
   c.cache.size_bytes = 2ull << 20;
   c.cache.assoc = 16;
   c.cores = cores;
-  c.tech = tech;
-  c.epoch_accesses = 5'000;
   return c;
 }
 

@@ -129,7 +129,7 @@ TEST(BandsStandalone, E12PrefetchReducesMisses) {
   const Trace t = generate_app_trace(AppId::VideoPlayer, kLen, 42);
   SimOptions off;
   SimOptions on;
-  on.hierarchy.prefetch.enabled = true;
+  on.hierarchy.prefetch = true;
   const SimResult a = simulate(t, build_scheme(SchemeKind::BaselineSram), off);
   const SimResult b = simulate(t, build_scheme(SchemeKind::BaselineSram), on);
   EXPECT_LT(b.l2_miss_rate(), a.l2_miss_rate() - 0.02);

@@ -195,7 +195,6 @@ TEST_P(MulticoreInvariants, RandomTrafficKeepsGroupsSound) {
   cfg.cache.size_bytes = 2ull << 20;
   cfg.cache.assoc = 16;
   cfg.cores = cores;
-  cfg.epoch_accesses = 3'000;
   MulticoreDynamicL2 l2(cfg);
 
   Rng rng(cores * 7919);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "core/scheme.hpp"
 #include "energy/technology.hpp"
 #include "exp/runner.hpp"
+#include "obs/telemetry.hpp"
 #include "workload/suite.hpp"
 
 namespace mobcache {
@@ -170,6 +172,107 @@ TEST(ContentHasherTest, SchemeParamsFaultFieldsAreKeyed) {
   EXPECT_EQ(hash_scheme_params(a), hash_scheme_params(b));
   b.fault.seed += 1;
   EXPECT_NE(hash_scheme_params(a), hash_scheme_params(b));
+}
+
+/// The point key of a scheme cell under `p` and `o`, on a fixed trace at
+/// the active technology.
+std::uint64_t point_key(const SchemeParams& p, const SimOptions& o) {
+  const DesignSpec d = scheme_design(SchemeKind::BaselineSram, p);
+  return result_point_key(*d.design_hash, /*trace_hash=*/42,
+                          hash_sim_options(o), hash_technology(technology()));
+}
+
+TEST(ContentHasherTest, EveryLiveFieldChangesThePointKey) {
+  // Structured bindings stop compiling when a field is added or removed:
+  // a new field belongs in its hash and in the tables below.
+  [[maybe_unused]] const auto& [baseline_bytes, baseline_assoc, shrunk_bytes,
+                                shrunk_assoc, sp_user_bytes, sp_user_assoc,
+                                sp_kernel_bytes, sp_kernel_assoc, mrstt_user,
+                                mrstt_kernel, refresh, repl, xor_index,
+                                stt_write_bypass, fault] = SchemeParams{};
+  [[maybe_unused]] const auto& [write_fault_prob, transient_per_mcycle,
+                                retention_sigma, ecc, way_disable_threshold,
+                                seed] = FaultConfig{};
+  [[maybe_unused]] const auto& [name, size_bytes, assoc, cache_repl,
+                                cache_xor_index] = CacheConfig{};
+  [[maybe_unused]] const auto& [l1i, l1d, prefetch, inclusive_l2] =
+      HierarchyConfig{};
+  [[maybe_unused]] const auto& [hierarchy, point_deadline_ms, cancel,
+                                telemetry] = SimOptions{};
+
+  using Change = std::function<void(SchemeParams&, SimOptions&)>;
+  std::vector<std::pair<std::string, Change>> keyed;
+  auto param = [&](std::string field, std::function<void(SchemeParams&)> f) {
+    keyed.emplace_back(std::move(field),
+                       [f](SchemeParams& p, SimOptions&) { f(p); });
+  };
+  auto option = [&](std::string field, std::function<void(SimOptions&)> f) {
+    keyed.emplace_back(std::move(field),
+                       [f](SchemeParams&, SimOptions& o) { f(o); });
+  };
+  param("baseline_bytes", [](auto& p) { p.baseline_bytes *= 2; });
+  param("baseline_assoc", [](auto& p) { p.baseline_assoc *= 2; });
+  param("shrunk_bytes", [](auto& p) { p.shrunk_bytes *= 2; });
+  param("shrunk_assoc", [](auto& p) { p.shrunk_assoc *= 2; });
+  param("sp_user_bytes", [](auto& p) { p.sp_user_bytes *= 2; });
+  param("sp_user_assoc", [](auto& p) { p.sp_user_assoc *= 2; });
+  param("sp_kernel_bytes", [](auto& p) { p.sp_kernel_bytes *= 2; });
+  param("sp_kernel_assoc", [](auto& p) { p.sp_kernel_assoc *= 2; });
+  param("mrstt_user", [](auto& p) { p.mrstt_user = RetentionClass::Hi; });
+  param("mrstt_kernel", [](auto& p) { p.mrstt_kernel = RetentionClass::Hi; });
+  param("refresh", [](auto& p) { p.refresh = RefreshPolicy::ScrubAll; });
+  param("repl", [](auto& p) { p.repl = ReplKind::Fifo; });
+  param("xor_index", [](auto& p) { p.xor_index = true; });
+  param("stt_write_bypass", [](auto& p) { p.stt_write_bypass = true; });
+  param("fault.write_fault_prob",
+        [](auto& p) { p.fault.write_fault_prob = 1e-3; });
+  param("fault.transient_per_mcycle",
+        [](auto& p) { p.fault.transient_per_mcycle = 1.0; });
+  param("fault.retention_sigma",
+        [](auto& p) { p.fault.retention_sigma = 0.1; });
+  param("fault.ecc", [](auto& p) { p.fault.ecc = EccKind::Parity; });
+  param("fault.way_disable_threshold",
+        [](auto& p) { p.fault.way_disable_threshold = 4; });
+  param("fault.seed", [](auto& p) { p.fault.seed += 1; });
+  // Every CacheConfig field but the cosmetic name, in each L1.
+  for (auto [array, member] : {std::pair{"l1i", &HierarchyConfig::l1i},
+                               std::pair{"l1d", &HierarchyConfig::l1d}}) {
+    const std::string a = array;
+    const auto m = member;
+    option(a + ".size_bytes",
+           [m](SimOptions& o) { (o.hierarchy.*m).size_bytes *= 2; });
+    option(a + ".assoc", [m](SimOptions& o) { (o.hierarchy.*m).assoc *= 2; });
+    option(a + ".repl",
+           [m](SimOptions& o) { (o.hierarchy.*m).repl = ReplKind::Fifo; });
+    option(a + ".xor_index",
+           [m](SimOptions& o) { (o.hierarchy.*m).xor_index = true; });
+  }
+  option("prefetch", [](SimOptions& o) { o.hierarchy.prefetch = true; });
+  option("inclusive_l2",
+         [](SimOptions& o) { o.hierarchy.inclusive_l2 = true; });
+
+  const std::uint64_t base = point_key({}, {});
+  for (const auto& [field, change] : keyed) {
+    SchemeParams p;
+    SimOptions o;
+    change(p, o);
+    EXPECT_NE(point_key(p, o), base) << field << " is not in the key";
+  }
+
+  // Supervision decides whether a run finishes, never what it computes.
+  const CancelToken token;
+  Telemetry tel;
+  const std::vector<std::pair<std::string, std::function<void(SimOptions&)>>>
+      unkeyed = {
+          {"point_deadline_ms", [](SimOptions& o) { o.point_deadline_ms = 5; }},
+          {"cancel", [&token](SimOptions& o) { o.cancel = &token; }},
+          {"telemetry", [&tel](SimOptions& o) { o.telemetry = &tel; }},
+      };
+  for (const auto& [field, change] : unkeyed) {
+    SimOptions o;
+    change(o);
+    EXPECT_EQ(point_key({}, o), base) << field << " must not be in the key";
+  }
 }
 
 TEST(ContentHasherTest, TechnologyPerturbationChangesKey) {

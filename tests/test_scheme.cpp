@@ -63,9 +63,24 @@ TEST(Scheme, DynamicVariantsDifferOnlyInTech) {
 
 TEST(Scheme, ParamsPlumbedToDynamic) {
   SchemeParams p;
-  p.dp_monitor = MonitorKind::HillClimb;
+  p.baseline_bytes = 1ull << 20;
+  p.baseline_assoc = 8;
+  p.repl = ReplKind::Fifo;
+  p.refresh = RefreshPolicy::ScrubAll;
+  const DynamicL2Config c = dynamic_scheme_config(SchemeKind::DynamicStt, p);
+  EXPECT_EQ(c.cache.size_bytes, 1ull << 20);
+  EXPECT_EQ(c.cache.assoc, 8u);
+  EXPECT_EQ(c.cache.repl, ReplKind::Fifo);
+  EXPECT_EQ(c.tech, TechKind::SttRam);
+  EXPECT_EQ(c.refresh, RefreshPolicy::ScrubAll);
+  // Everything else is DynamicL2Config's default: E9's DP-STT.
+  EXPECT_EQ(c.retention, RetentionClass::Lo);
+  EXPECT_EQ(c.epoch_accesses, 10'000u);
+  EXPECT_EQ(c.controller.monitor, MonitorKind::ShadowUtility);
+  EXPECT_EQ(c.controller.miss_slack, 0.05);
   auto l2 = build_scheme(SchemeKind::DynamicStt, p);
-  EXPECT_NE(l2->describe().find("hill-climb"), std::string::npos);
+  EXPECT_EQ(l2->capacity_bytes(), 1ull << 20);
+  EXPECT_NE(l2->describe().find("shadow-utility"), std::string::npos);
 }
 
 TEST(Scheme, ReplacementPolicyPlumbedEverywhere) {

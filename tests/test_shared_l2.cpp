@@ -127,15 +127,20 @@ TEST(SharedL2, CapacityAndDescribe) {
 }
 
 TEST(SharedL2, RefreshIntervalClampedToHalfRetention) {
-  SharedL2Config c = stt_cfg(RetentionClass::Lo);
-  c.refresh_check_interval = 1'000'000'000;  // far beyond t_ret
-  SharedL2 l2(c);
-  // A dirty block written at t=0 must still be alive at 0.9·t_ret because
+  // At 85 °C, E19's hottest point, LO retention shrinks below the 2 M-cycle
+  // maintenance cadence, so only the t_ret/2 clamp makes a tick due at
+  // t_ret/2.
+  TechnologyConfig hot;
+  hot.temperature_k = 85.0 + 273.0;
+  const ScopedTechnology scope(hot);
+  const Cycle ret = retention_cycles_of(RetentionClass::Lo);
+  ASSERT_LT(ret, 2'000'000u);
+  SharedL2 l2(stt_cfg(RetentionClass::Lo));
+  // A dirty block written at t=0 must still be alive at 1.25·t_ret because
   // the clamped controller scrubbed it in time.
   l2.access(0x1000, AccessType::Write, Mode::User, 0);
-  const Cycle ret = tech_constants::kRetentionLoCycles;
   l2.access(0x2000, AccessType::Read, Mode::User, ret / 2);  // triggers tick
-  EXPECT_TRUE(l2.array().contains(0x1000, ret - ret / 10));
+  EXPECT_TRUE(l2.array().contains(0x1000, ret + ret / 4));
 }
 
 }  // namespace

@@ -114,10 +114,11 @@ TEST(StaticPartition, EvictionObserverCoversBothSegments) {
 }
 
 TEST(StaticPartition, BuilderHelpers) {
-  const SegmentSpec s = sram_segment(64ull << 10, 4);
+  const L2SegmentConfig s = sram_segment(64ull << 10, 4);
   EXPECT_EQ(s.tech, TechKind::Sram);
-  EXPECT_EQ(s.size_bytes, 64ull << 10);
-  const SegmentSpec t =
+  EXPECT_EQ(s.cache.size_bytes, 64ull << 10);
+  EXPECT_EQ(s.cache.assoc, 4u);
+  const L2SegmentConfig t =
       sttram_segment(64ull << 10, 4, RetentionClass::Lo,
                      RefreshPolicy::ScrubAll);
   EXPECT_EQ(t.tech, TechKind::SttRam);

@@ -9,14 +9,18 @@
 namespace mobcache {
 namespace {
 
-VictimCacheL2Config cfg(std::uint32_t entries = 8) {
-  VictimCacheL2Config c;
-  c.cache.name = "L2";
-  c.cache.size_bytes = 8ull << 10;  // tiny direct-mapped to force conflicts
-  c.cache.assoc = 1;
-  c.victim_entries = entries;
+CacheConfig cfg() {
+  CacheConfig c;
+  c.name = "L2";
+  c.size_bytes = 8ull << 10;  // tiny direct-mapped to force conflicts
+  c.assoc = 1;
   return c;
 }
+
+constexpr std::uint64_t kSets = (8ull << 10) / kLineSize;
+
+/// The i-th line of set 0 of cfg()'s array: every one conflicts.
+Addr conflicting(std::uint64_t i) { return i * kSets * kLineSize; }
 
 TEST(VictimCache, RescuesConflictVictims) {
   VictimCacheL2 l2(cfg());
@@ -48,28 +52,39 @@ TEST(VictimCache, TracksCrossModeRescues) {
 }
 
 TEST(VictimCache, BufferCapacityBounded) {
-  VictimCacheL2 l2(cfg(/*entries=*/2));
-  const std::uint64_t sets = (8ull << 10) / kLineSize;
-  // Three victims through a 2-entry buffer: the first falls out.
-  for (std::uint64_t i = 0; i < 4; ++i)
-    l2.access(i * sets * kLineSize, AccessType::Read, Mode::User, i * 10);
-  // Line 0 was evicted first and has fallen out of the buffer by now.
-  l2.access(0, AccessType::Read, Mode::User, 100);
-  EXPECT_EQ(l2.victim_hits(), 0u);
+  static_assert(VictimCacheL2::kVictimEntries == 64);
+  VictimCacheL2 l2(cfg());
+  // 65 victims through the 64-entry buffer: the first falls out, the
+  // second stays.
+  const std::uint64_t n = VictimCacheL2::kVictimEntries + 2;
+  for (std::uint64_t i = 0; i < n; ++i)
+    l2.access(conflicting(i), AccessType::Read, Mode::User, i * 10);
+  l2.access(conflicting(1), AccessType::Read, Mode::User, n * 10);
+  EXPECT_EQ(l2.victim_hits(), 1u);
+  l2.access(conflicting(0), AccessType::Read, Mode::User, n * 10 + 10);
+  EXPECT_EQ(l2.victim_hits(), 1u);
 }
 
 TEST(VictimCache, DirtyVictimFallingOutPaysDram) {
-  VictimCacheL2 l2(cfg(/*entries=*/1));
-  const std::uint64_t sets = (8ull << 10) / kLineSize;
-  l2.access(0, AccessType::Write, Mode::User, 0);  // dirty
+  VictimCacheL2 l2(cfg());
+  l2.access(conflicting(0), AccessType::Write, Mode::User, 0);  // dirty
+  // 64 more lines fill the buffer with victims 0..63.
+  const std::uint64_t n = VictimCacheL2::kVictimEntries;
+  for (std::uint64_t i = 1; i <= n; ++i)
+    l2.access(conflicting(i), AccessType::Read, Mode::User, i * 10);
+  // The next fill pushes dirty victim 0 out: its fetch and its writeback.
   const double dram0 = l2.energy().dram_nj;
-  l2.access(sets * kLineSize, AccessType::Read, Mode::User, 10);   // victim 0
-  l2.access(2 * sets * kLineSize, AccessType::Read, Mode::User, 20);  // pushes 0 out
-  EXPECT_GT(l2.energy().dram_nj, dram0 + tech_constants::kDramAccessNj * 1.5);
+  l2.access(conflicting(n + 1), AccessType::Read, Mode::User, n * 10 + 10);
+  const double dram1 = l2.energy().dram_nj;
+  EXPECT_GT(dram1, dram0 + tech_constants::kDramAccessNj * 1.5);
+  // Clean victim 1 leaves for free: only the fetch.
+  l2.access(conflicting(n + 2), AccessType::Read, Mode::User, n * 10 + 20);
+  EXPECT_NEAR(l2.energy().dram_nj - dram1, tech_constants::kDramAccessNj,
+              1e-9);
 }
 
 TEST(VictimCache, CapacityIncludesBuffer) {
-  VictimCacheL2 l2(cfg(64));
+  VictimCacheL2 l2(cfg());
   EXPECT_EQ(l2.capacity_bytes(), (8ull << 10) + 64 * kLineSize);
   EXPECT_NE(l2.describe().find("victim buffer"), std::string::npos);
 }
@@ -79,11 +94,10 @@ TEST(VictimCache, RecoversSomeInterferenceButNotTheEnergy) {
   const Trace t = generate_app_trace(AppId::Launcher, 300'000, 13);
   const SimResult base = simulate(t, build_scheme(SchemeKind::BaselineSram));
 
-  VictimCacheL2Config c;
-  c.cache.name = "L2";
-  c.cache.size_bytes = 2ull << 20;
-  c.cache.assoc = 16;
-  c.victim_entries = 64;
+  CacheConfig c;
+  c.name = "L2";
+  c.size_bytes = 2ull << 20;
+  c.assoc = 16;
   VictimCacheL2 vcl2(c);
   const SimResult vc = simulate(t, vcl2);
 

@@ -97,6 +97,7 @@
 #include <string>
 #include <vector>
 
+#include "common/atomic_file.hpp"
 #include "common/env.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -554,13 +555,7 @@ static int tool_main(int argc, char** argv) {
       std::printf("merged metrics (%zu runs)\n", sessions.size());
       print_metrics_table(merged);
     } else {
-      const std::string doc = metrics_json_string(merged) + "\n";
-      std::FILE* f = std::fopen(flags.metrics_out.c_str(), "w");
-      bool written = f != nullptr && std::fwrite(doc.data(), 1, doc.size(),
-                                                 f) == doc.size();
-      // A short document sits in stdio's buffer until fclose flushes it.
-      if (f != nullptr && std::fclose(f) != 0) written = false;
-      if (!written)
+      if (!write_file(flags.metrics_out, metrics_json_string(merged) + "\n"))
         throw std::runtime_error("cannot write '" + flags.metrics_out + "'");
       std::printf("wrote metrics JSON to %s\n", flags.metrics_out.c_str());
     }
