@@ -127,7 +127,8 @@ static int run(ExperimentContext& ctx) {
   e_rows.push_back(dp("on", [](DynamicL2Config& c) {
     c.controller.use_energy_criterion = true;
   }));
-  std::vector<std::size_t> k_rows;
+  // LRU is the default policy: its baseline is row 0, and its SP-SRAM (1 MB
+  // user + 256 KB kernel, 8-way) is also [k]'s 8-way row.
   struct ReplRows {
     ReplKind repl;
     std::size_t base, sp;
@@ -137,20 +138,28 @@ static int run(ExperimentContext& ctx) {
                       ReplKind::Fifo, ReplKind::Random}) {
     SchemeParams p;
     p.repl = rk;
-    const std::size_t base = add(scheme_design(SchemeKind::BaselineSram, p));
+    const std::size_t base =
+        rk == ReplKind::Lru ? 0
+                            : add(scheme_design(SchemeKind::BaselineSram, p));
     const std::size_t sp = add(scheme_design(SchemeKind::StaticPartSram, p));
     g_rows.push_back({rk, base, sp});
   }
+  Rows k_rows;
   for (std::uint32_t assoc : {4u, 8u, 16u}) {
+    const std::string label = std::to_string(assoc) + "-way";
+    if (assoc == 8) {
+      k_rows.push_back({label, g_rows.front().sp});
+      continue;
+    }
     DesignSpec d;
-    d.name = std::to_string(assoc) + "-way";
+    d.name = label;
     d.build = [assoc]() -> std::unique_ptr<L2Interface> {
       StaticPartitionConfig pc;
       pc.user = sram_segment(1024ull << 10, assoc);
       pc.kernel = sram_segment(256ull << 10, assoc);
       return std::make_unique<StaticPartitionedL2>(pc);
     };
-    k_rows.push_back(add(std::move(d)));
+    k_rows.push_back({label, add(std::move(d))});
   }
   SchemeParams px;
   px.xor_index = true;
@@ -247,8 +256,8 @@ static int run(ExperimentContext& ctx) {
   {
     TablePrinter kk({"user/kernel assoc", "L2 miss", "norm cache energy",
                      "norm exec time"});
-    for (std::size_t i : k_rows) {
-      kk.add_row({grid[i].name, format_percent(grid[i].avg_miss_rate),
+    for (const auto& [label, i] : k_rows) {
+      kk.add_row({label, format_percent(grid[i].avg_miss_rate),
                   format_double(grid[i].norm_cache_energy, 3),
                   format_double(grid[i].norm_exec_time, 3)});
     }

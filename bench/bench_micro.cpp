@@ -1,110 +1,48 @@
 /// \file bench_micro.cpp
-/// google-benchmark microbenchmarks of the simulation substrate itself —
-/// regression guards for the simulator's own throughput (the evaluation
-/// sweeps run hundreds of millions of cache accesses).
+/// Self-timed speed gates of the simulation substrate itself — regression
+/// guards for the simulator's own throughput (the evaluation sweeps run
+/// hundreds of millions of cache accesses). Each writes BENCH_micro.json for
+/// CI's perf-smoke job.
 ///
-/// Three entry modes:
-///  * default: the usual google-benchmark CLI over every BENCHMARK below;
+/// Exactly one report mode runs; with none or both, bench_micro prints its
+/// usage and exits 2.
 ///  * --kernel-report: a self-timed access-kernel comparison (reference vs.
-///    fast dispatch, see docs/PERFORMANCE.md) that writes BENCH_micro.json
-///    for CI's perf-smoke gate (--min-speedup=X). Deterministic stat
-///    checksums land under "results"; throughputs and speedups land under
-///    "timing/" keys, which scripts/check_bench.py treats with a relative
-///    tolerance instead of exact equality.
+///    fast dispatch, see docs/PERFORMANCE.md), gated by --min-speedup=X.
+///    Deterministic stat checksums land under "results"; throughputs and
+///    speedups land under "timing/" keys, which scripts/check_bench.py
+///    treats with a relative tolerance instead of exact equality.
 ///  * --sweep-report: a self-timed comparison of E9's grid run as one
 ///    runner call against the same designs run one call each
 ///    (docs/SWEEP_ENGINE.md); it verifies byte-identical records in-binary
 ///    and writes the timing/sweep/* keys perf-smoke gates on
 ///    (--min-sweep-speedup=X).
-/// The two report modes are mutually exclusive.
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/set_assoc_cache.hpp"
-#include "cache/shadow_monitor.hpp"
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
 #include "exp/bench_harness.hpp"
 #include "exp/result_store.hpp"
 #include "exp/runner.hpp"
-#include "obs/telemetry.hpp"
-#include "sim/multicore.hpp"
-#include "sim/simulator.hpp"
-#include "trace/trace_compress.hpp"
-#include "workload/scenario.hpp"
 #include "workload/suite.hpp"
 
 namespace mobcache {
 namespace {
 
-void BM_CacheHit(benchmark::State& state) {
-  CacheConfig cfg;
-  cfg.size_bytes = 2ull << 20;
-  cfg.assoc = static_cast<std::uint32_t>(state.range(0));
-  SetAssocCache c(cfg);
-  c.access(0, AccessType::Read, Mode::User, 0);
-  Cycle now = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(c.access(0, AccessType::Read, Mode::User, now++));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheHit)->Arg(8)->Arg(16);
-
-void BM_CacheMissStream(benchmark::State& state) {
-  CacheConfig cfg;
-  cfg.size_bytes = 2ull << 20;
-  cfg.assoc = 16;
-  SetAssocCache c(cfg);
-  Cycle now = 0;
-  Addr a = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        c.access(a, AccessType::Read, Mode::User, ++now));
-    a += kLineSize;  // pure streaming: every access misses after warmup
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheMissStream);
-
-void BM_CacheRandomMix(benchmark::State& state) {
-  CacheConfig cfg;
-  cfg.size_bytes = 2ull << 20;
-  cfg.assoc = 16;
-  cfg.repl = static_cast<ReplKind>(state.range(0));
-  SetAssocCache c(cfg, 3);
-  Rng rng(5);
-  Cycle now = 0;
-  for (auto _ : state) {
-    const Addr a = rng.below(100'000) * kLineSize;
-    benchmark::DoNotOptimize(c.access(
-        a, rng.chance(0.3) ? AccessType::Write : AccessType::Read, Mode::User,
-        ++now));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheRandomMix)
-    ->Arg(static_cast<int>(ReplKind::Lru))
-    ->Arg(static_cast<int>(ReplKind::Plru))
-    ->Arg(static_cast<int>(ReplKind::Srrip));
-
-// ---- access-kernel microbenchmarks (fast vs reference dispatch) ----------
+// ---- --kernel-report: self-timed reference-vs-fast comparison ------------
 //
 // Each case pre-generates its operation stream once, so the timed loop is
-// pure cache-array work. Arg(0) selects the kernel: 0 = fast (specialized),
-// 1 = reference (virtual replacement calls, all feature branches). The
-// fast/reference ratio is the devirtualization payoff the perf-smoke CI job
-// gates on (via --kernel-report below).
+// pure cache-array work, once under the fast (specialized) kernel and once
+// under the reference kernel (virtual replacement calls, all feature
+// branches).
 
-/// One pre-generated operation for the kernel benches.
+/// One pre-generated operation for the kernel cases.
 struct KernelOp {
   Addr line;
   AccessType type;
@@ -185,145 +123,12 @@ std::uint64_t replay_kernel_ops(SetAssocCache& cache,
                                 const std::vector<KernelOp>& ops) {
   Cycle now = 0;
   for (const KernelOp& op : ops) {
-    benchmark::DoNotOptimize(
-        cache.access(op.line, op.type, Mode::User, ++now));
+    cache.access(op.line, op.type, Mode::User, ++now);
   }
   const CacheStats& s = cache.stats();
   return s.total_hits() + 3 * s.fills + 5 * s.store_hits +
          7 * s.evictions + 11 * s.writebacks + 13 * s.expired_blocks;
 }
-
-void BM_AccessKernel(benchmark::State& state, KernelCase c) {
-  const std::vector<KernelOp> ops = make_kernel_ops(c, 1 << 18);
-  SetAssocCache cache = make_kernel_cache(
-      c, state.range(0) == 0 ? KernelMode::Fast : KernelMode::Reference);
-  replay_kernel_ops(cache, ops);  // warmup: populate the array
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(replay_kernel_ops(cache, ops));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ops.size()));
-  state.SetLabel(cache.kernel_name());
-}
-
-#define KERNEL_BENCH(case_id)                                       \
-  BENCHMARK_CAPTURE(BM_AccessKernel, case_id, KernelCase::case_id) \
-      ->Arg(0)                                                      \
-      ->Arg(1)                                                      \
-      ->Unit(benchmark::kMillisecond)
-KERNEL_BENCH(HitHeavy);
-KERNEL_BENCH(MissHeavy);
-KERNEL_BENCH(Mixed);
-KERNEL_BENCH(RetentionOn);
-#undef KERNEL_BENCH
-
-void BM_ShadowMonitor(benchmark::State& state) {
-  ShadowTagMonitor m(2048, 4, 16);
-  Rng rng(7);
-  for (auto _ : state) {
-    const Addr line = rng.below(32'768) * kLineSize;
-    m.access(line, static_cast<std::uint32_t>((line / kLineSize) & 2047));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ShadowMonitor);
-
-void BM_TraceGeneration(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        generate_app_trace(AppId::Browser, 100'000, 42));
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
-
-void BM_EndToEndSimulation(benchmark::State& state) {
-  const Trace trace = generate_app_trace(AppId::Launcher, 200'000, 42);
-  const auto kind = static_cast<SchemeKind>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate(trace, build_scheme(kind)));
-  }
-  state.SetItemsProcessed(state.iterations() * trace.size());
-  state.SetLabel(scheme_name(kind));
-}
-BENCHMARK(BM_EndToEndSimulation)
-    ->Arg(static_cast<int>(SchemeKind::BaselineSram))
-    ->Arg(static_cast<int>(SchemeKind::StaticPartMrstt))
-    ->Arg(static_cast<int>(SchemeKind::DynamicStt))
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TelemetryOverhead(benchmark::State& state) {
-  // Arg(0): detached (no Telemetry — the no-sink fast path, one pointer
-  // test per instrumentation site). Arg(1): full session attached with
-  // trace-cadence sampling. The acceptance bar is <2% overhead detached.
-  const Trace trace = generate_app_trace(AppId::Browser, 200'000, 42);
-  const bool attached = state.range(0) != 0;
-  for (auto _ : state) {
-    Telemetry tel;
-    SimOptions opts;
-    if (attached) {
-      tel.set_sample_interval(10'000);
-      opts.telemetry = &tel;
-    }
-    benchmark::DoNotOptimize(
-        simulate(trace, build_scheme(SchemeKind::DynamicStt), opts));
-  }
-  state.SetItemsProcessed(state.iterations() * trace.size());
-  state.SetLabel(attached ? "telemetry attached" : "detached (no-sink)");
-}
-BENCHMARK(BM_TelemetryOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_TraceCompression(benchmark::State& state) {
-  const Trace t = generate_app_trace(AppId::VideoPlayer, 100'000, 42);
-  const std::string path = "/tmp/mobcache_bm.mctz";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(write_trace_compressed(t, path));
-  }
-  state.SetItemsProcessed(state.iterations() * t.size());
-}
-BENCHMARK(BM_TraceCompression)->Unit(benchmark::kMillisecond);
-
-void BM_TraceDecompression(benchmark::State& state) {
-  const Trace t = generate_app_trace(AppId::VideoPlayer, 100'000, 42);
-  const std::string path = "/tmp/mobcache_bm.mctz";
-  write_trace_compressed(t, path);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(read_trace_compressed_detailed(path));
-  }
-  state.SetItemsProcessed(state.iterations() * t.size());
-}
-BENCHMARK(BM_TraceDecompression)->Unit(benchmark::kMillisecond);
-
-void BM_MulticoreSimulation(benchmark::State& state) {
-  std::vector<Trace> traces;
-  traces.push_back(generate_app_trace(AppId::Browser, 100'000, 42));
-  traces.push_back(generate_app_trace(AppId::AudioPlayer, 100'000, 43));
-  for (auto _ : state) {
-    MulticoreL2Config c;
-    c.cache.name = "L2";
-    c.cache.size_bytes = 2ull << 20;
-    c.cache.assoc = 16;
-    c.cores = 2;
-    MulticoreDynamicL2 l2(c);
-    benchmark::DoNotOptimize(simulate_multicore(traces, l2));
-  }
-  state.SetItemsProcessed(state.iterations() * 200'000);
-}
-BENCHMARK(BM_MulticoreSimulation)->Unit(benchmark::kMillisecond);
-
-void BM_ScenarioGeneration(benchmark::State& state) {
-  for (auto _ : state) {
-    ScenarioConfig sc;
-    sc.apps = interactive_apps();
-    sc.total_accesses = 100'000;
-    sc.seed = 42;
-    benchmark::DoNotOptimize(generate_scenario(sc));
-  }
-  state.SetItemsProcessed(state.iterations() * 100'000);
-}
-BENCHMARK(BM_ScenarioGeneration)->Unit(benchmark::kMillisecond);
-
-// ---- --kernel-report: self-timed reference-vs-fast comparison ------------
 
 /// One timed replay of `ops` into a freshly built cache, after a warmup
 /// pass that populates the array, plus the stat checksum (identical across
@@ -568,24 +373,17 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--kernel-report") == 0) kernel_report = true;
     if (std::strcmp(argv[i], "--sweep-report") == 0) sweep_report = true;
   }
-  if (kernel_report && sweep_report) {
+  if (kernel_report == sweep_report) {
     std::fprintf(stderr,
-                 "bench_micro: --kernel-report and --sweep-report are "
-                 "mutually exclusive\n");
-    return 1;
+                 "usage: bench_micro --kernel-report [--min-speedup=X] "
+                 "[--accesses=N] [--reps=N]\n"
+                 "       bench_micro --sweep-report [--min-sweep-speedup=X] "
+                 "[--accesses=N] [--reps=N]\n"
+                 "(the two report modes are mutually exclusive)\n");
+    return 2;
   }
   // The report modes parse checked numeric flags: garbage exits 2.
-  if (kernel_report) {
-    return mobcache::guarded_main("bench_micro", /*install_signals=*/false,
-                                  argc, argv, mobcache::run_kernel_report);
-  }
-  if (sweep_report) {
-    return mobcache::guarded_main("bench_micro", /*install_signals=*/false,
-                                  argc, argv, mobcache::run_sweep_report);
-  }
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
+  return mobcache::guarded_main(
+      "bench_micro", /*install_signals=*/false, argc, argv,
+      kernel_report ? mobcache::run_kernel_report : mobcache::run_sweep_report);
 }

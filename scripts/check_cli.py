@@ -14,7 +14,10 @@ trace and exit 0). The partition_explorer example rejects an unknown app,
 tech or retention name the same way (`... 256 8 STT mid lo` used to run
 SRAM). bench_micro's report modes exit 2 on a zero --accesses or --reps and
 on a garbage speedup floor (`--kernel-report --accesses=0` used to write a
-0-point report of "speedups" over empty streams). A valid `--kernel-report`
+0-point report of "speedups" over empty streams). It runs exactly one
+report mode: with none it prints its usage and exits 2 (it used to run a
+Google Benchmark suite), and with both it exits 2 (it used to exit 1, the
+code for unreadable input). A valid `--kernel-report`
 writes a BENCH_micro.json that passes `check_bench.py validate` and counts
 what it timed: `jobs` 1 (every repetition runs on one thread) and `points`
 = the timed replays, 4 cases x --reps x 2 kernels (it used to write the
@@ -227,6 +230,10 @@ def main():
     for argv, name in MICRO_GARBAGE:
         expect_usage_error("bench_micro", [args.micro, *argv],
                            f"{name}: expected", env)
+    expect_usage_error("bench_micro", [args.micro], "usage:", env)
+    expect_usage_error("bench_micro",
+                       [args.micro, "--kernel-report", "--sweep-report"],
+                       "mutually exclusive", env)
     check("bench_micro writes no report for garbage", not results.exists(),
           f"{results} exists")
 

@@ -132,11 +132,6 @@ std::uint64_t Rng::geometric(double p) {
   return trials < 1.0 ? 1 : static_cast<std::uint64_t>(trials);
 }
 
-double Rng::exponential(double mean) {
-  const double u = std::max(uniform(), 1e-300);
-  return -mean * std::log(u);
-}
-
 std::size_t Rng::weighted(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) total += w;

@@ -40,9 +40,6 @@ class Rng {
   /// returns at least 1. Used for phase lengths and burst sizes.
   std::uint64_t geometric(double p);
 
-  /// Exponentially distributed value with the given mean.
-  double exponential(double mean);
-
   /// Index drawn from the (unnormalized) weight vector.
   std::size_t weighted(const std::vector<double>& weights);
 

@@ -209,23 +209,6 @@ double QuantileSketch::quantile(double q) const {
   return max_;
 }
 
-std::vector<CdfPoint> build_cdf(std::vector<double> samples,
-                                std::size_t max_points) {
-  std::vector<CdfPoint> out;
-  if (samples.empty() || max_points == 0) return out;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  const std::size_t points = std::min(max_points, n);
-  out.reserve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    // Last sample of each stride so the final point is the max at cum=1.
-    const std::size_t idx = (i + 1) * n / points - 1;
-    out.push_back({samples[idx],
-                   static_cast<double>(idx + 1) / static_cast<double>(n)});
-  }
-  return out;
-}
-
 double geomean(const std::vector<double>& values) {
   if (values.empty()) return 0.0;
   double log_sum = 0.0;

@@ -121,17 +121,6 @@ class QuantileSketch {
   std::vector<std::uint64_t> buckets_;   ///< contiguous, grown on demand
 };
 
-/// Builds an empirical CDF from raw samples; used by the lifetime study (E5).
-struct CdfPoint {
-  double value;
-  double cum_fraction;
-};
-
-/// Reduce `samples` (consumed, sorted in place) to at most `max_points`
-/// evenly spaced CDF points.
-std::vector<CdfPoint> build_cdf(std::vector<double> samples,
-                                std::size_t max_points);
-
 /// Geometric mean of strictly positive values; 0 if empty.
 double geomean(const std::vector<double>& values);
 

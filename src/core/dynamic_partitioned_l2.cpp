@@ -112,23 +112,17 @@ void DynamicPartitionedL2::maybe_epoch(Cycle now) {
   apply_allocation(clamp_to_healthy(controller_.decide(user, kernel)), now);
 
   // Settle leakage at every epoch boundary (idempotent when the allocation
-  // just changed) so the telemetry sample below attributes the interval's
-  // static energy to this epoch rather than whenever the next resize lands.
+  // just changed). The leakage total is a floating-point sum, so this
+  // cadence is part of the energy result.
   seg_.settle_leakage(now);
   if (telemetry_) {
     EpochSample s;
-    s.epoch = epoch_index_;
     s.cycle = now;
     s.accesses = epoch_accesses_[0] + epoch_accesses_[1];
     s.misses = epoch_misses_[0] + epoch_misses_[1];
     fill_sample(s);
-    const EnergyBreakdown d = seg_.energy() - last_epoch_energy_;
-    s.refresh_nj = d.refresh_nj;
-    s.leakage_nj = d.leakage_nj;
     telemetry_->record(s);
   }
-  ++epoch_index_;
-  last_epoch_energy_ = seg_.energy();
 
   user_monitor_.new_epoch();
   kernel_monitor_.new_epoch();

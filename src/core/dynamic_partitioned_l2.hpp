@@ -123,9 +123,6 @@ class DynamicPartitionedL2 final : public OneSegmentL2 {
   std::uint64_t epoch_accesses_[kModeCount] = {0, 0};
   Cycle epoch_start_cycle_ = 0;
 
-  std::uint64_t epoch_index_ = 0;
-  EnergyBreakdown last_epoch_energy_;  ///< telemetry interval attribution
-
   std::vector<AllocationSample> history_;
 };
 

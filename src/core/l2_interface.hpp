@@ -83,7 +83,6 @@ class L2Interface {
   /// guard every report with one null-check, so a detached run stays on the
   /// fast path.
   void attach_telemetry(Telemetry* t) { telemetry_ = t; }
-  Telemetry* telemetry() const { return telemetry_; }
 
   /// Fills the design-specific fields of an interval sample taken by the
   /// simulator's time-series sampler (way allocation, drowsy population,

@@ -18,18 +18,6 @@ void LifetimeRecorder::on_eviction(const EvictionEvent& e) {
   reuse_[m].add(static_cast<double>(e.access_count));
 }
 
-void LifetimeRecorder::export_metrics(MetricRegistry& reg,
-                                      const std::string& prefix) const {
-  static constexpr const char* kModeName[kModeCount] = {"user", "kernel"};
-  for (int m = 0; m < kModeCount; ++m) {
-    const std::string base = prefix + "." + kModeName[m] + ".";
-    reg.histogram(base + "residency").merge(residency_[m]);
-    reg.histogram(base + "liveness").merge(liveness_[m]);
-    reg.histogram(base + "dead_time").merge(dead_[m]);
-    reg.stat(base + "reuse").merge(reuse_[m]);
-  }
-}
-
 void LifetimeRecorder::merge(const LifetimeRecorder& o) {
   for (int m = 0; m < kModeCount; ++m) {
     residency_[m].merge(o.residency_[m]);

@@ -17,7 +17,6 @@
 #include "common/stats.hpp"
 #include "core/static_partitioned_l2.hpp"
 #include "energy/technology.hpp"
-#include "obs/metrics.hpp"
 
 namespace mobcache {
 
@@ -50,12 +49,6 @@ class LifetimeRecorder {
   std::uint64_t events(Mode m) const {
     return residency_[static_cast<int>(m)].total();
   }
-
-  /// Merges the recorded distributions into `reg` under
-  /// `<prefix>.<mode>.{residency,liveness,dead_time}` histograms and a
-  /// `<prefix>.<mode>.reuse` stat, so lifetime data rides along with the
-  /// rest of a run's telemetry (obs/metrics.hpp).
-  void export_metrics(MetricRegistry& reg, const std::string& prefix) const;
 
   /// Adds `o`'s distributions to this recorder's, as if its evictions had
   /// been observed here (Log2Histogram / RunningStat merges).

@@ -41,10 +41,6 @@ struct EnergyBreakdown {
   }
 };
 
-/// Component-wise difference — the telemetry epoch sampler diffs running
-/// breakdown snapshots to attribute energy to intervals.
-EnergyBreakdown operator-(const EnergyBreakdown& a, const EnergyBreakdown& b);
-
 /// Prices events into an EnergyBreakdown. Like TechParams, an accountant
 /// keeps the technology configuration active when it was built: the DRAM
 /// energy per line is read from technology() once, here, so a design built

@@ -1,18 +1,12 @@
 #pragma once
 /// \file events.hpp
-/// Structured simulation events and the ObserverHub that fans them out.
-///
-/// The hub generalizes the per-array eviction callback
-/// (L2Interface::add_eviction_observer): any number of subscribers per event
-/// type, with O(1) "anyone listening?" checks so un-observed emit sites cost
-/// one branch. Event
-/// structs are plain data stamped with the simulated cycle; sinks
-/// (obs/trace_export) translate them to JSONL or Chrome trace_event form.
+/// Structured simulation events. Event structs are plain data stamped with
+/// the simulated cycle; a Telemetry session (obs/telemetry) folds each into
+/// its metrics and hands it to its TraceSink (obs/trace_export), which
+/// writes it as JSONL or Chrome trace_event records.
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "cache/set_assoc_cache.hpp"  // EvictionEvent
 #include "common/types.hpp"
@@ -76,9 +70,9 @@ struct BypassDecisionEvent {
   bool bypassed = false;  ///< false = probe install (predictor recovery)
 };
 
-/// Per-epoch time-series snapshot (see obs/timeseries.hpp for the series).
+/// Per-epoch snapshot: a DP repartition epoch, or one interval of the
+/// simulator's trace-cadence sampler.
 struct EpochSample {
-  std::uint64_t epoch = 0;  ///< ordinal within the run
   Cycle cycle = 0;          ///< end of the sampled interval
   std::uint64_t accesses = 0;  ///< L2 demand accesses in the interval
   std::uint64_t misses = 0;
@@ -91,72 +85,6 @@ struct EpochSample {
   std::uint32_t kernel_ways = 0;
   double enabled_bytes = 0.0;     ///< powered capacity at sample time
   std::uint64_t drowsy_awake_lines = 0;  ///< drowsy scheme only
-  double refresh_nj = 0.0;        ///< energy spent in the interval
-  double leakage_nj = 0.0;
-};
-
-/// Multicast dispatch for every structured event type. Subscribe with
-/// on_*(); emit() forwards to all subscribers of that type.
-class ObserverHub {
- public:
-  using PartitionResizeFn = std::function<void(const PartitionResizeEvent&)>;
-  using DrowsyFn = std::function<void(const DrowsyTransitionEvent&)>;
-  using RefreshFn = std::function<void(const RefreshBurstEvent&)>;
-  using BypassFn = std::function<void(const BypassDecisionEvent&)>;
-  using EvictionFn = std::function<void(const EvictionEvent&)>;
-  using EpochFn = std::function<void(const EpochSample&)>;
-  using FaultFn = std::function<void(const FaultEvent&)>;
-  using QuarantineFn = std::function<void(const WayQuarantineEvent&)>;
-
-  void on_partition_resize(PartitionResizeFn fn) {
-    resize_.push_back(std::move(fn));
-  }
-  void on_drowsy_transition(DrowsyFn fn) { drowsy_.push_back(std::move(fn)); }
-  void on_refresh_burst(RefreshFn fn) { refresh_.push_back(std::move(fn)); }
-  void on_bypass_decision(BypassFn fn) { bypass_.push_back(std::move(fn)); }
-  void on_eviction(EvictionFn fn) { evict_.push_back(std::move(fn)); }
-  void on_epoch_sample(EpochFn fn) { epoch_.push_back(std::move(fn)); }
-  void on_fault(FaultFn fn) { fault_.push_back(std::move(fn)); }
-  void on_way_quarantine(QuarantineFn fn) {
-    quarantine_.push_back(std::move(fn));
-  }
-
-  void emit(const PartitionResizeEvent& e) const {
-    for (const auto& fn : resize_) fn(e);
-  }
-  void emit(const DrowsyTransitionEvent& e) const {
-    for (const auto& fn : drowsy_) fn(e);
-  }
-  void emit(const RefreshBurstEvent& e) const {
-    for (const auto& fn : refresh_) fn(e);
-  }
-  void emit(const BypassDecisionEvent& e) const {
-    for (const auto& fn : bypass_) fn(e);
-  }
-  void emit(const EvictionEvent& e) const {
-    for (const auto& fn : evict_) fn(e);
-  }
-  void emit(const EpochSample& e) const {
-    for (const auto& fn : epoch_) fn(e);
-  }
-  void emit(const FaultEvent& e) const {
-    for (const auto& fn : fault_) fn(e);
-  }
-  void emit(const WayQuarantineEvent& e) const {
-    for (const auto& fn : quarantine_) fn(e);
-  }
-
-  bool wants_evictions() const { return !evict_.empty(); }
-
- private:
-  std::vector<PartitionResizeFn> resize_;
-  std::vector<DrowsyFn> drowsy_;
-  std::vector<RefreshFn> refresh_;
-  std::vector<BypassFn> bypass_;
-  std::vector<EvictionFn> evict_;
-  std::vector<EpochFn> epoch_;
-  std::vector<FaultFn> fault_;
-  std::vector<QuarantineFn> quarantine_;
 };
 
 }  // namespace mobcache

@@ -2,13 +2,10 @@
 /// \file metrics.hpp
 /// Named-metric registry for in-simulation observability.
 ///
-/// Schemes and the simulator register counters/gauges/histograms by
-/// dotted name ("l2.partition.resizes", "l2.refresh.scrubbed") and bump
+/// A Telemetry session registers counters, gauges, stats and histograms by
+/// dotted name ("l2.partition.resizes", "l2.refresh.scrubbed") and bumps
 /// them during the run; exporters walk the registry afterwards. Metric
-/// handles are stable for the registry's lifetime (node-based storage), so
-/// instrumentation sites cache a pointer once and pay one predictable
-/// null-check + increment per event — and nothing at all when no registry
-/// is attached (see the inc()/set() helpers below).
+/// handles are stable for the registry's lifetime (node-based storage).
 
 #include <cstdint>
 #include <map>
@@ -76,20 +73,5 @@ class MetricRegistry {
   std::map<std::string, Log2Histogram> hists_;
   std::map<std::string, RunningStat> stats_;
 };
-
-/// No-op-safe instrumentation helpers: sites keep a possibly-null handle
-/// and the detached path costs one branch.
-inline void inc(Counter* c, std::uint64_t d = 1) {
-  if (c) c->add(d);
-}
-inline void set(Gauge* g, double v) {
-  if (g) g->set(v);
-}
-inline void observe(RunningStat* s, double v) {
-  if (s) s->add(v);
-}
-inline void observe(Log2Histogram* h, std::uint64_t v) {
-  if (h) h->add(v);
-}
 
 }  // namespace mobcache

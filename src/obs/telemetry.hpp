@@ -1,39 +1,34 @@
 #pragma once
 /// \file telemetry.hpp
-/// Telemetry — the per-run observability session that ties the three obs
-/// pieces together: a MetricRegistry (named aggregates), an EpochSeries
-/// (ring-buffered time series), and an ObserverHub (structured event
-/// fan-out to export sinks).
+/// Telemetry — the per-run observability session: a MetricRegistry of
+/// named aggregates plus, optionally, the one TraceSink (obs/trace_export)
+/// that keeps every event for export.
 ///
 /// Instrumented code holds `Telemetry*` (null = detached) and calls
 /// record(event); record() updates the standard metrics for that event
-/// type, appends epoch samples to the series, and forwards to any hub
-/// subscribers. With no Telemetry attached an instrumentation site costs
-/// exactly one pointer test, keeping simulate() results and throughput
-/// identical to an uninstrumented build.
+/// type and passes the event to the attached sink. With no Telemetry
+/// attached an instrumentation site costs exactly one pointer test, keeping
+/// simulate() results and throughput identical to an uninstrumented build.
 
 #include <string>
 
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 
 namespace mobcache {
+
+class TraceSink;
 
 class Telemetry {
  public:
   Telemetry() = default;
-  explicit Telemetry(std::size_t epoch_capacity) : epochs_(epoch_capacity) {}
-  // Hub subscribers capture `this`-adjacent state; keep the session pinned.
+  // The design and simulate()'s eviction bridge hold the session's address
+  // during a run; keep the session pinned.
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
   MetricRegistry& metrics() { return metrics_; }
   const MetricRegistry& metrics() const { return metrics_; }
-  ObserverHub& hub() { return hub_; }
-  const ObserverHub& hub() const { return hub_; }
-  EpochSeries& epochs() { return epochs_; }
-  const EpochSeries& epochs() const { return epochs_; }
 
   /// Labels carried by exported events (set per simulate() call).
   void set_context(std::string workload, std::string scheme) {
@@ -43,9 +38,8 @@ class Telemetry {
   const std::string& workload() const { return workload_; }
   const std::string& scheme() const { return scheme_; }
 
-  /// Sim-level sampling cadence in L2 demand accesses for schemes without
-  /// their own epoch notion (0 disables; the dynamic L2 always samples at
-  /// its repartition epochs).
+  /// simulate()'s sampling cadence in trace records (0 disables). The
+  /// dynamic L2 also samples at its repartition epochs, whatever this is.
   void set_sample_interval(std::uint64_t accesses) {
     sample_interval_ = accesses;
   }
@@ -61,9 +55,10 @@ class Telemetry {
   void record(const WayQuarantineEvent& e);
 
  private:
+  friend class TraceSink;  // attach() sets sink_
+
   MetricRegistry metrics_;
-  EpochSeries epochs_;
-  ObserverHub hub_;
+  TraceSink* sink_ = nullptr;  ///< must outlive the session's records
   std::string workload_;
   std::string scheme_;
   std::uint64_t sample_interval_ = 0;

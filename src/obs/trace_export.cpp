@@ -43,82 +43,80 @@ std::uint32_t TraceSink::track_of(const Telemetry& t) {
   return static_cast<std::uint32_t>(tracks_.size() - 1);
 }
 
-void TraceSink::add(const Telemetry& t, std::string name, char phase,
-                    Cycle cycle, std::vector<Arg> args) {
+void TraceSink::push(const Telemetry& t, std::string name, char phase,
+                     Cycle cycle, std::vector<Arg> args) {
   records_.push_back(
       {std::move(name), phase, cycle, track_of(t), std::move(args)});
 }
 
-void TraceSink::attach(Telemetry& t) {
-  auto num = [](std::string key, double v) {
-    return Arg{std::move(key), v, {}, true};
-  };
-  auto str = [](std::string key, std::string v) {
-    return Arg{std::move(key), 0.0, std::move(v), false};
-  };
+void TraceSink::attach(Telemetry& t) { t.sink_ = this; }
 
-  t.hub().on_partition_resize([this, &t, num](const PartitionResizeEvent& e) {
-    add(t, "partition-resize", 'i', e.cycle,
-        {num("old_user_ways", e.old_user_ways),
-         num("old_kernel_ways", e.old_kernel_ways),
-         num("new_user_ways", e.new_user_ways),
-         num("new_kernel_ways", e.new_kernel_ways),
-         num("flush_writebacks", static_cast<double>(e.flush_writebacks))});
-  });
-  t.hub().on_drowsy_transition([this, &t, num](const DrowsyTransitionEvent& e) {
-    add(t, "drowsy-transition", 'i', e.cycle,
-        {num("lines_drowsed", static_cast<double>(e.lines_drowsed)),
-         num("wakeups", static_cast<double>(e.wakeups))});
-  });
-  t.hub().on_refresh_burst([this, &t, num](const RefreshBurstEvent& e) {
-    add(t, "refresh-burst", 'i', e.cycle,
-        {num("refreshed", static_cast<double>(e.refreshed)),
-         num("expired_clean", static_cast<double>(e.expired_clean)),
-         num("expired_dirty", static_cast<double>(e.expired_dirty)),
-         num("repaired", static_cast<double>(e.repaired)),
-         num("fault_lost", static_cast<double>(e.fault_lost))});
-  });
-  t.hub().on_fault([this, &t, num, str](const FaultEvent& e) {
-    add(t, "fault", 'i', e.cycle,
-        {str("line", hex_addr(e.line)),
-         str("mode", std::string(to_string(e.mode))),
-         str("outcome", e.outcome == FaultReadOutcome::Corrected
-                            ? "corrected"
-                            : (e.outcome == FaultReadOutcome::Lost ? "lost"
-                                                                   : "silent")),
-         num("dirty_lost", e.dirty_lost ? 1.0 : 0.0)});
-  });
-  t.hub().on_way_quarantine([this, &t, num, str](const WayQuarantineEvent& e) {
-    add(t, "way-quarantine", 'i', e.cycle,
-        {str("segment", e.segment), num("way", e.way),
-         num("faults", e.faults), num("healthy_ways", e.healthy_ways),
-         num("flush_writebacks", static_cast<double>(e.flush_writebacks))});
-  });
-  t.hub().on_bypass_decision(
-      [this, &t, num, str](const BypassDecisionEvent& e) {
-        add(t, "bypass-decision", 'i', e.cycle,
-            {str("line", hex_addr(e.line)),
-             str("mode", std::string(to_string(e.mode))),
-             num("bypassed", e.bypassed ? 1.0 : 0.0)});
-      });
-  t.hub().on_epoch_sample([this, &t, num](const EpochSample& s) {
-    add(t, "l2.ways", 'C', s.cycle,
-        {num("user", s.user_ways), num("kernel", s.kernel_ways)});
-    add(t, "l2.epoch", 'C', s.cycle,
-        {num("miss_rate", s.miss_rate()),
-         num("enabled_kb", s.enabled_bytes / 1024.0),
-         num("awake_lines", static_cast<double>(s.drowsy_awake_lines))});
-  });
-  if (opts_.include_evictions) {
-    t.hub().on_eviction([this, &t, num, str](const EvictionEvent& e) {
-      add(t, "eviction", 'i', e.evict_cycle,
-          {str("line", hex_addr(e.line)),
-           str("owner", std::string(to_string(e.owner))),
-           num("fill_cycle", static_cast<double>(e.fill_cycle)),
-           num("access_count", e.access_count),
-           num("dirty", e.dirty ? 1.0 : 0.0)});
-    });
-  }
+void TraceSink::add(const Telemetry& t, const PartitionResizeEvent& e) {
+  push(t, "partition-resize", 'i', e.cycle,
+       {num("old_user_ways", e.old_user_ways),
+        num("old_kernel_ways", e.old_kernel_ways),
+        num("new_user_ways", e.new_user_ways),
+        num("new_kernel_ways", e.new_kernel_ways),
+        num("flush_writebacks", static_cast<double>(e.flush_writebacks))});
+}
+
+void TraceSink::add(const Telemetry& t, const DrowsyTransitionEvent& e) {
+  push(t, "drowsy-transition", 'i', e.cycle,
+       {num("lines_drowsed", static_cast<double>(e.lines_drowsed)),
+        num("wakeups", static_cast<double>(e.wakeups))});
+}
+
+void TraceSink::add(const Telemetry& t, const RefreshBurstEvent& e) {
+  push(t, "refresh-burst", 'i', e.cycle,
+       {num("refreshed", static_cast<double>(e.refreshed)),
+        num("expired_clean", static_cast<double>(e.expired_clean)),
+        num("expired_dirty", static_cast<double>(e.expired_dirty)),
+        num("repaired", static_cast<double>(e.repaired)),
+        num("fault_lost", static_cast<double>(e.fault_lost))});
+}
+
+void TraceSink::add(const Telemetry& t, const FaultEvent& e) {
+  push(t, "fault", 'i', e.cycle,
+       {str("line", hex_addr(e.line)),
+        str("mode", std::string(to_string(e.mode))),
+        str("outcome", e.outcome == FaultReadOutcome::Corrected
+                           ? "corrected"
+                           : (e.outcome == FaultReadOutcome::Lost ? "lost"
+                                                                  : "silent")),
+        num("dirty_lost", e.dirty_lost ? 1.0 : 0.0)});
+}
+
+void TraceSink::add(const Telemetry& t, const WayQuarantineEvent& e) {
+  push(t, "way-quarantine", 'i', e.cycle,
+       {str("segment", e.segment), num("way", e.way), num("faults", e.faults),
+        num("healthy_ways", e.healthy_ways),
+        num("flush_writebacks", static_cast<double>(e.flush_writebacks))});
+}
+
+void TraceSink::add(const Telemetry& t, const BypassDecisionEvent& e) {
+  push(t, "bypass-decision", 'i', e.cycle,
+       {str("line", hex_addr(e.line)),
+        str("mode", std::string(to_string(e.mode))),
+        num("bypassed", e.bypassed ? 1.0 : 0.0)});
+}
+
+void TraceSink::add(const Telemetry& t, const EpochSample& s) {
+  push(t, "l2.ways", 'C', s.cycle,
+       {num("user", s.user_ways), num("kernel", s.kernel_ways)});
+  push(t, "l2.epoch", 'C', s.cycle,
+       {num("miss_rate", s.miss_rate()),
+        num("enabled_kb", s.enabled_bytes / 1024.0),
+        num("awake_lines", static_cast<double>(s.drowsy_awake_lines))});
+}
+
+void TraceSink::add(const Telemetry& t, const EvictionEvent& e) {
+  if (!opts_.include_evictions) return;
+  push(t, "eviction", 'i', e.evict_cycle,
+       {str("line", hex_addr(e.line)),
+        str("owner", std::string(to_string(e.owner))),
+        num("fill_cycle", static_cast<double>(e.fill_cycle)),
+        num("access_count", e.access_count),
+        num("dirty", e.dirty ? 1.0 : 0.0)});
 }
 
 namespace {
@@ -245,46 +243,6 @@ void write_metrics_json(JsonWriter& w, const MetricRegistry& reg) {
 std::string metrics_json_string(const MetricRegistry& reg) {
   JsonWriter w;
   write_metrics_json(w, reg);
-  return w.str();
-}
-
-void write_epoch_series_json(JsonWriter& w, const EpochSeries& series) {
-  w.begin_object();
-  w.key("total_epochs").value(series.total_pushed());
-  w.key("retained").value(static_cast<std::uint64_t>(series.size()));
-  w.key("truncated").value(series.truncated());
-  w.key("samples");
-  w.begin_array();
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const EpochSample& s = series.at(i);
-    w.begin_object();
-    w.key("epoch").value(s.epoch);
-    w.key("cycle").value(static_cast<std::uint64_t>(s.cycle));
-    w.key("accesses").value(s.accesses);
-    w.key("misses").value(s.misses);
-    w.key("miss_rate").value(s.miss_rate());
-    w.key("user_ways").value(static_cast<std::uint64_t>(s.user_ways));
-    w.key("kernel_ways").value(static_cast<std::uint64_t>(s.kernel_ways));
-    w.key("enabled_bytes").value(s.enabled_bytes);
-    w.key("drowsy_awake_lines").value(s.drowsy_awake_lines);
-    w.key("refresh_nj").value(s.refresh_nj);
-    w.key("leakage_nj").value(s.leakage_nj);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
-std::string telemetry_to_json(const Telemetry& t) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("workload").value(t.workload());
-  w.key("scheme").value(t.scheme());
-  w.key("metrics");
-  write_metrics_json(w, t.metrics());
-  w.key("epoch_series");
-  write_epoch_series_json(w, t.epochs());
-  w.end_object();
   return w.str();
 }
 

@@ -8,8 +8,9 @@
 ///    tracks (way allocation, miss rate) with one process per
 ///    workload/scheme run.
 ///
-/// A TraceSink subscribes to a Telemetry session's ObserverHub and buffers
-/// normalized records; render()/write_file() serializes them after the run.
+/// A TraceSink buffers one normalized record per event of the Telemetry
+/// sessions attached to it; render()/write_file() serializes them after the
+/// run.
 
 #include <cstdint>
 #include <optional>
@@ -37,10 +38,22 @@ class TraceSink {
   explicit TraceSink(TraceFormat format = TraceFormat::Jsonl,
                      TraceSinkOptions opts = {});
 
-  /// Subscribes to every event channel of `t`'s hub. Events are labeled
-  /// with the telemetry context (workload/scheme) current at emit time, so
-  /// one sink can span a whole suite run. `t` must outlive the sink's use.
+  /// Makes this the sink of session `t`: every event `t` records from now
+  /// on lands here, labeled with `t`'s context (workload/scheme) at that
+  /// moment, so one sink can span a whole suite run, one session after
+  /// another. The sink must outlive `t`'s last record().
   void attach(Telemetry& t);
+
+  /// Appends the record(s) of one event of session `t` (Telemetry::record
+  /// calls these). Evictions are dropped unless include_evictions is set.
+  void add(const Telemetry& t, const PartitionResizeEvent& e);
+  void add(const Telemetry& t, const DrowsyTransitionEvent& e);
+  void add(const Telemetry& t, const RefreshBurstEvent& e);
+  void add(const Telemetry& t, const BypassDecisionEvent& e);
+  void add(const Telemetry& t, const EvictionEvent& e);
+  void add(const Telemetry& t, const EpochSample& s);
+  void add(const Telemetry& t, const FaultEvent& e);
+  void add(const Telemetry& t, const WayQuarantineEvent& e);
 
   std::size_t event_count() const { return records_.size(); }
 
@@ -63,9 +76,16 @@ class TraceSink {
     std::vector<Arg> args;
   };
 
+  static Arg num(std::string key, double v) {
+    return {std::move(key), v, {}, true};
+  }
+  static Arg str(std::string key, std::string v) {
+    return {std::move(key), 0.0, std::move(v), false};
+  }
+
   std::uint32_t track_of(const Telemetry& t);
-  void add(const Telemetry& t, std::string name, char phase, Cycle cycle,
-           std::vector<Arg> args);
+  void push(const Telemetry& t, std::string name, char phase, Cycle cycle,
+            std::vector<Arg> args);
   std::string render_jsonl() const;
   std::string render_chrome() const;
 
@@ -82,12 +102,5 @@ void write_metrics_json(JsonWriter& w, const MetricRegistry& reg);
 /// write_metrics_json() into a fresh writer — the one-liner for callers
 /// that want the document bytes (simrun --metrics=FILE).
 std::string metrics_json_string(const MetricRegistry& reg);
-
-/// Serializes the retained epoch window as a JSON array of sample objects
-/// (plus a truncation marker when the ring dropped early epochs).
-void write_epoch_series_json(JsonWriter& w, const EpochSeries& series);
-
-/// Full telemetry dump: context + metrics + epoch series.
-std::string telemetry_to_json(const Telemetry& t);
 
 }  // namespace mobcache

@@ -14,9 +14,9 @@ namespace mobcache {
 namespace {
 
 /// Trace-cadence sampler for schemes without an internal epoch notion: every
-/// `interval` trace records it snapshots L2 aggregate/energy deltas plus
-/// whatever the scheme reports via fill_sample(). Pure reader — it never
-/// touches sim state, preserving bit-exact results.
+/// `interval` trace records it snapshots the L2's access and miss deltas
+/// plus whatever the scheme reports via fill_sample(). Pure reader — it
+/// never touches sim state, preserving bit-exact results.
 class IntervalSampler {
  public:
   IntervalSampler(Telemetry* tel, const L2Interface& l2)
@@ -29,18 +29,13 @@ class IntervalSampler {
     records_ = 0;
     const CacheStats cur = l2_.aggregate_stats();
     EpochSample s;
-    s.epoch = epoch_++;
     s.cycle = now;
     s.accesses = cur.total_accesses() - last_accesses_;
     s.misses = cur.total_misses() - last_misses_;
     l2_.fill_sample(s);
-    const EnergyBreakdown d = l2_.energy() - last_energy_;
-    s.refresh_nj = d.refresh_nj;
-    s.leakage_nj = d.leakage_nj;
     tel_->record(s);
     last_accesses_ = cur.total_accesses();
     last_misses_ = cur.total_misses();
-    last_energy_ = l2_.energy();
   }
 
  private:
@@ -48,10 +43,8 @@ class IntervalSampler {
   const L2Interface& l2_;
   std::uint64_t interval_;
   std::uint64_t records_ = 0;
-  std::uint64_t epoch_ = 0;
   std::uint64_t last_accesses_ = 0;
   std::uint64_t last_misses_ = 0;
-  EnergyBreakdown last_energy_;
 };
 
 /// One simulation over any chunk provider. `next_chunk()` returns the next

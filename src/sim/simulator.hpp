@@ -64,8 +64,8 @@ struct SimOptions {
   const CancelToken* cancel = nullptr;
   /// Optional observability session (obs/telemetry.hpp). When set, the L2 is
   /// attached (scheme-internal events flow to it), evictions are bridged to
-  /// the hub, and — if the session's sample_interval is nonzero — an
-  /// EpochSample is pushed every that-many trace records. All instrumentation
+  /// it, and — if the session's sample_interval is nonzero — an
+  /// EpochSample is recorded every that-many trace records. All instrumentation
   /// is read-only: SimResult is bit-identical with or without a session.
   Telemetry* telemetry = nullptr;
 };

@@ -1,6 +1,5 @@
 #include "trace/trace_stream.hpp"
 
-#include <algorithm>
 #include <atomic>
 
 namespace mobcache {
@@ -49,16 +48,6 @@ std::span<const Access> ChunkBuffer::publish() {
   g_chunks_generated.fetch_add(1, std::memory_order_relaxed);
   raise_high_water(buf_.capacity() * sizeof(Access));
   return {buf_.data(), buf_.size()};
-}
-
-std::span<const Access> MaterializedTraceStream::next_chunk() {
-  const std::vector<Access>& a = trace_->accesses();
-  if (pos_ >= a.size()) return {};
-  const std::size_t n = std::min(kStreamChunkRecords, a.size() - pos_);
-  std::span<const Access> chunk(a.data() + pos_, n);
-  pos_ += n;
-  g_chunks_generated.fetch_add(1, std::memory_order_relaxed);
-  return chunk;
 }
 
 Trace materialize(TraceStream& stream, std::size_t expected_records) {

@@ -83,22 +83,6 @@ class ChunkBuffer {
   bool filled_once_ = false;
 };
 
-/// Adapter presenting an in-memory Trace as a stream of
-/// kStreamChunkRecords-sized subspans (zero copy).
-class MaterializedTraceStream final : public TraceStream {
- public:
-  /// Non-owning: `trace` must outlive the stream.
-  explicit MaterializedTraceStream(const Trace& trace) : trace_(&trace) {}
-
-  const std::string& name() const override { return trace_->name(); }
-  std::span<const Access> next_chunk() override;
-  void reset() override { pos_ = 0; }
-
- private:
-  const Trace* trace_;
-  std::size_t pos_ = 0;
-};
-
 /// Drains `stream` into an in-memory Trace (the classic batch
 /// representation). The generators' batch entry points are exactly this.
 /// A nonzero `expected_records` (a generator's target) reserves that many

@@ -14,15 +14,6 @@ Trace generate_app_trace(AppId id, std::uint64_t accesses,
   return generate_trace(make_app(id), cfg);
 }
 
-std::vector<Trace> generate_suite(const std::vector<AppId>& apps,
-                                  std::uint64_t accesses_per_app,
-                                  std::uint64_t seed) {
-  std::vector<Trace> traces;
-  traces.reserve(apps.size());
-  for (AppId id : apps) traces.push_back(generate_app_trace(id, accesses_per_app, seed));
-  return traces;
-}
-
 std::shared_ptr<const Trace> cached_app_trace(AppId id,
                                               std::uint64_t accesses,
                                               std::uint64_t seed) {

@@ -15,11 +15,6 @@ namespace mobcache {
 Trace generate_app_trace(AppId id, std::uint64_t accesses,
                          std::uint64_t seed = 1);
 
-/// Generates traces for several apps (same per-app length and seed).
-std::vector<Trace> generate_suite(const std::vector<AppId>& apps,
-                                  std::uint64_t accesses_per_app,
-                                  std::uint64_t seed = 1);
-
 /// TraceCache-backed app trace: generated once process-wide per
 /// (app, accesses, seed), then shared read-only. ExperimentRunner owns its
 /// traces and does not use the cache; the benchmark harness (mcbench/)

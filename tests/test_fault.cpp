@@ -12,6 +12,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/repair_controller.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace_export.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
 
@@ -170,23 +171,25 @@ TEST(FaultEndToEnd, RateZeroBuildsNoInjector) {
   EXPECT_EQ(shared->fault_injector(), nullptr);
 }
 
-/// Serializes the fault/quarantine event stream for exact comparison.
+/// The fault and way-quarantine records of the run's JSONL trace, for
+/// exact comparison.
 std::string run_and_log_events(SchemeKind kind, const SchemeParams& params,
                                const Trace& trace, SimResult* out) {
   Telemetry tel;
-  std::ostringstream log;
-  tel.hub().on_fault([&log](const FaultEvent& e) {
-    log << "F " << e.cycle << ' ' << e.line << ' '
-        << static_cast<int>(e.outcome) << ' ' << e.dirty_lost << '\n';
-  });
-  tel.hub().on_way_quarantine([&log](const WayQuarantineEvent& e) {
-    log << "Q " << e.cycle << ' ' << e.segment << ' ' << e.way << ' '
-        << e.healthy_ways << '\n';
-  });
+  TraceSink sink(TraceFormat::Jsonl);
+  sink.attach(tel);
   SimOptions opts;
   opts.telemetry = &tel;
   *out = simulate(trace, build_scheme(kind, params), opts);
-  return log.str();
+  std::istringstream records(sink.render());
+  std::string log, line;
+  while (std::getline(records, line)) {
+    if (line.starts_with("{\"type\":\"fault\",") ||
+        line.starts_with("{\"type\":\"way-quarantine\",")) {
+      log += line + '\n';
+    }
+  }
+  return log;
 }
 
 TEST(FaultEndToEnd, SameSeedSameConfigIsFullyDeterministic) {

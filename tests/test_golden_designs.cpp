@@ -18,6 +18,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/multicore_l2.hpp"
 #include "core/scheme.hpp"
@@ -99,6 +100,9 @@ const std::map<std::string, std::uint64_t, std::less<>> kPins = {
     {"prefetch/Shared-STT-2MB", 0x30e97931e96b0180ull},
     {"prefetch/Shrunk-SRAM-512KB", 0x88f38cc4520ec9ccull},
     {"prefetch/Victim-SRAM-2MB", 0x41d86682f1310509ull},
+    {"sink/chrome", 0xb8d3f17e4663013eull},
+    {"sink/jsonl", 0xe05f19e0861dc210ull},
+    {"sink/metrics", 0x6c41419739922531ull},
     {"wear-rotation/SP-MRSTT", 0x818e50d0dbf66b77ull},
 };
 // clang-format on
@@ -289,6 +293,84 @@ TEST(GoldenDesigns, TelemetryMetricsUnderFaults) {
     expect_pin(std::string("metrics+faults/") + scheme_name(k),
                metrics_json_string(tel.metrics()));
   }
+}
+
+/// Records of `type` in a JSONL render, per track.
+std::map<std::string, std::size_t> count_by_track(const std::string& jsonl,
+                                                  const std::string& type) {
+  std::map<std::string, std::size_t> out;
+  const std::string tag = "{\"type\":\"" + type + "\",";
+  std::size_t pos = 0;
+  while (pos < jsonl.size()) {
+    const std::size_t eol = jsonl.find('\n', pos);
+    const std::string_view line(jsonl.data() + pos, eol - pos);
+    if (line.starts_with(tag)) {
+      const std::size_t t = line.find("\"track\":\"") + 9;
+      ++out[std::string(line.substr(t, line.find('"', t) - t))];
+    }
+    pos = eol + 1;
+  }
+  return out;
+}
+
+TEST(GoldenDesigns, TraceSinkRender) {
+  // Four sampled sessions through one sink per format, with eviction
+  // export on, reach every record type: DP-STT (partition-resize, DP epoch
+  // samples, refresh-burst), DP-STT under the fault pin (fault,
+  // way-quarantine), SP-MRSTT with the write bypass (bypass-decision) and
+  // drowsy SRAM (drowsy-transition). Both DP-STT sessions share one track.
+  struct Session {
+    const char* variant;
+    SchemeKind kind;
+    SchemeParams p;
+  };
+  std::vector<Session> sessions(4);
+  sessions[0] = {"defaults", SchemeKind::DynamicStt, {}};
+  sessions[1] = {"faults", SchemeKind::DynamicStt, {}};
+  sessions[1].p.fault = pin_faults();
+  sessions[2] = {"bypass", SchemeKind::StaticPartMrstt, {}};
+  sessions[2].p.stt_write_bypass = true;
+  sessions[3] = {"defaults", SchemeKind::DrowsySram, {}};
+  constexpr std::uint64_t kInterval = 10'000;
+
+  TraceSinkOptions so;
+  so.include_evictions = true;
+  std::string jsonl, metrics;
+  std::vector<std::string> tracks;
+  for (TraceFormat f : {TraceFormat::Jsonl, TraceFormat::ChromeTrace}) {
+    TraceSink sink(f, so);
+    for (const Session& s : sessions) {
+      Telemetry tel;
+      tel.set_sample_interval(kInterval);
+      sink.attach(tel);
+      SimOptions opts;
+      opts.telemetry = &tel;
+      const PinnedRun run = run_pinned(s.variant, s.kind, s.p, opts);
+      if (f == TraceFormat::Jsonl) {
+        metrics += metrics_json_string(tel.metrics());
+        tracks.push_back(run.r.workload + "/" + run.r.scheme);
+      }
+    }
+    const std::string text = sink.render();
+    expect_pin(f == TraceFormat::Jsonl ? "sink/jsonl" : "sink/chrome", text);
+    if (f == TraceFormat::Jsonl) jsonl = text;
+  }
+  expect_pin("sink/metrics", metrics);
+
+  for (const char* type :
+       {"partition-resize", "l2.ways", "l2.epoch", "drowsy-transition",
+        "refresh-burst", "fault", "way-quarantine", "bypass-decision",
+        "eviction"}) {
+    EXPECT_FALSE(count_by_track(jsonl, type).empty()) << type;
+  }
+  // The sampler writes one l2.ways record per kInterval trace records; the
+  // DP-STT track also carries one per DP epoch of its two sessions.
+  const std::size_t ticks = browser_trace().size() / kInterval;
+  auto ways = count_by_track(jsonl, "l2.ways");
+  EXPECT_EQ(ways[tracks[2]], ticks);
+  EXPECT_EQ(ways[tracks[3]], ticks);
+  EXPECT_EQ(tracks[0], tracks[1]);
+  EXPECT_GT(ways[tracks[0]], 2 * ticks);
 }
 
 }  // namespace

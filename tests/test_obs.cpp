@@ -1,12 +1,14 @@
 /// \file test_obs.cpp
-/// The observability subsystem: metric registry semantics, the epoch ring
-/// buffer, the observer hub, export sinks, and — most importantly — the
-/// guarantee that attaching telemetry never changes simulation results.
+/// The observability subsystem: metric registry semantics, telemetry
+/// sessions, export sinks, and — most importantly — the guarantee that
+/// attaching telemetry never changes simulation results.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
+#include "common/flat_json.hpp"
 #include "core/dynamic_partitioned_l2.hpp"
 #include "core/scheme.hpp"
 #include "obs/telemetry.hpp"
@@ -60,67 +62,12 @@ TEST(MetricRegistry, MergeSemanticsPerKind) {
   EXPECT_DOUBLE_EQ(g1.gauge("g").value(), 5.0);
 }
 
-TEST(MetricRegistry, NullSafeHelpers) {
-  inc(nullptr);
-  set(nullptr, 1.0);
-  observe(static_cast<RunningStat*>(nullptr), 1.0);
-  observe(static_cast<Log2Histogram*>(nullptr), 1u);
-  MetricRegistry reg;
-  inc(&reg.counter("c"), 2);
-  EXPECT_EQ(reg.counter("c").value(), 2u);
-}
-
-// -------------------------------------------------------------- ring buffer
-
-TEST(EpochSeries, RingKeepsTailAndFlagsTruncation) {
-  EpochSeries s(4);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    EpochSample e;
-    e.epoch = i;
-    s.push(e);
-  }
-  EXPECT_EQ(s.size(), 4u);
-  EXPECT_EQ(s.total_pushed(), 10u);
-  EXPECT_TRUE(s.truncated());
-  for (std::size_t i = 0; i < s.size(); ++i)
-    EXPECT_EQ(s.at(i).epoch, 6u + i) << "chronological tail expected";
-  const auto snap = s.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.front().epoch, 6u);
-  EXPECT_EQ(snap.back().epoch, 9u);
-}
-
-TEST(EpochSeries, BelowCapacityIsExact) {
-  EpochSeries s(8);
-  EpochSample e;
-  e.epoch = 42;
-  s.push(e);
-  EXPECT_FALSE(s.truncated());
-  EXPECT_EQ(s.at(0).epoch, 42u);
-}
-
-// ---------------------------------------------------------------------- hub
-
-TEST(ObserverHub, MulticastsPerEventType) {
-  ObserverHub hub;
-  int resizes = 0, evictions = 0;
-  hub.on_partition_resize([&](const PartitionResizeEvent&) { ++resizes; });
-  hub.on_partition_resize([&](const PartitionResizeEvent&) { ++resizes; });
-  EXPECT_FALSE(hub.wants_evictions());
-  hub.on_eviction([&](const EvictionEvent&) { ++evictions; });
-  EXPECT_TRUE(hub.wants_evictions());
-
-  hub.emit(PartitionResizeEvent{});
-  hub.emit(EvictionEvent{});
-  hub.emit(RefreshBurstEvent{});  // no subscribers: no-op
-  EXPECT_EQ(resizes, 2);
-  EXPECT_EQ(evictions, 1);
-}
-
 // ---------------------------------------------------------- telemetry record
 
 TEST(Telemetry, RecordUpdatesStandardMetrics) {
   Telemetry tel;
+  TraceSink sink;
+  sink.attach(tel);
   tel.record(PartitionResizeEvent{100, 8, 8, 6, 4, 17});
   tel.record(DrowsyTransitionEvent{200, 32, 40});
   tel.record(RefreshBurstEvent{300, 5, 2, 1});
@@ -131,7 +78,6 @@ TEST(Telemetry, RecordUpdatesStandardMetrics) {
   ev.evict_cycle = 1034;
   tel.record(ev);
   EpochSample s;
-  s.epoch = 0;
   s.accesses = 10;
   s.misses = 5;
   tel.record(s);
@@ -147,8 +93,8 @@ TEST(Telemetry, RecordUpdatesStandardMetrics) {
   EXPECT_EQ(m.histograms().at("l2.block.residency_cycles").total(), 1u);
   EXPECT_EQ(m.counters().at("l2.epochs").value(), 1u);
   EXPECT_DOUBLE_EQ(m.stats().at("l2.epoch.miss_rate").mean(), 0.5);
-  ASSERT_EQ(tel.epochs().size(), 1u);
-  EXPECT_EQ(tel.epochs().at(0).misses, 5u);
+  // One record per event, two per epoch sample; evictions are opt-in.
+  EXPECT_EQ(sink.event_count(), 7u);
 }
 
 // ------------------------------------------------------------- export sinks
@@ -207,41 +153,61 @@ TEST(TraceExport, ChromeTraceStructureAndTimestamps) {
 }
 
 TEST(TraceExport, EvictionsAreOptIn) {
-  Telemetry tel;
+  Telemetry quiet_tel, verbose_tel;
   TraceSink quiet(TraceFormat::Jsonl);
-  quiet.attach(tel);
+  quiet.attach(quiet_tel);
   TraceSinkOptions verbose_opts;
   verbose_opts.include_evictions = true;
   TraceSink verbose(TraceFormat::Jsonl, verbose_opts);
-  verbose.attach(tel);
+  verbose.attach(verbose_tel);
 
-  tel.record(EvictionEvent{});
+  quiet_tel.record(EvictionEvent{});
+  verbose_tel.record(EvictionEvent{});
   EXPECT_EQ(quiet.event_count(), 0u);
   EXPECT_EQ(verbose.event_count(), 1u);
 }
 
 TEST(TraceExport, MetricsJsonIncludesAllKinds) {
   Telemetry tel;
-  tel.set_context("w", "s");
   tel.metrics().counter("c").add(9);
   tel.metrics().gauge("g").set(1.5);
   tel.metrics().stat("st").add(2.0);
   tel.metrics().histogram("h").add(5);
-  EpochSample s;
-  s.epoch = 1;
-  tel.epochs().push(s);
 
-  const std::string out = telemetry_to_json(tel);
-  EXPECT_NE(out.find("\"workload\":\"w\""), std::string::npos);
+  const std::string out = metrics_json_string(tel.metrics());
   EXPECT_NE(out.find("\"c\":9"), std::string::npos);
   EXPECT_NE(out.find("\"g\":1.5"), std::string::npos);
   EXPECT_NE(out.find("\"mean\":2"), std::string::npos);
   EXPECT_NE(out.find("\"log2_buckets\""), std::string::npos);
-  EXPECT_NE(out.find("\"total_epochs\":1"), std::string::npos);
-  EXPECT_NE(out.find("\"truncated\":false"), std::string::npos);
 }
 
 // ----------------------------------------------- end-to-end sim guarantees
+
+/// The records of `type` in a JSONL sink's render, parsed.
+std::vector<FlatParser> records_of(const TraceSink& sink,
+                                   const std::string& type) {
+  std::vector<FlatParser> out;
+  std::istringstream lines(sink.render());
+  std::string line, t;
+  while (std::getline(lines, line)) {
+    FlatParser p;
+    EXPECT_TRUE(p.parse(line)) << line;
+    if (p.get_str("type", t) && t == type) out.push_back(std::move(p));
+  }
+  return out;
+}
+
+std::uint64_t u64(const FlatParser& p, const char* key) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(p.get_u64(key, v)) << key;
+  return v;
+}
+
+std::string str(const FlatParser& p, const char* key) {
+  std::string v;
+  EXPECT_TRUE(p.get_str(key, v)) << key;
+  return v;
+}
 
 SimResult run_browser(SchemeKind kind, Telemetry* tel,
                       std::uint64_t sample_interval = 0) {
@@ -286,8 +252,8 @@ TEST(ObsEndToEnd, NoSinkPathIsBitIdentical) {
 }
 
 TEST(ObsEndToEnd, DynamicEpochSeriesMatchesAllocationHistory) {
-  // The telemetry epoch series must reproduce the E8 way-allocation
-  // trajectory the scheme itself records.
+  // The trace's l2.ways counter track must reproduce the E8
+  // way-allocation trajectory the scheme itself records.
   const Trace t = generate_app_trace(AppId::Browser, 150'000, 11);
   DynamicL2Config cfg;
   cfg.cache.name = "L2";
@@ -296,30 +262,39 @@ TEST(ObsEndToEnd, DynamicEpochSeriesMatchesAllocationHistory) {
   cfg.epoch_accesses = 5'000;
   DynamicPartitionedL2 l2(cfg);
   Telemetry tel;
+  TraceSink sink;
+  sink.attach(tel);
   SimOptions opts;
   opts.telemetry = &tel;
   simulate(t, l2, opts);
 
   const auto& hist = l2.allocation_history();
-  const EpochSeries& series = tel.epochs();
+  const std::vector<FlatParser> series = records_of(sink, "l2.ways");
   ASSERT_GT(series.size(), 0u);
 
   // Walk the epoch samples; at each sample's cycle, the scheme's recorded
   // allocation (last history entry at or before that cycle) must match.
   for (std::size_t i = 0; i < series.size(); ++i) {
-    const EpochSample& s = series.at(i);
+    const Cycle cycle = u64(series[i], "cycle");
     std::uint32_t user = 8, kernel = 8;  // controller's initial split
     for (const AllocationSample& h : hist) {
-      if (h.cycle > s.cycle) break;
+      if (h.cycle > cycle) break;
       user = h.user_ways;
       kernel = h.kernel_ways;
     }
-    EXPECT_EQ(s.user_ways, user) << "epoch " << s.epoch;
-    EXPECT_EQ(s.kernel_ways, kernel) << "epoch " << s.epoch;
+    EXPECT_EQ(u64(series[i], "user"), user) << "epoch " << i;
+    EXPECT_EQ(u64(series[i], "kernel"), kernel) << "epoch " << i;
   }
   // And the resize events must line up 1:1 with the history.
   EXPECT_EQ(tel.metrics().counters().at("l2.partition.resizes").value(),
             hist.size());
+}
+
+/// A sink that exports evictions.
+TraceSinkOptions with_evictions() {
+  TraceSinkOptions o;
+  o.include_evictions = true;
+  return o;
 }
 
 TEST(ObsEndToEnd, LegacyObserverAndHubSeeIdenticalEvictionStreams) {
@@ -336,34 +311,36 @@ TEST(ObsEndToEnd, LegacyObserverAndHubSeeIdenticalEvictionStreams) {
     simulate(t, *l2);
   }
 
-  std::vector<EvictionEvent> via_hub;
-  {
-    Telemetry tel;
-    tel.hub().on_eviction(
-        [&](const EvictionEvent& e) { via_hub.push_back(e); });
-    SimOptions opts;
-    opts.telemetry = &tel;
-    simulate(t, build_scheme(SchemeKind::ShrunkSram), opts);
-  }
+  Telemetry tel;
+  TraceSink sink(TraceFormat::Jsonl, with_evictions());
+  sink.attach(tel);
+  SimOptions opts;
+  opts.telemetry = &tel;
+  simulate(t, build_scheme(SchemeKind::ShrunkSram), opts);
+  const std::vector<FlatParser> via_sink = records_of(sink, "eviction");
 
-  ASSERT_EQ(via_legacy.size(), via_hub.size());
+  ASSERT_EQ(via_legacy.size(), via_sink.size());
   ASSERT_FALSE(via_legacy.empty());
+  char line[24];
   for (std::size_t i = 0; i < via_legacy.size(); ++i) {
-    EXPECT_EQ(via_legacy[i].line, via_hub[i].line);
-    EXPECT_EQ(via_legacy[i].evict_cycle, via_hub[i].evict_cycle);
-    EXPECT_EQ(via_legacy[i].fill_cycle, via_hub[i].fill_cycle);
-    EXPECT_EQ(via_legacy[i].owner, via_hub[i].owner);
-    EXPECT_EQ(via_legacy[i].dirty, via_hub[i].dirty);
+    std::snprintf(line, sizeof line, "0x%llx",
+                  static_cast<unsigned long long>(via_legacy[i].line));
+    EXPECT_EQ(str(via_sink[i], "line"), line);
+    EXPECT_EQ(u64(via_sink[i], "cycle"), via_legacy[i].evict_cycle);
+    EXPECT_EQ(u64(via_sink[i], "fill_cycle"), via_legacy[i].fill_cycle);
+    EXPECT_EQ(str(via_sink[i], "owner"), to_string(via_legacy[i].owner));
+    EXPECT_EQ(u64(via_sink[i], "dirty"), via_legacy[i].dirty ? 1u : 0u);
   }
 }
 
 TEST(ObsEndToEnd, BothPathsTogetherMulticast) {
-  // A per-array observer and the hub must coexist: both receive every event.
+  // A per-array observer and the sink must coexist: both receive every
+  // event.
   const Trace t = generate_app_trace(AppId::Browser, 120'000, 3);
   std::uint64_t legacy_count = 0;
-  std::vector<EvictionEvent> via_hub;
   Telemetry tel;
-  tel.hub().on_eviction([&](const EvictionEvent& e) { via_hub.push_back(e); });
+  TraceSink sink(TraceFormat::Jsonl, with_evictions());
+  sink.attach(tel);
   const std::unique_ptr<L2Interface> l2 = build_scheme(SchemeKind::ShrunkSram);
   l2->add_eviction_observer([&](const EvictionEvent&) { ++legacy_count; });
   SimOptions opts;
@@ -371,7 +348,7 @@ TEST(ObsEndToEnd, BothPathsTogetherMulticast) {
   simulate(t, *l2, opts);
 
   EXPECT_GT(legacy_count, 0u);
-  EXPECT_EQ(legacy_count, via_hub.size());
+  EXPECT_EQ(legacy_count, records_of(sink, "eviction").size());
   EXPECT_EQ(legacy_count,
             tel.metrics().counters().at("l2.evictions").value());
 }

@@ -103,14 +103,6 @@ TEST(Rng, GeometricAtLeastOneAndMeanMatches) {
   EXPECT_NEAR(sum / n, 1.0 / p, 0.05 / p);
 }
 
-TEST(Rng, ExponentialMean) {
-  Rng rng(29);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(42.0);
-  EXPECT_NEAR(sum / n, 42.0, 2.0);
-}
-
 TEST(Rng, WeightedrespectsWeights) {
   Rng rng(31);
   std::array<int, 3> counts{};

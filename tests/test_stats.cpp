@@ -374,31 +374,6 @@ TEST(QuantileSketch, MergedQuantilesDeterministicAcrossShardCounts) {
   }
 }
 
-TEST(Cdf, MonotoneAndEndsAtOne) {
-  std::vector<double> samples;
-  for (int i = 100; i > 0; --i) samples.push_back(static_cast<double>(i));
-  const auto cdf = build_cdf(std::move(samples), 10);
-  ASSERT_EQ(cdf.size(), 10u);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_LE(cdf[i - 1].value, cdf[i].value);
-    EXPECT_LT(cdf[i - 1].cum_fraction, cdf[i].cum_fraction);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().cum_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(cdf.back().value, 100.0);
-}
-
-TEST(Cdf, FewerSamplesThanPoints) {
-  const auto cdf = build_cdf({3.0, 1.0, 2.0}, 10);
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].value, 1.0);
-  EXPECT_DOUBLE_EQ(cdf[2].value, 3.0);
-}
-
-TEST(Cdf, EmptyInput) {
-  EXPECT_TRUE(build_cdf({}, 10).empty());
-  EXPECT_TRUE(build_cdf({1.0}, 0).empty());
-}
-
 TEST(Geomean, KnownValues) {
   EXPECT_NEAR(geomean({2.0, 8.0}), 4.0, 1e-12);
   EXPECT_NEAR(geomean({1.0, 1.0, 1.0}), 1.0, 1e-12);

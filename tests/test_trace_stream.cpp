@@ -102,16 +102,6 @@ TEST(TraceStream, ScenarioStreamEmptyConfigs) {
   EXPECT_TRUE(s2.next_chunk().empty());
 }
 
-TEST(TraceStream, MaterializedStreamRoundTrips) {
-  const Trace t = generate_trace(make_app(AppId::Email), small_gen_cfg());
-  MaterializedTraceStream stream(t);
-  expect_stream_matches(stream, t);
-  stream.reset();
-  const Trace again = materialize(stream);
-  EXPECT_EQ(again.size(), t.size());
-  EXPECT_EQ(again.name(), t.name());
-}
-
 TEST(TraceStream, CountersTrackChunksAndReuse) {
   reset_stream_counters();
   const AppSpec spec = make_app(AppId::Social);

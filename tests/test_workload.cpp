@@ -114,13 +114,6 @@ TEST(Workload, ComputeAppsAreUserDominated) {
   }
 }
 
-TEST(Workload, SuiteGeneratesAllRequestedApps) {
-  const auto traces = generate_suite({AppId::Launcher, AppId::Email}, 10'000, 1);
-  ASSERT_EQ(traces.size(), 2u);
-  EXPECT_EQ(traces[0].name(), "launcher");
-  EXPECT_EQ(traces[1].name(), "email");
-}
-
 TEST(Workload, AppSpecsWellFormed) {
   for (AppId id : all_apps()) {
     const AppSpec spec = make_app(id);

@@ -47,7 +47,7 @@
 ///                              FILE is given. Includes the process-wide
 ///                              stream.* (trace chunking) and fleet.* (E22
 ///                              population sweep) counter groups.
-///   --sample=N                 push an epoch sample every N trace records
+///   --sample=N                 record an epoch sample every N trace records
 ///                              (schemes without internal epochs; the
 ///                              dynamic L2 always samples at its epochs).
 ///   --trace-evictions          include per-block eviction events in the
@@ -390,8 +390,7 @@ static int tool_main(int argc, char** argv) {
   sink_opts.include_evictions = flags.trace_evictions;
   TraceSink sink(flags.trace_format, sink_opts);
   // One session per (trace, scheme) run: contexts stay distinct in the trace
-  // and per-run registries merge cleanly afterwards. Sessions must outlive
-  // the sink's render (hub subscribers reference them).
+  // and per-run registries merge, in run order, after the last run.
   std::vector<std::unique_ptr<Telemetry>> sessions;
 
   // Keep-going bookkeeping, surfaced as sweep.* counters under --metrics.
