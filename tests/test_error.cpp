@@ -7,6 +7,8 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/cancel.hpp"
 #include "common/env.hpp"
@@ -152,6 +154,35 @@ TEST(ValidateSimResultFinite, AcceptsRealResultsRejectsNaNLanes) {
   SimResult inf = r;
   inf.cpi = std::numeric_limits<double>::infinity();
   EXPECT_THROW(validate_sim_result_finite(inf), NumericError);
+}
+
+TEST(ValidateSimResultFinite, EveryDoubleLaneIsChecked) {
+  // The record's nine double fields, under their record names.
+  auto lanes = [](SimResult& r) {
+    return std::vector<std::pair<std::string, double*>>{
+        {"cpi", &r.cpi},
+        {"e.leakage_nj", &r.l2_energy.leakage_nj},
+        {"e.read_nj", &r.l2_energy.read_nj},
+        {"e.write_nj", &r.l2_energy.write_nj},
+        {"e.refresh_nj", &r.l2_energy.refresh_nj},
+        {"e.dram_nj", &r.l2_energy.dram_nj},
+        {"e.ecc_nj", &r.l2_energy.ecc_nj},
+        {"l1_energy_nj", &r.l1_energy_nj},
+        {"l2_avg_enabled_bytes", &r.l2_avg_enabled_bytes}};
+  };
+  for (std::size_t i = 0; i < 9; ++i) {
+    SimResult bad;
+    const auto lane = lanes(bad).at(i);
+    *lane.second = std::nan("");
+    try {
+      validate_sim_result_finite(bad);
+      ADD_FAILURE() << lane.first << " was not checked";
+    } catch (const NumericError& e) {
+      EXPECT_NE(std::string(e.what()).find("lane " + lane.first + " is"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

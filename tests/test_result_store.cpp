@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -301,6 +306,82 @@ TEST(RecordFormat, ExactRoundTrip) {
   const std::optional<SimResult> back = result_from_record_json(json);
   ASSERT_TRUE(back.has_value());
   expect_equal(r, *back);
+}
+
+/// A SimResult whose every record field holds a distinct value. The 63
+/// CacheStats counters and the 6 energies are filled slot by slot, so the
+/// tests below cover a counter or an energy added later without an edit.
+SimResult distinct_result() {
+  static_assert(std::is_trivially_copyable_v<CacheStats> &&
+                std::is_trivially_copyable_v<EnergyBreakdown>);
+  SimResult r;
+  r.workload = "browser";
+  r.scheme = "DP-STT [user: \"a\"]";
+  std::uint64_t next = 1;
+  for (CacheStats* s : {&r.l1i, &r.l1d, &r.l2}) {
+    std::array<std::uint64_t, sizeof(CacheStats) / sizeof(std::uint64_t)> c;
+    for (std::uint64_t& v : c) v = 1'000'003 * next++;
+    *s = std::bit_cast<CacheStats>(c);
+  }
+  std::array<double, sizeof(EnergyBreakdown) / sizeof(double)> e;
+  for (double& v : e) v = static_cast<double>(next++) / 3.0;
+  r.l2_energy = std::bit_cast<EnergyBreakdown>(e);
+  r.records = 123456789;
+  r.cycles = 987654321;
+  r.cpi = 1.0 / 7.0;
+  r.l1_energy_nj = 0.1;
+  r.l2_capacity_bytes = 2ull << 20;
+  r.l2_avg_enabled_bytes = 1e6 / 11.0;
+  r.l2_quarantined_ways = 3;
+  r.stall_l2_hit_cycles = 42;
+  r.stall_l2_miss_cycles = 4242;
+  r.prefetches_issued = 5;
+  return r;
+}
+
+TEST(RecordFormat, EveryFieldRoundTrips) {
+  const SimResult r = distinct_result();
+  const std::optional<SimResult> back =
+      result_from_record_json(result_to_record_json(r));
+  ASSERT_TRUE(back.has_value());
+  const SimResult& b = *back;
+  // Compared slot by slot rather than through a field list, so a field the
+  // record leaves out shows here.
+  for (CacheStats SimResult::*s :
+       {&SimResult::l1i, &SimResult::l1d, &SimResult::l2})
+    EXPECT_EQ(std::memcmp(&(r.*s), &(b.*s), sizeof(CacheStats)), 0);
+  EXPECT_EQ(
+      std::memcmp(&r.l2_energy, &b.l2_energy, sizeof(EnergyBreakdown)), 0);
+  for (double SimResult::*d :
+       {&SimResult::cpi, &SimResult::l1_energy_nj,
+        &SimResult::l2_avg_enabled_bytes})
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.*d),
+              std::bit_cast<std::uint64_t>(b.*d));
+  EXPECT_EQ(std::tie(r.workload, r.scheme, r.records, r.cycles,
+                     r.l2_capacity_bytes, r.l2_quarantined_ways,
+                     r.stall_l2_hit_cycles, r.stall_l2_miss_cycles,
+                     r.prefetches_issued),
+            std::tie(b.workload, b.scheme, b.records, b.cycles,
+                     b.l2_capacity_bytes, b.l2_quarantined_ways,
+                     b.stall_l2_hit_cycles, b.stall_l2_miss_cycles,
+                     b.prefetches_issued));
+}
+
+TEST(RecordFormat, RejectsAnyMissingField) {
+  const std::string json = result_to_record_json(distinct_result());
+  // A payload is one flat object and no value here holds a comma, so its
+  // "key":value pairs are the comma-separated pieces inside the braces.
+  std::vector<std::string> pairs;
+  std::istringstream body(json.substr(1, json.size() - 2));
+  for (std::string p; std::getline(body, p, ',');) pairs.push_back(p);
+  ASSERT_EQ(pairs.size(), 81u);
+  for (std::size_t drop = 0; drop < pairs.size(); ++drop) {
+    std::string cut = "{";
+    for (std::size_t i = 0; i < pairs.size(); ++i)
+      if (i != drop) cut += pairs[i] + ',';
+    cut.back() = '}';
+    EXPECT_FALSE(result_from_record_json(cut).has_value()) << pairs[drop];
+  }
 }
 
 TEST(RecordFormat, RejectsTruncationAndGarbage) {
