@@ -106,32 +106,16 @@ class SweepExecutor {
   void for_each(std::size_t n,
                 const std::function<void(std::size_t)>& fn) const;
 
-  /// Keep-going flavour of map(): a throwing point no longer aborts the
-  /// sweep — it becomes a PointFailure in that point's slot and the
-  /// remaining points still run. Returns one PointOutcome per index, in
-  /// index order. Two failure classes are still fail-fast by design:
-  /// cancellation (CancelledError must stop the whole sweep, not be
-  /// swallowed as one bad point) propagates out, and so does anything
-  /// thrown by the on-failure bookkeeping itself.
-  template <typename Fn>
-  auto map_outcomes(std::size_t n, Fn&& fn) const
-      -> std::vector<PointOutcome<decltype(fn(std::size_t{0}))>> {
-    using R = decltype(fn(std::size_t{0}));
-    std::vector<PointOutcome<R>> slots(n);
-    for_each_outcomes(
-        n, [&](std::size_t i) { slots[i].value.emplace(fn(i)); },
-        [&](PointFailure&& f) {
-          const std::size_t i = f.index;
-          slots[i].failure.emplace(std::move(f));
-        });
-    return slots;
-  }
-
-  /// Void flavour of map_outcomes(). on_failure is invoked under the
+  /// Keep-going flavour of for_each(): a throwing point no longer aborts
+  /// the sweep — it becomes a PointFailure passed to on_failure and the
+  /// remaining points still run. Two failure classes are still fail-fast
+  /// by design: cancellation (CancelledError must stop the whole sweep, not
+  /// be swallowed as one bad point) propagates out, and so does anything
+  /// thrown by on_failure itself. on_failure is invoked under the
   /// executor's error lock (serialized, but from worker threads) once per
   /// failing point; point order within the callback stream is
   /// timing-dependent, so callers needing order must key by
-  /// PointFailure::index — as map_outcomes() does.
+  /// PointFailure::index.
   void for_each_outcomes(
       std::size_t n, const std::function<void(std::size_t)>& fn,
       const std::function<void(PointFailure&&)>& on_failure) const;

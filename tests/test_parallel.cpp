@@ -9,6 +9,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/cancel.hpp"
 #include "common/error.hpp"
@@ -163,26 +164,37 @@ TEST(SweepExecutor, SoleThrowingPointIsTheOneRethrown) {
   }
 }
 
+/// Slots point i's failure at out[i], as the runner's keep-going grids do.
+auto slot_failures(std::vector<PointOutcome<std::size_t>>& out) {
+  return [&out](PointFailure&& f) {
+    const std::size_t i = f.index;
+    out[i].failure.emplace(std::move(f));
+  };
+}
+
 TEST(SweepExecutor, KeepGoingCollectsFailuresInIndexOrder) {
   // K injected throwing points out of N: the sweep must finish with N-K
   // values and K failures, each failure slotted at its own index.
   const std::set<std::size_t> bad = {3, 17, 40};
   for (unsigned jobs : {1u, 8u}) {
     SweepExecutor ex(jobs);
-    const auto out = ex.map_outcomes(64, [&](std::size_t i) {
-      if (bad.count(i)) throw NumericError("boom " + std::to_string(i));
-      return i * 2;
-    });
-    ASSERT_EQ(out.size(), 64u) << "jobs=" << jobs;
+    std::vector<PointOutcome<std::size_t>> out(64);
+    ex.for_each_outcomes(
+        out.size(),
+        [&](std::size_t i) {
+          if (bad.count(i)) throw NumericError("boom " + std::to_string(i));
+          out[i].value = i * 2;
+        },
+        slot_failures(out));
     for (std::size_t i = 0; i < out.size(); ++i) {
       if (bad.count(i)) {
-        ASSERT_FALSE(out[i].ok()) << i;
+        ASSERT_FALSE(out[i].ok()) << i << " jobs=" << jobs;
         EXPECT_EQ(out[i].failure->index, i);
         EXPECT_EQ(out[i].failure->error_type, "numeric");
         EXPECT_EQ(out[i].failure->message, "boom " + std::to_string(i));
         EXPECT_FALSE(out[i].failure->quarantined);
       } else {
-        ASSERT_TRUE(out[i].ok()) << i;
+        ASSERT_TRUE(out[i].ok()) << i << " jobs=" << jobs;
         EXPECT_EQ(*out[i].value, i * 2);
       }
     }
@@ -193,14 +205,17 @@ TEST(SweepExecutor, KeepGoingStillPropagatesCancellation) {
   // Cancellation is a whole-run event, never a per-point failure: a
   // keep-going sweep must rethrow it instead of recording it.
   SweepExecutor ex(1);  // serial path checks the token before each point
+  std::vector<PointOutcome<std::size_t>> out(16);
+  auto run = [&](std::size_t n) {
+    ex.for_each_outcomes(
+        n, [&](std::size_t i) { out[i].value = i; }, slot_failures(out));
+  };
   global_cancel_token().request_cancel();
-  EXPECT_THROW(
-      ex.map_outcomes(16, [](std::size_t i) { return i; }),
-      CancelledError);
+  EXPECT_THROW(run(16), CancelledError);
   global_cancel_token().reset();
   // After reset the pool runs normally again.
-  const auto out = ex.map_outcomes(4, [](std::size_t i) { return i; });
-  ASSERT_EQ(out.size(), 4u);
+  out.assign(4, {});
+  run(4);
   EXPECT_TRUE(out[3].ok());
 }
 
