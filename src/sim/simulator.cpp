@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <span>
 
 #include "common/cancel.hpp"
@@ -13,10 +14,11 @@ namespace mobcache {
 
 namespace {
 
-/// Trace-cadence sampler for schemes without an internal epoch notion: every
-/// `interval` trace records it snapshots the L2's access and miss deltas
-/// plus whatever the scheme reports via fill_sample(). Pure reader — it
-/// never touches sim state, preserving bit-exact results.
+/// Trace-cadence sampler: every `interval` trace records it snapshots the
+/// L2's access and miss deltas plus whatever the scheme reports via
+/// fill_sample(). The demand loop retires whole sub-spans of until_next()
+/// records between samples, so no per-record call is made. Pure reader —
+/// it never touches sim state, preserving bit-exact results.
 class IntervalSampler {
  public:
   IntervalSampler(Telemetry* tel, const L2Interface& l2)
@@ -24,8 +26,16 @@ class IntervalSampler {
         l2_(l2),
         interval_(tel != nullptr ? tel->sample_interval() : 0) {}
 
-  void tick(Cycle now) {
-    if (interval_ == 0 || ++records_ < interval_) return;
+  /// Records that can retire before the next sample is due (all of them
+  /// when sampling is off).
+  std::uint64_t until_next() const {
+    return interval_ == 0 ? UINT64_MAX : interval_ - records_;
+  }
+
+  /// Counts `n` retired records, the last of them at `now`; samples once
+  /// they complete an interval. `n` never exceeds until_next().
+  void retired(std::uint64_t n, Cycle now) {
+    if (interval_ == 0 || (records_ += n) < interval_) return;
     records_ = 0;
     const CacheStats cur = l2_.aggregate_stats();
     EpochSample s;
@@ -79,41 +89,32 @@ SimResult simulate_chunked(const std::string& workload, NextChunk&& next_chunk,
   CpiModel cpu;
 
   // Cancellation/deadline supervision stays out of the per-record path:
-  // the demand loops below run chunk by chunk (one chunk ≈ one
+  // the demand loop below runs chunk by chunk (one chunk ≈ one
   // kCancelPollStride block) and only the chunk boundary polls the token /
   // the clock. With the default-off deadline that is one relaxed atomic
   // load per ~65k records — the BENCH_micro gate sees no inner-loop change
   // at all.
   const PointSupervisor sup(opts);
 
-  // Demand loop, split once up front: the plain loop carries no sampler
-  // call and no disabled-telemetry branch per record; the instrumented loop
-  // is the same retire sequence plus the trace-cadence sampler tick. Both
-  // produce bit-identical SimResults (the sampler is a pure reader) —
-  // tests/test_kernel_equiv.cpp pins this.
+  // One demand loop: each chunk retires in sub-spans that end where the
+  // sampler is due, and the sampler runs between them. Without a sampling
+  // session a sub-span is the whole chunk.
+  IntervalSampler sampler(opts.telemetry, l2);
   Cycle now = 0;
   bool first = true;
-  if (opts.telemetry != nullptr && opts.telemetry->sample_interval() != 0) {
-    IntervalSampler sampler(opts.telemetry, l2);
-    for (;;) {
-      const std::span<const Access> chunk = next_chunk();
-      if (chunk.empty()) break;
-      if (!first) sup.poll(res.workload, res.scheme);
-      first = false;
-      for (const Access& a : chunk) {
-        now = cpu.retire(hier.access(a, now));
-        sampler.tick(now);
-      }
-    }
-  } else {
-    for (;;) {
-      const std::span<const Access> chunk = next_chunk();
-      if (chunk.empty()) break;
-      if (!first) sup.poll(res.workload, res.scheme);
-      first = false;
-      for (const Access& a : chunk) {
+  for (;;) {
+    std::span<const Access> chunk = next_chunk();
+    if (chunk.empty()) break;
+    if (!first) sup.poll(res.workload, res.scheme);
+    first = false;
+    while (!chunk.empty()) {
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(chunk.size(), sampler.until_next()));
+      for (const Access& a : chunk.first(n)) {
         now = cpu.retire(hier.access(a, now));
       }
+      sampler.retired(n, now);
+      chunk = chunk.subspan(n);
     }
   }
   hier.finalize(now);

@@ -501,10 +501,11 @@ TEST_F(SchemeEquiv, FaultInjectedSchemes) {
 // ---- instrumentation must not perturb results ----------------------------
 
 TEST_F(SchemeEquiv, TelemetrySamplerCausesNoStatDrift) {
-  // The simulate() demand loop is split into an instrumented and a plain
-  // variant; both must retire the exact same state. Run the same scheme
-  // with a sampling telemetry session, with a zero-interval session, and
-  // with none at all — three different loop selections, one result.
+  // simulate() retires each chunk in sub-spans that end where the sampler
+  // is due and samples between them; the split must not change what
+  // retires. Run the same scheme with a sampling telemetry session (a
+  // sample every 512 records, so every chunk splits), with a zero-interval
+  // session, and with none at all — three span geometries, one result.
   for (SchemeKind kind :
        {SchemeKind::BaselineSram, SchemeKind::StaticPartMrstt,
         SchemeKind::DynamicStt}) {
@@ -519,7 +520,7 @@ TEST_F(SchemeEquiv, TelemetrySamplerCausesNoStatDrift) {
         simulate(*trace_, build_scheme(kind, p), with_sampler);
     EXPECT_GT(sampling.metrics().counters().at("l2.epochs").value(), 0u);
 
-    Telemetry idle;  // attached but never sampling → plain loop
+    Telemetry idle;  // attached but never sampling: whole chunks
     SimOptions with_idle;
     with_idle.telemetry = &idle;
     const SimResult attached =
