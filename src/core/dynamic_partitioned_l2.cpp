@@ -115,7 +115,9 @@ void DynamicPartitionedL2::maybe_epoch(Cycle now) {
   // just changed). The leakage total is a floating-point sum, so this
   // cadence is part of the energy result.
   seg_.settle_leakage(now);
-  if (telemetry_) {
+  // A session's sample interval, when set, is every design's cadence
+  // (simulate()'s sampler); DP samples its own epochs only without one.
+  if (telemetry_ != nullptr && telemetry_->sample_interval() == 0) {
     EpochSample s;
     s.cycle = now;
     s.accesses = epoch_accesses_[0] + epoch_accesses_[1];

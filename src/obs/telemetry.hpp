@@ -38,8 +38,9 @@ class Telemetry {
   const std::string& workload() const { return workload_; }
   const std::string& scheme() const { return scheme_; }
 
-  /// simulate()'s sampling cadence in trace records (0 disables). The
-  /// dynamic L2 also samples at its repartition epochs, whatever this is.
+  /// simulate()'s sampling cadence in trace records, for every design. At
+  /// 0 the sampler is off and only the dynamic L2 samples, at its
+  /// repartition epochs.
   void set_sample_interval(std::uint64_t accesses) {
     sample_interval_ = accesses;
   }

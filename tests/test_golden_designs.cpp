@@ -100,9 +100,9 @@ const std::map<std::string, std::uint64_t, std::less<>> kPins = {
     {"prefetch/Shared-STT-2MB", 0x30e97931e96b0180ull},
     {"prefetch/Shrunk-SRAM-512KB", 0x88f38cc4520ec9ccull},
     {"prefetch/Victim-SRAM-2MB", 0x41d86682f1310509ull},
-    {"sink/chrome", 0xb8d3f17e4663013eull},
-    {"sink/jsonl", 0xe05f19e0861dc210ull},
-    {"sink/metrics", 0x6c41419739922531ull},
+    {"sink/chrome", 0xd2afde50408f1022ull},
+    {"sink/jsonl", 0x0e703cdb50d83488ull},
+    {"sink/metrics", 0x31f0544ba59d8f50ull},
     {"wear-rotation/SP-MRSTT", 0x818e50d0dbf66b77ull},
 };
 // clang-format on
@@ -315,8 +315,8 @@ std::map<std::string, std::size_t> count_by_track(const std::string& jsonl,
 
 TEST(GoldenDesigns, TraceSinkRender) {
   // Four sampled sessions through one sink per format, with eviction
-  // export on, reach every record type: DP-STT (partition-resize, DP epoch
-  // samples, refresh-burst), DP-STT under the fault pin (fault,
+  // export on, reach every record type: DP-STT (partition-resize,
+  // refresh-burst), DP-STT under the fault pin (fault,
   // way-quarantine), SP-MRSTT with the write bypass (bypass-decision) and
   // drowsy SRAM (drowsy-transition). Both DP-STT sessions share one track.
   struct Session {
@@ -363,14 +363,14 @@ TEST(GoldenDesigns, TraceSinkRender) {
         "eviction"}) {
     EXPECT_FALSE(count_by_track(jsonl, type).empty()) << type;
   }
-  // The sampler writes one l2.ways record per kInterval trace records; the
-  // DP-STT track also carries one per DP epoch of its two sessions.
+  // The sampler writes one l2.ways record per kInterval trace records on
+  // every design, DP included; the DP-STT track holds two sessions.
   const std::size_t ticks = browser_trace().size() / kInterval;
   auto ways = count_by_track(jsonl, "l2.ways");
   EXPECT_EQ(ways[tracks[2]], ticks);
   EXPECT_EQ(ways[tracks[3]], ticks);
   EXPECT_EQ(tracks[0], tracks[1]);
-  EXPECT_GT(ways[tracks[0]], 2 * ticks);
+  EXPECT_EQ(ways[tracks[0]], 2 * ticks);
 }
 
 }  // namespace

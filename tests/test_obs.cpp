@@ -290,6 +290,24 @@ TEST(ObsEndToEnd, DynamicEpochSeriesMatchesAllocationHistory) {
             hist.size());
 }
 
+TEST(ObsEndToEnd, SampleIntervalIsTheDynamicCadenceToo) {
+  // With a sample interval set, DP-STT samples only at it: one l2.ways
+  // record per interval and no extra one per DP epoch.
+  constexpr std::uint64_t kInterval = 10'000;
+  const Trace t = generate_app_trace(AppId::Browser, 120'000, 7);
+  Telemetry tel;
+  tel.set_sample_interval(kInterval);
+  TraceSink sink;
+  sink.attach(tel);
+  SimOptions opts;
+  opts.telemetry = &tel;
+  simulate(t, build_scheme(SchemeKind::DynamicStt), opts);
+
+  const std::uint64_t ticks = t.size() / kInterval;
+  EXPECT_EQ(records_of(sink, "l2.ways").size(), ticks);
+  EXPECT_EQ(tel.metrics().counters().at("l2.epochs").value(), ticks);
+}
+
 /// A sink that exports evictions.
 TraceSinkOptions with_evictions() {
   TraceSinkOptions o;

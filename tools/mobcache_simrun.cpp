@@ -48,8 +48,8 @@
 ///                              stream.* (trace chunking) and fleet.* (E22
 ///                              population sweep) counter groups.
 ///   --sample=N                 record an epoch sample every N trace records
-///                              (schemes without internal epochs; the
-///                              dynamic L2 always samples at its epochs).
+///                              on every scheme (without it, only the
+///                              dynamic L2 samples, at its epochs).
 ///   --trace-evictions          include per-block eviction events in the
 ///                              trace (high volume; off by default).
 ///
