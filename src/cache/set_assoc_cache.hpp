@@ -130,7 +130,44 @@ struct CacheStats {
   }
 
   void reset() { *this = CacheStats{}; }
+
+  /// The counters' one field list, in result-store record order: calls
+  /// f(FieldName{prefix, name}, s.field...) for each counter, over the same
+  /// field of every `s`. The record writer and reader, operator+= and the
+  /// tests' comparisons loop over it.
+  template <typename F, typename... S>
+  static void visit(F&& f, const char* prefix, S&... s) {
+    f(FieldName{prefix, "accesses_user"}, s.accesses[0]...);
+    f(FieldName{prefix, "accesses_kernel"}, s.accesses[1]...);
+    f(FieldName{prefix, "hits_user"}, s.hits[0]...);
+    f(FieldName{prefix, "hits_kernel"}, s.hits[1]...);
+    f(FieldName{prefix, "store_hits"}, s.store_hits...);
+    f(FieldName{prefix, "fills"}, s.fills...);
+    f(FieldName{prefix, "evictions"}, s.evictions...);
+    f(FieldName{prefix, "writebacks"}, s.writebacks...);
+    f(FieldName{prefix, "cross_mode_evictions"}, s.cross_mode_evictions...);
+    f(FieldName{prefix, "expired_blocks"}, s.expired_blocks...);
+    f(FieldName{prefix, "expired_dirty"}, s.expired_dirty...);
+    f(FieldName{prefix, "refreshes"}, s.refreshes...);
+    f(FieldName{prefix, "prefetch_fills"}, s.prefetch_fills...);
+    f(FieldName{prefix, "useful_prefetches"}, s.useful_prefetches...);
+    f(FieldName{prefix, "write_faults"}, s.write_faults...);
+    f(FieldName{prefix, "transient_upsets"}, s.transient_upsets...);
+    f(FieldName{prefix, "ecc_corrections"}, s.ecc_corrections...);
+    f(FieldName{prefix, "fault_losses"}, s.fault_losses...);
+    f(FieldName{prefix, "fault_lost_dirty"}, s.fault_lost_dirty...);
+    f(FieldName{prefix, "scrub_repairs"}, s.scrub_repairs...);
+    f(FieldName{prefix, "silent_faults"}, s.silent_faults...);
+  }
+
+  CacheStats& operator+=(const CacheStats& o) {
+    visit([](FieldName, std::uint64_t& a, std::uint64_t b) { a += b; }, "",
+          *this, o);
+    return *this;
+  }
 };
+// A counter added to CacheStats must be added to visit() too.
+static_assert(sizeof(CacheStats) == 21 * sizeof(std::uint64_t));
 
 /// What one access did to the array; the L2 wrappers translate this into
 /// energy events and downstream traffic.

@@ -3,6 +3,7 @@
 /// Fundamental vocabulary types shared by every mobcache module.
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace mobcache {
@@ -42,6 +43,17 @@ inline constexpr Addr kKernelSpaceBase = 0xffff'0000'0000'0000ull;
 
 /// True when the address lies in the kernel half of the address space.
 constexpr bool is_kernel_addr(Addr a) { return a >= kKernelSpaceBase; }
+
+/// The name a result struct's field visitor gives a field: its group's
+/// prefix ("l1i.", "e.", or "" at the top level) and its own name, kept
+/// apart so a visit never allocates. key() joins them where a key is
+/// written or an error is raised.
+struct FieldName {
+  const char* prefix;
+  const char* name;
+
+  std::string key() const { return std::string(prefix) + name; }
+};
 
 constexpr std::string_view to_string(Mode m) {
   return m == Mode::User ? "user" : "kernel";

@@ -23,30 +23,7 @@ const EnergyBreakdown& StaticPartitionedL2::energy() const {
 
 CacheStats StaticPartitionedL2::aggregate_stats() const {
   CacheStats out;
-  for (const L2Segment& s : segments_) {
-    const CacheStats& c = s.array().stats();
-    for (int m = 0; m < kModeCount; ++m) {
-      out.accesses[m] += c.accesses[m];
-      out.hits[m] += c.hits[m];
-    }
-    out.store_hits += c.store_hits;
-    out.fills += c.fills;
-    out.evictions += c.evictions;
-    out.writebacks += c.writebacks;
-    out.cross_mode_evictions += c.cross_mode_evictions;
-    out.expired_blocks += c.expired_blocks;
-    out.expired_dirty += c.expired_dirty;
-    out.refreshes += c.refreshes;
-    out.prefetch_fills += c.prefetch_fills;
-    out.useful_prefetches += c.useful_prefetches;
-    out.write_faults += c.write_faults;
-    out.transient_upsets += c.transient_upsets;
-    out.ecc_corrections += c.ecc_corrections;
-    out.fault_losses += c.fault_losses;
-    out.fault_lost_dirty += c.fault_lost_dirty;
-    out.scrub_repairs += c.scrub_repairs;
-    out.silent_faults += c.silent_faults;
-  }
+  for (const L2Segment& s : segments_) out += s.array().stats();
   return out;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 
+#include "common/types.hpp"
 #include "energy/technology.hpp"
 
 namespace mobcache {
@@ -30,16 +31,26 @@ struct EnergyBreakdown {
     return leakage_nj + read_nj + write_nj + refresh_nj + ecc_nj;
   }
 
+  /// The energies' one field list, in result-store record order: calls
+  /// f(FieldName{prefix, name}, e.field...) for each energy, over the same
+  /// field of every `e` (see CacheStats::visit).
+  template <typename F, typename... E>
+  static void visit(F&& f, const char* prefix, E&... e) {
+    f(FieldName{prefix, "leakage_nj"}, e.leakage_nj...);
+    f(FieldName{prefix, "read_nj"}, e.read_nj...);
+    f(FieldName{prefix, "write_nj"}, e.write_nj...);
+    f(FieldName{prefix, "refresh_nj"}, e.refresh_nj...);
+    f(FieldName{prefix, "dram_nj"}, e.dram_nj...);
+    f(FieldName{prefix, "ecc_nj"}, e.ecc_nj...);
+  }
+
   EnergyBreakdown& operator+=(const EnergyBreakdown& o) {
-    leakage_nj += o.leakage_nj;
-    read_nj += o.read_nj;
-    write_nj += o.write_nj;
-    refresh_nj += o.refresh_nj;
-    dram_nj += o.dram_nj;
-    ecc_nj += o.ecc_nj;
+    visit([](FieldName, double& a, double b) { a += b; }, "", *this, o);
     return *this;
   }
 };
+// An energy added to EnergyBreakdown must be added to visit() too.
+static_assert(sizeof(EnergyBreakdown) == 6 * sizeof(double));
 
 /// Prices events into an EnergyBreakdown. Like TechParams, an accountant
 /// keeps the technology configuration active when it was built: the DRAM

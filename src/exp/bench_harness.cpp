@@ -206,14 +206,9 @@ void BenchReport::write() {
   for (const auto& [key, value] : run_facts_) w.key(key).value(value);
   w.key("result_store");
   w.begin_object();
-  w.key("hits").value(store_stats_.hits);
-  w.key("misses").value(store_stats_.misses);
-  w.key("stores").value(store_stats_.stores);
-  w.key("corrupt_skipped").value(store_stats_.corrupt_skipped);
-  w.key("loaded").value(store_stats_.loaded);
-  w.key("poisoned_loaded").value(store_stats_.poisoned_loaded);
-  w.key("poison_hits").value(store_stats_.poison_hits);
-  w.key("poison_stores").value(store_stats_.poison_stores);
+  ResultStoreStats::visit(
+      [&](FieldName n, std::uint64_t v) { w.key(n.name).value(v); }, "",
+      store_stats_);
   w.end_object();
   // Failure manifest + sweep counters. Green runs report an empty array and
   // failed = 0 — check_bench.py's validate asserts exactly that unless told

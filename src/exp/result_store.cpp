@@ -6,7 +6,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/atomic_file.hpp"
 #include "common/flat_json.hpp"
@@ -155,87 +157,48 @@ std::uint64_t result_point_key(std::uint64_t design_hash,
 
 namespace {
 
-void put_u64(std::string& out, const char* key, std::uint64_t v) {
+/// Appends `"key":value,` for one field. Doubles get 17 significant
+/// digits, which identify a binary64 uniquely; strtod's correct rounding
+/// reproduces the exact bit pattern on parse.
+template <typename T>
+void put(std::string& out, FieldName n, const T& v) {
   out += '"';
-  out += key;
+  out += n.prefix;
+  out += n.name;
   out += "\":";
-  out += std::to_string(v);
+  if constexpr (std::is_same_v<T, std::string>) {
+    out += '"';
+    out += json_escape(v);
+    out += '"';
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    out += buf;
+  } else {
+    out += std::to_string(v);
+  }
   out += ',';
-}
-
-void put_dbl(std::string& out, const char* key, double v) {
-  // 17 significant digits uniquely identify a binary64; strtod's correct
-  // rounding reproduces the exact bit pattern on parse.
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += '"';
-  out += key;
-  out += "\":";
-  out += buf;
-  out += ',';
-}
-
-void put_str(std::string& out, const char* key, const std::string& v) {
-  out += '"';
-  out += key;
-  out += "\":\"";
-  out += json_escape(v);
-  out += "\",";
-}
-
-void put_cache_stats(std::string& out, const char* prefix,
-                     const CacheStats& s) {
-  auto key = [&](const char* field) { return std::string(prefix) + field; };
-  put_u64(out, key("accesses_user").c_str(), s.accesses[0]);
-  put_u64(out, key("accesses_kernel").c_str(), s.accesses[1]);
-  put_u64(out, key("hits_user").c_str(), s.hits[0]);
-  put_u64(out, key("hits_kernel").c_str(), s.hits[1]);
-  put_u64(out, key("store_hits").c_str(), s.store_hits);
-  put_u64(out, key("fills").c_str(), s.fills);
-  put_u64(out, key("evictions").c_str(), s.evictions);
-  put_u64(out, key("writebacks").c_str(), s.writebacks);
-  put_u64(out, key("cross_mode_evictions").c_str(), s.cross_mode_evictions);
-  put_u64(out, key("expired_blocks").c_str(), s.expired_blocks);
-  put_u64(out, key("expired_dirty").c_str(), s.expired_dirty);
-  put_u64(out, key("refreshes").c_str(), s.refreshes);
-  put_u64(out, key("prefetch_fills").c_str(), s.prefetch_fills);
-  put_u64(out, key("useful_prefetches").c_str(), s.useful_prefetches);
-  put_u64(out, key("write_faults").c_str(), s.write_faults);
-  put_u64(out, key("transient_upsets").c_str(), s.transient_upsets);
-  put_u64(out, key("ecc_corrections").c_str(), s.ecc_corrections);
-  put_u64(out, key("fault_losses").c_str(), s.fault_losses);
-  put_u64(out, key("fault_lost_dirty").c_str(), s.fault_lost_dirty);
-  put_u64(out, key("scrub_repairs").c_str(), s.scrub_repairs);
-  put_u64(out, key("silent_faults").c_str(), s.silent_faults);
 }
 
 // Record payloads parse with FlatParser (common/flat_json.hpp): the store
 // only ever consumes JSON this codebase wrote itself.
 
-bool read_cache_stats(const FlatParser& f, const char* prefix, CacheStats& s) {
-  auto key = [&](const char* field) { return std::string(prefix) + field; };
-  return f.get_u64(key("accesses_user").c_str(), s.accesses[0]) &&
-         f.get_u64(key("accesses_kernel").c_str(), s.accesses[1]) &&
-         f.get_u64(key("hits_user").c_str(), s.hits[0]) &&
-         f.get_u64(key("hits_kernel").c_str(), s.hits[1]) &&
-         f.get_u64(key("store_hits").c_str(), s.store_hits) &&
-         f.get_u64(key("fills").c_str(), s.fills) &&
-         f.get_u64(key("evictions").c_str(), s.evictions) &&
-         f.get_u64(key("writebacks").c_str(), s.writebacks) &&
-         f.get_u64(key("cross_mode_evictions").c_str(),
-                   s.cross_mode_evictions) &&
-         f.get_u64(key("expired_blocks").c_str(), s.expired_blocks) &&
-         f.get_u64(key("expired_dirty").c_str(), s.expired_dirty) &&
-         f.get_u64(key("refreshes").c_str(), s.refreshes) &&
-         f.get_u64(key("prefetch_fills").c_str(), s.prefetch_fills) &&
-         f.get_u64(key("useful_prefetches").c_str(), s.useful_prefetches) &&
-         f.get_u64(key("write_faults").c_str(), s.write_faults) &&
-         f.get_u64(key("transient_upsets").c_str(), s.transient_upsets) &&
-         f.get_u64(key("ecc_corrections").c_str(), s.ecc_corrections) &&
-         f.get_u64(key("fault_losses").c_str(), s.fault_losses) &&
-         f.get_u64(key("fault_lost_dirty").c_str(), s.fault_lost_dirty) &&
-         f.get_u64(key("scrub_repairs").c_str(), s.scrub_repairs) &&
-         f.get_u64(key("silent_faults").c_str(), s.silent_faults);
+/// Reads one field; false when it is missing, mistyped or out of range.
+template <typename T>
+bool get(const FlatParser& f, FieldName n, T& v) {
+  const std::string key = n.key();
+  if constexpr (std::is_same_v<T, std::string>) {
+    return f.get_str(key.c_str(), v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return f.get_dbl(key.c_str(), v);
+  } else {
+    std::uint64_t wide = 0;
+    if (!f.get_u64(key.c_str(), wide) ||
+        wide > std::numeric_limits<T>::max())
+      return false;
+    v = static_cast<T>(wide);
+    return true;
+  }
 }
 
 std::string key_hex(std::uint64_t key) {
@@ -248,27 +211,7 @@ std::string key_hex(std::uint64_t key) {
 
 std::string result_to_record_json(const SimResult& r) {
   std::string out = "{";
-  put_str(out, "workload", r.workload);
-  put_str(out, "scheme", r.scheme);
-  put_u64(out, "records", r.records);
-  put_u64(out, "cycles", r.cycles);
-  put_dbl(out, "cpi", r.cpi);
-  put_cache_stats(out, "l1i.", r.l1i);
-  put_cache_stats(out, "l1d.", r.l1d);
-  put_cache_stats(out, "l2.", r.l2);
-  put_dbl(out, "e.leakage_nj", r.l2_energy.leakage_nj);
-  put_dbl(out, "e.read_nj", r.l2_energy.read_nj);
-  put_dbl(out, "e.write_nj", r.l2_energy.write_nj);
-  put_dbl(out, "e.refresh_nj", r.l2_energy.refresh_nj);
-  put_dbl(out, "e.dram_nj", r.l2_energy.dram_nj);
-  put_dbl(out, "e.ecc_nj", r.l2_energy.ecc_nj);
-  put_dbl(out, "l1_energy_nj", r.l1_energy_nj);
-  put_u64(out, "l2_capacity_bytes", r.l2_capacity_bytes);
-  put_dbl(out, "l2_avg_enabled_bytes", r.l2_avg_enabled_bytes);
-  put_u64(out, "l2_quarantined_ways", r.l2_quarantined_ways);
-  put_u64(out, "stall_l2_hit_cycles", r.stall_l2_hit_cycles);
-  put_u64(out, "stall_l2_miss_cycles", r.stall_l2_miss_cycles);
-  put_u64(out, "prefetches_issued", r.prefetches_issued);
+  SimResult::visit([&](FieldName n, const auto& v) { put(out, n, v); }, r);
   out.back() = '}';  // replace the trailing comma
   return out;
 }
@@ -277,28 +220,9 @@ std::optional<SimResult> result_from_record_json(const std::string& json) {
   FlatParser f;
   if (!f.parse(json)) return std::nullopt;
   SimResult r;
-  std::uint64_t quarantined = 0;
-  const bool ok =
-      f.get_str("workload", r.workload) && f.get_str("scheme", r.scheme) &&
-      f.get_u64("records", r.records) && f.get_u64("cycles", r.cycles) &&
-      f.get_dbl("cpi", r.cpi) && read_cache_stats(f, "l1i.", r.l1i) &&
-      read_cache_stats(f, "l1d.", r.l1d) &&
-      read_cache_stats(f, "l2.", r.l2) &&
-      f.get_dbl("e.leakage_nj", r.l2_energy.leakage_nj) &&
-      f.get_dbl("e.read_nj", r.l2_energy.read_nj) &&
-      f.get_dbl("e.write_nj", r.l2_energy.write_nj) &&
-      f.get_dbl("e.refresh_nj", r.l2_energy.refresh_nj) &&
-      f.get_dbl("e.dram_nj", r.l2_energy.dram_nj) &&
-      f.get_dbl("e.ecc_nj", r.l2_energy.ecc_nj) &&
-      f.get_dbl("l1_energy_nj", r.l1_energy_nj) &&
-      f.get_u64("l2_capacity_bytes", r.l2_capacity_bytes) &&
-      f.get_dbl("l2_avg_enabled_bytes", r.l2_avg_enabled_bytes) &&
-      f.get_u64("l2_quarantined_ways", quarantined) &&
-      f.get_u64("stall_l2_hit_cycles", r.stall_l2_hit_cycles) &&
-      f.get_u64("stall_l2_miss_cycles", r.stall_l2_miss_cycles) &&
-      f.get_u64("prefetches_issued", r.prefetches_issued);
-  if (!ok || quarantined > UINT32_MAX) return std::nullopt;
-  r.l2_quarantined_ways = static_cast<std::uint32_t>(quarantined);
+  bool ok = true;
+  SimResult::visit([&](FieldName n, auto& v) { ok = ok && get(f, n, v); }, r);
+  if (!ok) return std::nullopt;
   return r;
 }
 
@@ -307,9 +231,9 @@ std::string failure_to_record_json(const StoredFailure& f) {
   // The marker field comes first and is what dispatches payload parsing; a
   // value payload can never contain it (no SimResult field is named
   // "poison").
-  put_u64(out, "poison", 1);
-  put_str(out, "error_type", f.error_type);
-  put_str(out, "message", f.message);
+  put(out, FieldName{"", "poison"}, std::uint64_t{1});
+  put(out, FieldName{"", "error_type"}, f.error_type);
+  put(out, FieldName{"", "message"}, f.message);
   out.back() = '}';  // replace the trailing comma
   return out;
 }

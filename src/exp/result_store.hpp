@@ -82,7 +82,25 @@ struct ResultStoreStats {
   std::uint64_t poisoned_loaded = 0; ///< poison records found at open
   std::uint64_t poison_hits = 0;     ///< lookups quarantined by a poison record
   std::uint64_t poison_stores = 0;   ///< poison records persisted this process
+
+  /// The counters' one field list: calls f(FieldName{prefix, name},
+  /// s.field...) for each counter, over the same field of every `s`.
+  /// simrun's result_store.* metrics and the BENCH report's result_store
+  /// object loop over it.
+  template <typename F, typename... S>
+  static void visit(F&& f, const char* prefix, S&... s) {
+    f(FieldName{prefix, "hits"}, s.hits...);
+    f(FieldName{prefix, "misses"}, s.misses...);
+    f(FieldName{prefix, "stores"}, s.stores...);
+    f(FieldName{prefix, "corrupt_skipped"}, s.corrupt_skipped...);
+    f(FieldName{prefix, "loaded"}, s.loaded...);
+    f(FieldName{prefix, "poisoned_loaded"}, s.poisoned_loaded...);
+    f(FieldName{prefix, "poison_hits"}, s.poison_hits...);
+    f(FieldName{prefix, "poison_stores"}, s.poison_stores...);
+  }
 };
+// A counter added to ResultStoreStats must be added to visit() too.
+static_assert(sizeof(ResultStoreStats) == 8 * sizeof(std::uint64_t));
 
 /// A persisted point failure — the payload of a poison record. Carries the
 /// stable taxonomy label (error_type_of()) and the one-line message, so a

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -27,27 +28,18 @@ std::uint64_t scheme_design_hash(SchemeKind kind, const SchemeParams& p) {
 }  // namespace
 
 void validate_sim_result_finite(const SimResult& r) {
-  const struct {
-    const char* name;
-    double v;
-  } lanes[] = {
-      {"cpi", r.cpi},
-      {"e.leakage_nj", r.l2_energy.leakage_nj},
-      {"e.read_nj", r.l2_energy.read_nj},
-      {"e.write_nj", r.l2_energy.write_nj},
-      {"e.refresh_nj", r.l2_energy.refresh_nj},
-      {"e.dram_nj", r.l2_energy.dram_nj},
-      {"e.ecc_nj", r.l2_energy.ecc_nj},
-      {"l1_energy_nj", r.l1_energy_nj},
-      {"l2_avg_enabled_bytes", r.l2_avg_enabled_bytes},
-  };
-  for (const auto& lane : lanes) {
-    if (std::isfinite(lane.v)) continue;
-    NumericError err(std::string("result lane ") + lane.name +
-                     " is not finite (" + std::to_string(lane.v) + ")");
-    err.with_scheme(r.scheme).with_workload(r.workload);
-    throw err;
-  }
+  SimResult::visit(
+      [&r](FieldName n, const auto& v) {
+        if constexpr (std::is_floating_point_v<
+                          std::remove_cvref_t<decltype(v)>>) {
+          if (std::isfinite(v)) return;
+          NumericError err("result lane " + n.key() + " is not finite (" +
+                           std::to_string(v) + ")");
+          err.with_scheme(r.scheme).with_workload(r.workload);
+          throw err;
+        }
+      },
+      r);
 }
 
 ExperimentRunner::ExperimentRunner(std::vector<AppId> apps,

@@ -146,13 +146,11 @@ class LaneReplay {
 
   /// Issues the L2 demand access of an L1 miss at trace record `record`,
   /// as MemoryHierarchy::access does, and returns the cycle it went out at:
-  /// bit for bit the CpiModel::now() of a per-point run (`record` accesses
-  /// retired, plus this design's stalls). A dirty victim's writeback goes
-  /// out at the same cycle; stores are posted and do not stall.
+  /// the CpiModel clock of a per-point run (`record` accesses retired, plus
+  /// this design's stalls). A dirty victim's writeback goes out at the
+  /// same cycle; stores are posted and do not stall.
   Cycle demand(std::uint64_t record, Addr line, Mode mode, bool is_write) {
-    const Cycle now =
-        static_cast<Cycle>(static_cast<double>(record) * kBaseCpi) +
-        stall_sum_;
+    const Cycle now = CpiModel::clock(record, stall_sum_);
     const L2Result r = l2_->access(line, AccessType::Read, mode, now);
     if (!is_write) {
       const Cycle stall = kL1HitLatency + r.latency;
@@ -169,9 +167,7 @@ class LaneReplay {
   /// Finalizes the design at its end cycle and assembles the SimResult.
   SimResult finish() {
     const std::uint64_t records = pass_->total_records;
-    const Cycle end_cycle =
-        static_cast<Cycle>(static_cast<double>(records) * kBaseCpi) +
-        stall_sum_;
+    const Cycle end_cycle = CpiModel::clock(records, stall_sum_);
     l2_->finalize(end_cycle);
 
     SimResult res;
@@ -180,17 +176,12 @@ class LaneReplay {
     res.l2_capacity_bytes = capacity_;
     res.records = records;
     res.cycles = end_cycle;
-    res.cpi = records == 0 ? 0.0
-                           : static_cast<double>(end_cycle) /
-                                 static_cast<double>(records);
+    res.cpi = CpiModel::cpi_of(end_cycle, records);
     res.l1i = pass_->l1i;
     res.l1d = pass_->l1d;
-    res.l2 = l2_->aggregate_stats();
-    res.l2_energy = l2_->energy();
+    read_l2_fields(*l2_, res);
     res.l1_energy_nj =
         pass_->l1_dynamic_nj + pass_->l1_tech.leakage_nj(end_cycle);
-    res.l2_avg_enabled_bytes = l2_->avg_enabled_bytes();
-    res.l2_quarantined_ways = l2_->quarantined_ways();
     res.stall_l2_hit_cycles = stall_hit_;
     res.stall_l2_miss_cycles = stall_miss_;
     res.prefetches_issued = 0;  // batch_eligible ⇒ prefetcher disabled

@@ -22,12 +22,10 @@
 ///    replaying lanes without the trace (simulate_batch_lanes, the
 ///    benchmark's layer split).
 ///
-/// Both replays share one core that rebuilds the CpiModel clock per design:
-///
-///   now = Cycle(double(record_index) * kBaseCpi) + stall_sum
-///
-/// which is bit-for-bit the value CpiModel::now() would have produced at
-/// that access in a per-point run. The resulting SimResults are
+/// Both replays share one core that rebuilds the clock per design with
+/// CpiModel::clock(record_index, stall_sum), the formula behind
+/// CpiModel::now(), so each access goes out at the cycle it would have in a
+/// per-point run. The resulting SimResults are
 /// byte-identical to simulate() — tests/test_batch.cpp pins this for every
 /// scheme and for random configurations, and the ExperimentRunner keys them
 /// into the same result store records (docs/SWEEP_ENGINE.md).

@@ -25,6 +25,21 @@ inline constexpr double kBaseCpi = 2.0;
 
 class CpiModel {
  public:
+  /// The clock after `records` retired records and `stalls` stall cycles.
+  /// The index replay (sim/batch.cpp) rebuilds each design's per-point
+  /// clock with it, so both agree bit for bit.
+  static Cycle clock(std::uint64_t records, Cycle stalls) {
+    return static_cast<Cycle>(static_cast<double>(records) * kBaseCpi) +
+           stalls;
+  }
+
+  /// Cycles per record; degenerate (0) for an empty run.
+  static double cpi_of(Cycle cycles, std::uint64_t records) {
+    return records == 0 ? 0.0
+                        : static_cast<double>(cycles) /
+                              static_cast<double>(records);
+  }
+
   /// Advances time by one record plus its stall; returns the new now.
   Cycle retire(Cycle stall) {
     ++records_;
@@ -32,20 +47,12 @@ class CpiModel {
     return now();
   }
 
-  Cycle now() const {
-    return static_cast<Cycle>(static_cast<double>(records_) * kBaseCpi) +
-           stall_cycles_;
-  }
+  Cycle now() const { return clock(records_, stall_cycles_); }
 
   std::uint64_t records() const { return records_; }
   Cycle stall_cycles() const { return stall_cycles_; }
 
-  /// Cycles per record; degenerate (0) before any retire.
-  double cpi() const {
-    return records_ == 0 ? 0.0
-                         : static_cast<double>(now()) /
-                               static_cast<double>(records_);
-  }
+  double cpi() const { return cpi_of(now(), records_); }
 
  private:
   std::uint64_t records_ = 0;

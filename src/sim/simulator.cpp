@@ -125,11 +125,8 @@ SimResult simulate_chunked(const std::string& workload, NextChunk&& next_chunk,
   res.cpi = cpu.cpi();
   res.l1i = hier.l1i_stats();
   res.l1d = hier.l1d_stats();
-  res.l2 = hier.l2().aggregate_stats();
-  res.l2_energy = hier.l2().energy();
+  read_l2_fields(hier.l2(), res);
   res.l1_energy_nj = hier.l1_energy_nj();
-  res.l2_avg_enabled_bytes = hier.l2().avg_enabled_bytes();
-  res.l2_quarantined_ways = hier.l2().quarantined_ways();
   res.stall_l2_hit_cycles = hier.stall_l2_hit_cycles();
   res.stall_l2_miss_cycles = hier.stall_l2_miss_cycles();
   res.prefetches_issued = hier.prefetches_issued();
@@ -137,6 +134,13 @@ SimResult simulate_chunked(const std::string& workload, NextChunk&& next_chunk,
 }
 
 }  // namespace
+
+void read_l2_fields(const L2Interface& l2, SimResult& res) {
+  res.l2 = l2.aggregate_stats();
+  res.l2_energy = l2.energy();
+  res.l2_avg_enabled_bytes = l2.avg_enabled_bytes();
+  res.l2_quarantined_ways = l2.quarantined_ways();
+}
 
 PointSupervisor::PointSupervisor(const SimOptions& opts)
     : cancel_(opts.cancel != nullptr ? *opts.cancel : global_cancel_token()),

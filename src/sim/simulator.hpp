@@ -46,6 +46,32 @@ struct SimResult {
 
   double l2_miss_rate() const { return l2.miss_rate(); }
   double l2_kernel_fraction() const { return l2.kernel_access_fraction(); }
+
+  /// The result's one field list: calls f(name, r.field...) for each of the
+  /// 81 fields of a result-store record, in record order, over the same
+  /// field of every `r`; the CacheStats and the energies are named under
+  /// their group prefix ("l1i.", "l1d.", "l2.", "e."). The store's writer
+  /// and reader, validate_sim_result_finite and the tests' comparisons
+  /// loop over it, so a field added here is a field they all handle.
+  template <typename F, typename... R>
+  static void visit(F&& f, R&... r) {
+    f(FieldName{"", "workload"}, r.workload...);
+    f(FieldName{"", "scheme"}, r.scheme...);
+    f(FieldName{"", "records"}, r.records...);
+    f(FieldName{"", "cycles"}, r.cycles...);
+    f(FieldName{"", "cpi"}, r.cpi...);
+    CacheStats::visit(f, "l1i.", r.l1i...);
+    CacheStats::visit(f, "l1d.", r.l1d...);
+    CacheStats::visit(f, "l2.", r.l2...);
+    EnergyBreakdown::visit(f, "e.", r.l2_energy...);
+    f(FieldName{"", "l1_energy_nj"}, r.l1_energy_nj...);
+    f(FieldName{"", "l2_capacity_bytes"}, r.l2_capacity_bytes...);
+    f(FieldName{"", "l2_avg_enabled_bytes"}, r.l2_avg_enabled_bytes...);
+    f(FieldName{"", "l2_quarantined_ways"}, r.l2_quarantined_ways...);
+    f(FieldName{"", "stall_l2_hit_cycles"}, r.stall_l2_hit_cycles...);
+    f(FieldName{"", "stall_l2_miss_cycles"}, r.stall_l2_miss_cycles...);
+    f(FieldName{"", "prefetches_issued"}, r.prefetches_issued...);
+  }
 };
 
 class Telemetry;
@@ -89,6 +115,12 @@ class PointSupervisor {
   std::uint64_t deadline_ms_;
   Clock::time_point deadline_;
 };
+
+/// Reads a finalized design's own result fields into `res`: its aggregate
+/// stats, energy, average enabled capacity and quarantined ways.
+/// simulate() and the index replay (sim/batch.hpp) both assemble their
+/// results with it.
+void read_l2_fields(const L2Interface& l2, SimResult& res);
 
 /// Runs `trace` against the given L2 design (non-owning: the caller keeps
 /// the design and can inspect it after the run).

@@ -9,6 +9,7 @@
 #include "core/scheme.hpp"
 #include "core/shared_l2.hpp"
 #include "energy/refresh.hpp"
+#include "expect_fields.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/repair_controller.hpp"
 #include "obs/telemetry.hpp"
@@ -129,28 +130,6 @@ TEST(RepairController, PendingWaysCountAgainstSurvivorBudget) {
 
 // ---- end-to-end: bit-identity, determinism, degradation ------------------
 
-void expect_identical(const SimResult& a, const SimResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.cycles, b.cycles) << label;
-  EXPECT_EQ(a.records, b.records) << label;
-  EXPECT_EQ(a.l2.total_accesses(), b.l2.total_accesses()) << label;
-  EXPECT_EQ(a.l2.total_hits(), b.l2.total_hits()) << label;
-  EXPECT_EQ(a.l2.writebacks, b.l2.writebacks) << label;
-  EXPECT_EQ(a.l2.expired_blocks, b.l2.expired_blocks) << label;
-  EXPECT_EQ(a.l2.refreshes, b.l2.refreshes) << label;
-  EXPECT_EQ(a.l2_quarantined_ways, b.l2_quarantined_ways) << label;
-  // Energy must match to the bit, not to a tolerance: the fault layer is
-  // required to leave the arithmetic stream untouched when disabled and to
-  // be fully seed-deterministic when enabled.
-  EXPECT_EQ(a.l2_energy.leakage_nj, b.l2_energy.leakage_nj) << label;
-  EXPECT_EQ(a.l2_energy.read_nj, b.l2_energy.read_nj) << label;
-  EXPECT_EQ(a.l2_energy.write_nj, b.l2_energy.write_nj) << label;
-  EXPECT_EQ(a.l2_energy.refresh_nj, b.l2_energy.refresh_nj) << label;
-  EXPECT_EQ(a.l2_energy.ecc_nj, b.l2_energy.ecc_nj) << label;
-  EXPECT_EQ(a.l2_energy.dram_nj, b.l2_energy.dram_nj) << label;
-  EXPECT_EQ(a.l2_avg_enabled_bytes, b.l2_avg_enabled_bytes) << label;
-}
-
 TEST(FaultEndToEnd, RateZeroIsBitIdenticalToDefaultBuild) {
   const Trace trace = generate_app_trace(AppId::Browser, 120'000, 7);
   SchemeParams zero;
@@ -158,7 +137,7 @@ TEST(FaultEndToEnd, RateZeroIsBitIdenticalToDefaultBuild) {
   for (SchemeKind k : headline_schemes()) {
     const SimResult plain = simulate(trace, build_scheme(k));
     const SimResult zeroed = simulate(trace, build_scheme(k, zero));
-    expect_identical(plain, zeroed, scheme_name(k));
+    expect_fields_equal(plain, zeroed, scheme_name(k));
   }
 }
 
@@ -201,7 +180,7 @@ TEST(FaultEndToEnd, SameSeedSameConfigIsFullyDeterministic) {
     SimResult a, b;
     const std::string log_a = run_and_log_events(k, p, trace, &a);
     const std::string log_b = run_and_log_events(k, p, trace, &b);
-    expect_identical(a, b, scheme_name(k));
+    expect_fields_equal(a, b, scheme_name(k));
     EXPECT_EQ(log_a, log_b) << scheme_name(k);
     EXPECT_FALSE(log_a.empty()) << scheme_name(k)
                                 << ": rate 0.01 should produce events";

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cache/set_assoc_cache.hpp"
+#include "expect_fields.hpp"
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
 #include "obs/telemetry.hpp"
@@ -30,47 +31,6 @@ namespace {
 // ---- comparison helpers --------------------------------------------------
 
 #define EXPECT_FIELD_EQ(a, b, f) EXPECT_EQ((a).f, (b).f) << #f
-
-void expect_stats_identical(const CacheStats& a, const CacheStats& b,
-                            const std::string& what) {
-  SCOPED_TRACE(what);
-  for (int m = 0; m < kModeCount; ++m) {
-    EXPECT_EQ(a.accesses[m], b.accesses[m]) << "accesses[" << m << "]";
-    EXPECT_EQ(a.hits[m], b.hits[m]) << "hits[" << m << "]";
-  }
-  EXPECT_FIELD_EQ(a, b, store_hits);
-  EXPECT_FIELD_EQ(a, b, fills);
-  EXPECT_FIELD_EQ(a, b, evictions);
-  EXPECT_FIELD_EQ(a, b, writebacks);
-  EXPECT_FIELD_EQ(a, b, cross_mode_evictions);
-  EXPECT_FIELD_EQ(a, b, expired_blocks);
-  EXPECT_FIELD_EQ(a, b, expired_dirty);
-  EXPECT_FIELD_EQ(a, b, refreshes);
-  EXPECT_FIELD_EQ(a, b, prefetch_fills);
-  EXPECT_FIELD_EQ(a, b, useful_prefetches);
-  EXPECT_FIELD_EQ(a, b, write_faults);
-  EXPECT_FIELD_EQ(a, b, transient_upsets);
-  EXPECT_FIELD_EQ(a, b, ecc_corrections);
-  EXPECT_FIELD_EQ(a, b, fault_losses);
-  EXPECT_FIELD_EQ(a, b, fault_lost_dirty);
-  EXPECT_FIELD_EQ(a, b, scrub_repairs);
-  EXPECT_FIELD_EQ(a, b, silent_faults);
-}
-
-/// Energy comparisons are exact: the kernels must take the same branches in
-/// the same order, so the L2 wrappers see identical event sequences and the
-/// floating-point sums agree to the last bit.
-void expect_energy_identical(const EnergyBreakdown& a,
-                             const EnergyBreakdown& b,
-                             const std::string& what) {
-  SCOPED_TRACE(what);
-  EXPECT_FIELD_EQ(a, b, leakage_nj);
-  EXPECT_FIELD_EQ(a, b, read_nj);
-  EXPECT_FIELD_EQ(a, b, write_nj);
-  EXPECT_FIELD_EQ(a, b, refresh_nj);
-  EXPECT_FIELD_EQ(a, b, dram_nj);
-  EXPECT_FIELD_EQ(a, b, ecc_nj);
-}
 
 void expect_wear_identical(const WearSummary& a, const WearSummary& b,
                            const std::string& what) {
@@ -287,7 +247,7 @@ void run_array_case(const ArrayCase& c) {
     }
   }
 
-  expect_stats_identical(fast.stats(), ref.stats(), "final stats");
+  expect_fields_equal(fast.stats(), ref.stats(), "final stats");
   expect_wear_identical(fast.wear_summary(), ref.wear_summary(),
                         "final wear");
   EXPECT_EQ(fast.location_writes(), ref.location_writes());
@@ -436,24 +396,6 @@ class SchemeEquiv : public ::testing::Test {
     trace_ = nullptr;
   }
 
-  static void expect_sim_identical(const SimResult& a, const SimResult& b,
-                                   const std::string& what) {
-    SCOPED_TRACE(what);
-    EXPECT_FIELD_EQ(a, b, records);
-    EXPECT_FIELD_EQ(a, b, cycles);
-    EXPECT_FIELD_EQ(a, b, cpi);
-    expect_stats_identical(a.l1i, b.l1i, what + "/l1i");
-    expect_stats_identical(a.l1d, b.l1d, what + "/l1d");
-    expect_stats_identical(a.l2, b.l2, what + "/l2");
-    expect_energy_identical(a.l2_energy, b.l2_energy, what + "/energy");
-    EXPECT_FIELD_EQ(a, b, l1_energy_nj);
-    EXPECT_FIELD_EQ(a, b, l2_avg_enabled_bytes);
-    EXPECT_FIELD_EQ(a, b, l2_quarantined_ways);
-    EXPECT_FIELD_EQ(a, b, stall_l2_hit_cycles);
-    EXPECT_FIELD_EQ(a, b, stall_l2_miss_cycles);
-    EXPECT_FIELD_EQ(a, b, prefetches_issued);
-  }
-
   static void run_scheme(SchemeKind kind, ReplKind repl, bool fault) {
     DefaultModeGuard guard;
     SchemeParams p;
@@ -465,7 +407,7 @@ class SchemeEquiv : public ::testing::Test {
     SetAssocCache::set_default_kernel_mode(KernelMode::Reference);
     const SimResult ref_res = simulate(*trace_, build_scheme(kind, p));
 
-    expect_sim_identical(fast_res, ref_res,
+    expect_fields_equal(fast_res, ref_res,
                          std::string(scheme_name(kind)) + "/" +
                              std::string(to_string(repl)) +
                              (fault ? "/fault" : ""));
@@ -526,9 +468,9 @@ TEST_F(SchemeEquiv, TelemetrySamplerCausesNoStatDrift) {
     const SimResult attached =
         simulate(*trace_, build_scheme(kind, p), with_idle);
 
-    expect_sim_identical(bare, instrumented,
+    expect_fields_equal(bare, instrumented,
                          std::string(scheme_name(kind)) + "/sampler");
-    expect_sim_identical(bare, attached,
+    expect_fields_equal(bare, attached,
                          std::string(scheme_name(kind)) + "/attached");
   }
 }

@@ -11,6 +11,7 @@
 #include "common/flat_json.hpp"
 #include "core/dynamic_partitioned_l2.hpp"
 #include "core/scheme.hpp"
+#include "expect_fields.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/simulator.hpp"
@@ -220,33 +221,16 @@ SimResult run_browser(SchemeKind kind, Telemetry* tel,
   return simulate(t, build_scheme(kind), opts);
 }
 
-/// The acceptance bar: attaching a full observability session must not
-/// perturb the simulation. Every result field — including the
-/// floating-point energy accumulators — must be bit-identical.
-void expect_bit_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.records, b.records);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.cpi, b.cpi);
-  EXPECT_EQ(a.l2.total_accesses(), b.l2.total_accesses());
-  EXPECT_EQ(a.l2.total_hits(), b.l2.total_hits());
-  EXPECT_EQ(a.l2.evictions, b.l2.evictions);
-  EXPECT_EQ(a.l2_energy.leakage_nj, b.l2_energy.leakage_nj);
-  EXPECT_EQ(a.l2_energy.read_nj, b.l2_energy.read_nj);
-  EXPECT_EQ(a.l2_energy.write_nj, b.l2_energy.write_nj);
-  EXPECT_EQ(a.l2_energy.refresh_nj, b.l2_energy.refresh_nj);
-  EXPECT_EQ(a.l2_energy.dram_nj, b.l2_energy.dram_nj);
-  EXPECT_EQ(a.l2_avg_enabled_bytes, b.l2_avg_enabled_bytes);
-  EXPECT_EQ(a.stall_l2_hit_cycles, b.stall_l2_hit_cycles);
-  EXPECT_EQ(a.stall_l2_miss_cycles, b.stall_l2_miss_cycles);
-}
-
 TEST(ObsEndToEnd, NoSinkPathIsBitIdentical) {
+  // The acceptance bar: attaching a full observability session must not
+  // perturb the simulation. Every result field, the floating-point energy
+  // accumulators included, must be bit-identical.
   for (SchemeKind k : {SchemeKind::BaselineSram, SchemeKind::DynamicStt,
                        SchemeKind::StaticPartMrstt}) {
     const SimResult plain = run_browser(k, nullptr);
     Telemetry tel;
     const SimResult observed = run_browser(k, &tel, 10'000);
-    expect_bit_identical(plain, observed);
+    expect_fields_equal(plain, observed, scheme_name(k));
     EXPECT_FALSE(tel.metrics().empty()) << scheme_name(k);
   }
 }

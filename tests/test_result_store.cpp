@@ -20,6 +20,7 @@
 #include "core/scheme.hpp"
 #include "energy/technology.hpp"
 #include "exp/runner.hpp"
+#include "expect_fields.hpp"
 #include "obs/telemetry.hpp"
 #include "workload/suite.hpp"
 
@@ -72,31 +73,6 @@ SimResult sample_result() {
   r.stall_l2_miss_cycles = 4242;
   r.prefetches_issued = 5;
   return r;
-}
-
-void expect_equal(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.records, b.records);
-  EXPECT_EQ(a.cycles, b.cycles);
-  // Bit-exact, not approximate: resumed sweeps must be byte-identical.
-  EXPECT_EQ(a.cpi, b.cpi);
-  EXPECT_EQ(a.l1i.accesses[0], b.l1i.accesses[0]);
-  EXPECT_EQ(a.l1d.accesses[1], b.l1d.accesses[1]);
-  EXPECT_EQ(a.l2.accesses[0], b.l2.accesses[0]);
-  EXPECT_EQ(a.l2.hits[0], b.l2.hits[0]);
-  EXPECT_EQ(a.l2.expired_blocks, b.l2.expired_blocks);
-  EXPECT_EQ(a.l2_energy.leakage_nj, b.l2_energy.leakage_nj);
-  EXPECT_EQ(a.l2_energy.read_nj, b.l2_energy.read_nj);
-  EXPECT_EQ(a.l2_energy.write_nj, b.l2_energy.write_nj);
-  EXPECT_EQ(a.l2_energy.dram_nj, b.l2_energy.dram_nj);
-  EXPECT_EQ(a.l1_energy_nj, b.l1_energy_nj);
-  EXPECT_EQ(a.l2_capacity_bytes, b.l2_capacity_bytes);
-  EXPECT_EQ(a.l2_avg_enabled_bytes, b.l2_avg_enabled_bytes);
-  EXPECT_EQ(a.l2_quarantined_ways, b.l2_quarantined_ways);
-  EXPECT_EQ(a.stall_l2_hit_cycles, b.stall_l2_hit_cycles);
-  EXPECT_EQ(a.stall_l2_miss_cycles, b.stall_l2_miss_cycles);
-  EXPECT_EQ(a.prefetches_issued, b.prefetches_issued);
 }
 
 /// A keyed grid point whose builder counts its calls — one per computed
@@ -305,7 +281,7 @@ TEST(RecordFormat, ExactRoundTrip) {
   const std::string json = result_to_record_json(r);
   const std::optional<SimResult> back = result_from_record_json(json);
   ASSERT_TRUE(back.has_value());
-  expect_equal(r, *back);
+  expect_fields_equal(r, *back);
 }
 
 /// A SimResult whose every record field holds a distinct value. The 63
@@ -400,7 +376,7 @@ TEST_F(ResultStoreTest, StoreThenLookupAcrossReopen) {
     store.store(42, r);
     const auto hit = store.lookup(42);
     ASSERT_TRUE(hit.has_value());
-    expect_equal(r, *hit);
+    expect_fields_equal(r, *hit);
     EXPECT_EQ(store.stats().misses, 1u);
     EXPECT_EQ(store.stats().hits, 1u);
     EXPECT_EQ(store.stats().stores, 1u);
@@ -411,7 +387,7 @@ TEST_F(ResultStoreTest, StoreThenLookupAcrossReopen) {
   EXPECT_EQ(reopened.stats().corrupt_skipped, 0u);
   const auto hit = reopened.lookup(42);
   ASSERT_TRUE(hit.has_value());
-  expect_equal(r, *hit);
+  expect_fields_equal(r, *hit);
 }
 
 TEST_F(ResultStoreTest, NoTempLeftoversAndStrayTempsAreCleaned) {
@@ -514,7 +490,7 @@ TEST_F(ResultStoreTest, MemoizedMapServesHitsAndPersistsMisses) {
   const auto warm = runner.run_designs_outcomes(specs, /*keep_going=*/false);
   EXPECT_EQ(computed, 0);
   for (std::size_t i = 0; i < 4; ++i)
-    expect_equal(cold[i].value->per_workload[0],
+    expect_fields_equal(cold[i].value->per_workload[0],
                  warm[i].value->per_workload[0]);
   EXPECT_EQ(warm_store.stats().hits, 4u);
 }
@@ -796,8 +772,8 @@ TEST_F(ResultStoreTest, RunnerMemoizationMatchesDirectRun) {
 
   ASSERT_EQ(direct.per_workload.size(), warm.per_workload.size());
   for (std::size_t i = 0; i < direct.per_workload.size(); ++i) {
-    expect_equal(direct.per_workload[i], cold.per_workload[i]);
-    expect_equal(direct.per_workload[i], warm.per_workload[i]);
+    expect_fields_equal(direct.per_workload[i], cold.per_workload[i]);
+    expect_fields_equal(direct.per_workload[i], warm.per_workload[i]);
   }
   EXPECT_GT(store.stats().hits, 0u);
 }

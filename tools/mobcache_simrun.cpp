@@ -521,14 +521,9 @@ static int tool_main(int argc, char** argv) {
     for (const auto& tel : sessions) merged.merge(tel->metrics());
     if (store) {
       const ResultStoreStats st = store->stats();
-      merged.counter("result_store.hits").add(st.hits);
-      merged.counter("result_store.misses").add(st.misses);
-      merged.counter("result_store.stores").add(st.stores);
-      merged.counter("result_store.corrupt_skipped").add(st.corrupt_skipped);
-      merged.counter("result_store.loaded").add(st.loaded);
-      merged.counter("result_store.poisoned_loaded").add(st.poisoned_loaded);
-      merged.counter("result_store.poison_hits").add(st.poison_hits);
-      merged.counter("result_store.poison_stores").add(st.poison_stores);
+      ResultStoreStats::visit(
+          [&](FieldName n, std::uint64_t v) { merged.counter(n.key()).add(v); },
+          "result_store.", st);
     }
     // Sweep supervision counters (failure details: one stderr line each,
     // plus poison records when a store is attached).
