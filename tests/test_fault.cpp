@@ -130,6 +130,10 @@ TEST(RepairController, PendingWaysCountAgainstSurvivorBudget) {
 
 // ---- end-to-end: bit-identity, determinism, degradation ------------------
 
+// Results compare to the bit, energies included, not to a tolerance: the
+// fault layer must leave the arithmetic stream untouched when disabled and
+// be fully seed-deterministic when enabled.
+
 TEST(FaultEndToEnd, RateZeroIsBitIdenticalToDefaultBuild) {
   const Trace trace = generate_app_trace(AppId::Browser, 120'000, 7);
   SchemeParams zero;

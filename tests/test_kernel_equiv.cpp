@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "cache/set_assoc_cache.hpp"
-#include "expect_fields.hpp"
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
+#include "expect_fields.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
 #include "workload/suite.hpp"
@@ -407,10 +407,13 @@ class SchemeEquiv : public ::testing::Test {
     SetAssocCache::set_default_kernel_mode(KernelMode::Reference);
     const SimResult ref_res = simulate(*trace_, build_scheme(kind, p));
 
+    // Energies compare to the bit: the kernels must take the same branches
+    // in the same order, so the L2 wrappers see identical event sequences
+    // and the floating-point sums agree exactly.
     expect_fields_equal(fast_res, ref_res,
-                         std::string(scheme_name(kind)) + "/" +
-                             std::string(to_string(repl)) +
-                             (fault ? "/fault" : ""));
+                        std::string(scheme_name(kind)) + "/" +
+                            std::string(to_string(repl)) +
+                            (fault ? "/fault" : ""));
   }
 
   static Trace* trace_;
@@ -469,9 +472,9 @@ TEST_F(SchemeEquiv, TelemetrySamplerCausesNoStatDrift) {
         simulate(*trace_, build_scheme(kind, p), with_idle);
 
     expect_fields_equal(bare, instrumented,
-                         std::string(scheme_name(kind)) + "/sampler");
+                        std::string(scheme_name(kind)) + "/sampler");
     expect_fields_equal(bare, attached,
-                         std::string(scheme_name(kind)) + "/attached");
+                        std::string(scheme_name(kind)) + "/attached");
   }
 }
 

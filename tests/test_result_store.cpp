@@ -491,7 +491,7 @@ TEST_F(ResultStoreTest, MemoizedMapServesHitsAndPersistsMisses) {
   EXPECT_EQ(computed, 0);
   for (std::size_t i = 0; i < 4; ++i)
     expect_fields_equal(cold[i].value->per_workload[0],
-                 warm[i].value->per_workload[0]);
+                        warm[i].value->per_workload[0]);
   EXPECT_EQ(warm_store.stats().hits, 4u);
 }
 
