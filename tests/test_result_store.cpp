@@ -47,27 +47,37 @@ class ResultStoreTest : public ::testing::Test {
   fs::path dir_;
 };
 
-/// A SimResult exercising the awkward corners of the record format: doubles
-/// that do not round-trip at low precision, zeros, and large counters.
+/// A SimResult whose every record field holds a distinct, nonzero value,
+/// with the awkward corners of the record format: doubles that do not
+/// round-trip at low precision, from 1e-17 to 1e18, and a counter near
+/// 2^64. The 63 CacheStats counters and the 6 energies are filled slot by
+/// slot, so the record tests cover a counter or an energy added later
+/// without an edit.
 SimResult sample_result() {
+  static_assert(std::is_trivially_copyable_v<CacheStats> &&
+                std::is_trivially_copyable_v<EnergyBreakdown>);
   SimResult r;
   r.workload = "launcher";
-  r.scheme = "SP-MRSTT";
+  r.scheme = "SP-MRSTT [user: \"a\"]";
+  std::uint64_t next = 1;
+  for (CacheStats* s : {&r.l1i, &r.l1d, &r.l2}) {
+    std::array<std::uint64_t, sizeof(CacheStats) / sizeof(std::uint64_t)> c;
+    for (std::uint64_t& v : c) v = 1'000'003 * next++;
+    *s = std::bit_cast<CacheStats>(c);
+  }
+  std::array<double, sizeof(EnergyBreakdown) / sizeof(double)> e;
+  double scale = 1e-17;
+  for (double& v : e) {
+    v = static_cast<double>(next++) / 3.0 * scale;
+    scale *= 1e7;
+  }
+  r.l2_energy = std::bit_cast<EnergyBreakdown>(e);
   r.records = 123456789;
-  r.cycles = 987654321;
-  r.cpi = 1.0 / 3.0;
-  r.l1i.accesses[0] = 11;
-  r.l1d.accesses[1] = 22;
-  r.l2.accesses[0] = 1000;
-  r.l2.hits[0] = 900;
-  r.l2.expired_blocks = 7;
-  r.l2_energy.leakage_nj = 0.1;  // not exactly representable
-  r.l2_energy.read_nj = 1e-17;
-  r.l2_energy.write_nj = 12345.6789012345678;
-  r.l2_energy.dram_nj = 3.0e17;
-  r.l1_energy_nj = 2.5;
+  r.cycles = 18'446'744'073'709'551'557ull;
+  r.cpi = 1.0 / 7.0;
+  r.l1_energy_nj = 0.1;
   r.l2_capacity_bytes = 2ull << 20;
-  r.l2_avg_enabled_bytes = 1310720.5;
+  r.l2_avg_enabled_bytes = 1e6 / 11.0;
   r.l2_quarantined_ways = 3;
   r.stall_l2_hit_cycles = 42;
   r.stall_l2_miss_cycles = 4242;
@@ -284,39 +294,8 @@ TEST(RecordFormat, ExactRoundTrip) {
   expect_fields_equal(r, *back);
 }
 
-/// A SimResult whose every record field holds a distinct value. The 63
-/// CacheStats counters and the 6 energies are filled slot by slot, so the
-/// tests below cover a counter or an energy added later without an edit.
-SimResult distinct_result() {
-  static_assert(std::is_trivially_copyable_v<CacheStats> &&
-                std::is_trivially_copyable_v<EnergyBreakdown>);
-  SimResult r;
-  r.workload = "browser";
-  r.scheme = "DP-STT [user: \"a\"]";
-  std::uint64_t next = 1;
-  for (CacheStats* s : {&r.l1i, &r.l1d, &r.l2}) {
-    std::array<std::uint64_t, sizeof(CacheStats) / sizeof(std::uint64_t)> c;
-    for (std::uint64_t& v : c) v = 1'000'003 * next++;
-    *s = std::bit_cast<CacheStats>(c);
-  }
-  std::array<double, sizeof(EnergyBreakdown) / sizeof(double)> e;
-  for (double& v : e) v = static_cast<double>(next++) / 3.0;
-  r.l2_energy = std::bit_cast<EnergyBreakdown>(e);
-  r.records = 123456789;
-  r.cycles = 987654321;
-  r.cpi = 1.0 / 7.0;
-  r.l1_energy_nj = 0.1;
-  r.l2_capacity_bytes = 2ull << 20;
-  r.l2_avg_enabled_bytes = 1e6 / 11.0;
-  r.l2_quarantined_ways = 3;
-  r.stall_l2_hit_cycles = 42;
-  r.stall_l2_miss_cycles = 4242;
-  r.prefetches_issued = 5;
-  return r;
-}
-
 TEST(RecordFormat, EveryFieldRoundTrips) {
-  const SimResult r = distinct_result();
+  const SimResult r = sample_result();
   const std::optional<SimResult> back =
       result_from_record_json(result_to_record_json(r));
   ASSERT_TRUE(back.has_value());
@@ -344,7 +323,7 @@ TEST(RecordFormat, EveryFieldRoundTrips) {
 }
 
 TEST(RecordFormat, RejectsAnyMissingField) {
-  const std::string json = result_to_record_json(distinct_result());
+  const std::string json = result_to_record_json(sample_result());
   // A payload is one flat object and no value here holds a comma, so its
   // "key":value pairs are the comma-separated pieces inside the braces.
   std::vector<std::string> pairs;
